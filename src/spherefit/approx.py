@@ -9,17 +9,16 @@ penalized functional is built from.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from . import harmonics
+from . import _rings, harmonics
 from .cubature import CubatureRule
-from .harmonics import FOUR_PI, as_unit_vectors, basis_size, sph_harm_matrix
+from .harmonics import FOUR_PI, _one_point, as_unit_vectors, basis_size, sph_harm_matrix
 
 _SOLVER_DEGREE_CAP = 40
 
@@ -148,33 +147,16 @@ class NormBound(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# cached harmonic matrices keyed by the content of the point array
+# synthesis: ring transform on product grids, dense harmonic matrix elsewhere
 
 
-class _HarmMatrixCache:
-    def __init__(self, capacity: int = 6):
-        self._store: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._capacity = capacity
-
-    def get(self, degree: int, points: np.ndarray) -> np.ndarray:
-        key = (degree, points.shape[0], hashlib.blake2b(points.tobytes(), digest_size=16).digest())
-        hit = self._store.get(key)
-        if hit is not None:
-            self._store.move_to_end(key)
-            return hit
-        mat = sph_harm_matrix(degree, points)
-        mat.setflags(write=False)
-        self._store[key] = mat
-        if len(self._store) > self._capacity:
-            self._store.popitem(last=False)
-        return mat
-
-
-_harm_cache = _HarmMatrixCache()
-
-
-def _harm_matrix(degree: int, points: np.ndarray) -> np.ndarray:
-    return _harm_cache.get(degree, as_unit_vectors(points))
+def _synthesizer(M: int, pts: np.ndarray):
+    """Map from degree-M flat coefficients to values at the given unit vectors."""
+    rings = _rings.ring_layout(pts)
+    if rings is not None and rings.supports(M):
+        return functools.partial(_rings.synthesis, rings, M)
+    Y = sph_harm_matrix(M, pts)
+    return lambda coeffs: Y.T @ coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +179,10 @@ def analyze(samples: SampleSet, M: int) -> HarmonicCoefficients:
     reproduces every polynomial of degree <= M from its samples.
     """
     _require_exactness(samples, M)
-    Y = _harm_matrix(M, samples.rule.points)
+    rings = samples.rule.rings
+    if rings is not None and rings.supports(M):
+        return HarmonicCoefficients(M, _rings.analysis(rings, M, samples.values))
+    Y = sph_harm_matrix(M, samples.rule.points)
     return HarmonicCoefficients(M, Y @ (samples.rule.weights * samples.values))
 
 
@@ -246,7 +231,7 @@ def regularized_fit_via_solver(
         raise ValueError(
             f"dense solver capped at degree {max_degree}; raise max_degree to override"
         )
-    Y = _harm_matrix(M, samples.rule.points)
+    Y = sph_harm_matrix(M, samples.rule.points)
     w = samples.rule.weights
     G = (Y * w) @ Y.T
     b = expand_by_degree(beta.beta)
@@ -264,16 +249,19 @@ def regularized_fit_via_solver(
 
 def evaluate(coeffs: HarmonicCoefficients, x) -> float:
     """Value of the polynomial sum_{k,j} gamma_{k,j} Y_{k,j} at one point."""
-    return float(evaluate_grid(coeffs, x)[0])
+    return float(evaluate_grid(coeffs, _one_point(x))[0])
 
 
 def evaluate_grid(coeffs: HarmonicCoefficients, points) -> np.ndarray:
-    """Polynomial values at many points; empty input gives an empty array."""
+    """Polynomial values at many points; empty input gives an empty array.
+
+    Product grids with more than 2M azimuths per ring (Gauss-Legendre rules,
+    probe grids) take the ring transform; other point sets the dense matrix.
+    """
     pts = as_unit_vectors(points)
     if pts.shape[0] == 0:
         return np.empty(0)
-    Y = _harm_matrix(coeffs.degree_M, pts)
-    return Y.T @ coeffs.values
+    return _synthesizer(coeffs.degree_M, pts)(coeffs.values)
 
 
 def evaluate_kernel_form(
@@ -431,7 +419,7 @@ def kernel_section(beta: PenalizationWeights, x) -> HarmonicCoefficients:
             "(beta_k^{-2} is formed); got a zero entry"
         )
     M = beta.degree_M
-    Yx = sph_harm_matrix(M, x)[:, 0]
+    Yx = sph_harm_matrix(M, _one_point(x))[:, 0]
     return HarmonicCoefficients(M, expand_by_degree(beta.beta**-2.0) * Yx)
 
 

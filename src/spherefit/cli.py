@@ -96,6 +96,17 @@ def cmd_fit(args) -> int:
     samples_path = _merge(args, config, "samples")
     if samples_path is None:
         raise ValueError("fit needs a samples file (--samples)")
+    alpha_flag = _merge(args, config, "alpha")
+    use_bp = bool(_merge(args, config, "bp", False))
+    noise_level = _merge(args, config, "noise-level")
+    if alpha_flag is not None and use_bp:
+        raise ValueError("pass either --alpha or --bp, not both")
+    if alpha_flag is None and not use_bp:
+        raise ValueError("fit needs either --alpha <value> or --bp")
+    if use_bp and noise_level is None:
+        raise ValueError(
+            "fit --bp needs the noise level (--noise-level or config key noise-level)"
+        )
     rule = (
         cubature.load_rule(rule_path) if rule_path else cubature.gauss_legendre_rule(M)
     )
@@ -106,24 +117,20 @@ def cmd_fit(args) -> int:
         float(_merge(args, config, "sgg-decay", DEFAULTS["sgg_decay"])),
     )
 
-    alpha_flag = _merge(args, config, "alpha")
-    use_bp = bool(_merge(args, config, "bp", False))
-    if alpha_flag is not None and use_bp:
-        raise ValueError("pass either --alpha or --bp, not both")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {"degree": M, "beta": _merge(args, config, "beta", "ones")}
-    if alpha_flag is None and not use_bp:
-        raise ValueError("fit needs either --alpha <value> or --bp")
     if use_bp:
         bp_cfg = params.BalancingConfig(
             alpha0=float(_merge(args, config, "grid-anchor", DEFAULTS["grid_anchor"])),
             q=float(_merge(args, config, "grid-ratio", DEFAULTS["grid_ratio"])),
             L=int(_merge(args, config, "grid-len", DEFAULTS["grid_len"])),
             omega=float(_merge(args, config, "omega", DEFAULTS["omega"])),
-            delta=float(_merge(args, config, "noise-level", 0.0)),
+            delta=float(noise_level),
             probe_resolution=_merge(args, config, "probe-resolution"),
             norm_bound=_merge(args, config, "norm-bound", "grid"),
         )
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary = {"degree": M, "beta": _merge(args, config, "beta", "ones")}
+    if use_bp:
         bres = params.balancing_principle(samples, M, beta, bp_cfg)
         alpha = bres.alpha_star
         trace_path = out_dir / "bp_trace.csv"

@@ -9,10 +9,11 @@ the colatitude sum is an n-point Gauss rule, exact to degree 2n-1.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rings import RingLayout, ring_layout
 from .harmonics import FOUR_PI, as_unit_vectors
 
 _WEIGHT_SUM_TOL = 1e-10
@@ -25,12 +26,15 @@ class CubatureRule:
     """A point set on the sphere with positive weights summing to 4 pi.
 
     `degree_M` is the reconstruction degree the rule supports: the rule is
-    exact for all spherical polynomials of degree <= 2*degree_M.
+    exact for all spherical polynomials of degree <= 2*degree_M.  `rings`
+    holds the ring layout when the rule is a product grid (ring transform
+    for analysis), else None (dense harmonic matrix).
     """
 
     degree_M: int
     points: np.ndarray
     weights: np.ndarray
+    rings: RingLayout | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = as_unit_vectors(self.points)
@@ -52,6 +56,7 @@ class CubatureRule:
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "rings", ring_layout(pts, w))
 
     @property
     def n_points(self) -> int:

@@ -121,6 +121,14 @@ def as_unit_vectors(points) -> np.ndarray:
     return pts
 
 
+def _one_point(x) -> np.ndarray:
+    """Coerce a scalar entry point's argument to one unit vector, shape (1, 3)."""
+    pts = as_unit_vectors(x)
+    if pts.shape[0] != 1:
+        raise ValueError(f"expected exactly one point, got {pts.shape[0]}")
+    return pts
+
+
 def _check_t(t):
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1.0 + _T_SLACK):
@@ -220,7 +228,7 @@ def sph_harm_matrix(degree: int, points) -> np.ndarray:
 
 def sph_harm_eval(idx: HarmonicIndex, x) -> float:
     """Value of the real orthonormal harmonic Y_{k,j} at a point."""
-    return float(sph_harm_matrix(idx.k, x)[idx.flat, 0])
+    return float(sph_harm_matrix(idx.k, _one_point(x))[idx.flat, 0])
 
 
 def addition_kernel(k: int, x, z) -> float:
@@ -228,7 +236,7 @@ def addition_kernel(k: int, x, z) -> float:
 
     Equals sum_j Y_{k,j}(x) Y_{k,j}(z) for the orthonormal basis of degree k.
     """
-    xv = as_unit_vectors(x)[0]
-    zv = as_unit_vectors(z)[0]
+    xv = _one_point(x)[0]
+    zv = _one_point(z)[0]
     dot = float(np.clip(xv @ zv, -1.0, 1.0))
     return (2 * k + 1) / FOUR_PI * legendre_eval(k, dot)

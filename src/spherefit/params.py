@@ -19,8 +19,8 @@ import numpy as np
 from .approx import (
     PenalizationWeights,
     SampleSet,
-    _harm_matrix,
     _max_weighted_abs_kernel,
+    _synthesizer,
     analyze,
     crude_norm_upper,
     default_probe_resolution,
@@ -263,14 +263,14 @@ def balancing_principle(
     alphas = cfg.grid()
     resolution = cfg.probe_resolution or default_probe_resolution(M)
     probes = probe_grid(resolution)
-    Yp = _harm_matrix(M, probes)
+    synthesize = _synthesizer(M, probes)
     gamma_hat = analyze(samples, M).values
     b2 = expand_by_degree(beta.beta**2)
     norms = _NormOracle(samples, M, beta, cfg, probes)
     omega_delta = cfg.omega * cfg.delta
 
     def fit_values(i: int) -> np.ndarray:
-        return Yp.T @ (gamma_hat / (1.0 + alphas[i] * b2))
+        return synthesize(gamma_hat / (1.0 + alphas[i] * b2))
 
     trace = []
     prev = fit_values(cfg.L - 1)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherefit import (
+    CubatureRule,
     FilterSpec,
     HarmonicCoefficients,
     PenalizationWeights,
@@ -24,6 +27,7 @@ from spherefit import (
     save_coefficients,
     sph_harm_matrix,
 )
+from spherefit import approx
 from spherefit.approx import expand_by_degree
 
 FOUR_PI = 4 * np.pi
@@ -183,6 +187,11 @@ class TestEvaluate:
         kernel = evaluate_kernel_form(s, M, alpha, beta, pts)
         assert np.abs(direct - kernel).max() <= 1e-9
 
+    def test_rejects_several_points(self):
+        coeffs = HarmonicCoefficients(1, [1.0, 0.0, 2.0, 0.0])
+        with pytest.raises(ValueError, match="one point"):
+            evaluate(coeffs, [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
+
     def test_grid_single_and_empty(self):
         rng = np.random.default_rng(6)
         coeffs = random_coeffs(2, rng)
@@ -199,6 +208,132 @@ class TestEvaluate:
         v /= np.linalg.norm(v)
         vals = evaluate_grid(cf, np.stack([v, -v]))
         assert vals[0] == pytest.approx(-vals[1], abs=1e-14)
+
+
+def rel_err(fast, dense):
+    return np.abs(fast - dense).max() / np.abs(dense).max()
+
+
+def dense_values(M, pts, coeffs, chunk=2000):
+    """Oracle synthesis through the dense harmonic matrix, in point chunks."""
+    return np.concatenate(
+        [sph_harm_matrix(M, pts[lo : lo + chunk]).T @ coeffs for lo in range(0, len(pts), chunk)]
+    )
+
+
+def dense_analysis(M, rule, values, chunk=2000):
+    """Oracle analysis sum_i w_i Y(x_i) y_i through the dense matrix, in chunks."""
+    wy = rule.weights * values
+    return sum(
+        sph_harm_matrix(M, rule.points[lo : lo + chunk]) @ wy[lo : lo + chunk]
+        for lo in range(0, rule.n_points, chunk)
+    )
+
+
+def fibonacci_points(n):
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    r = np.sqrt(1.0 - z * z)
+    phi = np.pi * (1.0 + 5.0**0.5) * i
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Degrees of the dense harmonic matrices that approx builds."""
+    calls = []
+
+    def counting(M, pts):
+        calls.append(M)
+        return sph_harm_matrix(M, pts)
+
+    monkeypatch.setattr(approx, "sph_harm_matrix", counting)
+    return calls
+
+
+class TestRingTransform:
+    @pytest.mark.parametrize("M", [0, 1, 2, 7, 30, 60])
+    def test_matches_dense(self, M, dense_calls):
+        rng = np.random.default_rng(100 + M)
+        rule = gauss_legendre_rule(M)
+        assert rule.rings is not None and rule.rings.azimuths == 2 * (M + 1)
+        y = rng.normal(size=rule.n_points)
+        fast = analyze(SampleSet(rule, y), M).values
+        assert rel_err(fast, dense_analysis(M, rule, y)) <= 1e-12
+        c = random_coeffs(M, rng)
+        for pts in (rule.points, probe_grid(max(1, 2 * M))):
+            assert rel_err(evaluate_grid(c, pts), dense_values(M, pts, c.values)) <= 1e-12
+        assert dense_calls == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(M=st.integers(0, 20), seed=st.integers(0, 2**32 - 1), resolution=st.integers(0, 20))
+    def test_fast_equals_dense_property(self, M, seed, resolution):
+        rng = np.random.default_rng(seed)
+        rule = gauss_legendre_rule(M + resolution)
+        c = rng.normal(size=(M + 1) ** 2) * rng.uniform(0, 1, size=(M + 1) ** 2) ** 4
+        fast = evaluate_grid(HarmonicCoefficients(M, c), rule.points)
+        assert rel_err(fast, dense_values(M, rule.points, c)) <= 1e-12
+        y = rng.normal(size=rule.n_points)
+        assert rel_err(analyze(SampleSet(rule, y), M).values, dense_analysis(M, rule, y)) <= 1e-12
+
+    def test_degree_250_round_trip(self):
+        # P_m^m ~ u^m underflows at the polar rings for large m; the transform
+        # must still invert exactly on the rule
+        M = 250
+        rng = np.random.default_rng(250)
+        rule = gauss_legendre_rule(M)
+        c = rng.normal(size=(M + 1) ** 2)
+        values = evaluate_grid(HarmonicCoefficients(M, c), rule.points)
+        back = analyze(SampleSet(rule, values), M).values
+        assert rel_err(back, c) <= 1e-12
+
+    def test_scattered_points_take_dense_path(self, dense_calls):
+        rng = np.random.default_rng(101)
+        M = 6
+        pts = fibonacci_points(300)
+        rule = CubatureRule(M, pts, np.full(300, 4 * np.pi / 300))
+        assert rule.rings is None
+        c = random_coeffs(M, rng)
+        y = rng.normal(size=300)
+        assert np.array_equal(evaluate_grid(c, pts), sph_harm_matrix(M, pts).T @ c.values)
+        assert np.array_equal(analyze(SampleSet(rule, y), M).values, dense_analysis(M, rule, y, chunk=300))
+        assert dense_calls == [M, M]
+
+    def test_permuted_nodes_take_dense_path(self, dense_calls):
+        rng = np.random.default_rng(102)
+        M = 7
+        rule = gauss_legendre_rule(M)
+        perm = rng.permutation(rule.n_points)
+        shuffled = CubatureRule(M, rule.points[perm], rule.weights[perm])
+        assert shuffled.rings is None
+        y = rng.normal(size=rule.n_points)
+        ring = analyze(SampleSet(rule, y), M).values
+        dense = analyze(SampleSet(shuffled, y[perm]), M).values
+        assert rel_err(dense, ring) <= 1e-12
+        c = random_coeffs(M, rng)
+        assert rel_err(evaluate_grid(c, rule.points[perm]), evaluate_grid(c, rule.points)[perm]) <= 1e-12
+        assert dense_calls == [M, M]
+
+    def test_weights_varying_along_ring_take_dense_path(self, dense_calls):
+        rng = np.random.default_rng(103)
+        M = 5
+        rule = gauss_legendre_rule(M)
+        phi = np.arctan2(rule.points[:, 1], rule.points[:, 0])
+        # the cosine averages out over each ring, so the weights still sum to 4 pi
+        tilted = CubatureRule(M, rule.points, rule.weights * (1 + 0.1 * np.cos(phi)))
+        assert tilted.rings is None
+        y = rng.normal(size=rule.n_points)
+        fast = analyze(SampleSet(tilted, y), M).values
+        assert rel_err(fast, dense_analysis(M, tilted, y)) <= 1e-12
+        assert dense_calls == [M]
+
+    def test_too_few_azimuths_take_dense_path(self, dense_calls):
+        rng = np.random.default_rng(104)
+        M = 4
+        pts = gauss_legendre_rule(M - 1).points  # 2M azimuths per ring
+        c = random_coeffs(M, rng)
+        assert rel_err(evaluate_grid(c, pts), dense_values(M, pts, c.values)) <= 1e-12
+        assert dense_calls == [M]
 
 
 class TestOperatorNormBound:
@@ -326,6 +461,11 @@ class TestRkhs:
     def test_zero_coefficients(self):
         beta = PenalizationWeights(2, [0.0, 1.0, 2.0])
         assert rkhs_norm_sq(HarmonicCoefficients.zeros(2), beta) == 0.0
+
+    def test_kernel_section_rejects_several_points(self):
+        beta = PenalizationWeights(2, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="one point"):
+            kernel_section(beta, [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
 
     def test_reproducing_property_by_polarization(self):
         # <p, K(., x)> recovers p(x); inner product from the squared norm

@@ -122,6 +122,30 @@ class TestFit:
         rc = main(["fit", "--degree", "1", "--samples", str(samples)])
         assert rc != 0
 
+    def test_rejected_invocation_creates_nothing(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.zeros(gauss_legendre_rule(1).n_points))
+        out = tmp_path / "made_dir"
+        rc = main(["fit", "--degree", "1", "--samples", str(samples), "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bp_needs_noise_level(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.zeros(gauss_legendre_rule(2).n_points))
+        out = tmp_path / "fit"
+        argv = ["fit", "--degree", "2", "--samples", str(samples), "--bp", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "noise" in err
+        assert not out.exists()
+        # the config key is accepted in place of the flag
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"noise-level": 0.05, "grid-len": 5}))
+        assert main(argv + ["--config", str(config)]) == 0
+        assert (out / "bp_trace.csv").exists()
+
     def test_rule_file_roundtrip(self, tmp_path):
         rule_path = tmp_path / "rule.csv"
         assert main(["gen-rule", "--degree", "3", "--out", str(rule_path)]) == 0

@@ -3,6 +3,9 @@ import pytest
 
 from spherefit import (
     CubatureRule,
+    SampleSet,
+    analyze,
+    approx,
     gauss_legendre_nodes,
     gauss_legendre_rule,
     integrate,
@@ -159,6 +162,24 @@ class TestSerialization:
         assert back.degree_M == 7
         assert np.array_equal(back.points, rule.points)
         assert np.array_equal(back.weights, rule.weights)
+
+    def test_loaded_rule_takes_ring_path(self, tmp_path, monkeypatch):
+        rule = gauss_legendre_rule(9)
+        path = tmp_path / "rule.csv"
+        save_rule(rule, path)
+        back = load_rule(path)
+        assert back.rings is not None and back.rings.azimuths == 20
+        assert np.array_equal(back.rings.meridian, rule.rings.meridian)
+        assert np.array_equal(back.rings.weights, rule.rings.weights)
+
+        def no_dense(*args):
+            raise AssertionError("dense harmonic matrix built for a product rule")
+
+        monkeypatch.setattr(approx, "sph_harm_matrix", no_dense)
+        y = np.random.default_rng(3).normal(size=rule.n_points)
+        assert np.array_equal(
+            analyze(SampleSet(back, y), 9).values, analyze(SampleSet(rule, y), 9).values
+        )
 
     def test_explicit_degree(self, tmp_path):
         rule = gauss_legendre_rule(2)

@@ -138,6 +138,10 @@ class TestSphHarm:
             gram = (Y * rule.weights) @ Y.T
             assert np.abs(gram - np.eye((M + 1) ** 2)).max() <= 1e-10
 
+    def test_scalar_eval_rejects_several_points(self):
+        with pytest.raises(ValueError, match="one point"):
+            sph_harm_eval(HarmonicIndex(1, 2), [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
+
     def test_matrix_matches_scalar_eval(self):
         rng = np.random.default_rng(5)
         pts = random_unit(rng, 3)
@@ -153,6 +157,14 @@ class TestAdditionKernel:
         x = SpherePoint(0.3, -0.5, 1.1)
         z = SpherePoint(-1.0, 0.2, 0.1)
         assert addition_kernel(0, x, z) == pytest.approx(1 / FOUR_PI, abs=1e-15)
+
+    def test_rejects_several_points(self):
+        x = SpherePoint(0.0, 0.0, 1.0)
+        two = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]
+        with pytest.raises(ValueError, match="one point"):
+            addition_kernel(2, two, x)
+        with pytest.raises(ValueError, match="one point"):
+            addition_kernel(2, x, two)
 
     def test_same_point(self):
         x = SpherePoint(0.3, 0.4, 0.5)
