@@ -13,6 +13,9 @@ O(M^4).  The Legendre values are taken from `sph_harm_matrix` on one point
 per ring at phi = 0, where row k^2+k+m holds sqrt(2) Nbar P_k^m(t_s) for
 m > 0 and Nbar P_k^0(t_s) for m = 0: the values the transform needs, built
 by the same recurrence as the dense path.
+
+`probe_classes` groups probe points at which the sup-norm kernel sums over
+a product rule agree, so that those sums are evaluated once per group.
 """
 
 from __future__ import annotations
@@ -127,3 +130,36 @@ def synthesis(rings: RingLayout, M: int, coeffs: np.ndarray) -> np.ndarray:
             Zr[:, 2 * m + 1] = -(coeffs[minus] @ P)
     Z[:, 1:] *= 0.5
     return np.fft.irfft(Z, n=rings.azimuths, axis=1, norm="forward").ravel()
+
+
+def probe_classes(
+    rule_rings: RingLayout | None, probe_rings: RingLayout | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Classes of probes at which every weighted zonal sum over the rule agrees.
+
+    A sum F(x) = sum_i w_i g(x . x_i) over a product rule with A azimuths per
+    ring depends on the azimuth psi of x only through +-psi mod 2 pi / A.  On
+    probe rings with A' azimuths, the probe at psi = 2 pi q / A' therefore
+    has the key min(qA mod A', (A' - qA mod A') mod A').  When the rule's
+    rings come in exact mirror pairs (t, -t) of equal radius and weight, F is
+    also even in x3, so probe rings of equal radius and |t| share classes.
+
+    Returns (representatives, inverse): the index of one probe per class,
+    and for each probe the position of its class in `representatives`.
+    Returns None when the rule (with weights) or the probes are no product
+    grid.
+    """
+    if rule_rings is None or probe_rings is None:
+        return None
+    A, Ap = rule_rings.azimuths, probe_rings.azimuths
+    shift = np.arange(Ap) * A % Ap
+    _, az_class = np.unique(np.minimum(shift, (Ap - shift) % Ap), return_inverse=True)
+    ring_key = probe_rings.meridian[:, [0, 2]]
+    rule = np.column_stack([rule_rings.meridian[:, [0, 2]], rule_rings.weights])
+    mirror = rule * [1.0, -1.0, 1.0]
+    if np.array_equal(rule[np.lexsort(rule.T)], mirror[np.lexsort(mirror.T)]):
+        ring_key[:, 1] = np.abs(ring_key[:, 1])
+    _, ring_class = np.unique(ring_key, axis=0, return_inverse=True)
+    key = ring_class.reshape(-1, 1) * (az_class.max() + 1) + az_class
+    _, representatives, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return representatives, inverse.ravel()

@@ -293,12 +293,18 @@ def evaluate_kernel_form(
 
 
 def _max_weighted_abs_kernel(
-    nodes: np.ndarray, weights: np.ndarray, probes: np.ndarray, coef_cols: np.ndarray
+    rule: CubatureRule, probes: np.ndarray, coef_cols: np.ndarray
 ) -> np.ndarray:
     """max over probes of sum_i w_i |sum_k c_k P_k(x . x_i)| per coefficient column.
 
     `coef_cols` has shape (M+1, ncols); one maximum is returned per column.
+    On product grids only one probe per symmetry class is evaluated
+    (`_rings.probe_classes`); the maximum is that of the full probe set.
     """
+    classes = _rings.probe_classes(rule.rings, _rings.ring_layout(probes))
+    if classes is not None:
+        probes = probes[classes[0]]
+    nodes, weights = rule.points, rule.weights
     M = coef_cols.shape[0] - 1
     ncols = coef_cols.shape[1]
     n_nodes = nodes.shape[0]
@@ -327,10 +333,16 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
 
     The table depends only on the rule and the probes, so sup-norm upper
     bounds of the fit operator for any (alpha, beta) reduce to max(S @ c).
+    On product grids the rows are computed once per probe symmetry class
+    (`_rings.probe_classes`) and copied to the other probes of the class;
+    the table equals the one computed probe by probe.
     """
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
+    classes = _rings.probe_classes(rule.rings, _rings.ring_layout(pts))
+    if classes is not None:
+        pts = pts[classes[0]]
     nodes = rule.points
     S = np.empty((pts.shape[0], M + 1))
     chunk = max(1, 200_000 // max(1, nodes.shape[0]))
@@ -346,7 +358,7 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
         # columns of the Fortran-ordered L are contiguous: reshape is a view
         for k in range(M + 1):
             S[lo : lo + nb, k] = L[:, k].reshape(nb, nodes.shape[0]) @ rule.weights
-    return S
+    return S if classes is None else S[classes[1]]
 
 
 def crude_norm_upper(M: int, alpha: float, beta: PenalizationWeights) -> float:
@@ -363,12 +375,14 @@ def operator_norm_bound(
         sum_i w_i |sum_k (2k+1)/(4 pi (1+alpha*beta_k^2)) P_k(x . x_i)|,
     a lower bound on the true sup norm that sharpens with the probe grid;
     crude_upper = sum_k (2k+1)/(1+alpha*beta_k^2) >= estimate always.
+    On product grids only one probe per symmetry class is evaluated, and
+    the estimate equals the maximum over the full probe set.
     """
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
     c = (2 * np.arange(M + 1) + 1) / FOUR_PI * filter_factors(M, alpha, beta)
-    est = float(_max_weighted_abs_kernel(rule.points, rule.weights, pts, c[:, None])[0])
+    est = float(_max_weighted_abs_kernel(rule, pts, c[:, None])[0])
     crude = crude_norm_upper(M, alpha, beta)
     # the weight sum carries ~1e-12 roundoff; the true norm never exceeds crude
     return NormBound(estimate=min(est, crude), crude_upper=crude)

@@ -33,6 +33,12 @@ def _merge(args: argparse.Namespace, config: dict, key: str, default=None):
     return default
 
 
+def _merge_int(args: argparse.Namespace, config: dict, key: str, default=None):
+    """`_merge` for a whole-number value; rejects 4.9 rather than truncating it."""
+    val = _merge(args, config, key, default)
+    return None if val is None else params._whole_number(val, key)
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
@@ -77,11 +83,11 @@ def _load_samples(path, rule) -> approx.SampleSet:
 
 def cmd_gen_rule(args) -> int:
     config = _load_config(args.config)
-    M = _merge(args, config, "degree", DEFAULTS["degree"])
+    M = _merge_int(args, config, "degree", DEFAULTS["degree"])
     out = _merge(args, config, "out")
     if out is None:
         raise ValueError("gen-rule needs an output path (--out)")
-    rule = cubature.gauss_legendre_rule(int(M))
+    rule = cubature.gauss_legendre_rule(M)
     cubature.save_rule(rule, out)
     print(f"wrote {rule.n_points} nodes to {out}")
     print(f"weight sum {rule.weights.sum():.15f} (4*pi = {4 * np.pi:.15f})")
@@ -90,7 +96,8 @@ def cmd_gen_rule(args) -> int:
 
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
-    M = int(_merge(args, config, "degree", DEFAULTS["degree"]))
+    M = _merge_int(args, config, "degree", DEFAULTS["degree"])
+    probe_resolution = _merge_int(args, config, "probe-resolution")
     out_dir = Path(_merge(args, config, "out", "."))
     rule_path = _merge(args, config, "rule")
     samples_path = _merge(args, config, "samples")
@@ -121,12 +128,15 @@ def cmd_fit(args) -> int:
         bp_cfg = params.BalancingConfig(
             alpha0=float(_merge(args, config, "grid-anchor", DEFAULTS["grid_anchor"])),
             q=float(_merge(args, config, "grid-ratio", DEFAULTS["grid_ratio"])),
-            L=int(_merge(args, config, "grid-len", DEFAULTS["grid_len"])),
+            L=_merge_int(args, config, "grid-len", DEFAULTS["grid_len"]),
             omega=float(_merge(args, config, "omega", DEFAULTS["omega"])),
             delta=float(noise_level),
-            probe_resolution=_merge(args, config, "probe-resolution"),
+            probe_resolution=probe_resolution,
             norm_bound=_merge(args, config, "norm-bound", "grid"),
         )
+    if probe_resolution is None:
+        probe_resolution = approx.default_probe_resolution(M)
+    probes = cubature.probe_grid(probe_resolution)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"degree": M, "beta": _merge(args, config, "beta", "ones")}
@@ -151,9 +161,6 @@ def cmd_fit(args) -> int:
     coeff_path = out_dir / "coefficients.csv"
     approx.save_coefficients(gamma, coeff_path)
 
-    probes = cubature.probe_grid(
-        int(_merge(args, config, "probe-resolution", approx.default_probe_resolution(M)))
-    )
     bound = approx.operator_norm_bound(rule, M, alpha, beta, probes)
     summary.update(
         coefficients=str(coeff_path),
@@ -171,9 +178,9 @@ def cmd_fit(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = _load_config(args.config)
-    which = int(_merge(args, config, "which"))
-    seed = int(_merge(args, config, "seed", 0))
-    sims = int(_merge(args, config, "simulations", DEFAULTS["simulations"]))
+    which = _merge_int(args, config, "which")
+    seed = _merge_int(args, config, "seed", 0)
+    sims = _merge_int(args, config, "simulations", DEFAULTS["simulations"])
     out_dir = Path(_merge(args, config, "out", "."))
     if which == 1:
         result = experiments.run_experiment_1(sims, seed)

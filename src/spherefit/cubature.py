@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rings import RingLayout, ring_layout
-from .harmonics import FOUR_PI, as_unit_vectors
+from .harmonics import FOUR_PI, as_unit_vectors, basis_size, sph_harm_matrix
 
 _WEIGHT_SUM_TOL = 1e-10
+_EXACTNESS_TOL = 1e-10
+_EXACTNESS_CHUNK = 256  # points per harmonic block in the load-time exactness check
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
@@ -175,7 +177,9 @@ def load_rule(path, degree_M: int | None = None) -> CubatureRule:
 
     The file does not store the exactness degree.  If `degree_M` is omitted
     it is inferred from the Gauss-Legendre point count N = 2(M+1)^2; other
-    point counts require an explicit degree.
+    point counts require an explicit degree.  Either way the rule must
+    integrate every harmonic of degree <= 2 * degree_M to within 1e-10, or
+    ValueError is raised.
     """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 4:
@@ -187,4 +191,41 @@ def load_rule(path, degree_M: int | None = None) -> CubatureRule:
                 f"cannot infer degree from {data.shape[0]} points; pass degree_M explicitly"
             )
         degree_M = int(round(root)) - 1
-    return CubatureRule(degree_M=degree_M, points=data[:, :3], weights=data[:, 3])
+    rule = CubatureRule(degree_M=degree_M, points=data[:, :3], weights=data[:, 3])
+    _check_exactness(rule)
+    return rule
+
+
+def _check_exactness(rule: CubatureRule) -> None:
+    """Raise ValueError unless the rule integrates every harmonic of degree
+    <= 2 * degree_M: sum_i w_i Y_n(x_i) = sqrt(4 pi) for n = 0, else 0.
+
+    The fit's closed form relies on this (it makes the discrete Gram matrix
+    the identity).  Harmonics are built a block of points at a time.  On a
+    product grid only the phi = 0 point of each ring is needed: over a ring
+    of A azimuths, cos(m phi) sums to A when A divides m and to 0 otherwise,
+    and sin(m phi) sums to 0.
+    """
+    degree = 2 * rule.degree_M
+    rings = rule.rings
+    if rings is None:
+        points, weights = rule.points, rule.weights
+    else:
+        points, weights = rings.meridian, rings.azimuths * rings.weights
+    moments = np.zeros(basis_size(degree))
+    for lo in range(0, points.shape[0], _EXACTNESS_CHUNK):
+        hi = lo + _EXACTNESS_CHUNK
+        moments += sph_harm_matrix(degree, points[lo:hi]) @ weights[lo:hi]
+    if rings is not None:
+        n = np.arange(moments.size)
+        k = np.sqrt(n).astype(int)
+        moments[(n - k * k - k) % rings.azimuths != 0] = 0.0
+    moments[0] -= np.sqrt(FOUR_PI)
+    worst = int(np.argmax(np.abs(moments)))
+    if abs(moments[worst]) > _EXACTNESS_TOL:
+        k = int(np.sqrt(worst))
+        raise ValueError(
+            f"rule is not exact to degree {degree}: the cubature sum of the "
+            f"degree-{k} harmonic {worst} is off by {abs(moments[worst]):.3e}; "
+            f"pass the degree the rule supports as degree_M"
+        )

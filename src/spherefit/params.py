@@ -10,6 +10,7 @@ by repeated Random Search.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,6 +35,15 @@ from .cubature import probe_grid
 from .harmonics import FOUR_PI
 
 NORM_BOUND_KINDS = ("grid", "grid-abs", "crude")
+
+
+def _whole_number(value, name: str) -> int:
+    """`value` as an int; ValueError unless it is a whole number (not a bool)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,13 @@ class BalancingConfig:
     norm_bound: str = "grid"
 
     def __post_init__(self):
+        object.__setattr__(self, "L", _whole_number(self.L, "grid length"))
+        if self.probe_resolution is not None:
+            object.__setattr__(
+                self,
+                "probe_resolution",
+                _whole_number(self.probe_resolution, "probe resolution"),
+            )
         if not (self.alpha0 > 0.0 and np.isfinite(self.alpha0)):
             raise ValueError(f"grid anchor must be positive, got {self.alpha0}")
         if not 0.0 < self.q < 1.0:
@@ -239,9 +256,7 @@ class _NormOracle:
             # batch a few grid values per pass; the walk moves to smaller i
             idxs = [j for j in range(i, max(i - 6, -1), -1) if j not in self._cache]
             cols = np.stack([self._coef_column(j) for j in idxs], axis=1)
-            vals = _max_weighted_abs_kernel(
-                self._rule.points, self._rule.weights, self._probes, cols
-            )
+            vals = _max_weighted_abs_kernel(self._rule, self._probes, cols)
             for j, vj in zip(idxs, vals):
                 self._cache[j] = float(vj)
             return self._cache[i]

@@ -27,7 +27,7 @@ from spherefit import (
     save_coefficients,
     sph_harm_matrix,
 )
-from spherefit import approx
+from spherefit import _rings, approx, harmonics
 from spherefit.approx import expand_by_degree
 
 FOUR_PI = 4 * np.pi
@@ -380,6 +380,113 @@ class TestOperatorNormBound:
             operator_norm_bound(
                 rule, 1, 0.1, PenalizationWeights(1, np.ones(2)), np.empty((0, 3))
             )
+
+
+def probe_by_probe_sums(rule, probes, cols):
+    """sum_i w_i |sum_k c_k P_k(x_p . x_i)| for every probe p and column c."""
+    M = cols.shape[0] - 1
+    out = np.empty((probes.shape[0], cols.shape[1]))
+    for p, x in enumerate(probes):
+        L = harmonics.legendre_matrix(M, np.clip(rule.points @ x, -1.0, 1.0))
+        out[p] = rule.weights @ np.abs(L @ cols)
+    return out
+
+
+def assert_reduction_exact(rule, probes, cols):
+    full = probe_by_probe_sums(rule, probes, cols)
+    assert rel_err(approx._max_weighted_abs_kernel(rule, probes, cols), full.max(axis=0)) <= 1e-12
+    M = cols.shape[0] - 1
+    table = approx.weighted_abs_legendre_sums(rule, M, probes)
+    assert table.shape == (probes.shape[0], M + 1)
+    assert rel_err(table, probe_by_probe_sums(rule, probes, np.eye(M + 1))) <= 1e-12
+
+
+def product_rule(t, ring_weights, azimuths, M):
+    """Product rule with the given ring heights and per-ring weight shares."""
+    u = np.sqrt(1.0 - t * t)
+    phi = 2.0 * np.pi * np.arange(azimuths) / azimuths
+    pts = np.stack(
+        [np.outer(u, np.cos(phi)).ravel(), np.outer(u, np.sin(phi)).ravel(), np.repeat(t, azimuths)],
+        axis=1,
+    )
+    w = np.repeat(ring_weights / ring_weights.sum() * FOUR_PI / azimuths, azimuths)
+    return CubatureRule(M, pts, w)
+
+
+class TestSupNormReduction:
+    @settings(max_examples=25, deadline=None)
+    @given(M=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_reduced_equals_full_property(self, M, seed, data):
+        resolution = data.draw(st.integers(1, max(1, 3 * M)), label="resolution")
+        rng = np.random.default_rng(seed)
+        rule = gauss_legendre_rule(M)
+        probes = probe_grid(resolution)
+        assert _rings.probe_classes(rule.rings, _rings.ring_layout(probes)) is not None
+        assert_reduction_exact(rule, probes, rng.normal(size=(M + 1, 3)))
+
+    def test_class_count_on_default_probes(self):
+        # (M+1)^2 classes on probe_grid(2M): M+1 mirrored ring pairs (the
+        # equator alone) times M+1 azimuth keys
+        for M in (1, 4, 30):
+            classes = _rings.probe_classes(
+                gauss_legendre_rule(M).rings, _rings.ring_layout(probe_grid(2 * M))
+            )
+            assert classes[0].size == (M + 1) ** 2
+            assert classes[1].size == probe_grid(2 * M).shape[0]
+
+    def test_scattered_probes_take_full_set(self):
+        rng = np.random.default_rng(200)
+        M = 6
+        rule = gauss_legendre_rule(M)
+        probes = fibonacci_points(200)
+        assert _rings.probe_classes(rule.rings, _rings.ring_layout(probes)) is None
+        assert_reduction_exact(rule, probes, rng.normal(size=(M + 1, 2)))
+
+    @pytest.mark.parametrize(
+        "t, ring_weights",
+        [
+            (np.array([-0.7, -0.1, 0.4, 0.9]), np.array([1.0, 2.0, 2.0, 1.0])),
+            (np.array([-0.6, -0.2, 0.2, 0.6]), np.array([1.0, 2.0, 3.0, 1.5])),
+        ],
+        ids=["heights", "weights"],
+    )
+    def test_rule_without_mirror_rings_keeps_hemispheres_apart(self, t, ring_weights):
+        rng = np.random.default_rng(201)
+        M = 5
+        rule = product_rule(t, ring_weights, 9, M)
+        assert rule.rings is not None
+        probes = probe_grid(8)
+        probe_rings = _rings.ring_layout(probes)
+        reps, inverse = _rings.probe_classes(rule.rings, probe_rings)
+        # every probe ring is its own class; only the azimuth symmetry applies
+        assert np.unique(probes[reps, 2]).size == probe_rings.meridian.shape[0]
+        assert reps.size < probes.shape[0]
+        assert_reduction_exact(rule, probes, rng.normal(size=(M + 1, 2)))
+
+    def test_permuted_rule_takes_full_set(self):
+        rng = np.random.default_rng(202)
+        M = 5
+        rule = gauss_legendre_rule(M)
+        perm = rng.permutation(rule.n_points)
+        shuffled = CubatureRule(M, rule.points[perm], rule.weights[perm])
+        probes = probe_grid(2 * M)
+        assert _rings.probe_classes(shuffled.rings, _rings.ring_layout(probes)) is None
+        assert_reduction_exact(shuffled, probes, rng.normal(size=(M + 1, 2)))
+
+    def test_operator_norm_bound_evaluates_one_probe_per_class(self, monkeypatch):
+        sizes = []
+        legendre_matrix = harmonics.legendre_matrix
+
+        def counting(k_max, t, out=None):
+            sizes.append(np.size(t))
+            return legendre_matrix(k_max, t, out=out)
+
+        monkeypatch.setattr(harmonics, "legendre_matrix", counting)
+        M = 30
+        rule = gauss_legendre_rule(M)
+        beta = PenalizationWeights(M, np.arange(M + 1.0) ** 2)
+        operator_norm_bound(rule, M, 1e-4, beta, probe_grid(2 * M))
+        assert sum(sizes) == 961 * 1922
 
 
 class TestFilters:

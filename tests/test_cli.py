@@ -146,6 +146,35 @@ class TestFit:
         assert main(argv + ["--config", str(config)]) == 0
         assert (out / "bp_trace.csv").exists()
 
+    @pytest.mark.parametrize(
+        "entries",
+        [{"probe-resolution": 10.5}, {"degree": 4.9}, {"grid-len": 5.7}, {"degree": "3"}],
+        ids=["probe-resolution", "degree", "grid-len", "string"],
+    )
+    def test_non_integral_config_value_rejected(self, tmp_path, capsys, entries):
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.zeros(gauss_legendre_rule(3).n_points))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"degree": 3, "noise-level": 0.05, **entries}))
+        out = tmp_path / "fit"
+        argv = ["fit", "--samples", str(samples), "--bp", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(entries)) in err
+        assert not out.exists()
+
+    def test_non_integral_probe_resolution_rejected_with_fixed_alpha(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.zeros(gauss_legendre_rule(2).n_points))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"probe-resolution": 6.5}))
+        out = tmp_path / "fit"
+        argv = ["fit", "--degree", "2", "--samples", str(samples), "--alpha", "0.1",
+                "--config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_rule_file_roundtrip(self, tmp_path):
         rule_path = tmp_path / "rule.csv"
         assert main(["gen-rule", "--degree", "3", "--out", str(rule_path)]) == 0
@@ -214,6 +243,22 @@ class TestExperimentCommand:
         assert rc == 0
         reports = json.loads((out2 / "exp1_reports.json").read_text())
         assert reports[0]["seed"] == 9
+
+
+    @pytest.mark.parametrize(
+        "entries", [{"which": 1.5}, {"which": 1, "simulations": 2.5}, {"which": 1, "seed": 0.5}]
+    )
+    def test_non_integral_config_value_rejected(self, tmp_path, capsys, entries):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_missing_which_rejected(self, tmp_path, capsys):
+        assert main(["experiment", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestParserHygiene:

@@ -187,6 +187,24 @@ class TestSerialization:
         save_rule(rule, path)
         assert load_rule(path, degree_M=2).degree_M == 2
 
+    def test_overstated_degree_rejected(self, tmp_path):
+        # GL(3) is exact to degree 7; degree_M=5 claims exactness to 10
+        path = tmp_path / "rule.csv"
+        save_rule(gauss_legendre_rule(3), path)
+        with pytest.raises(ValueError, match="not exact to degree 10"):
+            load_rule(path, degree_M=5)
+        assert load_rule(path, degree_M=3).degree_M == 3
+
+    def test_overstated_degree_rejected_for_scattered_rule(self, tmp_path):
+        # shuffled rows are no product grid, so the check sums every point
+        rule = gauss_legendre_rule(3)
+        perm = np.random.default_rng(5).permutation(rule.n_points)
+        path = tmp_path / "rule.csv"
+        save_rule(CubatureRule(3, rule.points[perm], rule.weights[perm]), path)
+        assert load_rule(path, degree_M=3).rings is None
+        with pytest.raises(ValueError, match="not exact to degree 8"):
+            load_rule(path, degree_M=4)
+
     def test_bad_count_needs_degree(self, tmp_path):
         path = tmp_path / "rule.csv"
         rule = gauss_legendre_rule(1)

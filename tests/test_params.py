@@ -113,6 +113,18 @@ class TestBalancingConfig:
         with pytest.raises(ValueError):
             BalancingConfig(alpha0=1.0, q=0.5, L=10, omega=0.002, delta=0.0, norm_bound="x")
 
+    def test_whole_numbers_only(self):
+        base = dict(alpha0=1.0, q=0.5, omega=0.002, delta=0.05)
+        with pytest.raises(ValueError, match="grid length"):
+            BalancingConfig(L=10.5, **base)
+        with pytest.raises(ValueError, match="probe resolution"):
+            BalancingConfig(L=10, probe_resolution=10.5, **base)
+        with pytest.raises(ValueError, match="grid length"):
+            BalancingConfig(L=True, **base)
+        cfg = BalancingConfig(L=10.0, probe_resolution=np.int64(6), **base)
+        assert type(cfg.L) is int and cfg.L == 10
+        assert type(cfg.probe_resolution) is int and cfg.probe_resolution == 6
+
 
 class TestBalancingPrinciple:
     CFG = dict(alpha0=8.0, q=0.8, L=20, omega=0.002, probe_resolution=8)
