@@ -278,14 +278,27 @@ def evaluate_kernel_form(
     c = (2 * np.arange(M + 1) + 1) / FOUR_PI * filter_factors(M, alpha, beta)
     wy = samples.rule.weights * samples.values
     out = np.empty(pts.shape[0])
-    nodes = samples.rule.points
-    chunk = max(1, 200_000 // max(1, nodes.shape[0]))
-    for lo in range(0, pts.shape[0], chunk):
-        block = pts[lo : lo + chunk]
-        dots = np.clip(block @ nodes.T, -1.0, 1.0).ravel()
-        L = harmonics.legendre_matrix(M, dots)
-        out[lo : lo + block.shape[0]] = (L @ c).reshape(block.shape[0], -1) @ wy
+
+    def consume(lo, nb, L):
+        out[lo : lo + nb] = (L @ c).reshape(nb, -1) @ wy
+
+    _kernel_blocks(samples.rule.points, M, pts, consume)
     return out
+
+
+def _kernel_blocks(nodes: np.ndarray, M: int, points: np.ndarray, consume) -> None:
+    """Call consume(lo, nb, L) per block points[lo : lo + nb]: row p * n_nodes + i
+    of the Fortran-ordered L holds P_0..P_M(x_p . x_i).  L is reused across
+    blocks, so `consume` may overwrite it but must not keep it."""
+    chunk = max(1, 200_000 // max(1, nodes.shape[0]))
+    L = None
+    for lo in range(0, points.shape[0], chunk):
+        block = points[lo : lo + chunk]
+        dots = np.clip(block @ nodes.T, -1.0, 1.0).ravel()
+        if L is None or L.shape[0] != dots.size:
+            L = np.empty((dots.size, M + 1), order="F")
+        harmonics.legendre_matrix(M, dots, out=L)
+        consume(lo, block.shape[0], L)
 
 
 # ---------------------------------------------------------------------------
@@ -304,27 +317,19 @@ def _max_weighted_abs_kernel(
     classes = _rings.probe_classes(rule.rings, _rings.ring_layout(probes))
     if classes is not None:
         probes = probes[classes[0]]
-    nodes, weights = rule.points, rule.weights
-    M = coef_cols.shape[0] - 1
-    ncols = coef_cols.shape[1]
-    n_nodes = nodes.shape[0]
-    best = np.zeros(ncols)
+    n_nodes = rule.n_points
+    best = np.zeros(coef_cols.shape[1])
     coefs_t = np.ascontiguousarray(coef_cols.T)
-    chunk = max(1, 200_000 // max(1, n_nodes))
-    L = None
-    for lo in range(0, probes.shape[0], chunk):
-        block = probes[lo : lo + chunk]
-        dots = np.clip(block @ nodes.T, -1.0, 1.0).ravel()
-        if L is None or L.shape[0] != dots.size:
-            L = np.empty((dots.size, M + 1), order="F")
-        harmonics.legendre_matrix(M, dots, out=L)
+
+    def consume(lo, nb, L):
         # L.T is a C-ordered view of the Fortran-ordered L, so each kernel row
         # below is contiguous and reshapes to (probes, nodes) without copying
         G = coefs_t @ L.T
         np.abs(G, out=G)
-        for c in range(ncols):
-            per_probe = G[c].reshape(block.shape[0], n_nodes) @ weights
-            best[c] = max(best[c], per_probe.max())
+        for c in range(best.size):
+            best[c] = max(best[c], (G[c].reshape(nb, n_nodes) @ rule.weights).max())
+
+    _kernel_blocks(rule.points, coef_cols.shape[0] - 1, probes, consume)
     return best
 
 
@@ -343,21 +348,15 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
     classes = _rings.probe_classes(rule.rings, _rings.ring_layout(pts))
     if classes is not None:
         pts = pts[classes[0]]
-    nodes = rule.points
     S = np.empty((pts.shape[0], M + 1))
-    chunk = max(1, 200_000 // max(1, nodes.shape[0]))
-    L = None
-    for lo in range(0, pts.shape[0], chunk):
-        block = pts[lo : lo + chunk]
-        nb = block.shape[0]
-        dots = np.clip(block @ nodes.T, -1.0, 1.0).ravel()
-        if L is None or L.shape[0] != dots.size:
-            L = np.empty((dots.size, M + 1), order="F")
-        harmonics.legendre_matrix(M, dots, out=L)
+
+    def consume(lo, nb, L):
         np.abs(L, out=L)
         # columns of the Fortran-ordered L are contiguous: reshape is a view
         for k in range(M + 1):
-            S[lo : lo + nb, k] = L[:, k].reshape(nb, nodes.shape[0]) @ rule.weights
+            S[lo : lo + nb, k] = L[:, k].reshape(nb, rule.n_points) @ rule.weights
+
+    _kernel_blocks(rule.points, M, pts, consume)
     return S if classes is None else S[classes[1]]
 
 
@@ -475,7 +474,11 @@ def load_coefficients(path) -> HarmonicCoefficients:
     M = int(round(np.sqrt(n))) - 1
     if basis_size(M) != n:
         raise ValueError(f"{n} rows is not a full coefficient set of any degree")
-    flat = (data[:, 0] ** 2 + data[:, 1] - 1).astype(int)
+    k, j = data[:, 0], data[:, 1]
+    whole = np.isfinite(k) & (k == np.floor(k)) & (j == np.floor(j))
+    if not np.all(whole & (j >= 1) & (j <= 2 * k + 1)):
+        raise ValueError(f"k,j in {path} must be whole numbers with 1 <= j <= 2k+1")
+    flat = (k**2 + j - 1).astype(int)
     if not np.array_equal(np.sort(flat), np.arange(n)):
         raise ValueError("k,j pairs do not enumerate a complete coefficient set")
     values = np.empty(n)

@@ -23,20 +23,22 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubatureRule:
     """A point set on the sphere with positive weights summing to 4 pi.
 
     `degree_M` is the reconstruction degree the rule supports: the rule is
     exact for all spherical polynomials of degree <= 2*degree_M.  `rings`
     holds the ring layout when the rule is a product grid (ring transform
-    for analysis), else None (dense harmonic matrix).
+    for analysis), else None (dense harmonic matrix).  Rules compare and
+    hash by identity, so a rule can key a memo of tables built from it; two
+    rules made from equal arrays are different rules.
     """
 
     degree_M: int
     points: np.ndarray
     weights: np.ndarray
-    rings: RingLayout | None = field(init=False, repr=False, compare=False)
+    rings: RingLayout | None = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = as_unit_vectors(self.points)
@@ -74,27 +76,26 @@ def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
-    half = n // 2
-    # guesses for the `half` largest roots (descending in t)
-    i = np.arange(half)
-    x = np.cos(np.pi * (i + 0.75) / (n + 0.5))
-    for _ in range(_NEWTON_MAX_ITER):
+
+    def p_and_derivative(x):
+        """P_n(x) and P_n'(x) by the three-term recurrence."""
         pk_prev = np.ones_like(x)
         pk = x.copy()
         for k in range(2, n + 1):
             pk_prev, pk = pk, ((2 * k - 1) * x * pk - (k - 1) * pk_prev) / k
-        dpk = n * (x * pk - pk_prev) / (x * x - 1.0)
+        return pk, n * (x * pk - pk_prev) / (x * x - 1.0)
+
+    # guesses for the n // 2 largest roots (descending in t)
+    x = np.cos(np.pi * (np.arange(n // 2) + 0.75) / (n + 0.5))
+    for _ in range(_NEWTON_MAX_ITER):
+        pk, dpk = p_and_derivative(x)
         step = pk / dpk
         x -= step
         if not step.size or np.abs(step).max() < _NEWTON_TOL:
             break
     else:
         raise RuntimeError(f"Gauss-Legendre Newton iteration failed to converge for n={n}")
-    pk_prev = np.ones_like(x)
-    pk = x.copy()
-    for k in range(2, n + 1):
-        pk_prev, pk = pk, ((2 * k - 1) * x * pk - (k - 1) * pk_prev) / k
-    dpk = n * (x * pk - pk_prev) / (x * x - 1.0)
+    dpk = p_and_derivative(x)[1]
     w = 2.0 / ((1.0 - x * x) * dpk * dpk)
 
     if n % 2:

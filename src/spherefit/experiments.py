@@ -222,9 +222,36 @@ def franke_cap_eval(points):
 # shared experiment plumbing
 
 
-def _derive_seed(*entropy) -> list[int]:
-    """Entropy list for an independent PCG64 stream."""
-    return [int(e) for e in entropy]
+def _config(
+    experiment: int, seed, noise_kind: str, noise_level: float, bp_norm_bound: str, **extra
+) -> dict:
+    """Config echo of an experiment: the keys all three share, then `extra`."""
+    return {
+        "experiment": experiment,
+        "seed": int(seed),
+        "degree": DEFAULTS["degree"],
+        "noise_kind": noise_kind,
+        "noise_level": noise_level,
+        "grid_anchor": DEFAULTS["grid_anchor"],
+        "grid_ratio": DEFAULTS["grid_ratio"],
+        "grid_len": DEFAULTS["grid_len"],
+        "omega": DEFAULTS["omega"],
+        "bp_norm_bound": bp_norm_bound,
+        "rng": DEFAULTS["rng"],
+        **extra,
+    }
+
+
+def _bp_config(config: dict, delta: float) -> BalancingConfig:
+    """The balancing set-up a config echo describes, at noise level `delta`."""
+    return BalancingConfig(
+        alpha0=config["grid_anchor"],
+        q=config["grid_ratio"],
+        L=config["grid_len"],
+        omega=config["omega"],
+        delta=delta,
+        norm_bound=config["bp_norm_bound"],
+    )
 
 
 def _weighted_l2_rel_error(rule, values, truth_values) -> float:
@@ -268,31 +295,13 @@ def run_experiment_1(simulations: int = DEFAULTS["simulations"], seed: int = 0):
     if simulations < 1:
         raise ValueError("need at least one simulation")
     t0 = time.perf_counter()
-    config = {
-        "experiment": 1,
-        "simulations": int(simulations),
-        "seed": int(seed),
-        "degree": DEFAULTS["degree"],
-        "decay": DEFAULTS["sgg_decay"],
-        "noise_kind": "uniform_supnorm",
-        "noise_level": DEFAULTS["uniform_noise"],
-        "grid_anchor": DEFAULTS["grid_anchor"],
-        "grid_ratio": DEFAULTS["grid_ratio"],
-        "grid_len": DEFAULTS["grid_len"],
-        "omega": DEFAULTS["omega"],
-        "bp_norm_bound": "crude",
-        "rng": DEFAULTS["rng"],
-    }
-    M = config["degree"]
-    rule = gauss_legendre_rule(M)
-    bp_cfg = BalancingConfig(
-        alpha0=config["grid_anchor"],
-        q=config["grid_ratio"],
-        L=config["grid_len"],
-        omega=config["omega"],
-        delta=config["noise_level"],
-        norm_bound=config["bp_norm_bound"],
+    config = _config(
+        1, seed, "uniform_supnorm", DEFAULTS["uniform_noise"], "crude",
+        simulations=int(simulations), decay=DEFAULTS["sgg_decay"],
     )
+    seed, M = config["seed"], config["degree"]
+    rule = gauss_legendre_rule(M)
+    bp_cfg = _bp_config(config, config["noise_level"])
     grid = bp_cfg.grid()
     beta_one = weights_ones(M)
     b2_one = expand_by_degree(beta_one.beta**2)
@@ -301,11 +310,10 @@ def run_experiment_1(simulations: int = DEFAULTS["simulations"], seed: int = 0):
     errors = {m: np.empty(simulations) for m in methods}
     reports = []
     for sim in range(simulations):
-        model, y_coeffs = sgg_generate(M, config["decay"], _derive_seed(seed, sim, 0))
+        model, y_coeffs = sgg_generate(M, config["decay"], [seed, sim, 0])
         clean = evaluate_grid(y_coeffs, rule.points)
         noisy, eps_sup = add_noise(
-            clean,
-            NoiseSpec("uniform_supnorm", config["noise_level"], _derive_seed(seed, sim, 1)),
+            clean, NoiseSpec("uniform_supnorm", config["noise_level"], [seed, sim, 1])
         )
         samples = SampleSet(rule, noisy)
         gamma_hat = analyze(samples, M)
@@ -335,7 +343,7 @@ def run_experiment_1(simulations: int = DEFAULTS["simulations"], seed: int = 0):
             reports.append(
                 ExperimentReport(
                     run_id=f"exp1-sim{sim:03d}-{method}",
-                    seed=int(seed),
+                    seed=seed,
                     method=method,
                     alpha_star=alpha_used,
                     lambda1=None,
@@ -371,36 +379,14 @@ def run_experiment_2(seed: int = 0):
     quadrature estimate of the relative L2 error of the reconstruction.
     """
     t0 = time.perf_counter()
-    config = {
-        "experiment": 2,
-        "seed": int(seed),
-        "degree": DEFAULTS["degree"],
-        "noise_kind": "gaussian",
-        "noise_level": DEFAULTS["gaussian_sigma"],
-        "grid_anchor": DEFAULTS["grid_anchor"],
-        "grid_ratio": DEFAULTS["grid_ratio"],
-        "grid_len": DEFAULTS["grid_len"],
-        "omega": DEFAULTS["omega"],
-        "bp_norm_bound": "grid-abs",
-        "rng": DEFAULTS["rng"],
-    }
-    M = config["degree"]
+    config = _config(2, seed, "gaussian", DEFAULTS["gaussian_sigma"], "grid-abs")
+    seed, M = config["seed"], config["degree"]
     rule = gauss_legendre_rule(M)
     clean = franke_cap_eval(rule.points)
-    noisy, eps_sup = add_noise(
-        clean, NoiseSpec("gaussian", config["noise_level"], _derive_seed(seed, 0))
-    )
+    noisy, eps_sup = add_noise(clean, NoiseSpec("gaussian", config["noise_level"], [seed, 0]))
     samples = SampleSet(rule, noisy)
     beta = weights_laplace_beltrami(M)
-    bp_cfg = BalancingConfig(
-        alpha0=config["grid_anchor"],
-        q=config["grid_ratio"],
-        L=config["grid_len"],
-        omega=config["omega"],
-        delta=eps_sup,
-        norm_bound=config["bp_norm_bound"],
-    )
-    bres = balancing_principle(samples, M, beta, bp_cfg)
+    bres = balancing_principle(samples, M, beta, _bp_config(config, eps_sup))
     gamma = regularized_fit(samples, M, bres.alpha_star, beta)
 
     probe_rule = gauss_legendre_rule(2 * M)
@@ -412,7 +398,7 @@ def run_experiment_2(seed: int = 0):
 
     report = ExperimentReport(
         run_id="exp2",
-        seed=int(seed),
+        seed=seed,
         method="laplace-beltrami+bp",
         alpha_star=bres.alpha_star,
         lambda1=None,
@@ -457,49 +443,30 @@ def run_experiment_3(seed: int = 0, simulations: int = DEFAULTS["simulations"]):
     if simulations < 1:
         raise ValueError("need at least one simulation")
     t0 = time.perf_counter()
-    config = {
-        "experiment": 3,
-        "seed": int(seed),
-        "simulations": int(simulations),
-        "degree": DEFAULTS["degree"],
-        "noise_kind": "gaussian",
-        "noise_level": DEFAULTS["gaussian_sigma"],
-        "grid_anchor": DEFAULTS["grid_anchor"],
-        "grid_ratio": DEFAULTS["grid_ratio"],
-        "grid_len": DEFAULTS["grid_len"],
-        "omega": DEFAULTS["omega"],
-        "bp_norm_bound": "grid-abs",
-        "search_box": [list(b) for b in DEFAULTS["search_box"]],
-        "search_runs": DEFAULTS["search_runs"],
-        "search_steps": DEFAULTS["search_steps"],
-        "rng": DEFAULTS["rng"],
-    }
-    M = config["degree"]
+    config = _config(
+        3, seed, "gaussian", DEFAULTS["gaussian_sigma"], "grid-abs",
+        simulations=int(simulations),
+        search_box=[list(b) for b in DEFAULTS["search_box"]],
+        search_runs=DEFAULTS["search_runs"],
+        search_steps=DEFAULTS["search_steps"],
+    )
+    seed, M = config["seed"], config["degree"]
     rule = gauss_legendre_rule(M)
     clean = franke_cap_eval(rule.points)
 
     # one blurred realization drives the selection
     sel_noisy, sel_eps = add_noise(
-        clean, NoiseSpec("gaussian", config["noise_level"], _derive_seed(seed, 0))
+        clean, NoiseSpec("gaussian", config["noise_level"], [seed, 0])
     )
     sel_samples = SampleSet(rule, sel_noisy)
-    bp_kwargs = dict(
-        alpha0=config["grid_anchor"],
-        q=config["grid_ratio"],
-        L=config["grid_len"],
-        omega=config["omega"],
-        norm_bound=config["bp_norm_bound"],
-    )
-    search_seed = int(np.random.SeedSequence(_derive_seed(seed, 2)).generate_state(1)[0])
+    search_seed = int(np.random.SeedSequence([seed, 2]).generate_state(1)[0])
     search = RandomSearchConfig(
         runs=config["search_runs"],
         steps_per_run=config["search_steps"],
         box=tuple(tuple(b) for b in config["search_box"]),
         seed=search_seed,
     )
-    selection = kernel_select(
-        sel_samples, M, search, BalancingConfig(delta=sel_eps, **bp_kwargs)
-    )
+    selection = kernel_select(sel_samples, M, search, _bp_config(config, sel_eps))
     beta_sel = weights_from_kernel_params(M, selection.best)
     beta_lb = weights_laplace_beltrami(M)
 
@@ -511,13 +478,11 @@ def run_experiment_3(seed: int = 0, simulations: int = DEFAULTS["simulations"]):
     reports = []
     for sim in range(simulations):
         noisy, eps_sup = add_noise(
-            clean, NoiseSpec("gaussian", config["noise_level"], _derive_seed(seed, 1, sim))
+            clean, NoiseSpec("gaussian", config["noise_level"], [seed, 1, sim])
         )
         samples = SampleSet(rule, noisy)
         for method, beta in methods.items():
-            bres = balancing_principle(
-                samples, M, beta, BalancingConfig(delta=eps_sup, **bp_kwargs)
-            )
+            bres = balancing_principle(samples, M, beta, _bp_config(config, eps_sup))
             gamma = regularized_fit(samples, M, bres.alpha_star, beta)
             rec_probe = evaluate_grid(gamma, probe_rule.points)
             err = _weighted_l2_rel_error(probe_rule, rec_probe, truth_probe)
@@ -526,7 +491,7 @@ def run_experiment_3(seed: int = 0, simulations: int = DEFAULTS["simulations"]):
             reports.append(
                 ExperimentReport(
                     run_id=f"exp3-sim{sim:03d}-{method}",
-                    seed=int(seed),
+                    seed=seed,
                     method=method,
                     alpha_star=bres.alpha_star,
                     lambda1=selection.best.lambda1 if is_sel else None,
@@ -575,12 +540,17 @@ def _write_json(payload, path) -> None:
         fh.write("\n")
 
 
-def _write_curves(curves: dict, path) -> None:
+def _write_csv(path, header: str, rows) -> None:
+    """CSV with numbers written at full precision (.17g) and strings as they are."""
     with open(path, "w", newline="") as fh:
-        fh.write("sim_index,method,rel_error\n")
-        for method in sorted(curves):
-            for sim_index, err in curves[method]:
-                fh.write(f"{sim_index},{method},{err:.17g}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+
+
+def _write_curves(curves: dict, path) -> None:
+    rows = [(i, method, err) for method in sorted(curves) for i, err in curves[method]]
+    _write_csv(path, "sim_index,method,rel_error", rows)
 
 
 def write_experiment_1(result: Experiment1Result, out_dir) -> list[Path]:
@@ -604,20 +574,14 @@ def write_experiment_2(result: Experiment2Result, out_dir) -> list[Path]:
 
     rule = gauss_legendre_rule(result.config["degree"])
     nodes_path = out / "exp2_surface_nodes.csv"
-    clean, noisy, rec = result.node_values
-    with open(nodes_path, "w", newline="") as fh:
-        fh.write("x1,x2,x3,y,y_noisy,reconstruction\n")
-        for p, a, b, c in zip(rule.points, clean, noisy, rec):
-            fh.write(
-                f"{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},{a:.17g},{b:.17g},{c:.17g}\n"
-            )
+    _write_csv(
+        nodes_path,
+        "x1,x2,x3,y,y_noisy,reconstruction",
+        zip(*rule.points.T, *result.node_values),
+    )
     probe_path = out / "exp2_reconstruction.csv"
     probes = probe_grid(2 * result.config["degree"])
-    truth_probe, rec_probe = result.probe_values
-    with open(probe_path, "w", newline="") as fh:
-        fh.write("x1,x2,x3,y,reconstruction\n")
-        for p, a, b in zip(probes, truth_probe, rec_probe):
-            fh.write(f"{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},{a:.17g},{b:.17g}\n")
+    _write_csv(probe_path, "x1,x2,x3,y,reconstruction", zip(*probes.T, *result.probe_values))
     return [report_path, nodes_path, probe_path]
 
 

@@ -137,21 +137,8 @@ def _check_t(t):
 
 
 def legendre_batch(k_max: int, t: float) -> np.ndarray:
-    """All Legendre polynomial values P_0(t), ..., P_{k_max}(t).
-
-    Uses the three-term recurrence
-    (k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}.
-    """
-    if k_max < 0:
-        raise ValueError(f"degree must be non-negative, got {k_max}")
-    tt = float(_check_t(t))
-    out = np.empty(k_max + 1)
-    out[0] = 1.0
-    if k_max >= 1:
-        out[1] = tt
-    for k in range(2, k_max + 1):
-        out[k] = ((2 * k - 1) * tt * out[k - 1] - (k - 1) * out[k - 2]) / k
-    return out
+    """All Legendre polynomial values P_0(t), ..., P_{k_max}(t)."""
+    return legendre_matrix(k_max, [float(t)])[0]
 
 
 def legendre_eval(k: int, t: float) -> float:
@@ -162,10 +149,14 @@ def legendre_eval(k: int, t: float) -> float:
 def legendre_matrix(k_max: int, t, out: np.ndarray | None = None) -> np.ndarray:
     """Legendre values for an array of arguments, shape (len(t), k_max+1).
 
-    Column k holds P_k(t).  A preallocated `out` (ideally Fortran-ordered for
-    fast column updates) can be supplied to avoid repeated allocation in hot
-    loops.
+    Column k holds P_k(t), built column by column with the three-term
+    recurrence P_k = ((2k-1)/k) t P_{k-1} - ((k-1)/k) P_{k-2} from P_0 = 1
+    and P_1 = t; this is the package's one Legendre recurrence.  A
+    preallocated `out` (ideally Fortran-ordered for fast column updates) can
+    be supplied to avoid repeated allocation in hot loops.
     """
+    if k_max < 0:
+        raise ValueError(f"degree must be non-negative, got {k_max}")
     t = _check_t(np.asarray(t, dtype=float).ravel())
     n = t.size
     if out is None:

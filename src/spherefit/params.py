@@ -9,9 +9,8 @@ by repeated Random Search.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,6 +124,10 @@ class RandomSearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "runs", _whole_number(self.runs, "runs"))
+        object.__setattr__(
+            self, "steps_per_run", _whole_number(self.steps_per_run, "steps_per_run")
+        )
         if self.runs < 1 or self.steps_per_run < 1:
             raise ValueError("runs and steps_per_run must both be at least 1")
         (l1lo, l1hi), (l2lo, l2hi) = self.box
@@ -199,38 +202,24 @@ def weights_from_kernel_params(M: int, p: KernelParams) -> PenalizationWeights:
 # balancing principle
 
 
-class _AbsSumsCache:
-    """Per-(rule, probes, degree) cache of the |P_k| weight-sum tables."""
+@functools.lru_cache(maxsize=4)
+def _abs_sums_table(rule, M: int, resolution: int) -> np.ndarray:
+    """The `grid-abs` table of `rule` on probe_grid(resolution).
 
-    def __init__(self, capacity: int = 4):
-        self._store: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._capacity = capacity
-
-    def get(self, rule, M: int, probes: np.ndarray) -> np.ndarray:
-        key = (
-            M,
-            hashlib.blake2b(rule.points.tobytes(), digest_size=16).digest(),
-            hashlib.blake2b(probes.tobytes(), digest_size=16).digest(),
-        )
-        hit = self._store.get(key)
-        if hit is not None:
-            self._store.move_to_end(key)
-            return hit
-        table = weighted_abs_legendre_sums(rule, M, probes)
-        table.setflags(write=False)
-        self._store[key] = table
-        if len(self._store) > self._capacity:
-            self._store.popitem(last=False)
-        return table
-
-
-_abs_sums_cache = _AbsSumsCache()
+    Memoized per rule object (rules compare by identity), so the many
+    balancing calls of a kernel search on one rule build it once.
+    """
+    table = weighted_abs_legendre_sums(rule, M, probe_grid(resolution))
+    table.setflags(write=False)
+    return table
 
 
 class _NormOracle:
     """Operator-norm values along the grid under the configured bound."""
 
-    def __init__(self, samples: SampleSet, M: int, beta: PenalizationWeights, cfg, probes):
+    def __init__(
+        self, samples: SampleSet, M: int, beta: PenalizationWeights, cfg, probes, resolution
+    ):
         self._M = M
         self._beta = beta
         self._kind = cfg.norm_bound
@@ -239,7 +228,7 @@ class _NormOracle:
         self._rule = samples.rule
         self._probes = probes
         if self._kind == "grid-abs":
-            self._table = _abs_sums_cache.get(samples.rule, M, probes)
+            self._table = _abs_sums_table(samples.rule, M, resolution)
 
     def _coef_column(self, i: int) -> np.ndarray:
         k = np.arange(self._M + 1)
@@ -281,7 +270,7 @@ def balancing_principle(
     synthesize = _synthesizer(M, probes)
     gamma_hat = analyze(samples, M).values
     b2 = expand_by_degree(beta.beta**2)
-    norms = _NormOracle(samples, M, beta, cfg, probes)
+    norms = _NormOracle(samples, M, beta, cfg, probes, resolution)
     omega_delta = cfg.omega * cfg.delta
 
     def fit_values(i: int) -> np.ndarray:

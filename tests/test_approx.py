@@ -657,3 +657,30 @@ class TestTypesAndSerialization:
         back = load_coefficients(path)
         assert back.degree_M == 4
         assert np.array_equal(back.values, coeffs.values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_coefficients_roundtrip_property(self, tmp_path_factory, data):
+        M = data.draw(st.integers(0, 12), label="M")
+        n = (M + 1) ** 2
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        values = data.draw(st.lists(floats, min_size=n, max_size=n), label="values")
+        path = tmp_path_factory.mktemp("coeffs") / "coeffs.csv"
+        save_coefficients(HarmonicCoefficients(M, values), path)
+        back = load_coefficients(path)
+        assert back.degree_M == M
+        assert np.array_equal(back.values, np.array(values, dtype=float))
+
+    def test_fractional_order_rejected(self, tmp_path):
+        # j = 1.9 used to be truncated to 1
+        path = tmp_path / "coeffs.csv"
+        path.write_text("k,j,value\n0,1,1\n1,1.9,2\n1,2,3\n1,3,4\n")
+        with pytest.raises(ValueError, match="whole numbers"):
+            load_coefficients(path)
+
+    def test_order_outside_degree_rejected(self, tmp_path):
+        # (0, 2) has the flat index of (1, 1), so it used to load as that pair
+        path = tmp_path / "coeffs.csv"
+        path.write_text("k,j,value\n0,1,1\n0,2,2\n1,2,3\n1,3,4\n")
+        with pytest.raises(ValueError, match="1 <= j <= 2k\\+1"):
+            load_coefficients(path)

@@ -143,6 +143,13 @@ class TestRuleValidation:
         with pytest.raises(ValueError):
             CubatureRule(1, good.points, good.weights * 1.01)
 
+    def test_rules_compare_by_identity(self):
+        rule = gauss_legendre_rule(3)
+        twin = CubatureRule(3, rule.points.copy(), rule.weights.copy())
+        assert rule == rule
+        assert not rule == twin
+        assert len({rule, twin, rule}) == 2  # hashable, by identity
+
     def test_off_sphere_rejected(self):
         good = gauss_legendre_rule(1)
         pts = good.points.copy()

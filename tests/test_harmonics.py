@@ -11,6 +11,7 @@ from spherefit import (
     sph_harm_eval,
     sph_harm_matrix,
 )
+from spherefit.harmonics import legendre_matrix
 
 FOUR_PI = 4 * np.pi
 
@@ -63,6 +64,8 @@ class TestLegendre:
             legendre_eval(3, 1.001)
         with pytest.raises(ValueError):
             legendre_eval(-1, 0.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            legendre_matrix(-1, [0.5])
 
     def test_tiny_overshoot_tolerated(self):
         assert legendre_eval(4, 1 + 5e-15) == legendre_eval(4, 1.0)

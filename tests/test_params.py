@@ -3,6 +3,7 @@ import pytest
 
 from spherefit import (
     BalancingConfig,
+    CubatureRule,
     KernelParams,
     PenalizationWeights,
     RandomSearchConfig,
@@ -18,6 +19,7 @@ from spherefit import (
     weights_ones,
     weights_sgg_apriori,
 )
+from spherefit.approx import filter_factors, weighted_abs_legendre_sums
 
 
 def noisy_samples(M, seed=0, scale=1.0):
@@ -212,6 +214,28 @@ class TestBalancingPrinciple:
             assert a.threshold <= b.threshold * (1 + 1e-12)
             assert b.threshold <= c.threshold * (1 + 1e-12)
 
+    def test_grid_abs_table_follows_the_rule(self):
+        # same points, reweighted rings (still summing to 4 pi, as the rule
+        # integrates t^2 exactly): the first rule's table must not be reused
+        rule = gauss_legendre_rule(4)
+        t = rule.points[:, 2]
+        other = CubatureRule(4, rule.points, rule.weights * (1.0 + 0.3 * (t * t - 1.0 / 3.0)))
+        beta = PenalizationWeights(4, np.arange(5.0) + 1)
+        cfg = BalancingConfig(
+            alpha0=2.0, q=0.5, L=6, omega=1e9, delta=1.0,
+            probe_resolution=8, norm_bound="grid-abs",
+        )
+        y = np.random.default_rng(9).normal(size=rule.n_points)
+        balancing_principle(SampleSet(rule, y), 4, beta, cfg)
+        res = balancing_principle(SampleSet(other, y), 4, beta, cfg)
+        table = weighted_abs_legendre_sums(other, 4, probe_grid(8))
+        k = np.arange(5)
+        grid = cfg.grid()
+        for step, z in zip(res.trace, range(cfg.L - 2, -1, -1)):
+            c = (2 * k + 1) / (4 * np.pi) * filter_factors(4, grid[z + 1], beta)
+            expected = cfg.omega * cfg.delta * (table @ c).max()
+            assert step.threshold == pytest.approx(expected, rel=1e-12)
+
     def test_trace_csv(self, tmp_path):
         s = noisy_samples(3, seed=9)
         beta = PenalizationWeights(3, np.ones(4))
@@ -270,3 +294,13 @@ class TestKernelSelect:
             RandomSearchConfig(runs=0, steps_per_run=1)
         with pytest.raises(ValueError):
             RandomSearchConfig(runs=1, steps_per_run=1, box=((2, 1), (0, 5)))
+
+    def test_whole_number_counts(self):
+        with pytest.raises(ValueError, match="runs"):
+            RandomSearchConfig(runs=2.5, steps_per_run=1)
+        with pytest.raises(ValueError, match="steps_per_run"):
+            RandomSearchConfig(runs=1, steps_per_run=1.5)
+        search = RandomSearchConfig(runs=2.0, steps_per_run=np.int64(1), seed=3)
+        assert type(search.runs) is int and type(search.steps_per_run) is int
+        s = noisy_samples(3, seed=14)
+        assert len(kernel_select(s, 3, search, BalancingConfig(**self.BP)).per_run) == 2
