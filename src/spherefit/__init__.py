@@ -67,7 +67,6 @@ from .params import (
     balancing_principle,
     kernel_select,
     save_bp_trace,
-    save_kernel_report,
     weights_from_kernel_params,
     weights_laplace_beltrami,
     weights_ones,

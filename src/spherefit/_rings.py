@@ -15,7 +15,9 @@ m > 0 and Nbar P_k^0(t_s) for m = 0: the values the transform needs, built
 by the same recurrence as the dense path.
 
 `probe_classes` groups probe points at which the sup-norm kernel sums over
-a product rule agree, so that those sums are evaluated once per group.
+a product rule agree, so that those sums are evaluated once per group, and
+`weighted_abs_kernel_sums` evaluates them by the addition theorem with the
+same Legendre table.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonics import basis_size, sph_harm_matrix
+from .harmonics import FOUR_PI, basis_size, sph_harm_matrix
 
 # largest coordinate deviation from the ideal ring positions, and relative
 # weight deviation along a ring, still accepted as a product grid
@@ -163,3 +165,59 @@ def probe_classes(
     key = ring_class.reshape(-1, 1) * (az_class.max() + 1) + az_class
     _, representatives, inverse = np.unique(key, return_index=True, return_inverse=True)
     return representatives, inverse.ravel()
+
+
+def _trig_columns(q: np.ndarray, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of m * 2 pi q / n, shape (M+1, len(q)), with the angle
+    reduced mod 2 pi in integers first."""
+    angle = (2.0 * np.pi / n) * (np.outer(np.arange(M + 1), q) % n)
+    return np.cos(angle), np.sin(angle)
+
+
+def weighted_abs_kernel_sums(
+    rule_rings: RingLayout, probe_rings: RingLayout, probes: np.ndarray, coefs: np.ndarray
+) -> np.ndarray:
+    """sum_i w_i |sum_k c_k P_k(x . x_i)| over the rule at the given probes.
+
+    `probes` holds flat indices into the probe grid and `coefs` the c_k,
+    k = 0..M.  By the addition theorem, the kernel between probe ring p at
+    azimuth psi and rule ring s at azimuth phi is
+    sum_m a_m(p, s) cos(m (psi - phi)) with
+    a_m(p, s) = sum_k c_k 4 pi / (2k+1) T_m[k, p] T_m[k, s], where T_m holds
+    the ring table's Legendre values (which carry the sqrt(2) for m > 0).
+    With the (M+1, K, A) table of cos(m (psi_j - phi_r)) over the K probe
+    azimuths psi_j in use and the A rule azimuths phi_r, one matrix product
+    per probe ring gives the kernel at every (probe azimuth, rule node) pair
+    of that ring: O(R M K A) time per probe ring for R rule rings, and no
+    condition on A.
+    """
+    M = coefs.size - 1
+    R, A, Ap = rule_rings.meridian.shape[0], rule_rings.azimuths, probe_rings.azimuths
+    ring, q = np.divmod(probes, Ap)
+    used = np.unique(ring)
+    d = FOUR_PI / (2 * np.arange(M + 1) + 1) * coefs
+    a = np.empty((used.size, R, M + 1))
+    for m, ((*_, P_rule), (*_, P_probe)) in enumerate(
+        zip(_table(M, rule_rings), _table(M, probe_rings))
+    ):
+        a[:, :, m] = (P_probe[:, used].T * d[m:]) @ P_rule
+    azimuths, q_col = np.unique(q, return_inverse=True)
+    cos_psi, sin_psi = _trig_columns(azimuths, Ap, M)
+    cos_phi, sin_phi = _trig_columns(np.arange(A), A, M)
+    # row m, column (j, r): cos(m (psi_j - phi_r)) by the angle-sum formula
+    cos_table = np.empty((M + 1, azimuths.size * A))
+    for m in range(M + 1):
+        cos_table[m] = (
+            np.outer(cos_psi[m], cos_phi[m]) + np.outer(sin_psi[m], sin_phi[m])
+        ).ravel()
+    V = np.empty((R, cos_table.shape[1]))
+    out = np.empty(probes.size)
+    for a_p, p in zip(a, used):
+        # each ring takes every azimuth in use; probe classes pair every ring
+        # class with every azimuth class, so nothing is evaluated twice
+        np.matmul(a_p, cos_table, out=V)
+        np.abs(V, out=V)
+        sums = (rule_rings.weights @ V).reshape(azimuths.size, A).sum(axis=1)
+        on_ring = ring == p
+        out[on_ring] = sums[q_col[on_ring]]
+    return out

@@ -38,6 +38,8 @@ class HarmonicCoefficients:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.degree_M < 0:
+            raise ValueError(f"degree must be non-negative, got {self.degree_M}")
         vals = np.asarray(self.values, dtype=float).ravel().copy()
         if vals.size != basis_size(self.degree_M):
             raise ValueError(
@@ -65,6 +67,8 @@ class PenalizationWeights:
     beta: np.ndarray
 
     def __post_init__(self):
+        if self.degree_M < 0:
+            raise ValueError(f"degree must be non-negative, got {self.degree_M}")
         b = np.asarray(self.beta, dtype=float).ravel().copy()
         if b.size != self.degree_M + 1:
             raise ValueError(
@@ -305,31 +309,30 @@ def _kernel_blocks(nodes: np.ndarray, M: int, points: np.ndarray, consume) -> No
 # sup-norm machinery for the fit operator
 
 
-def _max_weighted_abs_kernel(
-    rule: CubatureRule, probes: np.ndarray, coef_cols: np.ndarray
-) -> np.ndarray:
-    """max over probes of sum_i w_i |sum_k c_k P_k(x . x_i)| per coefficient column.
+def _max_weighted_abs_kernel(rule: CubatureRule, probes: np.ndarray, coefs: np.ndarray) -> float:
+    """max over probes of sum_i w_i |sum_k c_k P_k(x . x_i)| for coefficients c_0..c_M.
 
-    `coef_cols` has shape (M+1, ncols); one maximum is returned per column.
-    On product grids only one probe per symmetry class is evaluated
-    (`_rings.probe_classes`); the maximum is that of the full probe set.
+    When the rule and the probes are product grids, the sums are taken by
+    the addition theorem (`_rings.weighted_abs_kernel_sums`) at one probe
+    per symmetry class (`_rings.probe_classes`).  Other inputs sum the
+    Legendre blocks of `_kernel_blocks` at every probe.  Both give the
+    maximum over the full probe set.
     """
-    classes = _rings.probe_classes(rule.rings, _rings.ring_layout(probes))
+    probe_rings = _rings.ring_layout(probes)
+    classes = _rings.probe_classes(rule.rings, probe_rings)
     if classes is not None:
-        probes = probes[classes[0]]
-    n_nodes = rule.n_points
-    best = np.zeros(coef_cols.shape[1])
-    coefs_t = np.ascontiguousarray(coef_cols.T)
+        return float(
+            _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, classes[0], coefs).max()
+        )
+    best = 0.0
 
     def consume(lo, nb, L):
-        # L.T is a C-ordered view of the Fortran-ordered L, so each kernel row
-        # below is contiguous and reshapes to (probes, nodes) without copying
-        G = coefs_t @ L.T
+        nonlocal best
+        G = L @ coefs
         np.abs(G, out=G)
-        for c in range(best.size):
-            best[c] = max(best[c], (G[c].reshape(nb, n_nodes) @ rule.weights).max())
+        best = max(best, float((G.reshape(nb, rule.n_points) @ rule.weights).max()))
 
-    _kernel_blocks(rule.points, coef_cols.shape[0] - 1, probes, consume)
+    _kernel_blocks(rule.points, coefs.size - 1, probes, consume)
     return best
 
 
@@ -374,14 +377,16 @@ def operator_norm_bound(
         sum_i w_i |sum_k (2k+1)/(4 pi (1+alpha*beta_k^2)) P_k(x . x_i)|,
     a lower bound on the true sup norm that sharpens with the probe grid;
     crude_upper = sum_k (2k+1)/(1+alpha*beta_k^2) >= estimate always.
-    On product grids only one probe per symmetry class is evaluated, and
-    the estimate equals the maximum over the full probe set.
+    When the rule and the probes are product grids, the kernel sums come
+    from the addition theorem, one matrix product per probe ring, at one
+    probe per symmetry class; no Legendre value at a (probe, node) pair is
+    formed.  Either way the estimate is the maximum over the full probe set.
     """
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
     c = (2 * np.arange(M + 1) + 1) / FOUR_PI * filter_factors(M, alpha, beta)
-    est = float(_max_weighted_abs_kernel(rule, pts, c[:, None])[0])
+    est = _max_weighted_abs_kernel(rule, pts, c)
     crude = crude_norm_upper(M, alpha, beta)
     # the weight sum carries ~1e-12 roundoff; the true norm never exceeds crude
     return NormBound(estimate=min(est, crude), crude_upper=crude)

@@ -224,7 +224,6 @@ class _NormOracle:
         self._beta = beta
         self._kind = cfg.norm_bound
         self._alphas = cfg.grid()
-        self._cache: dict[int, float] = {}
         self._rule = samples.rule
         self._probes = probes
         if self._kind == "grid-abs":
@@ -235,22 +234,14 @@ class _NormOracle:
         return (2 * k + 1) / FOUR_PI * filter_factors(self._M, self._alphas[i], self._beta)
 
     def value(self, i: int) -> float:
-        if i in self._cache:
-            return self._cache[i]
+        """||T_alpha_i||; the walk asks for each grid index at most once."""
         if self._kind == "crude":
-            v = crude_norm_upper(self._M, self._alphas[i], self._beta)
-        elif self._kind == "grid-abs":
-            v = float((self._table @ self._coef_column(i)).max())
-        else:
-            # batch a few grid values per pass; the walk moves to smaller i
-            idxs = [j for j in range(i, max(i - 6, -1), -1) if j not in self._cache]
-            cols = np.stack([self._coef_column(j) for j in idxs], axis=1)
-            vals = _max_weighted_abs_kernel(self._rule, self._probes, cols)
-            for j, vj in zip(idxs, vals):
-                self._cache[j] = float(vj)
-            return self._cache[i]
-        self._cache[i] = v
-        return v
+            return crude_norm_upper(self._M, self._alphas[i], self._beta)
+        if self._kind == "grid-abs":
+            return float((self._table @ self._coef_column(i)).max())
+        # one column per step: the addition-theorem sums share nothing across
+        # columns, so evaluating ahead of the walk would only add work
+        return _max_weighted_abs_kernel(self._rule, self._probes, self._coef_column(i))
 
 
 def balancing_principle(
@@ -383,11 +374,3 @@ def kernel_report_dict(result: KernelSelectResult) -> dict:
         "seed": result.seed,
     }
 
-
-def save_kernel_report(result: KernelSelectResult, path) -> None:
-    """Write a kernel-search report as JSON."""
-    import json
-
-    with open(path, "w", newline="") as fh:
-        json.dump(kernel_report_dict(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -394,7 +394,8 @@ def probe_by_probe_sums(rule, probes, cols):
 
 def assert_reduction_exact(rule, probes, cols):
     full = probe_by_probe_sums(rule, probes, cols)
-    assert rel_err(approx._max_weighted_abs_kernel(rule, probes, cols), full.max(axis=0)) <= 1e-12
+    maxima = [approx._max_weighted_abs_kernel(rule, probes, c) for c in cols.T]
+    assert rel_err(np.array(maxima), full.max(axis=0)) <= 1e-12
     M = cols.shape[0] - 1
     table = approx.weighted_abs_legendre_sums(rule, M, probes)
     assert table.shape == (probes.shape[0], M + 1)
@@ -474,19 +475,94 @@ class TestSupNormReduction:
         assert_reduction_exact(shuffled, probes, rng.normal(size=(M + 1, 2)))
 
     def test_operator_norm_bound_evaluates_one_probe_per_class(self, monkeypatch):
-        sizes = []
+        sizes, probe_counts = [], []
         legendre_matrix = harmonics.legendre_matrix
+        kernel_sums = _rings.weighted_abs_kernel_sums
 
         def counting(k_max, t, out=None):
             sizes.append(np.size(t))
             return legendre_matrix(k_max, t, out=out)
 
+        def recording(rule_rings, probe_rings, probes, coefs):
+            probe_counts.append(probes.size)
+            return kernel_sums(rule_rings, probe_rings, probes, coefs)
+
         monkeypatch.setattr(harmonics, "legendre_matrix", counting)
+        monkeypatch.setattr(_rings, "weighted_abs_kernel_sums", recording)
         M = 30
         rule = gauss_legendre_rule(M)
         beta = PenalizationWeights(M, np.arange(M + 1.0) ** 2)
         operator_norm_bound(rule, M, 1e-4, beta, probe_grid(2 * M))
+        # the addition theorem needs no Legendre values at (probe, node) pairs
+        assert sizes == [] and probe_counts == [961]
+        approx.weighted_abs_legendre_sums(rule, M, probe_grid(2 * M))
         assert sum(sizes) == 961 * 1922
+
+
+def kernel_blocks_sums(rule, probes, coefs):
+    """sum_i w_i |sum_k c_k P_k(x_p . x_i)| at every probe, through `_kernel_blocks`."""
+    out = np.empty(probes.shape[0])
+
+    def consume(lo, nb, L):
+        out[lo : lo + nb] = np.abs(L @ coefs).reshape(nb, rule.n_points) @ rule.weights
+
+    approx._kernel_blocks(rule.points, coefs.size - 1, probes, consume)
+    return out
+
+
+def random_product_rule(kind, M, rng):
+    """GL rule, or a product rule with random rings: mirrored rings of equal
+    weight ("mirror"), mirrored heights with other weights ("weights"), or
+    heights without mirror pairs ("heights")."""
+    if kind == "gl":
+        return gauss_legendre_rule(M)
+    R = int(rng.integers(1, M + 3))
+    half = rng.uniform(0.05, 0.95, R // 2)
+    t = np.concatenate([-half, np.zeros(R % 2), half[::-1]])
+    weights = rng.uniform(0.5, 2.0, R)
+    if kind == "mirror":
+        weights = (weights + weights[::-1]) / 2
+    elif kind == "heights":
+        t = rng.uniform(-0.95, 0.95, R)
+    return product_rule(t, weights, int(rng.integers(1, 2 * M + 3)), M)
+
+
+class TestAdditionTheoremSupNorm:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        M=st.integers(0, 12),
+        kind=st.sampled_from(["gl", "mirror", "weights", "heights"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_kernel_blocks_property(self, M, kind, seed, data):
+        resolution = data.draw(st.integers(1, max(1, 3 * M)), label="resolution")
+        rng = np.random.default_rng(seed)
+        rule = random_product_rule(kind, M, rng)
+        probes = probe_grid(resolution)
+        probe_rings = _rings.ring_layout(probes)
+        reps, _ = _rings.probe_classes(rule.rings, probe_rings)
+        for c in rng.normal(size=(2, M + 1)):
+            reference = kernel_blocks_sums(rule, probes, c)
+            fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, reps, c)
+            assert rel_err(fast, reference[reps]) <= 1e-12
+            maximum = approx._max_weighted_abs_kernel(rule, probes, c)
+            assert abs(maximum - reference.max()) <= 1e-12 * reference.max()
+
+    def test_degree_120_at_sampled_probes(self):
+        rng = np.random.default_rng(300)
+        M = 120
+        rule = gauss_legendre_rule(M)
+        probes = probe_grid(2 * M)
+        sample = rng.choice(probes.shape[0], 16, replace=False)
+        k = np.arange(M + 1)
+        beta = PenalizationWeights(M, k * (k + 1.0))
+        for alpha in (0.0, 1e-6):
+            c = (2 * k + 1) / FOUR_PI * approx.filter_factors(M, alpha, beta)
+            fast = _rings.weighted_abs_kernel_sums(
+                rule.rings, _rings.ring_layout(probes), sample, c
+            )
+            assert rel_err(fast, kernel_blocks_sums(rule, probes[sample], c)) <= 1e-12
 
 
 class TestFilters:
@@ -647,6 +723,14 @@ class TestTypesAndSerialization:
     def test_coefficient_length(self):
         with pytest.raises(ValueError):
             HarmonicCoefficients(2, np.zeros(8))
+
+    def test_coefficients_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            HarmonicCoefficients(-1, [])
+
+    def test_weights_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            PenalizationWeights(-1, [])
 
     def test_coefficients_roundtrip(self, tmp_path):
         rng = np.random.default_rng(16)
