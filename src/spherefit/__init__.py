@@ -49,15 +49,7 @@ from .experiments import (
     sgg_generate,
     sgg_recover,
 )
-from .harmonics import (
-    HarmonicIndex,
-    SpherePoint,
-    addition_kernel,
-    legendre_batch,
-    legendre_eval,
-    sph_harm_eval,
-    sph_harm_matrix,
-)
+from .harmonics import SpherePoint, sph_harm_matrix
 from .params import (
     BalancingConfig,
     BalancingResult,

@@ -18,7 +18,9 @@ import scipy.linalg
 
 from . import _rings, harmonics
 from .cubature import CubatureRule
-from .harmonics import FOUR_PI, _one_point, as_unit_vectors, basis_size, sph_harm_matrix
+from .harmonics import (
+    FOUR_PI, _one_point, _whole_number, as_unit_vectors, basis_size, sph_harm_matrix,
+)
 
 _SOLVER_DEGREE_CAP = 40
 
@@ -38,6 +40,7 @@ class HarmonicCoefficients:
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "degree_M", _whole_number(self.degree_M, "degree"))
         if self.degree_M < 0:
             raise ValueError(f"degree must be non-negative, got {self.degree_M}")
         vals = np.asarray(self.values, dtype=float).ravel().copy()
@@ -67,6 +70,7 @@ class PenalizationWeights:
     beta: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "degree_M", _whole_number(self.degree_M, "degree"))
         if self.degree_M < 0:
             raise ValueError(f"degree must be non-negative, got {self.degree_M}")
         b = np.asarray(self.beta, dtype=float).ravel().copy()
@@ -129,8 +133,8 @@ class FilterSpec:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise ValueError("filter argument must be non-negative")
+        if not np.all(t >= 0.0):
+            raise ValueError("filter argument must be non-negative, not NaN")
         if self.kind == "fourier_partial_sum":
             out = np.where(t <= 1.0, 1.0, 0.0)
         else:
@@ -167,10 +171,10 @@ def _synthesizer(M: int, pts: np.ndarray):
 # analysis and the regularized fit
 
 
-def _require_exactness(samples: SampleSet, M: int) -> None:
-    if samples.rule.degree_M < M:
+def _require_exactness(rule: CubatureRule, M: int) -> None:
+    if rule.degree_M < M:
         raise ValueError(
-            f"rule is exact to degree {2 * samples.rule.degree_M}, "
+            f"rule is exact to degree {2 * rule.degree_M}, "
             f"but analysis to degree {M} needs exactness {2 * M}"
         )
 
@@ -182,7 +186,7 @@ def analyze(samples: SampleSet, M: int) -> HarmonicCoefficients:
     sampled function onto the degree-M polynomials (hyperinterpolation), and
     reproduces every polynomial of degree <= M from its samples.
     """
-    _require_exactness(samples, M)
+    _require_exactness(samples.rule, M)
     rings = samples.rule.rings
     if rings is not None and rings.supports(M):
         return HarmonicCoefficients(M, _rings.analysis(rings, M, samples.values))
@@ -217,24 +221,21 @@ def regularized_fit_via_solver(
     M: int,
     alpha: float,
     beta: PenalizationWeights,
-    max_degree: int = _SOLVER_DEGREE_CAP,
 ) -> HarmonicCoefficients:
     """Solve the normal equations explicitly with a dense SPD solver.
 
     Assembles (G + alpha * B G B) gamma = Y W y with G = Y W Y^T and solves by
     Cholesky factorization.  This is a deliberately independent cross-check of
     the closed form in `regularized_fit`; the matrix is materialized, so the
-    degree is capped (default 40) to bound memory.
+    degree is capped at 40 to bound memory.
     """
-    _require_exactness(samples, M)
+    _require_exactness(samples.rule, M)
     if beta.degree_M != M:
         raise ValueError(f"weights are for degree {beta.degree_M}, expected {M}")
     if not np.isfinite(alpha) or alpha < 0.0:
         raise ValueError(f"regularization parameter must be >= 0, got {alpha}")
-    if M > max_degree:
-        raise ValueError(
-            f"dense solver capped at degree {max_degree}; raise max_degree to override"
-        )
+    if M > _SOLVER_DEGREE_CAP:
+        raise ValueError(f"dense solver capped at degree {_SOLVER_DEGREE_CAP}, got {M}")
     Y = sph_harm_matrix(M, samples.rule.points)
     w = samples.rule.weights
     G = (Y * w) @ Y.T
@@ -277,7 +278,7 @@ def evaluate_kernel_form(
     agrees with evaluating `regularized_fit` coefficients in the harmonic
     basis.  Kept as an independent evaluation path for cross-checks.
     """
-    _require_exactness(samples, M)
+    _require_exactness(samples.rule, M)
     pts = as_unit_vectors(points)
     c = (2 * np.arange(M + 1) + 1) / FOUR_PI * filter_factors(M, alpha, beta)
     wy = samples.rule.weights * samples.values
@@ -382,6 +383,7 @@ def operator_norm_bound(
     probe per symmetry class; no Legendre value at a (probe, node) pair is
     formed.  Either way the estimate is the maximum over the full probe set.
     """
+    _require_exactness(rule, M)
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
@@ -401,14 +403,9 @@ def default_probe_resolution(M: int) -> int:
 # filtered approximation and weighted-coefficient norms
 
 
-def filtered_approx(
-    coeffs: HarmonicCoefficients, filt: FilterSpec, M: int | None = None
-) -> HarmonicCoefficients:
+def filtered_approx(coeffs: HarmonicCoefficients, filt: FilterSpec) -> HarmonicCoefficients:
     """Apply the coefficient filter h(k/M) to degree-M analysis coefficients."""
-    if M is None:
-        M = coeffs.degree_M
-    elif M != coeffs.degree_M:
-        raise ValueError(f"coefficients are of degree {coeffs.degree_M}, not {M}")
+    M = coeffs.degree_M
     k = np.arange(M + 1, dtype=float)
     h = filt(k / M) if M > 0 else np.ones(1)
     return HarmonicCoefficients(M, expand_by_degree(h) * coeffs.values)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import approx, cubature, experiments, params
 from .experiments import DEFAULTS
+from .harmonics import _whole_number
 
 
 def _merge(args: argparse.Namespace, config: dict, key: str, default=None):
@@ -36,7 +37,7 @@ def _merge(args: argparse.Namespace, config: dict, key: str, default=None):
 def _merge_int(args: argparse.Namespace, config: dict, key: str, default=None):
     """`_merge` for a whole-number value; rejects 4.9 rather than truncating it."""
     val = _merge(args, config, key, default)
-    return None if val is None else params._whole_number(val, key)
+    return None if val is None else _whole_number(val, key)
 
 
 def _load_config(path) -> dict:
@@ -176,23 +177,23 @@ def cmd_fit(args) -> int:
     return 0
 
 
+_EXPERIMENT_WRITERS = {
+    1: experiments.write_experiment_1,
+    2: experiments.write_experiment_2,
+    3: experiments.write_experiment_3,
+}
+
+
 def cmd_experiment(args) -> int:
     config = _load_config(args.config)
     which = _merge_int(args, config, "which")
     seed = _merge_int(args, config, "seed", 0)
     sims = _merge_int(args, config, "simulations", DEFAULTS["simulations"])
     out_dir = Path(_merge(args, config, "out", "."))
-    if which == 1:
-        result = experiments.run_experiment_1(sims, seed)
-        paths = experiments.write_experiment_1(result, out_dir)
-    elif which == 2:
-        result = experiments.run_experiment_2(seed)
-        paths = experiments.write_experiment_2(result, out_dir)
-    elif which == 3:
-        result = experiments.run_experiment_3(seed, sims)
-        paths = experiments.write_experiment_3(result, out_dir)
-    else:
-        raise ValueError(f"experiment must be 1, 2 or 3, got {which}")
+    result = experiments.rerun_from_config(
+        {"experiment": which, "seed": seed, "simulations": sims}
+    )
+    paths = _EXPERIMENT_WRITERS[which](result, out_dir)
     for p in paths:
         print(f"wrote {p}")
     return 0

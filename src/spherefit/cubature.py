@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rings import RingLayout, ring_layout
-from .harmonics import FOUR_PI, as_unit_vectors, basis_size, sph_harm_matrix
+from .harmonics import FOUR_PI, _whole_number, as_unit_vectors, basis_size, sph_harm_matrix
 
 _WEIGHT_SUM_TOL = 1e-10
 _EXACTNESS_TOL = 1e-10
@@ -41,6 +41,7 @@ class CubatureRule:
     rings: RingLayout | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "degree_M", _whole_number(self.degree_M, "degree"))
         pts = as_unit_vectors(self.points)
         w = np.asarray(self.weights, dtype=float).ravel()
         if self.degree_M < 0:
@@ -137,6 +138,7 @@ def gauss_legendre_rule(M: int) -> CubatureRule:
     Colatitudes are the M+1 roots of P_{M+1}; azimuths are the 2(M+1) angles
     pi*r/(M+1); the weight at (t_s, phi_r) is (pi/(M+1)) * v_s.
     """
+    M = _whole_number(M, "degree")
     if M < 0:
         raise ValueError(f"degree must be non-negative, got {M}")
     return _gl_rule_cached(M)
@@ -147,6 +149,7 @@ def probe_grid(resolution_degree: int) -> np.ndarray:
 
     The points of gauss_legendre_rule(resolution_degree), weights discarded.
     """
+    resolution_degree = _whole_number(resolution_degree, "resolution degree")
     if resolution_degree < 1:
         raise ValueError(f"resolution degree must be >= 1, got {resolution_degree}")
     return gauss_legendre_rule(resolution_degree).points

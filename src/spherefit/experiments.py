@@ -10,7 +10,6 @@ derived from (seed, tag, index) entropy so simulations can run in any order.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,7 +109,6 @@ class ExperimentReport:
     rel_error: float | None
     sup_error: float | None
     config: dict
-    seconds: float = 0.0  # wall time; excluded from files so re-runs are byte-identical
 
     def to_dict(self) -> dict:
         return {
@@ -283,7 +281,7 @@ def _best_alpha_on_grid(grid, gamma_hat, b2_flat, a_flat, g_true_values):
 # experiment 1: damped-coefficient recovery with a priori weights
 
 
-def run_experiment_1(simulations: int = DEFAULTS["simulations"], seed: int = 0):
+def run_experiment_1(seed: int = 0, simulations: int = DEFAULTS["simulations"]):
     """Compare plain projection, balanced and oracle regularization.
 
     Per simulation: random damped target on the degree-30 rule, uniform noise
@@ -294,7 +292,6 @@ def run_experiment_1(simulations: int = DEFAULTS["simulations"], seed: int = 0):
     """
     if simulations < 1:
         raise ValueError("need at least one simulation")
-    t0 = time.perf_counter()
     config = _config(
         1, seed, "uniform_supnorm", DEFAULTS["uniform_noise"], "crude",
         simulations=int(simulations), decay=DEFAULTS["sgg_decay"],
@@ -354,9 +351,6 @@ def run_experiment_1(simulations: int = DEFAULTS["simulations"], seed: int = 0):
                 )
             )
     curves = {m: _sorted_curve(errors[m]) for m in methods}
-    seconds = time.perf_counter() - t0
-    for r in reports:
-        r.seconds = seconds
     return Experiment1Result(reports=reports, curves=curves, config=config)
 
 
@@ -378,7 +372,6 @@ def run_experiment_2(seed: int = 0):
     picks alpha; reported errors are the probe-grid sup error and a
     quadrature estimate of the relative L2 error of the reconstruction.
     """
-    t0 = time.perf_counter()
     config = _config(2, seed, "gaussian", DEFAULTS["gaussian_sigma"], "grid-abs")
     seed, M = config["seed"], config["degree"]
     rule = gauss_legendre_rule(M)
@@ -406,7 +399,6 @@ def run_experiment_2(seed: int = 0):
         rel_error=rel_error,
         sup_error=sup_error,
         config=config,
-        seconds=time.perf_counter() - t0,
     )
     return Experiment2Result(
         report=report,
@@ -442,7 +434,6 @@ def run_experiment_3(seed: int = 0, simulations: int = DEFAULTS["simulations"]):
     """
     if simulations < 1:
         raise ValueError("need at least one simulation")
-    t0 = time.perf_counter()
     config = _config(
         3, seed, "gaussian", DEFAULTS["gaussian_sigma"], "grid-abs",
         simulations=int(simulations),
@@ -502,9 +493,6 @@ def run_experiment_3(seed: int = 0, simulations: int = DEFAULTS["simulations"]):
                 )
             )
     curves = {m: _sorted_curve(errors[m]) for m in methods}
-    seconds = time.perf_counter() - t0
-    for r in reports:
-        r.seconds = seconds
     return Experiment3Result(
         selection=selection, reports=reports, curves=curves, config=config
     )
@@ -522,12 +510,12 @@ def rerun_from_config(config: dict):
     """Re-run an experiment from a report's config echo."""
     which = config.get("experiment")
     if which == 1:
-        return run_experiment_1(config["simulations"], config["seed"])
+        return run_experiment_1(config["seed"], config["simulations"])
     if which == 2:
         return run_experiment_2(config["seed"])
     if which == 3:
         return run_experiment_3(config["seed"], config["simulations"])
-    raise ValueError(f"config does not name a known experiment: {which!r}")
+    raise ValueError(f"experiment must be 1, 2 or 3, got {which!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ by repeated Random Search.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,18 +30,9 @@ from .approx import (
     weighted_abs_legendre_sums,
 )
 from .cubature import probe_grid
-from .harmonics import FOUR_PI
+from .harmonics import FOUR_PI, _whole_number
 
 NORM_BOUND_KINDS = ("grid", "grid-abs", "crude")
-
-
-def _whole_number(value, name: str) -> int:
-    """`value` as an int; ValueError unless it is a whole number (not a bool)."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

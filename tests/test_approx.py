@@ -381,6 +381,12 @@ class TestOperatorNormBound:
                 rule, 1, 0.1, PenalizationWeights(1, np.ones(2)), np.empty((0, 3))
             )
 
+    def test_degree_beyond_rule_rejected(self):
+        # the same pairing analyze and regularized_fit refuse
+        rule = gauss_legendre_rule(3)
+        with pytest.raises(ValueError, match="exact to degree 6"):
+            operator_norm_bound(rule, 5, 1e-3, PenalizationWeights(5, np.ones(6)), probe_grid(10))
+
 
 def probe_by_probe_sums(rule, probes, cols):
     """sum_i w_i |sum_k c_k P_k(x_p . x_i)| for every probe p and column c."""
@@ -591,6 +597,15 @@ class TestFilters:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FilterSpec("boxcar")
+
+    @pytest.mark.parametrize("kind", FilterSpec.KINDS)
+    def test_nan_rejected_inf_is_zero(self, kind):
+        h = FilterSpec(kind)
+        with pytest.raises(ValueError, match="NaN"):
+            h(float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            h(np.array([0.5, np.nan]))
+        assert h(float("inf")) == 0.0
 
     def test_filtered_low_degrees_unchanged(self):
         rng = np.random.default_rng(8)

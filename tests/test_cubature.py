@@ -3,6 +3,8 @@ import pytest
 
 from spherefit import (
     CubatureRule,
+    HarmonicCoefficients,
+    PenalizationWeights,
     SampleSet,
     analyze,
     approx,
@@ -156,6 +158,29 @@ class TestRuleValidation:
         pts[0] *= 1.5
         with pytest.raises(ValueError):
             CubatureRule(1, pts, good.weights)
+
+
+_RULE1 = gauss_legendre_rule(1)
+
+# every entry point that takes a degree, returning the degree it stored
+DEGREE_ENTRY_POINTS = {
+    "CubatureRule": lambda d: CubatureRule(d, _RULE1.points, _RULE1.weights).degree_M,
+    "HarmonicCoefficients": lambda d: HarmonicCoefficients(d, np.zeros(4)).degree_M,
+    "PenalizationWeights": lambda d: PenalizationWeights(d, [1.0, 1.0]).degree_M,
+    "gauss_legendre_rule": lambda d: gauss_legendre_rule(d).degree_M,
+    "probe_grid": lambda d: probe_grid(d).shape[0] // 8,  # 2(d+1)^2 points
+    "sph_harm_matrix": lambda d: sph_harm_matrix(d, _RULE1.points).shape[0] // 4,  # (d+1)^2 rows
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DEGREE_ENTRY_POINTS))
+def test_degree_must_be_whole_number(entry):
+    make = DEGREE_ENTRY_POINTS[entry]
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make(bad)
+    degree = make(1.0)
+    assert type(degree) is int and degree == 1
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -197,6 +198,10 @@ class TestExperimentRuns:
             assert np.all(np.diff(errs) >= 0)  # ascending
         assert len(res.reports) == 12
         assert all(np.isfinite(r.rel_error) for r in res.reports)
+
+    def test_positional_order_is_seed_then_simulations(self):
+        for run in (run_experiment_1, run_experiment_3):
+            assert list(inspect.signature(run).parameters) == ["seed", "simulations"]
 
     def test_experiment_1_deterministic(self):
         r1 = run_experiment_1(simulations=2, seed=5)

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from spherefit import (
-    HarmonicIndex,
-    SpherePoint,
-    addition_kernel,
-    gauss_legendre_rule,
-    legendre_batch,
-    legendre_eval,
-    sph_harm_eval,
-    sph_harm_matrix,
-)
+from _scalar import HarmonicIndex, addition_kernel, legendre_batch, legendre_eval, sph_harm_eval
+
+from spherefit import SpherePoint, gauss_legendre_rule, sph_harm_matrix
 from spherefit.harmonics import legendre_matrix
 
 FOUR_PI = 4 * np.pi
