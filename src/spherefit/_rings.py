@@ -26,6 +26,7 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily: load it here, not in the first transform
 
 from .harmonics import FOUR_PI, basis_size, sph_harm_matrix
 
@@ -194,7 +195,8 @@ def weighted_abs_kernel_sums(
     M = coefs.size - 1
     R, A, Ap = rule_rings.meridian.shape[0], rule_rings.azimuths, probe_rings.azimuths
     ring, q = np.divmod(probes, Ap)
-    used = np.unique(ring)
+    # sorted distinct rings; np.unique without return_* loads numpy.ma on first use
+    used = np.flatnonzero(np.bincount(ring))
     d = FOUR_PI / (2 * np.arange(M + 1) + 1) * coefs
     a = np.empty((used.size, R, M + 1))
     for m, ((*_, P_rule), (*_, P_probe)) in enumerate(

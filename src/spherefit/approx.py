@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import _rings, harmonics
 from .cubature import CubatureRule
@@ -203,6 +202,11 @@ def filter_factors(M: int, alpha: float, beta: PenalizationWeights) -> np.ndarra
     return 1.0 / (1.0 + alpha * beta.beta**2)
 
 
+def _kernel_coefficients(M: int, alpha: float, beta: PenalizationWeights) -> np.ndarray:
+    """Zonal-kernel coefficients (2k+1)/(4 pi (1 + alpha*beta_k^2)) of the fit."""
+    return (2 * np.arange(M + 1) + 1) / FOUR_PI * filter_factors(M, alpha, beta)
+
+
 def regularized_fit(
     samples: SampleSet, M: int, alpha: float, beta: PenalizationWeights
 ) -> HarmonicCoefficients:
@@ -243,13 +247,13 @@ def regularized_fit_via_solver(
     A = G + alpha * (b[:, None] * G * b[None, :])
     rhs = Y @ (w * samples.values)
     try:
-        cho = scipy.linalg.cho_factor(A, lower=False, check_finite=False)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a rule bug
         raise np.linalg.LinAlgError(
             "normal-equation matrix is not positive definite; "
             "the rule is likely not exact to the required degree"
         ) from exc
-    return HarmonicCoefficients(M, scipy.linalg.cho_solve(cho, rhs, check_finite=False))
+    return HarmonicCoefficients(M, np.linalg.solve(L.T, np.linalg.solve(L, rhs)))
 
 
 def evaluate(coeffs: HarmonicCoefficients, x) -> float:
@@ -280,7 +284,7 @@ def evaluate_kernel_form(
     """
     _require_exactness(samples.rule, M)
     pts = as_unit_vectors(points)
-    c = (2 * np.arange(M + 1) + 1) / FOUR_PI * filter_factors(M, alpha, beta)
+    c = _kernel_coefficients(M, alpha, beta)
     wy = samples.rule.weights * samples.values
     out = np.empty(pts.shape[0])
 
@@ -346,6 +350,7 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
     (`_rings.probe_classes`) and copied to the other probes of the class;
     the table equals the one computed probe by probe.
     """
+    _require_exactness(rule, M)
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
@@ -387,7 +392,7 @@ def operator_norm_bound(
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
-    c = (2 * np.arange(M + 1) + 1) / FOUR_PI * filter_factors(M, alpha, beta)
+    c = _kernel_coefficients(M, alpha, beta)
     est = _max_weighted_abs_kernel(rule, pts, c)
     crude = crude_norm_upper(M, alpha, beta)
     # the weight sum carries ~1e-12 roundoff; the true norm never exceeds crude

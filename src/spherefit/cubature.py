@@ -75,6 +75,7 @@ def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     solved on the positive half and mirrored so nodes come in exact +-t
     pairs with identical weights.
     """
+    n = _whole_number(n, "node count")
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
 

@@ -16,6 +16,7 @@ hundred are safe from overflow.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -33,8 +34,9 @@ _UNIT_TOL = 1e-12
 class SpherePoint:
     """A point on the unit sphere.
 
-    Coordinates with a non-unit norm are rescaled onto the sphere; zero or
-    non-finite input is rejected.
+    Coordinates with a non-unit norm are rescaled onto the sphere, however
+    large or small they are; the all-zero vector and non-finite input are
+    rejected.
     """
 
     x1: float
@@ -45,11 +47,14 @@ class SpherePoint:
         v = np.array([self.x1, self.x2, self.x3], dtype=float)
         if not np.all(np.isfinite(v)):
             raise ValueError("sphere point coordinates must be finite")
-        nsq = float(v @ v)
-        if nsq == 0.0:
+        scale = np.abs(v).max()
+        if scale == 0.0:
             raise ValueError("cannot place the zero vector on the sphere")
-        if abs(nsq - 1.0) > _UNIT_TOL:
-            v /= np.sqrt(nsq)
+        # entries above 2 cannot be a unit vector's, and v @ v could overflow
+        if scale > 2.0 or abs(float(v @ v) - 1.0) > _UNIT_TOL:
+            # after dividing by the largest entry the norm lies in [1, sqrt(3)]
+            v /= scale
+            v /= math.hypot(*v)
         object.__setattr__(self, "x1", float(v[0]))
         object.__setattr__(self, "x2", float(v[1]))
         object.__setattr__(self, "x3", float(v[2]))
@@ -122,6 +127,7 @@ def legendre_matrix(k_max: int, t, out: np.ndarray | None = None) -> np.ndarray:
     preallocated `out` (ideally Fortran-ordered for fast column updates) can
     be supplied to avoid repeated allocation in hot loops.
     """
+    k_max = _whole_number(k_max, "degree")
     if k_max < 0:
         raise ValueError(f"degree must be non-negative, got {k_max}")
     t = _check_t(np.asarray(t, dtype=float).ravel())

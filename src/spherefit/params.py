@@ -18,19 +18,19 @@ import numpy as np
 from .approx import (
     PenalizationWeights,
     SampleSet,
+    _kernel_coefficients,
     _max_weighted_abs_kernel,
     _synthesizer,
     analyze,
     crude_norm_upper,
     default_probe_resolution,
     expand_by_degree,
-    filter_factors,
     penalized_functional,
     regularized_fit,
     weighted_abs_legendre_sums,
 )
 from .cubature import probe_grid
-from .harmonics import FOUR_PI, _whole_number
+from .harmonics import _whole_number
 
 NORM_BOUND_KINDS = ("grid", "grid-abs", "crude")
 
@@ -219,19 +219,16 @@ class _NormOracle:
         if self._kind == "grid-abs":
             self._table = _abs_sums_table(samples.rule, M, resolution)
 
-    def _coef_column(self, i: int) -> np.ndarray:
-        k = np.arange(self._M + 1)
-        return (2 * k + 1) / FOUR_PI * filter_factors(self._M, self._alphas[i], self._beta)
-
     def value(self, i: int) -> float:
         """||T_alpha_i||; the walk asks for each grid index at most once."""
         if self._kind == "crude":
             return crude_norm_upper(self._M, self._alphas[i], self._beta)
+        c = _kernel_coefficients(self._M, self._alphas[i], self._beta)
         if self._kind == "grid-abs":
-            return float((self._table @ self._coef_column(i)).max())
+            return float((self._table @ c).max())
         # one column per step: the addition-theorem sums share nothing across
         # columns, so evaluating ahead of the walk would only add work
-        return _max_weighted_abs_kernel(self._rule, self._probes, self._coef_column(i))
+        return _max_weighted_abs_kernel(self._rule, self._probes, c)
 
 
 def balancing_principle(

@@ -138,6 +138,22 @@ class TestSolverOracle:
             )
             assert rel <= 1e-8
 
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.integers(0, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_closed_form_equals_dense_solve(self, M, seed, data):
+        # non-decreasing beta with zeros allowed (unpenalized low degrees), alpha in [0, 1]
+        steps = data.draw(st.lists(st.floats(0.0, 5.0), min_size=M + 1, max_size=M + 1))
+        beta = PenalizationWeights(M, np.cumsum(steps))
+        alpha = data.draw(st.floats(0.0, 1.0))
+        rule = gauss_legendre_rule(M)
+        s = SampleSet(rule, np.random.default_rng(seed).normal(size=rule.n_points))
+        closed = regularized_fit(s, M, alpha, beta)
+        solved = regularized_fit_via_solver(s, M, alpha, beta)
+        rel = np.abs(closed.values - solved.values).max() / (
+            1e-30 + np.abs(closed.values).max()
+        )
+        assert rel <= 1e-8
+
     def test_alpha_zero_matches_analysis(self):
         rng = np.random.default_rng(4)
         rule = gauss_legendre_rule(3)
@@ -382,10 +398,13 @@ class TestOperatorNormBound:
             )
 
     def test_degree_beyond_rule_rejected(self):
-        # the same pairing analyze and regularized_fit refuse
-        rule = gauss_legendre_rule(3)
+        # the same pairing analyze and regularized_fit refuse, for the sup norm
+        # and for the `grid-abs` table
+        rule, probes = gauss_legendre_rule(3), probe_grid(10)
         with pytest.raises(ValueError, match="exact to degree 6"):
-            operator_norm_bound(rule, 5, 1e-3, PenalizationWeights(5, np.ones(6)), probe_grid(10))
+            operator_norm_bound(rule, 5, 1e-3, PenalizationWeights(5, np.ones(6)), probes)
+        with pytest.raises(ValueError, match="exact to degree 6"):
+            approx.weighted_abs_legendre_sums(rule, 5, probes)
 
 
 def probe_by_probe_sums(rule, probes, cols):

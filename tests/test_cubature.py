@@ -16,6 +16,7 @@ from spherefit import (
     save_rule,
     sph_harm_matrix,
 )
+from spherefit.harmonics import legendre_matrix
 
 FOUR_PI = 4 * np.pi
 
@@ -167,7 +168,9 @@ DEGREE_ENTRY_POINTS = {
     "CubatureRule": lambda d: CubatureRule(d, _RULE1.points, _RULE1.weights).degree_M,
     "HarmonicCoefficients": lambda d: HarmonicCoefficients(d, np.zeros(4)).degree_M,
     "PenalizationWeights": lambda d: PenalizationWeights(d, [1.0, 1.0]).degree_M,
+    "gauss_legendre_nodes": lambda d: gauss_legendre_nodes(d)[0].size,  # d nodes
     "gauss_legendre_rule": lambda d: gauss_legendre_rule(d).degree_M,
+    "legendre_matrix": lambda d: legendre_matrix(d, [0.5]).shape[1] - 1,  # d+1 columns
     "probe_grid": lambda d: probe_grid(d).shape[0] // 8,  # 2(d+1)^2 points
     "sph_harm_matrix": lambda d: sph_harm_matrix(d, _RULE1.points).shape[0] // 4,  # (d+1)^2 rows
 }

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from _scalar import HarmonicIndex, addition_kernel, legendre_batch, legendre_eval, sph_harm_eval
 
 from spherefit import SpherePoint, gauss_legendre_rule, sph_harm_matrix
-from spherefit.harmonics import legendre_matrix
+from spherefit.harmonics import as_unit_vectors, legendre_matrix
 
 FOUR_PI = 4 * np.pi
 
@@ -80,6 +82,17 @@ class TestSpherePoint:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SpherePoint(np.nan, 0.0, 1.0)
+
+    @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3).filter(any))
+    @example((1e200, 0.0, 0.0))  # |v|^2 overflows
+    @example((1e155, 1e155, 0.0))
+    @example((1e-200, 0.0, 0.0))  # |v|^2 underflows
+    @example((5e-324, -5e-324, 5e-324))
+    def test_any_finite_nonzero_triple_lands_parallel(self, v):
+        x = as_unit_vectors(SpherePoint(*v))[0]
+        w = np.array(v) / np.abs(v).max()
+        assert x @ w > 0.0
+        assert np.linalg.norm(np.cross(x, w)) <= 1e-14 * np.linalg.norm(w)
 
 
 class TestHarmonicIndex:
@@ -195,3 +208,27 @@ class TestAdditionKernel:
             v1 = addition_kernel(k, *pair1)
             v2 = addition_kernel(k, *pair2)
             assert abs(v1 - v2) <= 1e-12
+
+
+# x3 of the test points: both poles and four near-pole points, where u^m
+# underflows so that about half of the entries of Y are exact zeros at
+# degree 500, and three points away from the poles
+_NEAR_POLE_X3 = (1.0, -1.0, 1 - 1e-15, 1 - 1e-10, 1 - 1e-6, -(1 - 1e-12), 0.3, 0.0, -0.8)
+
+
+def test_addition_theorem_at_degree_500():
+    # sum_j Y_kj(x) Y_kj(y) = (2k+1)/(4 pi) P_k(x . y) for every pair and every k <= 500
+    K = 500
+    x3 = np.array(_NEAR_POLE_X3)
+    phi = 0.7 + 1.3 * np.arange(x3.size)
+    u = np.sqrt((1 - x3) * (1 + x3))
+    pts = np.column_stack([u * np.cos(phi), u * np.sin(phi), x3])
+    Y = sph_harm_matrix(K, pts)
+    P = legendre_matrix(K, np.clip(pts @ pts.T, -1.0, 1.0).ravel())
+    eps = np.finfo(float).eps
+    for k in range(K + 1):
+        Yk = Y[k * k : (k + 1) ** 2]
+        scale = (2 * k + 1) / FOUR_PI
+        # |P_k'| <= k(k+1)/2 on [-1, 1] carries the rounding of the dot products
+        bound = 2 * eps * (1 + k * (k + 1) / 2) * scale
+        assert np.abs((Yk.T @ Yk).ravel() - scale * P[:, k]).max() <= bound, k

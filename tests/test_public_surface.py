@@ -31,15 +31,49 @@ PUBLIC_NAMES = {
 }
 
 
-def test_public_names_are_pinned():
-    # a fresh interpreter: other tests import submodules such as spherefit.cli,
-    # which would add them to the package namespace here
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of `code` run in a new interpreter that imports spherefit from this tree."""
     src = Path(spherefit.__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import spherefit; print(*(n for n in dir(spherefit) if not n.startswith('_')))"],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     ).stdout
+
+
+def test_public_names_are_pinned():
+    # a fresh interpreter: other tests import submodules such as spherefit.cli,
+    # which would add them to the package namespace here
+    out = run_fresh(
+        "import spherefit; print(*(n for n in dir(spherefit) if not n.startswith('_')))"
+    )
     assert len(PUBLIC_NAMES) == 56
     assert set(out.split()) == PUBLIC_NAMES
+
+
+# numpy is the only dependency: scipy cannot be imported, yet the package,
+# the CLI and the dense-solver cross-check all run
+NO_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+import numpy as np
+import spherefit, spherefit.cli
+rule = spherefit.gauss_legendre_rule(2)
+samples = spherefit.SampleSet(rule, np.ones(rule.n_points))
+beta = spherefit.PenalizationWeights(2, np.ones(3))
+spherefit.regularized_fit_via_solver(samples, 2, 0.1, beta)
+assert spherefit.cli.main(["gen-rule", "--degree", "2", "--out", sys.argv[1]]) == 0
+print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_numpy_is_the_only_dependency(tmp_path):
+    out = run_fresh(NO_SCIPY, str(tmp_path / "rule.csv"))
+    assert "wrote 18 nodes" in out
+    assert out.splitlines()[-1] == "scipy modules:"
