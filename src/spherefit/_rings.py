@@ -5,14 +5,21 @@ A product grid stores R rings one after another.  Ring s holds A points
 phi_r = 2 pi r / A, r = 0..A-1, and any weights are constant along a ring.
 Gauss-Legendre rules and probe grids are of this kind.
 
-For A > 2M a harmonic sum of degree M factors into an FFT along each ring
-and, per order m, a product with that order's normalized Legendre values at
-the ring colatitudes (Driscoll & Healy 1994; Schaeffer, arXiv:1202.6522).
-That costs O(M^3) time and memory where the dense harmonic matrix costs
-O(M^4).  The Legendre values are taken from `sph_harm_matrix` on one point
-per ring at phi = 0, where row k^2+k+m holds sqrt(2) Nbar P_k^m(t_s) for
-m > 0 and Nbar P_k^0(t_s) for m = 0: the values the transform needs, built
-by the same recurrence as the dense path.
+For A > 2M a harmonic sum of degree M factors into sums along each ring
+against cos(m phi) and sin(m phi), m = 0..M, and, per order m, a product
+with that order's normalized Legendre values at the ring colatitudes
+(Driscoll & Healy 1994; Schaeffer, arXiv:1202.6522).  Both stages are
+matrix products here.  Synthesis lines the coefficients up by order, takes
+one batched product over the orders with the zero-padded (M+1, M+1, R)
+Legendre table, and one product of the ring amplitudes with the
+(2(M+1), A) table of cos(m phi_j) and sin(m phi_j); analysis is the
+transpose.  That costs O(M^3) time and memory where the dense harmonic
+matrix costs O(M^4).  At the degrees this package runs, a ring holds
+A = 2(M+1) points, often twice a prime, so the products beat an FFT along
+the rings and a loop over the orders.  The Legendre values are taken from
+`sph_harm_matrix` on one point per ring at phi = 0, where row k^2+k+m holds
+sqrt(2) Nbar P_k^m(t_s) for m > 0 and Nbar P_k^0(t_s) for m = 0: the values
+the transform needs, built by the same recurrence as the dense path.
 
 `probe_classes` groups probe points at which the sup-norm kernel sums over
 a product rule agree, so that those sums are evaluated once per group, and
@@ -26,7 +33,6 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
-import numpy.fft  # numpy loads it lazily: load it here, not in the first transform
 
 from .harmonics import FOUR_PI, basis_size, sph_harm_matrix
 
@@ -82,23 +88,55 @@ def ring_layout(points: np.ndarray, weights: np.ndarray | None = None) -> RingLa
     return RingLayout(meridian, ring_w, A)
 
 
+class _RingTable(NamedTuple):
+    """Operators of the ring transform at degree M on one set of rings.
+
+    P[m, k, s] holds the Legendre values of order m and degree k at ring s
+    (zero for k < m).  rows[m, 0, k] and rows[m, 1, k] are the flat indices
+    of the +m and -m harmonics of degree k, so that coeffs[rows] lines the
+    coefficients up with P; `position` maps each flat index back into
+    rows.ravel().  trig holds cos(m phi_j) in row 2m and sin(m phi_j) in
+    row 2m+1 for the A ring azimuths phi_j."""
+
+    P: np.ndarray
+    rows: np.ndarray
+    position: np.ndarray
+    trig: np.ndarray
+
+
 @functools.lru_cache(maxsize=4)
-def _legendre_table(M: int, meridian: bytes) -> tuple:
-    """Per order m: flat rows of the +m and -m harmonics of degrees m..M, and
-    the (M+1-m, R) Legendre values at the rings.  Memoized by degree and rings."""
+def _legendre_table(M: int, meridian: bytes, azimuths: int) -> _RingTable:
+    """The transform's operators, memoized by degree and rings."""
+    k, m, sign = np.arange(M + 1), np.arange(M + 1)[:, None, None], np.array([[1], [-1]])
+    # entries with k < m point at row 0 and meet the zeros of P there
+    rows = (k * k + k + sign * m) * (k >= m)
+    # P is Y reordered in place, so the table costs no second copy.  First
+    # degree-major, row k(M+1)+m = Y row k^2+k+m for m <= k and zero above:
+    # degree k's rows only move up, so going down from k = M overwrites only
+    # rows already moved.  Then swap the blocks (k, m) and (m, k).
     Y = sph_harm_matrix(M, np.frombuffer(meridian).reshape(-1, 3))
-    table = []
-    for m in range(M + 1):
-        k = np.arange(m, M + 1)
-        plus, minus = k * k + k + m, k * k + k - m
-        P = Y[plus]
-        P.setflags(write=False)
-        table.append((plus, minus, P))
-    return tuple(table)
+    for deg in range(M, -1, -1):
+        top = deg * (M + 1)
+        Y[top : top + deg + 1] = Y[deg * deg + deg : deg * deg + 2 * deg + 1]
+        Y[top + deg + 1 : top + M + 1] = 0.0
+    P = Y.reshape(M + 1, M + 1, -1)
+    for deg in range(1, M + 1):
+        below = P[deg, :deg].copy()
+        P[deg, :deg] = P[:deg, deg]
+        P[:deg, deg] = below
+    # order 0 has no -m harmonic: its sin(0 phi) row is zero
+    used = (k >= m) & ((sign > 0) | (m > 0))
+    position = np.empty(basis_size(M), dtype=np.intp)
+    position[rows[used]] = np.flatnonzero(used)
+    cos, sin = _trig_columns(np.arange(azimuths), azimuths, M)
+    trig = np.stack([cos, sin], axis=1).reshape(2 * (M + 1), azimuths)
+    for a in (P, rows, position, trig):
+        a.setflags(write=False)
+    return _RingTable(P, rows, position, trig)
 
 
-def _table(M: int, rings: RingLayout) -> tuple:
-    return _legendre_table(M, rings.meridian.tobytes())
+def _table(M: int, rings: RingLayout) -> _RingTable:
+    return _legendre_table(M, rings.meridian.tobytes(), rings.azimuths)
 
 
 def analysis(rings: RingLayout, M: int, values: np.ndarray) -> np.ndarray:
@@ -106,33 +144,23 @@ def analysis(rings: RingLayout, M: int, values: np.ndarray) -> np.ndarray:
 
     Needs ring weights and `rings.supports(M)`.
     """
+    P, _, position, trig = _table(M, rings)
     R = rings.meridian.shape[0]
-    F = np.fft.rfft(values.reshape(R, rings.azimuths), axis=1)[:, : M + 1]
-    F *= rings.weights[:, None]
-    # column pairs (Re, Im) per order: the sums of y cos(m phi) and -y sin(m phi)
-    F = F.view(np.float64)
-    out = np.empty(basis_size(M))
-    for m, (plus, minus, P) in enumerate(_table(M, rings)):
-        G = P @ F[:, 2 * m : 2 * m + 2]
-        out[plus] = G[:, 0]
-        if m:
-            out[minus] = -G[:, 1]
-    return out
+    # rows (2m, 2m+1): the weighted ring sums of y cos(m phi) and y sin(m phi)
+    G = trig @ values.reshape(R, rings.azimuths).T
+    G *= rings.weights
+    H = np.matmul(G.reshape(M + 1, 2, R), P.transpose(0, 2, 1))
+    return H.ravel()[position]
 
 
 def synthesis(rings: RingLayout, M: int, coeffs: np.ndarray) -> np.ndarray:
     """Values at the grid points of the degree-M expansion with these
     flat coefficients.  Needs `rings.supports(M)`."""
+    P, rows, _, trig = _table(M, rings)
     R = rings.meridian.shape[0]
-    Z = np.zeros((R, rings.azimuths // 2 + 1), dtype=np.complex128)
-    Zr = Z.view(np.float64)
-    for m, (plus, minus, P) in enumerate(_table(M, rings)):
-        # ring term a cos(m phi) + b sin(m phi) enters the inverse rFFT as (a - ib)/2
-        Zr[:, 2 * m] = coeffs[plus] @ P
-        if m:
-            Zr[:, 2 * m + 1] = -(coeffs[minus] @ P)
-    Z[:, 1:] *= 0.5
-    return np.fft.irfft(Z, n=rings.azimuths, axis=1, norm="forward").ravel()
+    # per order m and ring: the amplitudes of cos(m phi) and sin(m phi)
+    B = np.matmul(coeffs[rows], P)
+    return (B.reshape(2 * (M + 1), R).T @ trig).ravel()
 
 
 def probe_classes(
@@ -184,8 +212,9 @@ def weighted_abs_kernel_sums(
     k = 0..M.  By the addition theorem, the kernel between probe ring p at
     azimuth psi and rule ring s at azimuth phi is
     sum_m a_m(p, s) cos(m (psi - phi)) with
-    a_m(p, s) = sum_k c_k 4 pi / (2k+1) T_m[k, p] T_m[k, s], where T_m holds
-    the ring table's Legendre values (which carry the sqrt(2) for m > 0).
+    a_m(p, s) = sum_k c_k 4 pi / (2k+1) P[m, k, p] P[m, k, s], where P is
+    the ring table's Legendre table (which carries the sqrt(2) for m > 0),
+    so one batched product over the orders gives every a_m.
     With the (M+1, K, A) table of cos(m (psi_j - phi_r)) over the K probe
     azimuths psi_j in use and the A rule azimuths phi_r, one matrix product
     per probe ring gives the kernel at every (probe azimuth, rule node) pair
@@ -198,14 +227,13 @@ def weighted_abs_kernel_sums(
     # sorted distinct rings; np.unique without return_* loads numpy.ma on first use
     used = np.flatnonzero(np.bincount(ring))
     d = FOUR_PI / (2 * np.arange(M + 1) + 1) * coefs
-    a = np.empty((used.size, R, M + 1))
-    for m, ((*_, P_rule), (*_, P_probe)) in enumerate(
-        zip(_table(M, rule_rings), _table(M, probe_rings))
-    ):
-        a[:, :, m] = (P_probe[:, used].T * d[m:]) @ P_rule
+    rule_table = _table(M, rule_rings)
+    # a[p, s, m] = a_m(p, s); the zeros of P for k < m add nothing
+    a = np.matmul(_table(M, probe_rings).P[:, :, used].transpose(0, 2, 1) * d, rule_table.P)
+    a = np.ascontiguousarray(a.transpose(1, 2, 0))
     azimuths, q_col = np.unique(q, return_inverse=True)
     cos_psi, sin_psi = _trig_columns(azimuths, Ap, M)
-    cos_phi, sin_phi = _trig_columns(np.arange(A), A, M)
+    cos_phi, sin_phi = rule_table.trig[0::2], rule_table.trig[1::2]
     # row m, column (j, r): cos(m (psi_j - phi_r)) by the angle-sum formula
     cos_table = np.empty((M + 1, azimuths.size * A))
     for m in range(M + 1):

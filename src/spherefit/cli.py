@@ -71,14 +71,36 @@ def _parse_beta(spec: str, M: int, sgg_decay: float) -> approx.PenalizationWeigh
     )
 
 
+# sample coordinates farther than this from the rule's nodes are rejected
+_NODE_TOL = 1e-12
+
+
 def _load_samples(path, rule) -> approx.SampleSet:
-    values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
-    if values.ndim != 1:
-        raise ValueError(f"samples file {path} must hold a single `value` column")
+    """Values from a CSV with a `value` column, one row per node in the rule's
+    order, and optionally the node coordinates x1,x2,x3, checked against the rule."""
+    with open(path) as fh:
+        header = [name.strip() for name in fh.readline().split(",")]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with_nodes = header == ["x1", "x2", "x3", "value"]
+    if data.shape[1] != len(header) or not (len(header) == 1 or with_nodes):
+        raise ValueError(
+            f"samples file {path} must hold a single `value` column, "
+            "or the columns x1,x2,x3,value"
+        )
+    values = data[:, -1]
     if values.size != rule.n_points:
         raise ValueError(
             f"sample count {values.size} does not match rule node count {rule.n_points}"
         )
+    if with_nodes:
+        off = np.abs(data[:, :3] - rule.points).max(axis=1)
+        misplaced = ~(off <= _NODE_TOL)  # NaN coordinates count as misplaced
+        if misplaced.any():
+            row = int(np.argmax(misplaced))
+            raise ValueError(
+                f"samples file {path}: data row {row + 1} lies {off[row]:.3g} from rule "
+                f"node {row + 1} (tolerance {_NODE_TOL:g}); rows must follow the rule's node order"
+            )
     return approx.SampleSet(rule, values)
 
 
@@ -111,6 +133,10 @@ def cmd_fit(args) -> int:
         raise ValueError("pass either --alpha or --bp, not both")
     if alpha_flag is None and not use_bp:
         raise ValueError("fit needs either --alpha <value> or --bp")
+    if alpha_flag is not None:
+        alpha_flag = float(alpha_flag)
+        if not (np.isfinite(alpha_flag) and alpha_flag >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha_flag}")
     if use_bp and noise_level is None:
         raise ValueError(
             "fit --bp needs the noise level (--noise-level or config key noise-level)"
@@ -155,7 +181,7 @@ def cmd_fit(args) -> int:
             bp_probe_resolution=bres.probe_resolution,
         )
     else:
-        alpha = float(alpha_flag)
+        alpha = alpha_flag
         summary.update(alpha_source="fixed", alpha=alpha)
 
     gamma = approx.regularized_fit(samples, M, alpha, beta)
@@ -215,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit sampled values on a rule")
     p_fit.add_argument("--degree", type=int, help="reconstruction degree M")
     p_fit.add_argument("--rule", help="rule CSV (default: generate for --degree)")
-    p_fit.add_argument("--samples", help="CSV with a `value` column, one row per node")
+    p_fit.add_argument(
+        "--samples", help="CSV with a `value` column (and optionally x1,x2,x3), one row per node"
+    )
     p_fit.add_argument(
         "--beta", help="weight family: ones|sgg|laplace-beltrami|kernel:l1,l2"
     )

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _rings
 from .approx import (
     PenalizationWeights,
     SampleSet,
@@ -194,12 +195,19 @@ def weights_from_kernel_params(M: int, p: KernelParams) -> PenalizationWeights:
 
 @functools.lru_cache(maxsize=4)
 def _abs_sums_table(rule, M: int, resolution: int) -> np.ndarray:
-    """The `grid-abs` table of `rule` on probe_grid(resolution).
+    """The rows of the `grid-abs` table of `rule` on probe_grid(resolution)
+    that max(table @ c) needs.
 
+    On product grids the probes of one class (`_rings.probe_classes`) share
+    a row, so only one row per class is kept; other rules keep every probe.
     Memoized per rule object (rules compare by identity), so the many
     balancing calls of a kernel search on one rule build it once.
     """
-    table = weighted_abs_legendre_sums(rule, M, probe_grid(resolution))
+    probes = probe_grid(resolution)
+    table = weighted_abs_legendre_sums(rule, M, probes)
+    classes = _rings.probe_classes(rule.rings, _rings.ring_layout(probes))
+    if classes is not None:
+        table = table[classes[0]]
     table.setflags(write=False)
     return table
 

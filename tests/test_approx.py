@@ -15,6 +15,7 @@ from spherefit import (
     evaluate_grid,
     evaluate_kernel_form,
     filtered_approx,
+    gauss_legendre_nodes,
     gauss_legendre_rule,
     kernel_section,
     load_coefficients,
@@ -302,6 +303,37 @@ class TestRingTransform:
         values = evaluate_grid(HarmonicCoefficients(M, c), rule.points)
         back = analyze(SampleSet(rule, values), M).values
         assert rel_err(back, c) <= 1e-12
+
+    @pytest.mark.parametrize("M", [0, 3, 8])
+    def test_odd_azimuth_count(self, M, dense_calls):
+        # A = 2M+1 azimuths, the fewest `supports` accepts; with M+1
+        # Gauss-Legendre heights the rule is still exact to degree 2M
+        rng = np.random.default_rng(110 + M)
+        t, v = gauss_legendre_nodes(M + 1)
+        rule = product_rule(t, v, 2 * M + 1, M)
+        assert rule.rings.azimuths == 2 * M + 1 and rule.rings.supports(M)
+        y = rng.normal(size=rule.n_points)
+        assert rel_err(analyze(SampleSet(rule, y), M).values, dense_analysis(M, rule, y)) <= 1e-12
+        c = random_coeffs(M, rng)
+        values = evaluate_grid(c, rule.points)
+        assert rel_err(values, dense_values(M, rule.points, c.values)) <= 1e-12
+        assert rel_err(analyze(SampleSet(rule, values), M).values, c.values) <= 1e-12
+        assert dense_calls == []
+
+    def test_degree_120_on_482_azimuths(self):
+        # 482 = 2 * 241 azimuths per ring: the probe rings at M = 120
+        M = 120
+        rng = np.random.default_rng(120)
+        probes = probe_grid(2 * M)
+        assert _rings.ring_layout(probes).azimuths == 482
+        c = rng.normal(size=(M + 1) ** 2)
+        sample = rng.choice(probes.shape[0], 500, replace=False)
+        fast = evaluate_grid(HarmonicCoefficients(M, c), probes)[sample]
+        assert rel_err(fast, sph_harm_matrix(M, probes[sample]).T @ c) <= 1e-12
+        t, v = gauss_legendre_nodes(M + 1)
+        rule = product_rule(t, v, 482, M)
+        values = evaluate_grid(HarmonicCoefficients(M, c), rule.points)
+        assert rel_err(analyze(SampleSet(rule, values), M).values, c) <= 1e-12
 
     def test_scattered_points_take_dense_path(self, dense_calls):
         rng = np.random.default_rng(101)

@@ -131,6 +131,18 @@ class TestFit:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    def test_rejected_fixed_alpha_creates_nothing(self, tmp_path, capsys, alpha):
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.zeros(gauss_legendre_rule(1).n_points))
+        out = tmp_path / "fit"
+        argv = ["fit", "--degree", "1", "--samples", str(samples), "--alpha", alpha,
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "alpha" in err
+        assert not out.exists()
+
     def test_bp_needs_noise_level(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"
         write_samples(samples, np.zeros(gauss_legendre_rule(2).n_points))
@@ -188,6 +200,65 @@ class TestFit:
              "--out", str(out)]
         )
         assert rc == 0
+
+
+def write_samples_with_nodes(path, points, values):
+    with open(path, "w") as fh:
+        fh.write("x1,x2,x3,value\n")
+        for (x1, x2, x3), v in zip(points, values):
+            fh.write(f"{x1:.17g},{x2:.17g},{x3:.17g},{float(v):.17g}\n")
+
+
+class TestSamplesWithNodes:
+    M = 3
+
+    def fit(self, samples, out):
+        return main(
+            ["fit", "--degree", str(self.M), "--samples", str(samples), "--beta", "ones",
+             "--alpha", "0.01", "--out", str(out)]
+        )
+
+    def test_matching_nodes_give_the_value_only_fit(self, tmp_path):
+        rule = gauss_legendre_rule(self.M)
+        values = franke_cap_eval(rule.points)
+        plain, with_nodes = tmp_path / "plain.csv", tmp_path / "nodes.csv"
+        write_samples(plain, values)
+        write_samples_with_nodes(with_nodes, rule.points, values)
+        assert self.fit(plain, tmp_path / "a") == 0
+        assert self.fit(with_nodes, tmp_path / "b") == 0
+        coefficients = [(tmp_path / d / "coefficients.csv").read_bytes() for d in "ab"]
+        assert coefficients[0] == coefficients[1]
+
+    @pytest.mark.parametrize("offset", [1e-9, np.nan])
+    def test_node_mismatch_rejected(self, tmp_path, capsys, offset):
+        rule = gauss_legendre_rule(self.M)
+        points = rule.points.copy()
+        points[5, 0] += offset
+        samples = tmp_path / "samples.csv"
+        write_samples_with_nodes(samples, points, franke_cap_eval(rule.points))
+        out = tmp_path / "fit"
+        assert self.fit(samples, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "row 6" in err
+        assert not out.exists()
+
+    def test_shuffled_rows_rejected(self, tmp_path, capsys):
+        rule = gauss_legendre_rule(self.M)
+        perm = np.random.default_rng(0).permutation(rule.n_points)
+        samples = tmp_path / "samples.csv"
+        write_samples_with_nodes(samples, rule.points[perm], franke_cap_eval(rule.points[perm]))
+        out = tmp_path / "fit"
+        assert self.fit(samples, out) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_unknown_columns_rejected(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x1,value\n0,1\n")
+        out = tmp_path / "fit"
+        assert self.fit(samples, out) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestExperimentCommand:

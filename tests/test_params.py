@@ -19,6 +19,7 @@ from spherefit import (
     weights_ones,
     weights_sgg_apriori,
 )
+from spherefit import params
 from spherefit.approx import filter_factors, weighted_abs_legendre_sums
 
 
@@ -235,6 +236,34 @@ class TestBalancingPrinciple:
             c = (2 * k + 1) / (4 * np.pi) * filter_factors(4, grid[z + 1], beta)
             expected = cfg.omega * cfg.delta * (table @ c).max()
             assert step.threshold == pytest.approx(expected, rel=1e-12)
+
+    def test_grid_abs_table_keeps_one_row_per_probe_class(self):
+        # probes of one class share a table row, so max(table @ c) needs one
+        # row per class; a rule in another node order keeps every probe
+        assert params._abs_sums_table(gauss_legendre_rule(30), 30, 60).shape == (961, 31)
+        rule = gauss_legendre_rule(5)
+        perm = np.random.default_rng(10).permutation(rule.n_points)
+        shuffled = CubatureRule(5, rule.points[perm], rule.weights[perm])
+        assert params._abs_sums_table(shuffled, 5, 10).shape == (probe_grid(10).shape[0], 6)
+
+    def test_grid_abs_thresholds_equal_full_table_maxima(self):
+        M = 30
+        samples = noisy_samples(M, seed=11)
+        beta = weights_laplace_beltrami(M)
+        cfg = BalancingConfig(
+            alpha0=8.0, q=0.8, L=12, omega=1e9, delta=0.5, norm_bound="grid-abs"
+        )
+        res = balancing_principle(samples, M, beta, cfg)
+        assert len(res.trace) == cfg.L - 1
+        table = weighted_abs_legendre_sums(samples.rule, M, probe_grid(2 * M))
+        k = np.arange(M + 1)
+        grid = cfg.grid()
+        for step, z in zip(res.trace, range(cfg.L - 2, -1, -1)):
+            c = (2 * k + 1) / (4 * np.pi) * filter_factors(M, grid[z + 1], beta)
+            # bit-identical with OpenBLAS; the tolerance allows a BLAS whose
+            # dot products round differently by row position
+            expected = cfg.omega * cfg.delta * (table @ c).max()
+            assert step.threshold == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_trace_csv(self, tmp_path):
         s = noisy_samples(3, seed=9)

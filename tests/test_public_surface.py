@@ -77,3 +77,25 @@ def test_numpy_is_the_only_dependency(tmp_path):
     out = run_fresh(NO_SCIPY, str(tmp_path / "rule.csv"))
     assert "wrote 18 nodes" in out
     assert out.splitlines()[-1] == "scipy modules:"
+
+
+# the ring transform is two matrix products: a ring fit, its balancing walk
+# with the `grid` sup norm and the synthesis on the probe grid load no FFT
+RING_FIT = """
+import sys
+import numpy as np
+import spherefit
+M = 6
+rule = spherefit.gauss_legendre_rule(M)
+samples = spherefit.SampleSet(rule, np.cos(3 * rule.points[:, 0]))
+beta = spherefit.weights_laplace_beltrami(M)
+cfg = spherefit.BalancingConfig(alpha0=1.0, q=0.5, L=4, omega=1.0, delta=0.1)
+alpha = spherefit.balancing_principle(samples, M, beta, cfg).alpha_star
+fit = spherefit.regularized_fit(samples, M, alpha, beta)
+spherefit.evaluate_grid(fit, spherefit.probe_grid(2 * M))
+print("fft modules:", *sorted(m for m in sys.modules if m.startswith("numpy.fft")))
+"""
+
+
+def test_ring_fit_loads_no_fft():
+    assert run_fresh(RING_FIT).splitlines()[-1] == "fft modules:"
