@@ -21,10 +21,11 @@ the rings and a loop over the orders.  The Legendre values are taken from
 sqrt(2) Nbar P_k^m(t_s) for m > 0 and Nbar P_k^0(t_s) for m = 0: the values
 the transform needs, built by the same recurrence as the dense path.
 
-`probe_classes` groups probe points at which the sup-norm kernel sums over
-a product rule agree, so that those sums are evaluated once per group, and
-`weighted_abs_kernel_sums` evaluates them by the addition theorem with the
-same Legendre table.
+`probe_classes` groups the probe points at which the sup-norm kernel sums
+over a product rule agree.  The groups form one ring x azimuth block (ring
+classes times azimuth classes), found once per sup-norm call or balancing
+walk; `weighted_abs_kernel_sums` evaluates the sums on that block, one per
+group, by the addition theorem with the same Legendre table.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def synthesis(rings: RingLayout, M: int, coeffs: np.ndarray) -> np.ndarray:
 
 def probe_classes(
     rule_rings: RingLayout | None, probe_rings: RingLayout | None
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Classes of probes at which every weighted zonal sum over the rule agrees.
 
     A sum F(x) = sum_i w_i g(x . x_i) over a product rule with A azimuths per
@@ -175,25 +176,43 @@ def probe_classes(
     rings come in exact mirror pairs (t, -t) of equal radius and weight, F is
     also even in x3, so probe rings of equal radius and |t| share classes.
 
-    Returns (representatives, inverse): the index of one probe per class,
-    and for each probe the position of its class in `representatives`.
-    Returns None when the rule (with weights) or the probes are no product
-    grid.
+    The two keys are independent, so the classes form one ring x azimuth
+    block.  Returns (rings, azimuths, inverse): the first probe ring of each
+    ring class, the first azimuth q of each azimuth class, and for each probe
+    the index i * azimuths.size + j of its class, i the class of its ring and
+    j that of its azimuth.  The probe at (rings[i], azimuths[j]) represents
+    class (i, j).  Returns None when the rule (with weights) or the probes
+    are no product grid.
     """
     if rule_rings is None or probe_rings is None:
         return None
     A, Ap = rule_rings.azimuths, probe_rings.azimuths
     shift = np.arange(Ap) * A % Ap
-    _, az_class = np.unique(np.minimum(shift, (Ap - shift) % Ap), return_inverse=True)
+    _, azimuths, az_class = np.unique(
+        np.minimum(shift, (Ap - shift) % Ap), return_index=True, return_inverse=True
+    )
     ring_key = probe_rings.meridian[:, [0, 2]]
     rule = np.column_stack([rule_rings.meridian[:, [0, 2]], rule_rings.weights])
     mirror = rule * [1.0, -1.0, 1.0]
     if np.array_equal(rule[np.lexsort(rule.T)], mirror[np.lexsort(mirror.T)]):
         ring_key[:, 1] = np.abs(ring_key[:, 1])
-    _, ring_class = np.unique(ring_key, axis=0, return_inverse=True)
-    key = ring_class.reshape(-1, 1) * (az_class.max() + 1) + az_class
-    _, representatives, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return representatives, inverse.ravel()
+    _, rings, ring_class = np.unique(ring_key, axis=0, return_index=True, return_inverse=True)
+    inverse = ring_class.reshape(-1, 1) * azimuths.size + az_class
+    return rings, azimuths, inverse.ravel()
+
+
+def class_representatives(
+    rule_rings: RingLayout | None, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One point per `probe_classes` class, in class order, and each point's
+    class; or (points, None) when there are no classes."""
+    probe_rings = ring_layout(points)
+    classes = probe_classes(rule_rings, probe_rings)
+    if classes is None:
+        return points, None
+    rings, azimuths, inverse = classes
+    block = points.reshape(-1, probe_rings.azimuths, 3)[np.ix_(rings, azimuths)]
+    return block.reshape(-1, 3), inverse
 
 
 def _trig_columns(q: np.ndarray, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,12 +223,15 @@ def _trig_columns(q: np.ndarray, n: int, M: int) -> tuple[np.ndarray, np.ndarray
 
 
 def weighted_abs_kernel_sums(
-    rule_rings: RingLayout, probe_rings: RingLayout, probes: np.ndarray, coefs: np.ndarray
+    rule_rings: RingLayout, probe_rings: RingLayout, rings, azimuths, coefs: np.ndarray
 ) -> np.ndarray:
-    """sum_i w_i |sum_k c_k P_k(x . x_i)| over the rule at the given probes.
+    """sum_i w_i |sum_k c_k P_k(x . x_i)| over the rule on a block of probes.
 
-    `probes` holds flat indices into the probe grid and `coefs` the c_k,
-    k = 0..M.  By the addition theorem, the kernel between probe ring p at
+    `coefs` holds the c_k, k = 0..M.  Entry (i, j) of the returned
+    (rings.size, azimuths.size) block is the sum at the probe on probe ring
+    rings[i] at azimuth index azimuths[j]; on the representatives of
+    `probe_classes`, found once by the caller, that is one sum per class.
+    By the addition theorem, the kernel between probe ring p at
     azimuth psi and rule ring s at azimuth phi is
     sum_m a_m(p, s) cos(m (psi - phi)) with
     a_m(p, s) = sum_k c_k 4 pi / (2k+1) P[m, k, p] P[m, k, s], where P is
@@ -222,17 +244,13 @@ def weighted_abs_kernel_sums(
     condition on A.
     """
     M = coefs.size - 1
-    R, A, Ap = rule_rings.meridian.shape[0], rule_rings.azimuths, probe_rings.azimuths
-    ring, q = np.divmod(probes, Ap)
-    # sorted distinct rings; np.unique without return_* loads numpy.ma on first use
-    used = np.flatnonzero(np.bincount(ring))
+    R, A = rule_rings.meridian.shape[0], rule_rings.azimuths
     d = FOUR_PI / (2 * np.arange(M + 1) + 1) * coefs
     rule_table = _table(M, rule_rings)
     # a[p, s, m] = a_m(p, s); the zeros of P for k < m add nothing
-    a = np.matmul(_table(M, probe_rings).P[:, :, used].transpose(0, 2, 1) * d, rule_table.P)
+    a = np.matmul(_table(M, probe_rings).P[:, :, rings].transpose(0, 2, 1) * d, rule_table.P)
     a = np.ascontiguousarray(a.transpose(1, 2, 0))
-    azimuths, q_col = np.unique(q, return_inverse=True)
-    cos_psi, sin_psi = _trig_columns(azimuths, Ap, M)
+    cos_psi, sin_psi = _trig_columns(azimuths, probe_rings.azimuths, M)
     cos_phi, sin_phi = rule_table.trig[0::2], rule_table.trig[1::2]
     # row m, column (j, r): cos(m (psi_j - phi_r)) by the angle-sum formula
     cos_table = np.empty((M + 1, azimuths.size * A))
@@ -241,13 +259,9 @@ def weighted_abs_kernel_sums(
             np.outer(cos_psi[m], cos_phi[m]) + np.outer(sin_psi[m], sin_phi[m])
         ).ravel()
     V = np.empty((R, cos_table.shape[1]))
-    out = np.empty(probes.size)
-    for a_p, p in zip(a, used):
-        # each ring takes every azimuth in use; probe classes pair every ring
-        # class with every azimuth class, so nothing is evaluated twice
+    out = np.empty((rings.size, azimuths.size))
+    for a_p, row in zip(a, out):
         np.matmul(a_p, cos_table, out=V)
         np.abs(V, out=V)
-        sums = (rule_rings.weights @ V).reshape(azimuths.size, A).sum(axis=1)
-        on_ring = ring == p
-        out[on_ring] = sums[q_col[on_ring]]
+        row[:] = (rule_rings.weights @ V).reshape(azimuths.size, A).sum(axis=1)
     return out

@@ -157,9 +157,9 @@ class NormBound(NamedTuple):
 # synthesis: ring transform on product grids, dense harmonic matrix elsewhere
 
 
-def _synthesizer(M: int, pts: np.ndarray):
-    """Map from degree-M flat coefficients to values at the given unit vectors."""
-    rings = _rings.ring_layout(pts)
+def _synthesizer(M: int, pts: np.ndarray, rings: _rings.RingLayout | None):
+    """Map from degree-M flat coefficients to values at the given unit
+    vectors, whose `_rings.ring_layout` is `rings`."""
     if rings is not None and rings.supports(M):
         return functools.partial(_rings.synthesis, rings, M)
     Y = sph_harm_matrix(M, pts)
@@ -270,7 +270,7 @@ def evaluate_grid(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     pts = as_unit_vectors(points)
     if pts.shape[0] == 0:
         return np.empty(0)
-    return _synthesizer(coeffs.degree_M, pts)(coeffs.values)
+    return _synthesizer(coeffs.degree_M, pts, _rings.ring_layout(pts))(coeffs.values)
 
 
 def evaluate_kernel_form(
@@ -314,31 +314,33 @@ def _kernel_blocks(nodes: np.ndarray, M: int, points: np.ndarray, consume) -> No
 # sup-norm machinery for the fit operator
 
 
-def _max_weighted_abs_kernel(rule: CubatureRule, probes: np.ndarray, coefs: np.ndarray) -> float:
-    """max over probes of sum_i w_i |sum_k c_k P_k(x . x_i)| for coefficients c_0..c_M.
+def _sup_norm(rule: CubatureRule, probes: np.ndarray, probe_rings: _rings.RingLayout | None):
+    """Map from coefficients c_0..c_M to the maximum over the probes (ring
+    layout `probe_rings`) of sum_i w_i |sum_k c_k P_k(x . x_i)|.
 
-    When the rule and the probes are product grids, the sums are taken by
-    the addition theorem (`_rings.weighted_abs_kernel_sums`) at one probe
-    per symmetry class (`_rings.probe_classes`).  Other inputs sum the
-    Legendre blocks of `_kernel_blocks` at every probe.  Both give the
-    maximum over the full probe set.
+    The probes are classified once, here; on product grids each call takes
+    the sums by the addition theorem on the ring x azimuth block of class
+    representatives (`_rings.probe_classes`).  Other inputs sum the Legendre
+    blocks of `_kernel_blocks` at every probe.  Both give the maximum over
+    the full probe set.
     """
-    probe_rings = _rings.ring_layout(probes)
     classes = _rings.probe_classes(rule.rings, probe_rings)
     if classes is not None:
-        return float(
-            _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, classes[0], coefs).max()
+        rings, azimuths, _ = classes
+        return lambda c: float(
+            _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c).max()
         )
-    best = 0.0
 
-    def consume(lo, nb, L):
-        nonlocal best
-        G = L @ coefs
-        np.abs(G, out=G)
-        best = max(best, float((G.reshape(nb, rule.n_points) @ rule.weights).max()))
+    def sup(c):
+        sums = np.empty(probes.shape[0])
 
-    _kernel_blocks(rule.points, coefs.size - 1, probes, consume)
-    return best
+        def consume(lo, nb, L):
+            sums[lo : lo + nb] = np.abs(L @ c).reshape(nb, rule.n_points) @ rule.weights
+
+        _kernel_blocks(rule.points, c.size - 1, probes, consume)
+        return float(sums.max())
+
+    return sup
 
 
 def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray:
@@ -354,9 +356,7 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
-    classes = _rings.probe_classes(rule.rings, _rings.ring_layout(pts))
-    if classes is not None:
-        pts = pts[classes[0]]
+    pts, inverse = _rings.class_representatives(rule.rings, pts)
     S = np.empty((pts.shape[0], M + 1))
 
     def consume(lo, nb, L):
@@ -366,7 +366,7 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
             S[lo : lo + nb, k] = L[:, k].reshape(nb, rule.n_points) @ rule.weights
 
     _kernel_blocks(rule.points, M, pts, consume)
-    return S if classes is None else S[classes[1]]
+    return S if inverse is None else S[inverse]
 
 
 def crude_norm_upper(M: int, alpha: float, beta: PenalizationWeights) -> float:
@@ -392,8 +392,7 @@ def operator_norm_bound(
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
-    c = _kernel_coefficients(M, alpha, beta)
-    est = _max_weighted_abs_kernel(rule, pts, c)
+    est = _sup_norm(rule, pts, _rings.ring_layout(pts))(_kernel_coefficients(M, alpha, beta))
     crude = crude_norm_upper(M, alpha, beta)
     # the weight sum carries ~1e-12 roundoff; the true norm never exceeds crude
     return NormBound(estimate=min(est, crude), crude_upper=crude)

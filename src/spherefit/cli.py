@@ -40,6 +40,30 @@ def _merge_int(args: argparse.Namespace, config: dict, key: str, default=None):
     return None if val is None else _whole_number(val, key)
 
 
+def _merge_real(args: argparse.Namespace, config: dict, key: str, default=None):
+    """`_merge` for a real number; rejects true and "1.5" rather than coercing them."""
+    val = _merge(args, config, key, default)
+    if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
+        raise ValueError(f"{key} must be a number, got {val!r}")
+    return None if val is None else float(val)
+
+
+def _merge_flag(args: argparse.Namespace, config: dict, key: str) -> bool:
+    """`_merge` for an on/off switch, off by default; only true or false is accepted."""
+    val = _merge(args, config, key, False)
+    if not isinstance(val, bool):
+        raise ValueError(f"{key} must be true or false, got {val!r}")
+    return val
+
+
+def _merge_text(args: argparse.Namespace, config: dict, key: str, default=None):
+    """`_merge` for a string value such as a path or a name."""
+    val = _merge(args, config, key, default)
+    if val is not None and not isinstance(val, str):
+        raise ValueError(f"{key} must be a string, got {val!r}")
+    return val
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
@@ -107,7 +131,7 @@ def _load_samples(path, rule) -> approx.SampleSet:
 def cmd_gen_rule(args) -> int:
     config = _load_config(args.config)
     M = _merge_int(args, config, "degree", DEFAULTS["degree"])
-    out = _merge(args, config, "out")
+    out = _merge_text(args, config, "out")
     if out is None:
         raise ValueError("gen-rule needs an output path (--out)")
     rule = cubature.gauss_legendre_rule(M)
@@ -121,22 +145,21 @@ def cmd_fit(args) -> int:
     config = _load_config(args.config)
     M = _merge_int(args, config, "degree", DEFAULTS["degree"])
     probe_resolution = _merge_int(args, config, "probe-resolution")
-    out_dir = Path(_merge(args, config, "out", "."))
-    rule_path = _merge(args, config, "rule")
-    samples_path = _merge(args, config, "samples")
+    out_dir = Path(_merge_text(args, config, "out", "."))
+    rule_path = _merge_text(args, config, "rule")
+    samples_path = _merge_text(args, config, "samples")
     if samples_path is None:
         raise ValueError("fit needs a samples file (--samples)")
-    alpha_flag = _merge(args, config, "alpha")
-    use_bp = bool(_merge(args, config, "bp", False))
-    noise_level = _merge(args, config, "noise-level")
+    alpha_flag = _merge_real(args, config, "alpha")
+    use_bp = _merge_flag(args, config, "bp")
+    noise_level = _merge_real(args, config, "noise-level")
+    beta_spec = _merge_text(args, config, "beta", "ones")
     if alpha_flag is not None and use_bp:
         raise ValueError("pass either --alpha or --bp, not both")
     if alpha_flag is None and not use_bp:
         raise ValueError("fit needs either --alpha <value> or --bp")
-    if alpha_flag is not None:
-        alpha_flag = float(alpha_flag)
-        if not (np.isfinite(alpha_flag) and alpha_flag >= 0.0):
-            raise ValueError(f"alpha must be finite and >= 0, got {alpha_flag}")
+    if alpha_flag is not None and not (np.isfinite(alpha_flag) and alpha_flag >= 0.0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha_flag}")
     if use_bp and noise_level is None:
         raise ValueError(
             "fit --bp needs the noise level (--noise-level or config key noise-level)"
@@ -145,28 +168,24 @@ def cmd_fit(args) -> int:
         cubature.load_rule(rule_path) if rule_path else cubature.gauss_legendre_rule(M)
     )
     samples = _load_samples(samples_path, rule)
-    beta = _parse_beta(
-        _merge(args, config, "beta", "ones"),
-        M,
-        float(_merge(args, config, "sgg-decay", DEFAULTS["sgg_decay"])),
-    )
+    beta = _parse_beta(beta_spec, M, _merge_real(args, config, "sgg-decay", DEFAULTS["sgg_decay"]))
 
     if use_bp:
         bp_cfg = params.BalancingConfig(
-            alpha0=float(_merge(args, config, "grid-anchor", DEFAULTS["grid_anchor"])),
-            q=float(_merge(args, config, "grid-ratio", DEFAULTS["grid_ratio"])),
+            alpha0=_merge_real(args, config, "grid-anchor", DEFAULTS["grid_anchor"]),
+            q=_merge_real(args, config, "grid-ratio", DEFAULTS["grid_ratio"]),
             L=_merge_int(args, config, "grid-len", DEFAULTS["grid_len"]),
-            omega=float(_merge(args, config, "omega", DEFAULTS["omega"])),
-            delta=float(noise_level),
+            omega=_merge_real(args, config, "omega", DEFAULTS["omega"]),
+            delta=noise_level,
             probe_resolution=probe_resolution,
-            norm_bound=_merge(args, config, "norm-bound", "grid"),
+            norm_bound=_merge_text(args, config, "norm-bound", "grid"),
         )
     if probe_resolution is None:
         probe_resolution = approx.default_probe_resolution(M)
     probes = cubature.probe_grid(probe_resolution)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {"degree": M, "beta": _merge(args, config, "beta", "ones")}
+    summary = {"degree": M, "beta": beta_spec}
     if use_bp:
         bres = params.balancing_principle(samples, M, beta, bp_cfg)
         alpha = bres.alpha_star
@@ -215,7 +234,7 @@ def cmd_experiment(args) -> int:
     which = _merge_int(args, config, "which")
     seed = _merge_int(args, config, "seed", 0)
     sims = _merge_int(args, config, "simulations", DEFAULTS["simulations"])
-    out_dir = Path(_merge(args, config, "out", "."))
+    out_dir = Path(_merge_text(args, config, "out", "."))
     result = experiments.rerun_from_config(
         {"experiment": which, "seed": seed, "simulations": sims}
     )

@@ -10,7 +10,7 @@ derived from (seed, tag, index) entropy so simulations can run in any order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ from .params import (
     BalancingConfig,
     RandomSearchConfig,
     balancing_principle,
-    kernel_report_dict,
     kernel_select,
     weights_from_kernel_params,
     weights_laplace_beltrami,
@@ -111,17 +110,7 @@ class ExperimentReport:
     config: dict
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "seed": self.seed,
-            "method": self.method,
-            "alpha_star": self.alpha_star,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "rel_error": self.rel_error,
-            "sup_error": self.sup_error,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +568,7 @@ def write_experiment_3(result: Experiment3Result, out_dir) -> list[Path]:
     report_path = out / "exp3_report.json"
     payload = {
         "config": result.config,
-        "kernel_search": kernel_report_dict(result.selection),
+        "kernel_search": asdict(result.selection),
         "reports": [r.to_dict() for r in result.reports],
     }
     _write_json(payload, report_path)

@@ -20,7 +20,7 @@ from .approx import (
     PenalizationWeights,
     SampleSet,
     _kernel_coefficients,
-    _max_weighted_abs_kernel,
+    _sup_norm,
     _synthesizer,
     analyze,
     crude_norm_upper,
@@ -199,44 +199,29 @@ def _abs_sums_table(rule, M: int, resolution: int) -> np.ndarray:
     that max(table @ c) needs.
 
     On product grids the probes of one class (`_rings.probe_classes`) share
-    a row, so only one row per class is kept; other rules keep every probe.
-    Memoized per rule object (rules compare by identity), so the many
-    balancing calls of a kernel search on one rule build it once.
+    a row, so only one probe per class is evaluated; other rules keep every
+    probe.  Memoized per rule object (rules compare by identity), so the
+    many balancing calls of a kernel search on one rule build it once.
     """
-    probes = probe_grid(resolution)
+    probes, _ = _rings.class_representatives(rule.rings, probe_grid(resolution))
     table = weighted_abs_legendre_sums(rule, M, probes)
-    classes = _rings.probe_classes(rule.rings, _rings.ring_layout(probes))
-    if classes is not None:
-        table = table[classes[0]]
     table.setflags(write=False)
     return table
 
 
-class _NormOracle:
-    """Operator-norm values along the grid under the configured bound."""
-
-    def __init__(
-        self, samples: SampleSet, M: int, beta: PenalizationWeights, cfg, probes, resolution
-    ):
-        self._M = M
-        self._beta = beta
-        self._kind = cfg.norm_bound
-        self._alphas = cfg.grid()
-        self._rule = samples.rule
-        self._probes = probes
-        if self._kind == "grid-abs":
-            self._table = _abs_sums_table(samples.rule, M, resolution)
-
-    def value(self, i: int) -> float:
-        """||T_alpha_i||; the walk asks for each grid index at most once."""
-        if self._kind == "crude":
-            return crude_norm_upper(self._M, self._alphas[i], self._beta)
-        c = _kernel_coefficients(self._M, self._alphas[i], self._beta)
-        if self._kind == "grid-abs":
-            return float((self._table @ c).max())
-        # one column per step: the addition-theorem sums share nothing across
-        # columns, so evaluating ahead of the walk would only add work
-        return _max_weighted_abs_kernel(self._rule, self._probes, c)
+def _grid_norms(rule, M: int, beta: PenalizationWeights, cfg, probes, probe_rings, resolution):
+    """i -> ||T_alpha_i|| on the grid under the configured bound, set up once
+    per walk; the walk asks for each grid index at most once."""
+    alphas = cfg.grid()
+    if cfg.norm_bound == "crude":
+        return lambda i: crude_norm_upper(M, alphas[i], beta)
+    if cfg.norm_bound == "grid-abs":
+        table = _abs_sums_table(rule, M, resolution)
+        return lambda i: float((table @ _kernel_coefficients(M, alphas[i], beta)).max())
+    # one column per step: the addition-theorem sums share nothing across
+    # columns, so evaluating ahead of the walk would only add work
+    sup = _sup_norm(rule, probes, probe_rings)
+    return lambda i: sup(_kernel_coefficients(M, alphas[i], beta))
 
 
 def balancing_principle(
@@ -253,10 +238,11 @@ def balancing_principle(
     alphas = cfg.grid()
     resolution = cfg.probe_resolution or default_probe_resolution(M)
     probes = probe_grid(resolution)
-    synthesize = _synthesizer(M, probes)
+    probe_rings = _rings.ring_layout(probes)
+    synthesize = _synthesizer(M, probes, probe_rings)
     gamma_hat = analyze(samples, M).values
     b2 = expand_by_degree(beta.beta**2)
-    norms = _NormOracle(samples, M, beta, cfg, probes, resolution)
+    norm = _grid_norms(samples.rule, M, beta, cfg, probes, probe_rings, resolution)
     omega_delta = cfg.omega * cfg.delta
 
     def fit_values(i: int) -> np.ndarray:
@@ -268,7 +254,7 @@ def balancing_principle(
     for z in range(cfg.L - 2, -1, -1):
         cur = fit_values(z)
         difference = float(np.abs(cur - prev).max())
-        threshold = omega_delta * norms.value(z + 1)
+        threshold = omega_delta * norm(z + 1)
         hit = difference > threshold
         trace.append(TraceStep(float(alphas[z]), difference, float(threshold), hit))
         if hit:
@@ -355,17 +341,3 @@ def kernel_select(
         best_objective=objective(best),
         seed=search.seed,
     )
-
-
-def kernel_report_dict(result: KernelSelectResult) -> dict:
-    """JSON-ready report of a kernel search."""
-    return {
-        "best": {"lambda1": result.best.lambda1, "lambda2": result.best.lambda2},
-        "per_run": [
-            {"lambda1": p.lambda1, "lambda2": p.lambda2} for p in result.per_run
-        ],
-        "objective_values": list(result.objective_values),
-        "best_objective": result.best_objective,
-        "seed": result.seed,
-    }
-

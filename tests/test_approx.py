@@ -451,7 +451,8 @@ def probe_by_probe_sums(rule, probes, cols):
 
 def assert_reduction_exact(rule, probes, cols):
     full = probe_by_probe_sums(rule, probes, cols)
-    maxima = [approx._max_weighted_abs_kernel(rule, probes, c) for c in cols.T]
+    sup = approx._sup_norm(rule, probes, _rings.ring_layout(probes))
+    maxima = [sup(c) for c in cols.T]
     assert rel_err(np.array(maxima), full.max(axis=0)) <= 1e-12
     M = cols.shape[0] - 1
     table = approx.weighted_abs_legendre_sums(rule, M, probes)
@@ -471,6 +472,11 @@ def product_rule(t, ring_weights, azimuths, M):
     return CubatureRule(M, pts, w)
 
 
+def block_indices(probe_rings, rings, azimuths):
+    """Flat indices of the probes at (rings[i], azimuths[j]), ring-major."""
+    return (rings[:, None] * probe_rings.azimuths + azimuths).ravel()
+
+
 class TestSupNormReduction:
     @settings(max_examples=25, deadline=None)
     @given(M=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -479,18 +485,32 @@ class TestSupNormReduction:
         rng = np.random.default_rng(seed)
         rule = gauss_legendre_rule(M)
         probes = probe_grid(resolution)
-        assert _rings.probe_classes(rule.rings, _rings.ring_layout(probes)) is not None
+        probe_rings = _rings.ring_layout(probes)
+        classes = _rings.probe_classes(rule.rings, probe_rings)
+        assert classes is not None
+        rings, azimuths, inverse = classes
+        # the classes form one ring x azimuth block: the class of the probe at
+        # (ring p, azimuth q) is ring_class[p] * azimuths.size + az_class[q],
+        # and each class is represented by its first probe in flat order
+        block = inverse.reshape(-1, probe_rings.azimuths)
+        ring_class, az_class = block[:, :1] // azimuths.size, block[:1] % azimuths.size
+        assert np.array_equal(block, ring_class * azimuths.size + az_class)
+        reps = block_indices(probe_rings, rings, azimuths)
+        assert np.array_equal(reps, np.unique(inverse, return_index=True)[1])
+        points, point_class = _rings.class_representatives(rule.rings, probes)
+        assert np.array_equal(points, probes[reps]) and np.array_equal(point_class, inverse)
         assert_reduction_exact(rule, probes, rng.normal(size=(M + 1, 3)))
 
     def test_class_count_on_default_probes(self):
         # (M+1)^2 classes on probe_grid(2M): M+1 mirrored ring pairs (the
         # equator alone) times M+1 azimuth keys
         for M in (1, 4, 30):
-            classes = _rings.probe_classes(
+            rings, azimuths, inverse = _rings.probe_classes(
                 gauss_legendre_rule(M).rings, _rings.ring_layout(probe_grid(2 * M))
             )
-            assert classes[0].size == (M + 1) ** 2
-            assert classes[1].size == probe_grid(2 * M).shape[0]
+            assert rings.size == M + 1 and azimuths.size == M + 1
+            assert rings.size * azimuths.size == (M + 1) ** 2
+            assert inverse.size == probe_grid(2 * M).shape[0]
 
     def test_scattered_probes_take_full_set(self):
         rng = np.random.default_rng(200)
@@ -515,7 +535,8 @@ class TestSupNormReduction:
         assert rule.rings is not None
         probes = probe_grid(8)
         probe_rings = _rings.ring_layout(probes)
-        reps, inverse = _rings.probe_classes(rule.rings, probe_rings)
+        rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
+        reps = block_indices(probe_rings, rings, azimuths)
         # every probe ring is its own class; only the azimuth symmetry applies
         assert np.unique(probes[reps, 2]).size == probe_rings.meridian.shape[0]
         assert reps.size < probes.shape[0]
@@ -540,9 +561,9 @@ class TestSupNormReduction:
             sizes.append(np.size(t))
             return legendre_matrix(k_max, t, out=out)
 
-        def recording(rule_rings, probe_rings, probes, coefs):
-            probe_counts.append(probes.size)
-            return kernel_sums(rule_rings, probe_rings, probes, coefs)
+        def recording(rule_rings, probe_rings, rings, azimuths, coefs):
+            probe_counts.append(rings.size * azimuths.size)
+            return kernel_sums(rule_rings, probe_rings, rings, azimuths, coefs)
 
         monkeypatch.setattr(harmonics, "legendre_matrix", counting)
         monkeypatch.setattr(_rings, "weighted_abs_kernel_sums", recording)
@@ -598,12 +619,15 @@ class TestAdditionTheoremSupNorm:
         rule = random_product_rule(kind, M, rng)
         probes = probe_grid(resolution)
         probe_rings = _rings.ring_layout(probes)
-        reps, _ = _rings.probe_classes(rule.rings, probe_rings)
+        rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
+        reps = block_indices(probe_rings, rings, azimuths)
+        sup = approx._sup_norm(rule, probes, probe_rings)
         for c in rng.normal(size=(2, M + 1)):
             reference = kernel_blocks_sums(rule, probes, c)
-            fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, reps, c)
-            assert rel_err(fast, reference[reps]) <= 1e-12
-            maximum = approx._max_weighted_abs_kernel(rule, probes, c)
+            fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c)
+            assert fast.shape == (rings.size, azimuths.size)
+            assert rel_err(fast.ravel(), reference[reps]) <= 1e-12
+            maximum = sup(c)
             assert abs(maximum - reference.max()) <= 1e-12 * reference.max()
 
     def test_degree_120_at_sampled_probes(self):
@@ -611,15 +635,17 @@ class TestAdditionTheoremSupNorm:
         M = 120
         rule = gauss_legendre_rule(M)
         probes = probe_grid(2 * M)
-        sample = rng.choice(probes.shape[0], 16, replace=False)
+        probe_rings = _rings.ring_layout(probes)
+        # a 4 x 4 block of probe rings and azimuths: 16 probes
+        rings = rng.choice(probe_rings.meridian.shape[0], 4, replace=False)
+        azimuths = rng.choice(probe_rings.azimuths, 4, replace=False)
+        sample = block_indices(probe_rings, rings, azimuths)
         k = np.arange(M + 1)
         beta = PenalizationWeights(M, k * (k + 1.0))
         for alpha in (0.0, 1e-6):
             c = (2 * k + 1) / FOUR_PI * approx.filter_factors(M, alpha, beta)
-            fast = _rings.weighted_abs_kernel_sums(
-                rule.rings, _rings.ring_layout(probes), sample, c
-            )
-            assert rel_err(fast, kernel_blocks_sums(rule, probes[sample], c)) <= 1e-12
+            fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c)
+            assert rel_err(fast.ravel(), kernel_blocks_sums(rule, probes[sample], c)) <= 1e-12
 
 
 class TestFilters:

@@ -175,6 +175,39 @@ class TestFit:
         assert err.startswith("error:") and next(iter(entries)) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"alpha": True, "bp": False}, {"alpha": "0.1", "bp": False}, {"omega": True},
+            {"noise-level": True}, {"grid-anchor": "8"}, {"grid-ratio": False},
+            {"sgg-decay": True}, {"bp": "false"}, {"bp": 1}, {"beta": 5}, {"out": 5},
+            {"samples": 5}, {"rule": 5}, {"norm-bound": 5},
+        ],
+        ids=lambda entries: "-".join(f"{k}={v!r}" for k, v in entries.items()),
+    )
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, monkeypatch, entries):
+        # a JSON boolean is no number and a string no switch: neither is coerced
+        monkeypatch.chdir(tmp_path)
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.zeros(gauss_legendre_rule(3).n_points))
+        config = tmp_path / "config.json"
+        base = {"degree": 3, "samples": str(samples), "bp": True, "noise-level": 0.05, "out": "fit"}
+        config.write_text(json.dumps({**base, **entries}))
+        assert main(["fit", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(entries)) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "samples.csv"]
+
+    def test_whole_numbers_accepted_as_reals(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.zeros(gauss_legendre_rule(2).n_points))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"degree": 2, "alpha": 0, "bp": False, "sgg-decay": 2}))
+        out = tmp_path / "fit"
+        assert main(["fit", "--samples", str(samples), "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "fit_summary.json").read_text())["alpha"] == 0.0
+
     def test_non_integral_probe_resolution_rejected_with_fixed_alpha(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"
         write_samples(samples, np.zeros(gauss_legendre_rule(2).n_points))

@@ -19,7 +19,7 @@ from spherefit import (
     weights_ones,
     weights_sgg_apriori,
 )
-from spherefit import params
+from spherefit import _rings, params
 from spherefit.approx import filter_factors, weighted_abs_legendre_sums
 
 
@@ -197,6 +197,26 @@ class TestBalancingPrinciple:
         for step, z in zip(res.trace, range(cfg.L - 2, -1, -1)):
             nb = operator_norm_bound(s.rule, 3, grid[z + 1], beta, probes)
             assert step.threshold == pytest.approx(omega_delta * nb.estimate, rel=1e-12)
+
+    def test_grid_walk_classifies_the_probes_once(self, monkeypatch):
+        # the probe classes depend only on the rule and the probe grid, so a
+        # walk finds the probe rings and the classes once, however many steps
+        # it takes; one operator_norm_bound call does the same
+        calls = {"ring_layout": 0, "probe_classes": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(_rings, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(_rings, name, counting)
+        s = noisy_samples(6, seed=12)
+        beta = PenalizationWeights(6, np.arange(7.0) + 1)
+        cfg = BalancingConfig(alpha0=2.0, q=0.5, L=6, omega=1e9, delta=1.0)
+        res = balancing_principle(s, 6, beta, cfg)
+        assert len(res.trace) == cfg.L - 1
+        assert calls == {"ring_layout": 1, "probe_classes": 1}
+        operator_norm_bound(s.rule, 6, 1e-3, beta, probe_grid(12))
+        assert calls == {"ring_layout": 2, "probe_classes": 2}
 
     def test_norm_bound_variants_order(self):
         # grid <= grid-abs <= crude thresholds, step by step
