@@ -26,6 +26,8 @@ over a product rule agree.  The groups form one ring x azimuth block (ring
 classes times azimuth classes), found once per sup-norm call or balancing
 walk; `weighted_abs_kernel_sums` evaluates the sums on that block, one per
 group, by the addition theorem with the same Legendre table.
+`antipodal_half` keeps one node of each antipodal pair of a mirrored rule
+for sums whose terms are even in x . x_i, such as the `grid-abs` table.
 """
 
 from __future__ import annotations
@@ -164,6 +166,36 @@ def synthesis(rings: RingLayout, M: int, coeffs: np.ndarray) -> np.ndarray:
     return (B.reshape(2 * (M + 1), R).T @ trig).ravel()
 
 
+def mirrored(rings: RingLayout) -> bool:
+    """Whether weighted rings come in exact mirror pairs (t, -t) of equal
+    radius and weight; a ring at t = 0 is its own mirror."""
+    rule = np.column_stack([rings.meridian[:, [0, 2]], rings.weights])
+    mirror = rule * [1.0, -1.0, 1.0]
+    return np.array_equal(rule[np.lexsort(rule.T)], mirror[np.lexsort(mirror.T)])
+
+
+def antipodal_half(
+    rings: RingLayout | None, points: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One node of each antipodal pair of a rule, with the pair's weight.
+
+    When a product rule's rings are `mirrored` and A is even, the antipode
+    of the node at azimuth index r on ring t is the node at index r + A/2 on
+    ring -t, of equal weight.  A sum sum_i w_i g(x . x_i) with g(-s) = g(s)
+    is then the sum over the rings with t > 0 at weight 2 w_i, plus the
+    rings at t = 0 whole.  Returns those nodes and weights, or the inputs
+    unchanged for other rules.
+    """
+    if rings is None or rings.azimuths % 2 or not mirrored(rings):
+        return points, weights
+    t = rings.meridian[:, 2]
+    keep = t >= 0.0
+    A = rings.azimuths
+    half = points.reshape(-1, A, 3)[keep].reshape(-1, 3)
+    share = weights.reshape(-1, A)[keep] * np.where(t[keep] > 0.0, 2.0, 1.0)[:, None]
+    return half, share.ravel()
+
+
 def probe_classes(
     rule_rings: RingLayout | None, probe_rings: RingLayout | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -192,9 +224,7 @@ def probe_classes(
         np.minimum(shift, (Ap - shift) % Ap), return_index=True, return_inverse=True
     )
     ring_key = probe_rings.meridian[:, [0, 2]]
-    rule = np.column_stack([rule_rings.meridian[:, [0, 2]], rule_rings.weights])
-    mirror = rule * [1.0, -1.0, 1.0]
-    if np.array_equal(rule[np.lexsort(rule.T)], mirror[np.lexsort(mirror.T)]):
+    if mirrored(rule_rings):
         ring_key[:, 1] = np.abs(ring_key[:, 1])
     _, rings, ring_class = np.unique(ring_key, axis=0, return_index=True, return_inverse=True)
     inverse = ring_class.reshape(-1, 1) * azimuths.size + az_class
@@ -207,7 +237,8 @@ def class_representatives(
     """One point per `probe_classes` class, in class order, and each point's
     class; or (points, None) when there are no classes."""
     probe_rings = ring_layout(points)
-    classes = probe_classes(rule_rings, probe_rings)
+    # points that are no product grid form no classes: skip the classifier
+    classes = None if probe_rings is None else probe_classes(rule_rings, probe_rings)
     if classes is None:
         return points, None
     rings, azimuths, inverse = classes

@@ -170,16 +170,17 @@ def cmd_fit(args) -> int:
     samples = _load_samples(samples_path, rule)
     beta = _parse_beta(beta_spec, M, _merge_real(args, config, "sgg-decay", DEFAULTS["sgg_decay"]))
 
-    if use_bp:
-        bp_cfg = params.BalancingConfig(
-            alpha0=_merge_real(args, config, "grid-anchor", DEFAULTS["grid_anchor"]),
-            q=_merge_real(args, config, "grid-ratio", DEFAULTS["grid_ratio"]),
-            L=_merge_int(args, config, "grid-len", DEFAULTS["grid_len"]),
-            omega=_merge_real(args, config, "omega", DEFAULTS["omega"]),
-            delta=noise_level,
-            probe_resolution=probe_resolution,
-            norm_bound=_merge_text(args, config, "norm-bound", "grid"),
-        )
+    # built in both modes, so a fixed-alpha fit rejects the same bad --bp
+    # values a balanced one does; only a balanced fit needs the noise level
+    bp_cfg = params.BalancingConfig(
+        alpha0=_merge_real(args, config, "grid-anchor", DEFAULTS["grid_anchor"]),
+        q=_merge_real(args, config, "grid-ratio", DEFAULTS["grid_ratio"]),
+        L=_merge_int(args, config, "grid-len", DEFAULTS["grid_len"]),
+        omega=_merge_real(args, config, "omega", DEFAULTS["omega"]),
+        delta=0.0 if noise_level is None else noise_level,
+        probe_resolution=probe_resolution,
+        norm_bound=_merge_text(args, config, "norm-bound", "grid"),
+    )
     if probe_resolution is None:
         probe_resolution = approx.default_probe_resolution(M)
     probes = cubature.probe_grid(probe_resolution)

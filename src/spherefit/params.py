@@ -200,8 +200,11 @@ def _abs_sums_table(rule, M: int, resolution: int) -> np.ndarray:
 
     On product grids the probes of one class (`_rings.probe_classes`) share
     a row, so only one probe per class is evaluated; other rules keep every
-    probe.  Memoized per rule object (rules compare by identity), so the
-    many balancing calls of a kernel search on one rule build it once.
+    probe.  The probes are classified once, here: `weighted_abs_legendre_sums`
+    classifies only product grids, and the representatives form one only
+    when a single azimuth class remains.
+    Memoized per rule object (rules compare by identity), so the many
+    balancing calls of a kernel search on one rule build it once.
     """
     probes, _ = _rings.class_representatives(rule.rings, probe_grid(resolution))
     table = weighted_abs_legendre_sums(rule, M, probes)

@@ -1,0 +1,57 @@
+"""Cost of one cold `grid-abs` table build at high degree.
+
+Prints, for M = 30, 60 and 120, the wall time and the tracemalloc peak of
+one build of `params._abs_sums_table` on `gauss_legendre_rule(M)` with the
+default probe resolution 2M: the table the `grid-abs` balancing walk builds
+once per rule.  The rule and the probe grid are made before the clock
+starts, as the walk makes them before it builds the table, and the memo is
+bypassed.  Wall time comes from a build without tracemalloc, which slows
+this loop by about a third; the peak, which counts every numpy array, from
+a second build.
+
+Not collected by pytest (the name does not start with `test_`).  Run from the
+repository root (about 8 minutes, nearly all of it at M = 120; pass degrees
+to run fewer, e.g. `30 60`):
+
+    PYTHONPATH=src python tests/grid_abs_table_timing.py [M ...]
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+import tracemalloc
+
+from spherefit import params
+from spherefit.approx import default_probe_resolution
+from spherefit.cubature import gauss_legendre_rule, probe_grid
+
+DEGREES = (30, 60, 120)
+
+
+def build(M: int) -> tuple[float, float, tuple[int, int]]:
+    """Wall seconds, tracemalloc peak in MB and table shape of one build."""
+    rule, resolution = gauss_legendre_rule(M), default_probe_resolution(M)
+    probe_grid(resolution)
+    t0 = time.perf_counter()
+    table = params._abs_sums_table.__wrapped__(rule, M, resolution)
+    seconds = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        params._abs_sums_table.__wrapped__(rule, M, resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return seconds, peak / 2**20, table.shape
+
+
+def main(degrees) -> None:
+    print("| degree M | table rows x columns | wall time | tracemalloc peak |")
+    print("|---|---|---|---|")
+    for M in degrees:
+        seconds, peak_mb, (rows, cols) = build(M)
+        print(f"| {M} | {rows} x {cols} | {seconds:.2f} s | {peak_mb:.1f} MB |", flush=True)
+
+
+if __name__ == "__main__":
+    main([int(a) for a in sys.argv[1:]] or DEGREES)

@@ -574,7 +574,9 @@ class TestSupNormReduction:
         # the addition theorem needs no Legendre values at (probe, node) pairs
         assert sizes == [] and probe_counts == [961]
         approx.weighted_abs_legendre_sums(rule, M, probe_grid(2 * M))
-        assert sum(sizes) == 961 * 1922
+        # the table sums over one node of each antipodal pair: the 15 rings
+        # with t > 0 and the equator, 16 x 62 = 992 of the 1922 nodes
+        assert sum(sizes) == 961 * 992
 
 
 def kernel_blocks_sums(rule, probes, coefs):
@@ -646,6 +648,66 @@ class TestAdditionTheoremSupNorm:
             c = (2 * k + 1) / FOUR_PI * approx.filter_factors(M, alpha, beta)
             fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c)
             assert rel_err(fast.ravel(), kernel_blocks_sums(rule, probes[sample], c)) <= 1e-12
+
+
+def kernel_blocks_table(rule, probes, M):
+    """S[p, k] = sum_i w_i |P_k(x_p . x_i)| over every node, through `_kernel_blocks`."""
+    S = np.empty((probes.shape[0], M + 1))
+
+    def consume(lo, nb, L):
+        for k in range(M + 1):
+            S[lo : lo + nb, k] = np.abs(L[:, k]).reshape(nb, rule.n_points) @ rule.weights
+
+    approx._kernel_blocks(rule.points, M, probes, consume)
+    return S
+
+
+def assert_table_matches_all_nodes(rule, M, probes):
+    table = approx.weighted_abs_legendre_sums(rule, M, probes)
+    reference = kernel_blocks_table(rule, probes, M)
+    assert table.shape == reference.shape
+    # probe by probe, relative to the row's largest entry (an entry can be 0)
+    assert np.all(np.abs(table - reference).max(axis=1) <= 1e-12 * reference.max(axis=1))
+
+
+class TestAntipodalFold:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        M=st.integers(0, 12),
+        kind=st.sampled_from(["gl", "mirror", "weights", "heights"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_table_matches_all_node_reference_property(self, M, kind, seed, data):
+        resolution = data.draw(st.integers(1, max(1, 3 * M)), label="resolution")
+        rule = random_product_rule(kind, M, np.random.default_rng(seed))
+        rings = rule.rings
+        nodes, weights = _rings.antipodal_half(rings, rule.points, rule.weights)
+        # only mirrored rings with an even azimuth count fold, onto the rings
+        # with t >= 0; random heights or weights have no mirror pairs
+        folds = kind in ("gl", "mirror") and rings.azimuths % 2 == 0
+        upper = int(np.count_nonzero(rings.meridian[:, 2] >= 0.0))
+        expected = upper * rings.azimuths if folds else rule.n_points
+        assert nodes.shape[0] == weights.size == expected
+        assert weights.sum() == pytest.approx(rule.weights.sum(), rel=1e-14)
+        assert_table_matches_all_nodes(rule, M, probe_grid(resolution))
+
+    @pytest.mark.parametrize(
+        "t, ring_weights, azimuths",
+        [
+            (np.array([-0.6, -0.2, 0.2, 0.6]), np.array([1.0, 2.0, 2.0, 1.0]), 9),
+            (np.array([-0.7, -0.1, 0.4, 0.9]), np.array([1.0, 2.0, 2.0, 1.0]), 10),
+            (np.array([-0.6, -0.2, 0.2, 0.6]), np.array([1.0, 2.0, 3.0, 1.5]), 10),
+        ],
+        ids=["odd-azimuths", "heights", "weights"],
+    )
+    def test_rules_without_antipodal_pairs_keep_every_node(self, t, ring_weights, azimuths):
+        M = 4
+        rule = product_rule(t, ring_weights, azimuths, M)
+        assert rule.rings is not None
+        nodes, weights = _rings.antipodal_half(rule.rings, rule.points, rule.weights)
+        assert nodes is rule.points and weights is rule.weights
+        assert_table_matches_all_nodes(rule, M, probe_grid(2 * M))
 
 
 class TestFilters:

@@ -220,6 +220,29 @@ class TestFit:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"omega": True, "grid-len": 2.5}, {"grid-len": 2.5}, {"grid-len": 1},
+            {"omega": 0}, {"omega": True}, {"grid-anchor": -1}, {"grid-ratio": 1.5},
+            {"norm-bound": "sup"}, {"noise-level": -0.1},
+        ],
+        ids=lambda entries: "-".join(f"{k}={v!r}" for k, v in entries.items()),
+    )
+    def test_bad_balancing_value_rejected_with_fixed_alpha(self, tmp_path, capsys, entries):
+        # the --bp keys are checked as in a balanced fit, though a fixed-alpha
+        # fit does not use them
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.zeros(gauss_legendre_rule(2).n_points))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 0.1, **entries}))
+        out = tmp_path / "fit"
+        argv = ["fit", "--degree", "2", "--samples", str(samples), "--config", str(config),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_rule_file_roundtrip(self, tmp_path):
         rule_path = tmp_path / "rule.csv"
         assert main(["gen-rule", "--degree", "3", "--out", str(rule_path)]) == 0

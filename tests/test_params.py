@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,36 @@ class TestBalancingPrinciple:
         perm = np.random.default_rng(10).permutation(rule.n_points)
         shuffled = CubatureRule(5, rule.points[perm], rule.weights[perm])
         assert params._abs_sums_table(shuffled, 5, 10).shape == (probe_grid(10).shape[0], 6)
+
+    def test_grid_abs_table_classifies_the_probes_once(self, monkeypatch):
+        # one probe_classes call per table build: the class representatives
+        # are no product grid, so the table routine does not classify them again
+        calls = []
+        probe_classes = _rings.probe_classes
+
+        def counting(*args):
+            calls.append(args)
+            return probe_classes(*args)
+
+        monkeypatch.setattr(_rings, "probe_classes", counting)
+        rule = gauss_legendre_rule(10)
+        assert params._abs_sums_table.__wrapped__(rule, 10, 20).shape == (121, 11)
+        assert len(calls) == 1
+        weighted_abs_legendre_sums(rule, 10, probe_grid(20))
+        assert len(calls) == 2
+
+    def test_grid_abs_table_memory_at_degree_60(self):
+        # a fresh M = 60 build (the rule made beforehand) holds one Legendre
+        # block of about 15 MB and the 1.8 MB table: under 25 MB in all
+        rule = gauss_legendre_rule(60)
+        tracemalloc.start()
+        try:
+            table = params._abs_sums_table.__wrapped__(rule, 60, 120)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (3721, 61)
+        assert peak < 25 * 2**20
 
     def test_grid_abs_thresholds_equal_full_table_maxima(self):
         M = 30
