@@ -5,9 +5,10 @@ Subcommands:
   fit         fit noisy samples on a rule, fixed alpha or balanced alpha
   experiment  run reference experiment 1, 2 or 3 and persist its reports
 
-Values are resolved with the precedence: command-line flag, then config-file
-entry (--config, JSON), then built-in default (the reference-experiment
-constants in `experiments.DEFAULTS`).
+Each setting is declared once, in its subcommand's table, and resolves as:
+command-line flag, then config-file entry (--config, JSON), then default
+(`experiments.DEFAULTS` for the reference-study settings).  A config key that
+is no setting of the subcommand is an error.
 """
 
 from __future__ import annotations
@@ -20,58 +21,103 @@ from pathlib import Path
 import numpy as np
 
 from . import approx, cubature, experiments, params
-from .experiments import DEFAULTS
 from .harmonics import _whole_number
 
 
-def _merge(args: argparse.Namespace, config: dict, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
+def _real(value, key: str) -> float:
+    """A real number; rejects true and "1.5" rather than coercing them."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
-def _merge_int(args: argparse.Namespace, config: dict, key: str, default=None):
-    """`_merge` for a whole-number value; rejects 4.9 rather than truncating it."""
-    val = _merge(args, config, key, default)
-    return None if val is None else _whole_number(val, key)
+def _text(value, key: str) -> str:
+    """A string such as a path or a name."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
 
 
-def _merge_real(args: argparse.Namespace, config: dict, key: str, default=None):
-    """`_merge` for a real number; rejects true and "1.5" rather than coercing them."""
-    val = _merge(args, config, key, default)
-    if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
-        raise ValueError(f"{key} must be a number, got {val!r}")
-    return None if val is None else float(val)
+def _switch(value, key: str) -> bool:
+    """An on/off switch; only true or false is accepted."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
-def _merge_flag(args: argparse.Namespace, config: dict, key: str) -> bool:
-    """`_merge` for an on/off switch, off by default; only true or false is accepted."""
-    val = _merge(args, config, key, False)
-    if not isinstance(val, bool):
-        raise ValueError(f"{key} must be true or false, got {val!r}")
-    return val
+# how each reader's flag is parsed; a switch flag can only turn it on
+_FLAG_KWARGS = {
+    _whole_number: {"type": int},
+    _real: {"type": float},
+    _text: {},
+    _switch: {"action": "store_const", "const": True},
+}
 
 
-def _merge_text(args: argparse.Namespace, config: dict, key: str, default=None):
-    """`_merge` for a string value such as a path or a name."""
-    val = _merge(args, config, key, default)
-    if val is not None and not isinstance(val, str):
-        raise ValueError(f"{key} must be a string, got {val!r}")
-    return val
+# One table per subcommand, one row per setting: (key, reader, default, help).
+# A setting is given as flag `--<key>` or config key `<key>`.  A default of
+# _PRESET is read from `experiments.DEFAULTS` (`_` for `-`) when the command runs.
+_PRESET = object()
+_DEGREE = ("degree", _whole_number, _PRESET, "reconstruction degree M")
+_OUT_DIR = ("out", _text, ".", "output directory")
+
+_GEN_RULE = (_DEGREE, ("out", _text, None, "output CSV path"))
+
+_FIT = (
+    _DEGREE,
+    ("rule", _text, None, "rule CSV (default: generate for --degree)"),
+    ("samples", _text, None,
+     "CSV with a `value` column (and optionally x1,x2,x3), one row per node"),
+    ("beta", _text, "ones", "weight family: ones|sgg|laplace-beltrami|kernel:l1,l2"),
+    ("sgg-decay", _real, _PRESET, "decay base for --beta sgg"),
+    ("alpha", _real, None, "fixed regularization parameter"),
+    ("bp", _switch, False, "pick alpha by the balancing principle"),
+    ("omega", _real, _PRESET, "balancing design parameter"),
+    ("grid-anchor", _real, _PRESET, "alpha grid anchor"),
+    ("grid-ratio", _real, _PRESET, "alpha grid ratio in (0,1)"),
+    ("grid-len", _whole_number, _PRESET, "alpha grid length"),
+    ("noise-level", _real, None, "assumed sup-norm of the noise"),
+    ("probe-resolution", _whole_number, None, "sup-norm probe grid degree"),
+    ("norm-bound", _text, "grid",
+     "operator-norm bound in BP: " + "|".join(params.NORM_BOUND_KINDS)),
+    _OUT_DIR,
+)
+
+_EXPERIMENT = (
+    ("which", _whole_number, None, "experiment number: 1, 2 or 3"),
+    ("seed", _whole_number, 0, "base RNG seed"),
+    ("simulations", _whole_number, None, "simulation count for experiments 1 and 3"),
+    _OUT_DIR,
+)
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return cfg
+def _resolve(args: argparse.Namespace) -> dict:
+    """Each setting of the subcommand: its flag if given, else its entry in the
+    --config file (a JSON object), else its default; checked by its reader.
+    A config key that is no setting of the subcommand is an error."""
+    config = {}
+    if args.config is not None:
+        with open(args.config) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+    keys = [row[0] for row in args.settings]
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"config file {args.config}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"{args.command} takes {', '.join(keys)}"
+        )
+    values = {}
+    for key, read, default, _ in args.settings:
+        flag = getattr(args, key.replace("-", "_"))
+        if flag is not None or key in config:
+            values[key] = read(config[key] if flag is None else flag, key)
+        elif default is _PRESET:
+            values[key] = experiments.DEFAULTS[key.replace("-", "_")]
+        else:
+            values[key] = default
+    return values
 
 
 def _parse_beta(spec: str, M: int, sgg_decay: float) -> approx.PenalizationWeights:
@@ -128,10 +174,8 @@ def _load_samples(path, rule) -> approx.SampleSet:
     return approx.SampleSet(rule, values)
 
 
-def cmd_gen_rule(args) -> int:
-    config = _load_config(args.config)
-    M = _merge_int(args, config, "degree", DEFAULTS["degree"])
-    out = _merge_text(args, config, "out")
+def cmd_gen_rule(settings: dict) -> int:
+    M, out = settings["degree"], settings["out"]
     if out is None:
         raise ValueError("gen-rule needs an output path (--out)")
     rule = cubature.gauss_legendre_rule(M)
@@ -141,52 +185,38 @@ def cmd_gen_rule(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    config = _load_config(args.config)
-    M = _merge_int(args, config, "degree", DEFAULTS["degree"])
-    probe_resolution = _merge_int(args, config, "probe-resolution")
-    out_dir = Path(_merge_text(args, config, "out", "."))
-    rule_path = _merge_text(args, config, "rule")
-    samples_path = _merge_text(args, config, "samples")
-    if samples_path is None:
+def cmd_fit(settings: dict) -> int:
+    M, alpha, use_bp = settings["degree"], settings["alpha"], settings["bp"]
+    noise_level, probe_resolution = settings["noise-level"], settings["probe-resolution"]
+    out_dir = Path(settings["out"])
+    if settings["samples"] is None:
         raise ValueError("fit needs a samples file (--samples)")
-    alpha_flag = _merge_real(args, config, "alpha")
-    use_bp = _merge_flag(args, config, "bp")
-    noise_level = _merge_real(args, config, "noise-level")
-    beta_spec = _merge_text(args, config, "beta", "ones")
-    if alpha_flag is not None and use_bp:
+    if alpha is not None and use_bp:
         raise ValueError("pass either --alpha or --bp, not both")
-    if alpha_flag is None and not use_bp:
+    if alpha is None and not use_bp:
         raise ValueError("fit needs either --alpha <value> or --bp")
-    if alpha_flag is not None and not (np.isfinite(alpha_flag) and alpha_flag >= 0.0):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha_flag}")
+    if alpha is not None and not (np.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if use_bp and noise_level is None:
-        raise ValueError(
-            "fit --bp needs the noise level (--noise-level or config key noise-level)"
-        )
-    rule = (
-        cubature.load_rule(rule_path) if rule_path else cubature.gauss_legendre_rule(M)
-    )
-    samples = _load_samples(samples_path, rule)
-    beta = _parse_beta(beta_spec, M, _merge_real(args, config, "sgg-decay", DEFAULTS["sgg_decay"]))
+        raise ValueError("fit --bp needs the noise level (--noise-level or config key noise-level)")
+    rule_path = settings["rule"]
+    rule = cubature.load_rule(rule_path) if rule_path else cubature.gauss_legendre_rule(M)
+    samples = _load_samples(settings["samples"], rule)
+    beta = _parse_beta(settings["beta"], M, settings["sgg-decay"])
 
     # built in both modes, so a fixed-alpha fit rejects the same bad --bp
     # values a balanced one does; only a balanced fit needs the noise level
     bp_cfg = params.BalancingConfig(
-        alpha0=_merge_real(args, config, "grid-anchor", DEFAULTS["grid_anchor"]),
-        q=_merge_real(args, config, "grid-ratio", DEFAULTS["grid_ratio"]),
-        L=_merge_int(args, config, "grid-len", DEFAULTS["grid_len"]),
-        omega=_merge_real(args, config, "omega", DEFAULTS["omega"]),
-        delta=0.0 if noise_level is None else noise_level,
-        probe_resolution=probe_resolution,
-        norm_bound=_merge_text(args, config, "norm-bound", "grid"),
+        alpha0=settings["grid-anchor"], q=settings["grid-ratio"], L=settings["grid-len"],
+        omega=settings["omega"], delta=0.0 if noise_level is None else noise_level,
+        probe_resolution=probe_resolution, norm_bound=settings["norm-bound"],
     )
     if probe_resolution is None:
         probe_resolution = approx.default_probe_resolution(M)
     probes = cubature.probe_grid(probe_resolution)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {"degree": M, "beta": beta_spec}
+    summary = {"degree": M, "beta": settings["beta"]}
     if use_bp:
         bres = params.balancing_principle(samples, M, beta, bp_cfg)
         alpha = bres.alpha_star
@@ -201,7 +231,6 @@ def cmd_fit(args) -> int:
             bp_probe_resolution=bres.probe_resolution,
         )
     else:
-        alpha = alpha_flag
         summary.update(alpha_source="fixed", alpha=alpha)
 
     gamma = approx.regularized_fit(samples, M, alpha, beta)
@@ -223,26 +252,20 @@ def cmd_fit(args) -> int:
     return 0
 
 
-_EXPERIMENT_WRITERS = {
-    1: experiments.write_experiment_1,
-    2: experiments.write_experiment_2,
-    3: experiments.write_experiment_3,
-}
-
-
-def cmd_experiment(args) -> int:
-    config = _load_config(args.config)
-    which = _merge_int(args, config, "which")
-    seed = _merge_int(args, config, "seed", 0)
-    sims = _merge_int(args, config, "simulations", DEFAULTS["simulations"])
-    out_dir = Path(_merge_text(args, config, "out", "."))
-    result = experiments.rerun_from_config(
-        {"experiment": which, "seed": seed, "simulations": sims}
-    )
-    paths = _EXPERIMENT_WRITERS[which](result, out_dir)
-    for p in paths:
+def cmd_experiment(settings: dict) -> int:
+    config = experiments._config(settings["which"], settings["seed"], settings["simulations"])
+    result = experiments.rerun_from_config(config)
+    write = experiments._EXPERIMENTS[config["experiment"]][1]
+    for p in write(result, Path(settings["out"])):
         print(f"wrote {p}")
     return 0
+
+
+_COMMANDS = {
+    "gen-rule": (cmd_gen_rule, "write a Gauss-Legendre rule as CSV", _GEN_RULE),
+    "fit": (cmd_fit, "fit sampled values on a rule", _FIT),
+    "experiment": (cmd_experiment, "run a reference experiment", _EXPERIMENT),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,49 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regularized least-squares approximation on the unit sphere.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rule = sub.add_parser("gen-rule", help="write a Gauss-Legendre rule as CSV")
-    p_rule.add_argument("--degree", type=int, help="reconstruction degree M")
-    p_rule.add_argument("--out", help="output CSV path")
-    p_rule.add_argument("--config", help="JSON config file")
-    p_rule.set_defaults(func=cmd_gen_rule)
-
-    p_fit = sub.add_parser("fit", help="fit sampled values on a rule")
-    p_fit.add_argument("--degree", type=int, help="reconstruction degree M")
-    p_fit.add_argument("--rule", help="rule CSV (default: generate for --degree)")
-    p_fit.add_argument(
-        "--samples", help="CSV with a `value` column (and optionally x1,x2,x3), one row per node"
-    )
-    p_fit.add_argument(
-        "--beta", help="weight family: ones|sgg|laplace-beltrami|kernel:l1,l2"
-    )
-    p_fit.add_argument("--sgg-decay", type=float, help="decay base for --beta sgg")
-    p_fit.add_argument("--alpha", type=float, help="fixed regularization parameter")
-    p_fit.add_argument(
-        "--bp", action="store_const", const=True, help="pick alpha by the balancing principle"
-    )
-    p_fit.add_argument("--omega", type=float, help="balancing design parameter")
-    p_fit.add_argument("--grid-anchor", type=float, help="alpha grid anchor")
-    p_fit.add_argument("--grid-ratio", type=float, help="alpha grid ratio in (0,1)")
-    p_fit.add_argument("--grid-len", type=int, help="alpha grid length")
-    p_fit.add_argument("--noise-level", type=float, help="assumed sup-norm of the noise")
-    p_fit.add_argument("--probe-resolution", type=int, help="sup-norm probe grid degree")
-    p_fit.add_argument(
-        "--norm-bound", choices=params.NORM_BOUND_KINDS, help="operator-norm bound in BP"
-    )
-    p_fit.add_argument("--out", help="output directory")
-    p_fit.add_argument("--config", help="JSON config file")
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_exp = sub.add_parser("experiment", help="run a reference experiment")
-    p_exp.add_argument("--which", type=int, choices=(1, 2, 3), help="experiment number")
-    p_exp.add_argument("--seed", type=int, help="base RNG seed")
-    p_exp.add_argument(
-        "--simulations", type=int, help="simulation count for experiments 1 and 3"
-    )
-    p_exp.add_argument("--out", help="output directory")
-    p_exp.add_argument("--config", help="JSON config file")
-    p_exp.set_defaults(func=cmd_experiment)
+    for name, (func, help_text, settings) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key, read, _, help_flag in settings:
+            p.add_argument("--" + key, help=help_flag, **_FLAG_KWARGS[read])
+        p.add_argument("--config", help="JSON config file")
+        p.set_defaults(func=func, settings=settings)
     return parser
 
 
@@ -301,7 +287,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

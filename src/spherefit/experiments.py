@@ -24,7 +24,7 @@ from .approx import (
     regularized_fit,
 )
 from .cubature import gauss_legendre_rule, probe_grid
-from .harmonics import SpherePoint, as_unit_vectors
+from .harmonics import SpherePoint, _whole_number, as_unit_vectors
 from .params import (
     BalancingConfig,
     RandomSearchConfig,
@@ -209,24 +209,33 @@ def franke_cap_eval(points):
 # shared experiment plumbing
 
 
-def _config(
-    experiment: int, seed, noise_kind: str, noise_level: float, bp_norm_bound: str, **extra
-) -> dict:
-    """Config echo of an experiment: the keys all three share, then `extra`."""
-    return {
-        "experiment": experiment,
-        "seed": int(seed),
-        "degree": DEFAULTS["degree"],
-        "noise_kind": noise_kind,
-        "noise_level": noise_level,
-        "grid_anchor": DEFAULTS["grid_anchor"],
-        "grid_ratio": DEFAULTS["grid_ratio"],
-        "grid_len": DEFAULTS["grid_len"],
-        "omega": DEFAULTS["omega"],
-        "bp_norm_bound": bp_norm_bound,
-        "rng": DEFAULTS["rng"],
-        **extra,
-    }
+def _config(experiment, seed, simulations=None) -> dict:
+    """The config echo of experiment 1, 2 or 3 at a whole-number `seed`, from
+    `DEFAULTS` as it stands.  Experiments 1 and 3 take a whole `simulations`
+    of at least 1 (None reads `DEFAULTS`); experiment 2 runs once, so none."""
+    if isinstance(experiment, bool) or experiment not in (1, 2, 3):
+        raise ValueError(f"experiment must be 1, 2 or 3, got {experiment!r}")
+    config = {"experiment": int(experiment), "seed": _whole_number(seed, "seed")}
+    shared = ("degree", "grid_anchor", "grid_ratio", "grid_len", "omega", "rng")
+    config.update((key, DEFAULTS[key]) for key in shared)
+    if experiment == 1:
+        config.update(noise_kind="uniform_supnorm", noise_level=DEFAULTS["uniform_noise"],
+                      bp_norm_bound="crude", decay=DEFAULTS["sgg_decay"])
+    else:
+        config.update(noise_kind="gaussian", noise_level=DEFAULTS["gaussian_sigma"],
+                      bp_norm_bound="grid-abs")
+    if experiment == 3:
+        config.update(search_box=[list(b) for b in DEFAULTS["search_box"]],
+                      search_runs=DEFAULTS["search_runs"], search_steps=DEFAULTS["search_steps"])
+    if experiment == 2:
+        if simulations is not None:
+            raise ValueError(f"experiment 2 runs once: no simulations, got {simulations!r}")
+        return config
+    n = DEFAULTS["simulations"] if simulations is None else simulations
+    n = _whole_number(n, "simulations")
+    if n < 1:
+        raise ValueError(f"simulations must be at least 1, got {n}")
+    return {**config, "simulations": n}
 
 
 def _bp_config(config: dict, delta: float) -> BalancingConfig:
@@ -270,22 +279,17 @@ def _best_alpha_on_grid(grid, gamma_hat, b2_flat, a_flat, g_true_values):
 # experiment 1: damped-coefficient recovery with a priori weights
 
 
-def run_experiment_1(seed: int = 0, simulations: int = DEFAULTS["simulations"]):
+def run_experiment_1(seed: int = 0, simulations: int | None = None):
     """Compare plain projection, balanced and oracle regularization.
 
     Per simulation: random damped target on the degree-30 rule, uniform noise
     of sup-norm 0.05, then four recoveries -- plain (alpha = 0), a priori
     weights with a balanced alpha, flat weights with the oracle alpha, and a
     priori weights with the oracle alpha.  Errors are relative coefficient
-    errors of the recovered target.
+    errors of the recovered target.  `simulations` defaults to DEFAULTS'.
     """
-    if simulations < 1:
-        raise ValueError("need at least one simulation")
-    config = _config(
-        1, seed, "uniform_supnorm", DEFAULTS["uniform_noise"], "crude",
-        simulations=int(simulations), decay=DEFAULTS["sgg_decay"],
-    )
-    seed, M = config["seed"], config["degree"]
+    config = _config(1, seed, simulations)
+    seed, M, simulations = config["seed"], config["degree"], config["simulations"]
     rule = gauss_legendre_rule(M)
     bp_cfg = _bp_config(config, config["noise_level"])
     grid = bp_cfg.grid()
@@ -361,7 +365,7 @@ def run_experiment_2(seed: int = 0):
     picks alpha; reported errors are the probe-grid sup error and a
     quadrature estimate of the relative L2 error of the reconstruction.
     """
-    config = _config(2, seed, "gaussian", DEFAULTS["gaussian_sigma"], "grid-abs")
+    config = _config(2, seed)
     seed, M = config["seed"], config["degree"]
     rule = gauss_legendre_rule(M)
     clean = franke_cap_eval(rule.points)
@@ -413,24 +417,17 @@ class Experiment2Result:
 # experiment 3: a posteriori kernel selection
 
 
-def run_experiment_3(seed: int = 0, simulations: int = DEFAULTS["simulations"]):
+def run_experiment_3(seed: int = 0, simulations: int | None = None):
     """Select penalization weights a posteriori and compare against the ladder.
 
     One noisy realization drives the kernel search (Random Search over the
     rate box, balanced alpha per candidate); the winner is then pitted
     against the Laplace-Beltrami weights on fresh noisy realizations, both
     with balanced alphas, in relative L2 error against the clean function.
+    `simulations` defaults to DEFAULTS'.
     """
-    if simulations < 1:
-        raise ValueError("need at least one simulation")
-    config = _config(
-        3, seed, "gaussian", DEFAULTS["gaussian_sigma"], "grid-abs",
-        simulations=int(simulations),
-        search_box=[list(b) for b in DEFAULTS["search_box"]],
-        search_runs=DEFAULTS["search_runs"],
-        search_steps=DEFAULTS["search_steps"],
-    )
-    seed, M = config["seed"], config["degree"]
+    config = _config(3, seed, simulations)
+    seed, M, simulations = config["seed"], config["degree"], config["simulations"]
     rule = gauss_legendre_rule(M)
     clean = franke_cap_eval(rule.points)
 
@@ -496,15 +493,23 @@ class Experiment3Result:
 
 
 def rerun_from_config(config: dict):
-    """Re-run an experiment from a report's config echo."""
-    which = config.get("experiment")
-    if which == 1:
-        return run_experiment_1(config["seed"], config["simulations"])
-    if which == 2:
-        return run_experiment_2(config["seed"])
-    if which == 3:
-        return run_experiment_3(config["seed"], config["simulations"])
-    raise ValueError(f"experiment must be 1, 2 or 3, got {which!r}")
+    """Re-run an experiment from a report's config echo.  An echo key that is
+    edited, unknown or missing, or whose value has another JSON type (`true`
+    is not `1`), raises ValueError naming it."""
+    expected = _config(config.get("experiment"), config.get("seed", 0), config.get("simulations"))
+
+    def shown(echo, key):
+        return json.dumps(echo[key], sort_keys=True, default=repr) if key in echo else "absent"
+
+    differ = [
+        f"{key!r} ({shown(config, key)}, expected {shown(expected, key)})"
+        for key in sorted(config.keys() | expected.keys(), key=str)
+        if shown(config, key) != shown(expected, key)
+    ]
+    if differ:
+        raise ValueError(f"config echo differs from the one its run writes: {', '.join(differ)}")
+    run = _EXPERIMENTS[expected["experiment"]][0]
+    return run(**{key: expected[key] for key in ("seed", "simulations") if key in expected})
 
 
 # ---------------------------------------------------------------------------
@@ -575,3 +580,11 @@ def write_experiment_3(result: Experiment3Result, out_dir) -> list[Path]:
     curves_path = out / "exp3_curves.csv"
     _write_curves(result.curves, curves_path)
     return [report_path, curves_path]
+
+
+# experiment number -> (driver, writer of its files)
+_EXPERIMENTS = {
+    1: (run_experiment_1, write_experiment_1),
+    2: (run_experiment_2, write_experiment_2),
+    3: (run_experiment_3, write_experiment_3),
+}

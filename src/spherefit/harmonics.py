@@ -123,9 +123,9 @@ def legendre_matrix(k_max: int, t, out: np.ndarray | None = None) -> np.ndarray:
 
     Column k holds P_k(t), built column by column with the three-term
     recurrence P_k = ((2k-1)/k) t P_{k-1} - ((k-1)/k) P_{k-2} from P_0 = 1
-    and P_1 = t; this is the package's one Legendre recurrence.  A
-    preallocated `out` (ideally Fortran-ordered for fast column updates) can
-    be supplied to avoid repeated allocation in hot loops.
+    and P_1 = t (`gauss_legendre_nodes` and `sph_harm_matrix` run their own
+    recurrences).  A preallocated `out` (ideally Fortran-ordered for fast
+    column updates) can be supplied to avoid repeated allocation in hot loops.
     """
     k_max = _whole_number(k_max, "degree")
     if k_max < 0:

@@ -362,7 +362,7 @@ class TestExperimentCommand:
         assert rc == 0
         reports = json.loads((out / "exp1_reports.json").read_text())
         assert reports[0]["seed"] == 4
-        # flag overrides config
+        # flag overrides config: a whole number
         out2 = tmp_path / "out2"
         rc = main(
             ["experiment", "--config", str(cfg), "--seed", "9", "--out", str(out2)]
@@ -370,10 +370,40 @@ class TestExperimentCommand:
         assert rc == 0
         reports = json.loads((out2 / "exp1_reports.json").read_text())
         assert reports[0]["seed"] == 9
+        # ... a real, a string and a switch, on a fit
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.ones(gauss_legendre_rule(2).n_points))
+        fit_cfg = tmp_path / "fit.json"
+        fit_cfg.write_text(json.dumps({
+            "degree": 2, "samples": str(samples), "alpha": 0.5, "beta": "ones",
+            "out": str(tmp_path / "unused"),
+        }))
+        fit_out = tmp_path / "fit"
+        argv = ["fit", "--config", str(fit_cfg), "--alpha", "0.25",
+                "--beta", "laplace-beltrami", "--out", str(fit_out)]
+        assert main(argv) == 0
+        summary = json.loads((fit_out / "fit_summary.json").read_text())
+        assert (summary["alpha"], summary["beta"]) == (0.25, "laplace-beltrami")
+        assert not (tmp_path / "unused").exists()
+        fit_cfg.write_text(json.dumps({
+            "degree": 2, "samples": str(samples), "bp": False, "noise-level": 0.05,
+            "grid-len": 5,
+        }))
+        assert main(["fit", "--config", str(fit_cfg), "--bp", "--out", str(fit_out)]) == 0
+        assert json.loads((fit_out / "fit_summary.json").read_text())["alpha_source"] == "bp"
+
+    def test_simulations_for_experiment_2_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["experiment", "--which", "2", "--simulations", "5", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "simulations" in err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize(
-        "entries", [{"which": 1.5}, {"which": 1, "simulations": 2.5}, {"which": 1, "seed": 0.5}]
+        "entries",
+        [{"which": 1.5}, {"which": 4}, {"which": 1, "simulations": 2.5}, {"which": 1, "seed": 0.5}],
     )
     def test_non_integral_config_value_rejected(self, tmp_path, capsys, entries):
         cfg = tmp_path / "cfg.json"
@@ -386,6 +416,47 @@ class TestExperimentCommand:
     def test_missing_which_rejected(self, tmp_path, capsys):
         assert main(["experiment", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "command, entries, unknown",
+        [
+            ("gen-rule", {"degree": 2, "out": "rule.csv", "degre": 3}, "degre"),
+            ("fit", {"omgea": 0.2, "alpha": 0.1, "samples": "samples.csv", "degree": 1}, "omgea"),
+            # experiments run at the reference degree only
+            ("experiment", {"which": 2, "degree": 60}, "degree"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, monkeypatch, command, entries, unknown):
+        # a mistyped key would otherwise leave its setting at the default
+        monkeypatch.chdir(tmp_path)
+        write_samples(tmp_path / "samples.csv", np.zeros(gauss_legendre_rule(1).n_points))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{unknown}'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "samples.csv"]
+
+    @pytest.mark.parametrize("key", ["degree", "alpha", "probe-resolution", "rule"])
+    def test_null_entry_rejected(self, tmp_path, capsys, key):
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.zeros(gauss_legendre_rule(1).n_points))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degree": 1, "alpha": 0.1, key: None}))
+        out = tmp_path / "fit"
+        argv = ["fit", "--samples", str(samples), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["gen-rule", "--config", str(cfg)]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
 
 class TestParserHygiene:

@@ -22,6 +22,7 @@ from spherefit import (
     sgg_generate,
     sgg_recover,
 )
+from spherefit import experiments
 from spherefit.experiments import (
     SggModel,
     write_experiment_1,
@@ -282,3 +283,78 @@ class TestReportsRoundTrip:
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             rerun_from_config({"experiment": 9})
+
+
+class TestConfigEcho:
+    """An echo is re-run only as the run would write it: any other is refused
+    before the run starts."""
+
+    @pytest.mark.parametrize(
+        "which, edit, key",
+        [
+            (2, {"degree": 4}, "degree"),
+            (1, {"omega": 0.02}, "omega"),
+            (3, {"search_runs": 2}, "search_runs"),
+            (1, {"degree": 30.0}, "degree"),  # a float is no JSON integer
+            (1, {"simulations": True}, "simulations"),  # true is no JSON 1
+            (2, {"bogus": 1}, "bogus"),
+        ],
+    )
+    def test_edited_or_unknown_key_rejected(self, which, edit, key):
+        echo = {**experiments._config(which, 0, None if which == 2 else 1), **edit}
+        with pytest.raises(ValueError, match=key):
+            rerun_from_config(echo)
+
+    @pytest.mark.parametrize("key", ["seed", "simulations", "rng", "noise_level"])
+    def test_missing_key_rejected(self, key):
+        echo = experiments._config(1, 3, 2)
+        del echo[key]
+        with pytest.raises(ValueError, match=f"'{key}' \\(absent"):
+            rerun_from_config(echo)
+
+    def test_boolean_experiment_rejected(self):
+        echo = {**experiments._config(1, 0, 2), "experiment": True}
+        with pytest.raises(ValueError, match="experiment"):
+            rerun_from_config(echo)
+
+    def test_simulations_in_experiment_2_echo_rejected(self):
+        echo = {**experiments._config(2, 0), "simulations": 2}
+        with pytest.raises(ValueError, match="simulations"):
+            rerun_from_config(echo)
+
+    def test_every_differing_key_is_named(self):
+        echo = {**experiments._config(3, 0, 2), "degree": 60, "omega": 0.2, "extra": None}
+        del echo["rng"]
+        with pytest.raises(ValueError) as exc:
+            rerun_from_config(echo)
+        for key in ("degree", "omega", "extra", "rng"):
+            assert f"'{key}'" in str(exc.value)
+
+
+class TestDriverArguments:
+    @pytest.mark.parametrize(
+        "run, kwargs, name",
+        [
+            (run_experiment_2, {"seed": 1.5}, "seed"),
+            (run_experiment_2, {"seed": True}, "seed"),
+            (run_experiment_2, {"seed": "1"}, "seed"),
+            (run_experiment_1, {"simulations": 2.5}, "simulations"),
+            (run_experiment_1, {"simulations": True}, "simulations"),
+            (run_experiment_1, {"simulations": 0}, "simulations"),
+            (run_experiment_3, {"seed": 0.5, "simulations": 2}, "seed"),
+            (run_experiment_3, {"simulations": -1}, "simulations"),
+        ],
+    )
+    def test_non_whole_seed_or_count_rejected(self, run, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            run(**kwargs)
+
+    def test_whole_float_seed_runs_as_int(self):
+        assert run_experiment_1(seed=2.0, simulations=1).config["seed"] == 2
+
+    def test_patched_simulation_count_is_honoured(self, monkeypatch):
+        # the default count is read from DEFAULTS when the driver runs
+        monkeypatch.setattr(experiments, "DEFAULTS", {**experiments.DEFAULTS, "simulations": 2})
+        res = run_experiment_1(seed=0)
+        assert res.config["simulations"] == 2
+        assert len(res.curves["plain-ls"]) == 2
