@@ -23,9 +23,14 @@ the transform needs, built by the same recurrence as the dense path.
 
 `probe_classes` groups the probe points at which the sup-norm kernel sums
 over a product rule agree.  The groups form one ring x azimuth block (ring
-classes times azimuth classes), found once per sup-norm call or balancing
-walk; `weighted_abs_kernel_sums` evaluates the sums on that block, one per
-group, by the addition theorem with the same Legendre table.
+classes times azimuth classes).  They are found in one place,
+`approx._norm_oracle`, once per oracle it builds: once per
+`operator_norm_bound` call, and once per (rule, M, probe resolution, bound)
+in the balancing walk, which memoizes its oracle under that key.
+`weighted_abs_kernel_sums` evaluates the `grid` sums on that block, one per
+group, by the addition theorem with the same Legendre table; the `grid-abs`
+table takes one row per group from `approx.weighted_abs_legendre_sums`,
+which returns one row for each probe it is given.
 `antipodal_half` keeps one node of each antipodal pair of a mirrored rule
 for sums whose terms are even in x . x_i, such as the `grid-abs` table.
 """
@@ -229,21 +234,6 @@ def probe_classes(
     _, rings, ring_class = np.unique(ring_key, axis=0, return_index=True, return_inverse=True)
     inverse = ring_class.reshape(-1, 1) * azimuths.size + az_class
     return rings, azimuths, inverse.ravel()
-
-
-def class_representatives(
-    rule_rings: RingLayout | None, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One point per `probe_classes` class, in class order, and each point's
-    class; or (points, None) when there are no classes."""
-    probe_rings = ring_layout(points)
-    # points that are no product grid form no classes: skip the classifier
-    classes = None if probe_rings is None else probe_classes(rule_rings, probe_rings)
-    if classes is None:
-        return points, None
-    rings, azimuths, inverse = classes
-    block = points.reshape(-1, probe_rings.azimuths, 3)[np.ix_(rings, azimuths)]
-    return block.reshape(-1, 3), inverse
 
 
 def _trig_columns(q: np.ndarray, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:

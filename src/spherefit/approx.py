@@ -320,53 +320,21 @@ def _kernel_blocks(nodes: np.ndarray, M: int, points: np.ndarray, consume) -> No
 # sup-norm machinery for the fit operator
 
 
-def _sup_norm(rule: CubatureRule, probes: np.ndarray, probe_rings: _rings.RingLayout | None):
-    """Map from coefficients c_0..c_M to the maximum over the probes (ring
-    layout `probe_rings`) of sum_i w_i |sum_k c_k P_k(x . x_i)|.
-
-    The probes are classified once, here; on product grids each call takes
-    the sums by the addition theorem on the ring x azimuth block of class
-    representatives (`_rings.probe_classes`).  Other inputs sum the Legendre
-    blocks of `_kernel_blocks` at every probe.  Both give the maximum over
-    the full probe set.
-    """
-    classes = _rings.probe_classes(rule.rings, probe_rings)
-    if classes is not None:
-        rings, azimuths, _ = classes
-        return lambda c: float(
-            _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c).max()
-        )
-
-    def sup(c):
-        sums = np.empty(probes.shape[0])
-
-        def consume(lo, nb, L):
-            sums[lo : lo + nb] = np.abs(L @ c).reshape(nb, rule.n_points) @ rule.weights
-
-        _kernel_blocks(rule.points, c.size - 1, probes, consume)
-        return float(sums.max())
-
-    return sup
-
-
 def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray:
-    """Table S[p, k] = sum_i w_i |P_k(x_p . x_i)| over the probe points.
+    """Table S[p, k] = sum_i w_i |P_k(x_p . x_i)|, one row per probe point.
 
-    The table depends only on the rule and the probes, so sup-norm upper
-    bounds of the fit operator for any (alpha, beta) reduce to max(S @ c).
-    On product grids the rows are computed once per probe symmetry class
-    (`_rings.probe_classes`) and copied to the other probes of the class.
-    |P_k| is even, so on a rule whose rings come in mirror pairs with an
-    even azimuth count the sum runs over one node of each antipodal pair at
-    twice its weight (`_rings.antipodal_half`): 992 of the 1922 nodes of
-    `gauss_legendre_rule(30)`.  Either way the table equals the one
+    The table depends only on the rule and the probes, so `grid-abs` upper
+    bounds of the fit operator's sup norm for any (alpha, beta) reduce to
+    max(S @ c).  |P_k| is even, so on a rule whose rings come in mirror pairs
+    with an even azimuth count the sum runs over one node of each antipodal
+    pair at twice its weight (`_rings.antipodal_half`): 992 of the 1922
+    nodes of `gauss_legendre_rule(30)`.  Either way the table equals the one
     computed probe by probe over every node, up to rounding.
     """
     _require_exactness(rule, M)
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
-    pts, inverse = _rings.class_representatives(rule.rings, pts)
     nodes, weights = _rings.antipodal_half(rule.rings, rule.points, rule.weights)
     S = np.empty((pts.shape[0], M + 1))
 
@@ -376,7 +344,47 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
         S[lo : lo + nb] = (L.T.reshape(M + 1, nb, nodes.shape[0]) @ weights).T
 
     _kernel_blocks(nodes, M, pts, consume)
-    return S if inverse is None else S[inverse]
+    return S
+
+
+def _norm_oracle(rule: CubatureRule, M: int, probes: np.ndarray, bound: str):
+    """Map from coefficients c_0..c_M (c >= 0 for ``grid-abs``) to the maximum
+    over the probes of the `bound` sup-norm sum over the rule:
+    sum_i w_i |sum_k c_k P_k(x . x_i)| for ``grid``, and its upper envelope
+    sum_k c_k sum_i w_i |P_k(x . x_i)| for ``grid-abs``.
+
+    The probes are classified here and only here (`_rings.probe_classes`).
+    On product grids the sums agree within a class, so only the ring x
+    azimuth block of class representatives is evaluated: ``grid`` by the
+    addition theorem on each call, ``grid-abs`` as one
+    `weighted_abs_legendre_sums` row per class, built once.  Other rules or
+    probe sets keep every probe, through `_kernel_blocks`.  Either way the
+    maximum is over the full probe set.
+    """
+    probe_rings = _rings.ring_layout(probes)
+    classes = _rings.probe_classes(rule.rings, probe_rings)
+    if classes is not None:
+        rings, azimuths, _ = classes
+        if bound == "grid":
+            return lambda c: float(
+                _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c).max()
+            )
+        block = probes.reshape(-1, probe_rings.azimuths, 3)[np.ix_(rings, azimuths)]
+        probes = block.reshape(-1, 3)
+    if bound == "grid-abs":
+        table = weighted_abs_legendre_sums(rule, M, probes)
+        return lambda c: float((table @ c).max())
+
+    def sup(c):
+        sums = np.empty(probes.shape[0])
+
+        def consume(lo, nb, L):
+            sums[lo : lo + nb] = np.abs(L @ c).reshape(nb, rule.n_points) @ rule.weights
+
+        _kernel_blocks(rule.points, M, probes, consume)
+        return float(sums.max())
+
+    return sup
 
 
 def crude_norm_upper(M: int, alpha: float, beta: PenalizationWeights) -> float:
@@ -402,7 +410,7 @@ def operator_norm_bound(
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
-    est = _sup_norm(rule, pts, _rings.ring_layout(pts))(_kernel_coefficients(M, alpha, beta))
+    est = _norm_oracle(rule, M, pts, "grid")(_kernel_coefficients(M, alpha, beta))
     crude = crude_norm_upper(M, alpha, beta)
     # the weight sum carries ~1e-12 roundoff; the true norm never exceeds crude
     return NormBound(estimate=min(est, crude), crude_upper=crude)

@@ -201,6 +201,7 @@ def cmd_fit(settings: dict) -> int:
         raise ValueError("fit --bp needs the noise level (--noise-level or config key noise-level)")
     rule_path = settings["rule"]
     rule = cubature.load_rule(rule_path) if rule_path else cubature.gauss_legendre_rule(M)
+    approx._require_exactness(rule, M)
     samples = _load_samples(settings["samples"], rule)
     beta = _parse_beta(settings["beta"], M, settings["sgg-decay"])
 

@@ -215,7 +215,10 @@ def _config(experiment, seed, simulations=None) -> dict:
     of at least 1 (None reads `DEFAULTS`); experiment 2 runs once, so none."""
     if isinstance(experiment, bool) or experiment not in (1, 2, 3):
         raise ValueError(f"experiment must be 1, 2 or 3, got {experiment!r}")
-    config = {"experiment": int(experiment), "seed": _whole_number(seed, "seed")}
+    seed = _whole_number(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    config = {"experiment": int(experiment), "seed": seed}
     shared = ("degree", "grid_anchor", "grid_ratio", "grid_len", "omega", "rng")
     config.update((key, DEFAULTS[key]) for key in shared)
     if experiment == 1:

@@ -20,7 +20,7 @@ from .approx import (
     PenalizationWeights,
     SampleSet,
     _kernel_coefficients,
-    _sup_norm,
+    _norm_oracle,
     _synthesizer,
     analyze,
     crude_norm_upper,
@@ -28,7 +28,6 @@ from .approx import (
     expand_by_degree,
     penalized_functional,
     regularized_fit,
-    weighted_abs_legendre_sums,
 )
 from .cubature import probe_grid
 from .harmonics import _whole_number
@@ -194,37 +193,12 @@ def weights_from_kernel_params(M: int, p: KernelParams) -> PenalizationWeights:
 
 
 @functools.lru_cache(maxsize=4)
-def _abs_sums_table(rule, M: int, resolution: int) -> np.ndarray:
-    """The rows of the `grid-abs` table of `rule` on probe_grid(resolution)
-    that max(table @ c) needs.
-
-    On product grids the probes of one class (`_rings.probe_classes`) share
-    a row, so only one probe per class is evaluated; other rules keep every
-    probe.  The probes are classified once, here: `weighted_abs_legendre_sums`
-    classifies only product grids, and the representatives form one only
-    when a single azimuth class remains.
-    Memoized per rule object (rules compare by identity), so the many
-    balancing calls of a kernel search on one rule build it once.
-    """
-    probes, _ = _rings.class_representatives(rule.rings, probe_grid(resolution))
-    table = weighted_abs_legendre_sums(rule, M, probes)
-    table.setflags(write=False)
-    return table
-
-
-def _grid_norms(rule, M: int, beta: PenalizationWeights, cfg, probes, probe_rings, resolution):
-    """i -> ||T_alpha_i|| on the grid under the configured bound, set up once
-    per walk; the walk asks for each grid index at most once."""
-    alphas = cfg.grid()
-    if cfg.norm_bound == "crude":
-        return lambda i: crude_norm_upper(M, alphas[i], beta)
-    if cfg.norm_bound == "grid-abs":
-        table = _abs_sums_table(rule, M, resolution)
-        return lambda i: float((table @ _kernel_coefficients(M, alphas[i], beta)).max())
-    # one column per step: the addition-theorem sums share nothing across
-    # columns, so evaluating ahead of the walk would only add work
-    sup = _sup_norm(rule, probes, probe_rings)
-    return lambda i: sup(_kernel_coefficients(M, alphas[i], beta))
+def _probe_norm(rule, M: int, resolution: int, bound: str):
+    """c -> max over probe_grid(resolution) under a `grid` or `grid-abs`
+    bound (`approx._norm_oracle`).  Memoized per rule object (rules compare
+    by identity), so the many balancing calls of a kernel search on one rule
+    classify the probes and build the `grid-abs` table once."""
+    return _norm_oracle(rule, M, probe_grid(resolution), bound)
 
 
 def balancing_principle(
@@ -241,11 +215,14 @@ def balancing_principle(
     alphas = cfg.grid()
     resolution = cfg.probe_resolution or default_probe_resolution(M)
     probes = probe_grid(resolution)
-    probe_rings = _rings.ring_layout(probes)
-    synthesize = _synthesizer(M, probes, probe_rings)
+    synthesize = _synthesizer(M, probes, _rings.ring_layout(probes))
     gamma_hat = analyze(samples, M).values
     b2 = expand_by_degree(beta.beta**2)
-    norm = _grid_norms(samples.rule, M, beta, cfg, probes, probe_rings, resolution)
+    if cfg.norm_bound == "crude":
+        norm = lambda alpha: crude_norm_upper(M, alpha, beta)
+    else:
+        sup = _probe_norm(samples.rule, M, resolution, cfg.norm_bound)
+        norm = lambda alpha: sup(_kernel_coefficients(M, alpha, beta))
     omega_delta = cfg.omega * cfg.delta
 
     def fit_values(i: int) -> np.ndarray:
@@ -257,7 +234,7 @@ def balancing_principle(
     for z in range(cfg.L - 2, -1, -1):
         cur = fit_values(z)
         difference = float(np.abs(cur - prev).max())
-        threshold = omega_delta * norm(z + 1)
+        threshold = omega_delta * norm(alphas[z + 1])
         hit = difference > threshold
         trace.append(TraceStep(float(alphas[z]), difference, float(threshold), hit))
         if hit:

@@ -1,13 +1,14 @@
 """Cost of one cold `grid-abs` table build at high degree.
 
 Prints, for M = 30, 60 and 120, the wall time and the tracemalloc peak of
-one build of `params._abs_sums_table` on `gauss_legendre_rule(M)` with the
-default probe resolution 2M: the table the `grid-abs` balancing walk builds
-once per rule.  The rule and the probe grid are made before the clock
-starts, as the walk makes them before it builds the table, and the memo is
-bypassed.  Wall time comes from a build without tracemalloc, which slows
-this loop by about a third; the peak, which counts every numpy array, from
-a second build.
+one build of the `grid-abs` norm oracle (`params._probe_norm`, which
+classifies the probes and builds the table on one probe per class) on
+`gauss_legendre_rule(M)` with the default probe resolution 2M: what the
+`grid-abs` balancing walk builds once per rule.  The rule and the probe grid
+are made before the clock starts, as the walk makes them before it builds
+the oracle, and the memo is bypassed.  Wall time comes from a build without
+tracemalloc, which slows this loop by about a third; the peak, which counts
+every numpy array, and the table shape from a second build.
 
 Not collected by pytest (the name does not start with `test_`).  Run from the
 repository root (about 8 minutes, nearly all of it at M = 120; pass degrees
@@ -22,7 +23,7 @@ import sys
 import time
 import tracemalloc
 
-from spherefit import params
+from spherefit import approx, params
 from spherefit.approx import default_probe_resolution
 from spherefit.cubature import gauss_legendre_rule, probe_grid
 
@@ -34,15 +35,26 @@ def build(M: int) -> tuple[float, float, tuple[int, int]]:
     rule, resolution = gauss_legendre_rule(M), default_probe_resolution(M)
     probe_grid(resolution)
     t0 = time.perf_counter()
-    table = params._abs_sums_table.__wrapped__(rule, M, resolution)
+    params._probe_norm.__wrapped__(rule, M, resolution, "grid-abs")
     seconds = time.perf_counter() - t0
+    # the second build records the table's shape through the module global
+    # the oracle calls
+    table, shapes = approx.weighted_abs_legendre_sums, []
+
+    def recording(*args):
+        S = table(*args)
+        shapes.append(S.shape)
+        return S
+
+    approx.weighted_abs_legendre_sums = recording
     tracemalloc.start()
     try:
-        params._abs_sums_table.__wrapped__(rule, M, resolution)
+        params._probe_norm.__wrapped__(rule, M, resolution, "grid-abs")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return seconds, peak / 2**20, table.shape
+        approx.weighted_abs_legendre_sums = table
+    return seconds, peak / 2**20, shapes[0]
 
 
 def main(degrees) -> None:

@@ -451,13 +451,17 @@ def probe_by_probe_sums(rule, probes, cols):
 
 def assert_reduction_exact(rule, probes, cols):
     full = probe_by_probe_sums(rule, probes, cols)
-    sup = approx._sup_norm(rule, probes, _rings.ring_layout(probes))
+    M = cols.shape[0] - 1
+    sup = approx._norm_oracle(rule, M, probes, "grid")
     maxima = [sup(c) for c in cols.T]
     assert rel_err(np.array(maxima), full.max(axis=0)) <= 1e-12
-    M = cols.shape[0] - 1
     table = approx.weighted_abs_legendre_sums(rule, M, probes)
     assert table.shape == (probes.shape[0], M + 1)
     assert rel_err(table, probe_by_probe_sums(rule, probes, np.eye(M + 1))) <= 1e-12
+    # the grid-abs oracle, on one row per class, against the full table
+    envelope = approx._norm_oracle(rule, M, probes, "grid-abs")
+    c = np.abs(cols[:, 0])
+    assert abs(envelope(c) - (table @ c).max()) <= 1e-12 * (table @ c).max()
 
 
 def product_rule(t, ring_weights, azimuths, M):
@@ -497,8 +501,10 @@ class TestSupNormReduction:
         assert np.array_equal(block, ring_class * azimuths.size + az_class)
         reps = block_indices(probe_rings, rings, azimuths)
         assert np.array_equal(reps, np.unique(inverse, return_index=True)[1])
-        points, point_class = _rings.class_representatives(rule.rings, probes)
-        assert np.array_equal(points, probes[reps]) and np.array_equal(point_class, inverse)
+        # every probe's row of the full grid-abs table is its representative's
+        table = approx.weighted_abs_legendre_sums(rule, M, probes)
+        rep_rows = approx.weighted_abs_legendre_sums(rule, M, probes[reps])
+        assert rel_err(table, rep_rows[inverse]) <= 1e-12
         assert_reduction_exact(rule, probes, rng.normal(size=(M + 1, 3)))
 
     def test_class_count_on_default_probes(self):
@@ -573,10 +579,14 @@ class TestSupNormReduction:
         operator_norm_bound(rule, M, 1e-4, beta, probe_grid(2 * M))
         # the addition theorem needs no Legendre values at (probe, node) pairs
         assert sizes == [] and probe_counts == [961]
-        approx.weighted_abs_legendre_sums(rule, M, probe_grid(2 * M))
+        approx._norm_oracle(rule, M, probe_grid(2 * M), "grid-abs")
         # the table sums over one node of each antipodal pair: the 15 rings
         # with t > 0 and the equator, 16 x 62 = 992 of the 1922 nodes
         assert sum(sizes) == 961 * 992
+        # the public table keeps a row for every probe it is given
+        sizes.clear()
+        approx.weighted_abs_legendre_sums(rule, M, probe_grid(2 * M))
+        assert sum(sizes) == 7442 * 992
 
 
 def kernel_blocks_sums(rule, probes, coefs):
@@ -623,7 +633,7 @@ class TestAdditionTheoremSupNorm:
         probe_rings = _rings.ring_layout(probes)
         rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
         reps = block_indices(probe_rings, rings, azimuths)
-        sup = approx._sup_norm(rule, probes, probe_rings)
+        sup = approx._norm_oracle(rule, M, probes, "grid")
         for c in rng.normal(size=(2, M + 1)):
             reference = kernel_blocks_sums(rule, probes, c)
             fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c)

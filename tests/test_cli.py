@@ -243,6 +243,20 @@ class TestFit:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_rule_below_degree_creates_nothing(self, tmp_path, capsys):
+        # the rule's exactness is checked before the output directory is made
+        rule_path = tmp_path / "rule.csv"
+        assert main(["gen-rule", "--degree", "3", "--out", str(rule_path)]) == 0
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.zeros(gauss_legendre_rule(3).n_points))
+        out = tmp_path / "fit"
+        argv = ["fit", "--degree", "5", "--rule", str(rule_path), "--samples", str(samples),
+                "--alpha", "0.1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exact to degree 6" in err
+        assert not out.exists()
+
     def test_rule_file_roundtrip(self, tmp_path):
         rule_path = tmp_path / "rule.csv"
         assert main(["gen-rule", "--degree", "3", "--out", str(rule_path)]) == 0
@@ -411,6 +425,13 @@ class TestExperimentCommand:
         out = tmp_path / "out"
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["experiment", "--which", "2", "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed must be non-negative, got -1" in err
         assert not out.exists()
 
     def test_missing_which_rejected(self, tmp_path, capsys):

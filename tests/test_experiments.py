@@ -343,6 +343,11 @@ class TestDriverArguments:
             (run_experiment_1, {"simulations": 0}, "simulations"),
             (run_experiment_3, {"seed": 0.5, "simulations": 2}, "seed"),
             (run_experiment_3, {"simulations": -1}, "simulations"),
+            (run_experiment_1, {"seed": -1, "simulations": 1},
+             "seed must be non-negative, got -1"),
+            (run_experiment_2, {"seed": -1}, "seed must be non-negative, got -1"),
+            (run_experiment_3, {"seed": -2.0, "simulations": 1},
+             "seed must be non-negative, got -2"),
         ],
     )
     def test_non_whole_seed_or_count_rejected(self, run, kwargs, name):

@@ -21,7 +21,7 @@ from spherefit import (
     weights_ones,
     weights_sgg_apriori,
 )
-from spherefit import _rings, params
+from spherefit import _rings, approx, params
 from spherefit.approx import filter_factors, weighted_abs_legendre_sums
 
 
@@ -202,8 +202,10 @@ class TestBalancingPrinciple:
 
     def test_grid_walk_classifies_the_probes_once(self, monkeypatch):
         # the probe classes depend only on the rule and the probe grid, so a
-        # walk finds the probe rings and the classes once, however many steps
-        # it takes; one operator_norm_bound call does the same
+        # walk classifies the probes once, however many steps it takes, and a
+        # second walk on the same rule reuses the memoized oracle; the walk
+        # finds the probe rings for its fits and, on a memo miss, for the
+        # oracle.  One operator_norm_bound call classifies once.
         calls = {"ring_layout": 0, "probe_classes": 0}
         for name in calls:
             def counting(*args, _name=name, _fn=getattr(_rings, name)):
@@ -211,14 +213,17 @@ class TestBalancingPrinciple:
                 return _fn(*args)
 
             monkeypatch.setattr(_rings, name, counting)
+        params._probe_norm.cache_clear()
         s = noisy_samples(6, seed=12)
         beta = PenalizationWeights(6, np.arange(7.0) + 1)
         cfg = BalancingConfig(alpha0=2.0, q=0.5, L=6, omega=1e9, delta=1.0)
         res = balancing_principle(s, 6, beta, cfg)
         assert len(res.trace) == cfg.L - 1
-        assert calls == {"ring_layout": 1, "probe_classes": 1}
+        assert calls == {"ring_layout": 2, "probe_classes": 1}
+        balancing_principle(s, 6, beta, cfg)
+        assert calls == {"ring_layout": 3, "probe_classes": 1}
         operator_norm_bound(s.rule, 6, 1e-3, beta, probe_grid(12))
-        assert calls == {"ring_layout": 2, "probe_classes": 2}
+        assert calls == {"ring_layout": 4, "probe_classes": 2}
 
     def test_norm_bound_variants_order(self):
         # grid <= grid-abs <= crude thresholds, step by step
@@ -259,18 +264,35 @@ class TestBalancingPrinciple:
             expected = cfg.omega * cfg.delta * (table @ c).max()
             assert step.threshold == pytest.approx(expected, rel=1e-12)
 
-    def test_grid_abs_table_keeps_one_row_per_probe_class(self):
+    @staticmethod
+    def record_table_shapes(monkeypatch):
+        """Shapes of the tables the `grid-abs` oracle builds, through the
+        module global the builder calls."""
+        shapes = []
+        table = approx.weighted_abs_legendre_sums
+
+        def recording(rule, M, probes):
+            S = table(rule, M, probes)
+            shapes.append(S.shape)
+            return S
+
+        monkeypatch.setattr(approx, "weighted_abs_legendre_sums", recording)
+        return shapes
+
+    def test_grid_abs_table_keeps_one_row_per_probe_class(self, monkeypatch):
         # probes of one class share a table row, so max(table @ c) needs one
         # row per class; a rule in another node order keeps every probe
-        assert params._abs_sums_table(gauss_legendre_rule(30), 30, 60).shape == (961, 31)
+        shapes = self.record_table_shapes(monkeypatch)
+        approx._norm_oracle(gauss_legendre_rule(30), 30, probe_grid(60), "grid-abs")
+        assert shapes == [(961, 31)]
         rule = gauss_legendre_rule(5)
         perm = np.random.default_rng(10).permutation(rule.n_points)
         shuffled = CubatureRule(5, rule.points[perm], rule.weights[perm])
-        assert params._abs_sums_table(shuffled, 5, 10).shape == (probe_grid(10).shape[0], 6)
+        approx._norm_oracle(shuffled, 5, probe_grid(10), "grid-abs")
+        assert shapes[1:] == [(probe_grid(10).shape[0], 6)]
 
-    def test_grid_abs_table_classifies_the_probes_once(self, monkeypatch):
-        # one probe_classes call per table build: the class representatives
-        # are no product grid, so the table routine does not classify them again
+    @staticmethod
+    def count_probe_classes(monkeypatch):
         calls = []
         probe_classes = _rings.probe_classes
 
@@ -279,23 +301,46 @@ class TestBalancingPrinciple:
             return probe_classes(*args)
 
         monkeypatch.setattr(_rings, "probe_classes", counting)
-        rule = gauss_legendre_rule(10)
-        assert params._abs_sums_table.__wrapped__(rule, 10, 20).shape == (121, 11)
-        assert len(calls) == 1
-        weighted_abs_legendre_sums(rule, 10, probe_grid(20))
-        assert len(calls) == 2
+        return calls
 
-    def test_grid_abs_table_memory_at_degree_60(self):
+    def test_grid_abs_table_classifies_the_probes_once(self, monkeypatch):
+        # one probe_classes call per table build; the public table takes the
+        # probes as given and does not classify them
+        calls = self.count_probe_classes(monkeypatch)
+        rule = gauss_legendre_rule(10)
+        approx._norm_oracle(rule, 10, probe_grid(20), "grid-abs")
+        assert len(calls) == 1
+        assert weighted_abs_legendre_sums(rule, 10, probe_grid(20)).shape == (882, 11)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("M, resolution", [(5, 2), (11, 5), (30, 30)])
+    def test_single_azimuth_class_build_classifies_once(self, monkeypatch, M, resolution):
+        # with r + 1 dividing M + 1 one azimuth class remains, so the class
+        # representatives form a one-azimuth product grid; the build still
+        # classifies the probes once and keeps one row per ring class
+        calls = self.count_probe_classes(monkeypatch)
+        shapes = self.record_table_shapes(monkeypatch)
+        rule, probes = gauss_legendre_rule(M), probe_grid(resolution)
+        sup = params._probe_norm.__wrapped__(rule, M, resolution, "grid-abs")
+        assert len(calls) == 1
+        rings, azimuths, _ = _rings.probe_classes(rule.rings, _rings.ring_layout(probes))
+        assert azimuths.size == 1 and shapes == [(rings.size, M + 1)]
+        c = (2 * np.arange(M + 1) + 1) / (4 * np.pi)
+        full = weighted_abs_legendre_sums(rule, M, probes) @ c
+        assert sup(c) == pytest.approx(full.max(), rel=1e-12)
+
+    def test_grid_abs_table_memory_at_degree_60(self, monkeypatch):
         # a fresh M = 60 build (the rule made beforehand) holds one Legendre
         # block of about 15 MB and the 1.8 MB table: under 25 MB in all
+        shapes = self.record_table_shapes(monkeypatch)
         rule = gauss_legendre_rule(60)
         tracemalloc.start()
         try:
-            table = params._abs_sums_table.__wrapped__(rule, 60, 120)
+            params._probe_norm.__wrapped__(rule, 60, 120, "grid-abs")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.shape == (3721, 61)
+        assert shapes == [(3721, 61)]
         assert peak < 25 * 2**20
 
     def test_grid_abs_thresholds_equal_full_table_maxima(self):
@@ -312,8 +357,10 @@ class TestBalancingPrinciple:
         grid = cfg.grid()
         for step, z in zip(res.trace, range(cfg.L - 2, -1, -1)):
             c = (2 * k + 1) / (4 * np.pi) * filter_factors(M, grid[z + 1], beta)
-            # bit-identical with OpenBLAS; the tolerance allows a BLAS whose
-            # dot products round differently by row position
+            # the walk's table holds one row per class, this one a row per
+            # probe; a class's rows agree to rounding (at most 4.4e-16
+            # relative at M = 30 with OpenBLAS), as dot products round by
+            # row position within a block
             expected = cfg.omega * cfg.delta * (table @ c).max()
             assert step.threshold == pytest.approx(expected, rel=1e-15, abs=0.0)
 
