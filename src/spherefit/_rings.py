@@ -19,7 +19,10 @@ A = 2(M+1) points, often twice a prime, so the products beat an FFT along
 the rings and a loop over the orders.  The Legendre values are taken from
 `sph_harm_matrix` on one point per ring at phi = 0, where row k^2+k+m holds
 sqrt(2) Nbar P_k^m(t_s) for m > 0 and Nbar P_k^0(t_s) for m = 0: the values
-the transform needs, built by the same recurrence as the dense path.
+the transform needs, built by the same recurrence as the dense path.  That
+recurrence takes all orders of one degree in one vectorized step, so a table
+costs O(M) numpy steps on vectors of R ring heights, not one step per
+(degree, order) pair.
 
 `probe_classes` groups the probe points at which the sup-norm kernel sums
 over a product rule agree.  The groups form one ring x azimuth block (ring

@@ -347,9 +347,12 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
     return S
 
 
-def _norm_oracle(rule: CubatureRule, M: int, probes: np.ndarray, bound: str):
+def _norm_oracle(
+    rule: CubatureRule, M: int, probes: np.ndarray, probe_rings: _rings.RingLayout | None, bound: str
+):
     """Map from coefficients c_0..c_M (c >= 0 for ``grid-abs``) to the maximum
-    over the probes of the `bound` sup-norm sum over the rule:
+    over the probes, whose `_rings.ring_layout` is `probe_rings`, of the
+    `bound` sup-norm sum over the rule:
     sum_i w_i |sum_k c_k P_k(x . x_i)| for ``grid``, and its upper envelope
     sum_k c_k sum_i w_i |P_k(x . x_i)| for ``grid-abs``.
 
@@ -361,7 +364,6 @@ def _norm_oracle(rule: CubatureRule, M: int, probes: np.ndarray, bound: str):
     probe sets keep every probe, through `_kernel_blocks`.  Either way the
     maximum is over the full probe set.
     """
-    probe_rings = _rings.ring_layout(probes)
     classes = _rings.probe_classes(rule.rings, probe_rings)
     if classes is not None:
         rings, azimuths, _ = classes
@@ -410,7 +412,8 @@ def operator_norm_bound(
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
-    est = _norm_oracle(rule, M, pts, "grid")(_kernel_coefficients(M, alpha, beta))
+    sup = _norm_oracle(rule, M, pts, _rings.ring_layout(pts), "grid")
+    est = sup(_kernel_coefficients(M, alpha, beta))
     crude = crude_norm_upper(M, alpha, beta)
     # the weight sum carries ~1e-12 roundoff; the true norm never exceeds crude
     return NormBound(estimate=min(est, crude), crude_upper=crude)

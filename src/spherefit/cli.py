@@ -227,7 +227,7 @@ def cmd_fit(settings: dict) -> int:
             alpha_source="bp",
             alpha=alpha,
             bp_triggered=bres.triggered,
-            bp_trace=str(trace_path),
+            bp_trace=trace_path.name,
             bp_norm_bound=bres.norm_bound,
             bp_probe_resolution=bres.probe_resolution,
         )
@@ -240,7 +240,7 @@ def cmd_fit(settings: dict) -> int:
 
     bound = approx.operator_norm_bound(rule, M, alpha, beta, probes)
     summary.update(
-        coefficients=str(coeff_path),
+        coefficients=coeff_path.name,
         norm_estimate=bound.estimate,
         norm_crude_upper=bound.crude_upper,
         functional=approx.penalized_functional(samples, gamma, alpha, beta),

@@ -18,6 +18,7 @@ import numpy as np
 from .approx import (
     HarmonicCoefficients,
     SampleSet,
+    _synthesizer,
     analyze,
     evaluate_grid,
     expand_by_degree,
@@ -380,7 +381,7 @@ def run_experiment_2(seed: int = 0):
 
     probe_rule = gauss_legendre_rule(2 * M)
     truth_probe = franke_cap_eval(probe_rule.points)
-    rec_probe = evaluate_grid(gamma, probe_rule.points)
+    rec_probe = _synthesizer(M, probe_rule.points, probe_rule.rings)(gamma.values)
     sup_error = float(np.abs(rec_probe - truth_probe).max())
     rel_error = _weighted_l2_rel_error(probe_rule, rec_probe, truth_probe)
     rec_nodes = evaluate_grid(gamma, rule.points)
@@ -452,6 +453,7 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
 
     probe_rule = gauss_legendre_rule(2 * M)
     truth_probe = franke_cap_eval(probe_rule.points)
+    synthesize_probes = _synthesizer(M, probe_rule.points, probe_rule.rings)
 
     methods = {"laplace-beltrami+bp": beta_lb, "selected-kernel+bp": beta_sel}
     errors = {m: np.empty(simulations) for m in methods}
@@ -464,7 +466,7 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
         for method, beta in methods.items():
             bres = balancing_principle(samples, M, beta, _bp_config(config, eps_sup))
             gamma = regularized_fit(samples, M, bres.alpha_star, beta)
-            rec_probe = evaluate_grid(gamma, probe_rule.points)
+            rec_probe = synthesize_probes(gamma.values)
             err = _weighted_l2_rel_error(probe_rule, rec_probe, truth_probe)
             errors[method][sim] = err
             is_sel = method == "selected-kernel+bp"

@@ -11,7 +11,9 @@ phase.  Degrees k and order indices j (1 <= j <= 2k+1, m = j - k - 1) are laid
 out flat as n = k^2 + j - 1, i.e. degree-major with orders ascending.
 
 All evaluation goes through normalized recurrences, so degrees of several
-hundred are safe from overflow.
+hundred are safe from overflow.  `sph_harm_matrix` runs its recurrence over
+the degree only, every order of a degree in one vectorized step, so the
+matrix of degree M takes O(M) numpy steps however few the points are.
 """
 
 from __future__ import annotations
@@ -150,43 +152,82 @@ def sph_harm_matrix(degree: int, points) -> np.ndarray:
     Returns an array of shape ((degree+1)^2, n) whose row k^2 + j - 1 holds
     Y_{k,j} at every point.  Azimuth is taken as 0 at the poles, where all
     m != 0 harmonics vanish anyway.
+
+    The normalized Legendre recurrence runs over the degree k only, all
+    orders m <= k of a degree in one step (as in Schaeffer, arXiv:1202.6522),
+    so the matrix takes O(degree) numpy steps.  Step k writes the values
+    Nbar P_k^m into rows k^2+k+m, m >= 0: order k from the diagonal, order
+    k-1 from it by one product, and the orders m <= k-2 from the two
+    degrees below by the three-term recurrence.  Once no step reads degree
+    k's values, its -m rows get the products with sqrt(2) sin(m phi) and its
+    +m rows those with sqrt(2) cos(m phi), m > 0.
     """
     degree = _whole_number(degree, "degree")
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
     pts = as_unit_vectors(points)
-    n = pts.shape[0]
+    M, n = degree, pts.shape[0]
     t = np.clip(pts[:, 2], -1.0, 1.0)
     u = np.hypot(pts[:, 0], pts[:, 1])  # sin(theta), exact for unit vectors
     phi = np.arctan2(pts[:, 1], pts[:, 0])
 
-    Y = np.empty((basis_size(degree), n))
-    pmm = np.full(n, 1.0 / np.sqrt(FOUR_PI))
-    for m in range(degree + 1):
-        if m > 0:
-            pmm = pmm * u * np.sqrt((2.0 * m + 1.0) / (2.0 * m))
-            cos_m = _SQRT2 * np.cos(m * phi)
-            sin_m = _SQRT2 * np.sin(m * phi)
-        p_prev2 = None
-        p_prev = None
-        for k in range(m, degree + 1):
-            if k == m:
-                p = pmm
-            elif k == m + 1:
-                p = np.sqrt(2.0 * m + 3.0) * t * pmm
-            else:
-                a = np.sqrt((2.0 * k - 1.0) * (2.0 * k + 1.0) / ((k - m) * (k + m)))
-                b = np.sqrt(
-                    (2.0 * k + 1.0) * (k + m - 1.0) * (k - m - 1.0)
-                    / ((2.0 * k - 3.0) * (k - m) * (k + m))
-                )
-                p = a * t * p_prev - b * p_prev2
-            base = k * k + k
-            if m == 0:
-                Y[base] = p
-            else:
-                Y[base + m] = p * cos_m
-                Y[base - m] = p * sin_m
-            p_prev2, p_prev = p_prev, p
+    Y = np.empty((basis_size(M), n))
+    Y[0] = 1.0 / np.sqrt(FOUR_PI)
+    # cos_m[m-1] holds sqrt(2) cos(m phi); sqrt(2) sin(m phi) waits in row
+    # M^2+M-m, the -m row of degree M, which is the last one written
+    cos_m = np.empty((M, n))
+    for m in range(1, M + 1):
+        cos_m[m - 1] = _SQRT2 * np.cos(m * phi)
+        Y[M * M + M - m] = _SQRT2 * np.sin(m * phi)
+    orders = np.arange(1, M + 1, dtype=float)
+    diagonal = np.sqrt((2.0 * orders + 1.0) / (2.0 * orders))  # P_m^m from P_{m-1}^{m-1}
+    next_to_diagonal = np.sqrt(2.0 * orders + 1.0)  # P_m^{m-1} from P_{m-1}^{m-1}
+    a, b = _recurrence_coefficients(M)
+    for k in range(1, M + 1):
+        row = k * k + k  # row of order m >= 0 of degree k is row + m
+        prev, prev2 = row - 2 * k, row - 4 * k + 2  # the same rows of degrees k-1, k-2
+        if k >= 2:
+            # (a t) P_{k-1}^m - b P_{k-2}^m for m <= k-2; the k-1 rows of
+            # degree k-1's -m harmonics are free until its sin products
+            at = Y[prev - k + 1 : prev]
+            np.multiply(a[k, : k - 1, None], t, out=at)
+            at *= Y[prev : prev + k - 1]
+            new = Y[row : row + k - 1]
+            np.multiply(b[k, : k - 1, None], Y[prev2 : prev2 + k - 1], out=new)
+            np.subtract(at, new, out=new)
+        np.multiply(next_to_diagonal[k - 1], t, out=Y[row + k - 1])
+        Y[row + k - 1] *= Y[prev + k - 1]
+        np.multiply(Y[prev + k - 1], u, out=Y[row + k])
+        Y[row + k] *= diagonal[k - 1]
+        if k >= 3:
+            _apply_azimuth(Y, k - 2, cos_m)
+    for k in range(max(1, M - 1), M + 1):
+        _apply_azimuth(Y, k, cos_m)
     return Y
 
+
+def _recurrence_coefficients(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """a[k, m] and b[k, m] of P_k^m = a t P_{k-1}^m - b P_{k-2}^m for the
+    normalized values, 0 <= m <= k-2 <= M-2 (zero elsewhere)."""
+    k, m = np.tril_indices(M + 1, -2)
+    a, b = np.zeros((M + 1, M + 1)), np.zeros((M + 1, M + 1))
+    a[k, m] = np.sqrt((2.0 * k - 1.0) * (2.0 * k + 1.0) / ((k - m) * (k + m)))
+    b[k, m] = np.sqrt(
+        (2.0 * k + 1.0) * (k + m - 1.0) * (k - m - 1.0) / ((2.0 * k - 3.0) * (k - m) * (k + m))
+    )
+    return a, b
+
+
+def _apply_azimuth(Y: np.ndarray, k: int, cos_m: np.ndarray) -> None:
+    """Turn degree k's values Nbar P_k^m in rows k^2+k+m into its harmonics:
+    row k^2+k-m gets them times sqrt(2) sin(m phi), read from row M^2+M-m
+    (the same row when k = M), and row k^2+k+m times sqrt(2) cos(m phi)."""
+    M = cos_m.shape[0]
+    row = k * k + k
+    values = Y[row + k : row : -1]  # orders k, k-1, ..., 1
+    sin = Y[M * M + M - k : M * M + M]
+    if k < M:
+        np.multiply(values, sin, out=Y[k * k : row])
+    else:
+        sin *= values
+    Y[row + 1 : row + k + 1] *= cos_m[:k]

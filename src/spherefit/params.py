@@ -29,7 +29,7 @@ from .approx import (
     penalized_functional,
     regularized_fit,
 )
-from .cubature import probe_grid
+from .cubature import gauss_legendre_rule, probe_grid
 from .harmonics import _whole_number
 
 NORM_BOUND_KINDS = ("grid", "grid-abs", "crude")
@@ -192,13 +192,20 @@ def weights_from_kernel_params(M: int, p: KernelParams) -> PenalizationWeights:
 # balancing principle
 
 
+def _probes(resolution: int) -> tuple[np.ndarray, _rings.RingLayout]:
+    """probe_grid(resolution) and its ring layout.  The grid is the node set
+    of gauss_legendre_rule(resolution), which holds the layout already, so
+    no scan of the points is needed."""
+    return probe_grid(resolution), gauss_legendre_rule(resolution).rings
+
+
 @functools.lru_cache(maxsize=4)
 def _probe_norm(rule, M: int, resolution: int, bound: str):
     """c -> max over probe_grid(resolution) under a `grid` or `grid-abs`
     bound (`approx._norm_oracle`).  Memoized per rule object (rules compare
     by identity), so the many balancing calls of a kernel search on one rule
     classify the probes and build the `grid-abs` table once."""
-    return _norm_oracle(rule, M, probe_grid(resolution), bound)
+    return _norm_oracle(rule, M, *_probes(resolution), bound)
 
 
 def balancing_principle(
@@ -214,8 +221,7 @@ def balancing_principle(
     """
     alphas = cfg.grid()
     resolution = cfg.probe_resolution or default_probe_resolution(M)
-    probes = probe_grid(resolution)
-    synthesize = _synthesizer(M, probes, _rings.ring_layout(probes))
+    synthesize = _synthesizer(M, *_probes(resolution))
     gamma_hat = analyze(samples, M).values
     b2 = expand_by_degree(beta.beta**2)
     if cfg.norm_bound == "crude":

@@ -1,8 +1,12 @@
-"""Single-point forms of the harmonic basis, used as test oracles.
+"""Single-point forms of the harmonic basis and a loop form of the harmonic
+matrix, used as test oracles.
 
 The package evaluates Legendre polynomials and harmonics only in matrix form;
 these wrappers pick one entry out of those matrices so tests can compare
 against closed forms and the addition theorem point by point.
+`sph_harm_matrix_loop` runs the harmonic recurrence one (degree, order) pair
+at a time, the form `sph_harm_matrix` vectorizes over the orders with the
+same floating-point operations.
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spherefit.harmonics import FOUR_PI, _one_point, legendre_matrix, sph_harm_matrix
+from spherefit.harmonics import (
+    _SQRT2, FOUR_PI, _one_point, as_unit_vectors, basis_size, legendre_matrix, sph_harm_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -71,3 +77,43 @@ def addition_kernel(k: int, x, z) -> float:
     zv = _one_point(z)[0]
     dot = float(np.clip(xv @ zv, -1.0, 1.0))
     return (2 * k + 1) / FOUR_PI * legendre_eval(k, dot)
+
+
+def sph_harm_matrix_loop(degree: int, points) -> np.ndarray:
+    """`sph_harm_matrix` with its recurrence run one (degree, order) pair at
+    a time: each order m from its diagonal value upward in the degree."""
+    pts = as_unit_vectors(points)
+    n = pts.shape[0]
+    t = np.clip(pts[:, 2], -1.0, 1.0)
+    u = np.hypot(pts[:, 0], pts[:, 1])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+
+    Y = np.empty((basis_size(degree), n))
+    pmm = np.full(n, 1.0 / np.sqrt(FOUR_PI))
+    for m in range(degree + 1):
+        if m > 0:
+            pmm = pmm * u * np.sqrt((2.0 * m + 1.0) / (2.0 * m))
+            cos_m = _SQRT2 * np.cos(m * phi)
+            sin_m = _SQRT2 * np.sin(m * phi)
+        p_prev2 = None
+        p_prev = None
+        for k in range(m, degree + 1):
+            if k == m:
+                p = pmm
+            elif k == m + 1:
+                p = np.sqrt(2.0 * m + 3.0) * t * pmm
+            else:
+                a = np.sqrt((2.0 * k - 1.0) * (2.0 * k + 1.0) / ((k - m) * (k + m)))
+                b = np.sqrt(
+                    (2.0 * k + 1.0) * (k + m - 1.0) * (k - m - 1.0)
+                    / ((2.0 * k - 3.0) * (k - m) * (k + m))
+                )
+                p = a * t * p_prev - b * p_prev2
+            base = k * k + k
+            if m == 0:
+                Y[base] = p
+            else:
+                Y[base + m] = p * cos_m
+                Y[base - m] = p * sin_m
+            p_prev2, p_prev = p_prev, p
+    return Y

@@ -10,8 +10,8 @@ Into OUT_DIR it writes, through `spherefit.cli.main`:
   fit-fixed/       fit at a fixed alpha
 The fits use the reference data: the Franke-plus-cap function at the degree-30
 rule's nodes, Gaussian noise of sigma 0.5 (seed 1), Laplace-Beltrami weights.
-Every file is then hashed with OUT_DIR replaced by `<out>` in its contents
-(`fit_summary.json` records output paths), and printed as `<sha256>  <path>`.
+Every file is then hashed and printed as `<sha256>  <path>`; no output
+records OUT_DIR, so two runs into different directories list the same hashes.
 
 Not collected by pytest (the name does not start with `test_`).  Run from the
 repository root, once per tree, and diff the two listings:
@@ -73,8 +73,7 @@ def main() -> None:
     out = args.out.resolve()
     write_outputs(out, args.seeds)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        data = path.read_bytes().replace(str(out).encode(), b"<out>")
-        print(f"{hashlib.sha256(data).hexdigest()}  {path.relative_to(out)}")
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
 
 
 if __name__ == "__main__":

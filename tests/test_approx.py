@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from _scalar import sph_harm_matrix_loop
 
 from spherefit import (
     CubatureRule,
@@ -335,6 +339,32 @@ class TestRingTransform:
         values = evaluate_grid(HarmonicCoefficients(M, c), rule.points)
         assert rel_err(analyze(SampleSet(rule, values), M).values, c) <= 1e-12
 
+    @pytest.mark.parametrize("M", [0, 1, 2, 5, 30, 60])
+    def test_legendre_table_is_the_loop_recurrence_reordered(self, M):
+        # P[m, k, s] is the loop oracle's row k^2+k+m at ring s, bit for bit,
+        # and zero for k < m
+        rings = gauss_legendre_rule(2 * M).rings
+        Y = sph_harm_matrix_loop(M, rings.meridian)
+        expected = np.zeros((M + 1, M + 1, rings.meridian.shape[0]))
+        for k in range(M + 1):
+            expected[: k + 1, k] = Y[k * k + k : k * k + 2 * k + 1]
+        P = _rings._table(M, rings).P
+        assert P.shape == expected.shape
+        assert np.array_equal(P.view(np.int64), expected.view(np.int64))
+
+    def test_legendre_table_memory_at_degree_60(self):
+        # Y is reordered into P in place and the recurrence adds no table-sized
+        # intermediate: a cold build on the 121 probe rings of M = 60 peaks at
+        # Y (3.6 MB) plus the trig tables, 4.24 MB, as the loop recurrence did
+        rings = gauss_legendre_rule(120).rings
+        tracemalloc.start()
+        try:
+            _rings._legendre_table.__wrapped__(60, rings.meridian.tobytes(), rings.azimuths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.24e6
+
     def test_scattered_points_take_dense_path(self, dense_calls):
         rng = np.random.default_rng(101)
         M = 6
@@ -452,14 +482,14 @@ def probe_by_probe_sums(rule, probes, cols):
 def assert_reduction_exact(rule, probes, cols):
     full = probe_by_probe_sums(rule, probes, cols)
     M = cols.shape[0] - 1
-    sup = approx._norm_oracle(rule, M, probes, "grid")
+    sup = approx._norm_oracle(rule, M, probes, _rings.ring_layout(probes), "grid")
     maxima = [sup(c) for c in cols.T]
     assert rel_err(np.array(maxima), full.max(axis=0)) <= 1e-12
     table = approx.weighted_abs_legendre_sums(rule, M, probes)
     assert table.shape == (probes.shape[0], M + 1)
     assert rel_err(table, probe_by_probe_sums(rule, probes, np.eye(M + 1))) <= 1e-12
     # the grid-abs oracle, on one row per class, against the full table
-    envelope = approx._norm_oracle(rule, M, probes, "grid-abs")
+    envelope = approx._norm_oracle(rule, M, probes, _rings.ring_layout(probes), "grid-abs")
     c = np.abs(cols[:, 0])
     assert abs(envelope(c) - (table @ c).max()) <= 1e-12 * (table @ c).max()
 
@@ -579,7 +609,8 @@ class TestSupNormReduction:
         operator_norm_bound(rule, M, 1e-4, beta, probe_grid(2 * M))
         # the addition theorem needs no Legendre values at (probe, node) pairs
         assert sizes == [] and probe_counts == [961]
-        approx._norm_oracle(rule, M, probe_grid(2 * M), "grid-abs")
+        probes = probe_grid(2 * M)
+        approx._norm_oracle(rule, M, probes, _rings.ring_layout(probes), "grid-abs")
         # the table sums over one node of each antipodal pair: the 15 rings
         # with t > 0 and the equator, 16 x 62 = 992 of the 1922 nodes
         assert sum(sizes) == 961 * 992
@@ -633,7 +664,7 @@ class TestAdditionTheoremSupNorm:
         probe_rings = _rings.ring_layout(probes)
         rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
         reps = block_indices(probe_rings, rings, azimuths)
-        sup = approx._norm_oracle(rule, M, probes, "grid")
+        sup = approx._norm_oracle(rule, M, probes, probe_rings, "grid")
         for c in rng.normal(size=(2, M + 1)):
             reference = kernel_blocks_sums(rule, probes, c)
             fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c)

@@ -82,6 +82,27 @@ class TestFit:
         assert trace[0] == "alpha,difference,threshold,triggered"
         assert len(trace) >= 2
 
+    def test_summary_does_not_depend_on_the_output_directory(self, tmp_path):
+        # the summary names its sibling files relative to the output
+        # directory, so the same fit written twice gives the same bytes
+        M = 3
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.random.default_rng(4).normal(size=gauss_legendre_rule(M).n_points))
+        summaries = []
+        for out in (tmp_path / "a", tmp_path / "b" / "nested"):
+            rc = main(
+                [
+                    "fit", "--degree", str(M), "--samples", str(samples),
+                    "--beta", "ones", "--bp", "--noise-level", "0.05", "--out", str(out),
+                ]
+            )
+            assert rc == 0
+            summaries.append((out / "fit_summary.json").read_bytes())
+            summary = json.loads(summaries[-1])
+            assert (out / summary["coefficients"]).is_file()
+            assert (out / summary["bp_trace"]).is_file()
+        assert summaries[0] == summaries[1]
+
     def test_count_mismatch_names_both(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"
         write_samples(samples, np.zeros(7))

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from _scalar import HarmonicIndex, addition_kernel, legendre_batch, legendre_eval, sph_harm_eval
+from _scalar import (
+    HarmonicIndex, addition_kernel, legendre_batch, legendre_eval, sph_harm_eval,
+    sph_harm_matrix_loop,
+)
 
 from spherefit import SpherePoint, gauss_legendre_rule, sph_harm_matrix
 from spherefit.harmonics import as_unit_vectors, legendre_matrix
@@ -14,6 +19,10 @@ FOUR_PI = 4 * np.pi
 def random_unit(rng, n):
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestLegendre:
@@ -150,6 +159,35 @@ class TestSphHarm:
     def test_scalar_eval_rejects_several_points(self):
         with pytest.raises(ValueError, match="one point"):
             sph_harm_eval(HarmonicIndex(1, 2), [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)])
+
+    @pytest.mark.parametrize("M", [0, 1, 2, 5, 30, 60, 120])
+    def test_matrix_is_the_loop_recurrence_bit_for_bit(self, M):
+        # vectorized over the orders, the recurrence keeps every floating-point
+        # operation of the loop over (degree, order) pairs: on ring meridians
+        # with both poles (the ring transform's tables) and scattered points
+        poles = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+        meridian = np.vstack([gauss_legendre_rule(M).rings.meridian, poles])
+        scattered = random_unit(np.random.default_rng(40 + M), 50)
+        for pts in (meridian, scattered):
+            assert_same_bits(sph_harm_matrix(M, pts), sph_harm_matrix_loop(M, pts))
+
+    def test_matrix_is_the_loop_recurrence_at_degree_500(self):
+        pts = random_unit(np.random.default_rng(500), 5)
+        assert_same_bits(sph_harm_matrix(500, pts), sph_harm_matrix_loop(500, pts))
+
+    def test_dense_matrix_memory(self):
+        # beside the matrix the recurrence keeps one (M x n) table of
+        # sqrt(2) cos(m phi), 3% of it at M = 30, and writes every other
+        # intermediate into rows of the matrix that are not final yet
+        q, _ = np.linalg.qr(np.random.default_rng(30).normal(size=(3, 3)))
+        pts = gauss_legendre_rule(30).points @ q.T
+        tracemalloc.start()
+        try:
+            Y = sph_harm_matrix(30, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * Y.nbytes
 
     def test_matrix_matches_scalar_eval(self):
         rng = np.random.default_rng(5)

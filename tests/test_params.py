@@ -203,9 +203,10 @@ class TestBalancingPrinciple:
     def test_grid_walk_classifies_the_probes_once(self, monkeypatch):
         # the probe classes depend only on the rule and the probe grid, so a
         # walk classifies the probes once, however many steps it takes, and a
-        # second walk on the same rule reuses the memoized oracle; the walk
-        # finds the probe rings for its fits and, on a memo miss, for the
-        # oracle.  One operator_norm_bound call classifies once.
+        # second walk on the same rule reuses the memoized oracle.  The walk
+        # takes the probe rings from the probe grid's (memoized) rule, which
+        # found them when it was built, so it scans for none; one
+        # operator_norm_bound call on bare probes scans and classifies once.
         calls = {"ring_layout": 0, "probe_classes": 0}
         for name in calls:
             def counting(*args, _name=name, _fn=getattr(_rings, name)):
@@ -219,11 +220,11 @@ class TestBalancingPrinciple:
         cfg = BalancingConfig(alpha0=2.0, q=0.5, L=6, omega=1e9, delta=1.0)
         res = balancing_principle(s, 6, beta, cfg)
         assert len(res.trace) == cfg.L - 1
-        assert calls == {"ring_layout": 2, "probe_classes": 1}
+        assert calls == {"ring_layout": 0, "probe_classes": 1}
         balancing_principle(s, 6, beta, cfg)
-        assert calls == {"ring_layout": 3, "probe_classes": 1}
+        assert calls == {"ring_layout": 0, "probe_classes": 1}
         operator_norm_bound(s.rule, 6, 1e-3, beta, probe_grid(12))
-        assert calls == {"ring_layout": 4, "probe_classes": 2}
+        assert calls == {"ring_layout": 1, "probe_classes": 2}
 
     def test_norm_bound_variants_order(self):
         # grid <= grid-abs <= crude thresholds, step by step
@@ -283,12 +284,12 @@ class TestBalancingPrinciple:
         # probes of one class share a table row, so max(table @ c) needs one
         # row per class; a rule in another node order keeps every probe
         shapes = self.record_table_shapes(monkeypatch)
-        approx._norm_oracle(gauss_legendre_rule(30), 30, probe_grid(60), "grid-abs")
+        approx._norm_oracle(gauss_legendre_rule(30), 30, *params._probes(60), "grid-abs")
         assert shapes == [(961, 31)]
         rule = gauss_legendre_rule(5)
         perm = np.random.default_rng(10).permutation(rule.n_points)
         shuffled = CubatureRule(5, rule.points[perm], rule.weights[perm])
-        approx._norm_oracle(shuffled, 5, probe_grid(10), "grid-abs")
+        approx._norm_oracle(shuffled, 5, *params._probes(10), "grid-abs")
         assert shapes[1:] == [(probe_grid(10).shape[0], 6)]
 
     @staticmethod
@@ -308,7 +309,7 @@ class TestBalancingPrinciple:
         # probes as given and does not classify them
         calls = self.count_probe_classes(monkeypatch)
         rule = gauss_legendre_rule(10)
-        approx._norm_oracle(rule, 10, probe_grid(20), "grid-abs")
+        approx._norm_oracle(rule, 10, *params._probes(20), "grid-abs")
         assert len(calls) == 1
         assert weighted_abs_legendre_sums(rule, 10, probe_grid(20)).shape == (882, 11)
         assert len(calls) == 1
