@@ -33,7 +33,14 @@ in the balancing walk, which memoizes its oracle under that key.
 `weighted_abs_kernel_sums` evaluates the `grid` sums on that block, one per
 group, by the addition theorem with the same Legendre table; the `grid-abs`
 table takes one row per group from `approx.weighted_abs_legendre_sums`,
-which returns one row for each probe it is given.
+which returns one row for each probe it is given.  The balancing walk and
+`fit`'s norm estimate take their maxima on a probe set that the rule's
+symmetries map to itself (`params._norm_probes`): the rings of the probe
+grid, at a multiple of the rule's azimuth count A.  Its azimuths then fall
+into the offsets 0 to pi/A from the rule's, two of them at the default
+resolution 2M, so on gauss_legendre_rule(M) 2(M+1) groups remain where
+probe_grid(2M) leaves (M+1)^2.  The Legendre table depends on the rings
+alone, so that set shares the probe grid's.
 `antipodal_half` keeps one node of each antipodal pair of a mirrored rule
 for sums whose terms are even in x . x_i, such as the `grid-abs` table.
 """
@@ -116,8 +123,11 @@ class _RingTable(NamedTuple):
 
 
 @functools.lru_cache(maxsize=4)
-def _legendre_table(M: int, meridian: bytes, azimuths: int) -> _RingTable:
-    """The transform's operators, memoized by degree and rings."""
+def _legendre_table(M: int, meridian: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transform's P, rows and position, memoized by degree and rings.
+
+    They do not depend on the azimuth count, so point sets on the same rings
+    (the probe grid and the sup-norm probe set) share one table."""
     k, m, sign = np.arange(M + 1), np.arange(M + 1)[:, None, None], np.array([[1], [-1]])
     # entries with k < m point at row 0 and meet the zeros of P there
     rows = (k * k + k + sign * m) * (k >= m)
@@ -139,15 +149,22 @@ def _legendre_table(M: int, meridian: bytes, azimuths: int) -> _RingTable:
     used = (k >= m) & ((sign > 0) | (m > 0))
     position = np.empty(basis_size(M), dtype=np.intp)
     position[rows[used]] = np.flatnonzero(used)
+    for a in (P, rows, position):
+        a.setflags(write=False)
+    return P, rows, position
+
+
+@functools.lru_cache(maxsize=4)
+def _trig_table(M: int, azimuths: int) -> np.ndarray:
+    """cos(m phi_j) in row 2m and sin(m phi_j) in row 2m+1, memoized."""
     cos, sin = _trig_columns(np.arange(azimuths), azimuths, M)
     trig = np.stack([cos, sin], axis=1).reshape(2 * (M + 1), azimuths)
-    for a in (P, rows, position, trig):
-        a.setflags(write=False)
-    return _RingTable(P, rows, position, trig)
+    trig.setflags(write=False)
+    return trig
 
 
 def _table(M: int, rings: RingLayout) -> _RingTable:
-    return _legendre_table(M, rings.meridian.tobytes(), rings.azimuths)
+    return _RingTable(*_legendre_table(M, rings.meridian.tobytes()), _trig_table(M, rings.azimuths))
 
 
 def analysis(rings: RingLayout, M: int, values: np.ndarray) -> np.ndarray:
@@ -271,8 +288,9 @@ def weighted_abs_kernel_sums(
     R, A = rule_rings.meridian.shape[0], rule_rings.azimuths
     d = FOUR_PI / (2 * np.arange(M + 1) + 1) * coefs
     rule_table = _table(M, rule_rings)
+    probe_P = _legendre_table(M, probe_rings.meridian.tobytes())[0]
     # a[p, s, m] = a_m(p, s); the zeros of P for k < m add nothing
-    a = np.matmul(_table(M, probe_rings).P[:, :, rings].transpose(0, 2, 1) * d, rule_table.P)
+    a = np.matmul(probe_P[:, :, rings].transpose(0, 2, 1) * d, rule_table.P)
     a = np.ascontiguousarray(a.transpose(1, 2, 0))
     cos_psi, sin_psi = _trig_columns(azimuths, probe_rings.azimuths, M)
     cos_phi, sin_phi = rule_table.trig[0::2], rule_table.trig[1::2]

@@ -303,15 +303,15 @@ _BLOCK_PAIRS = 32_768
 def _kernel_blocks(nodes: np.ndarray, M: int, points: np.ndarray, consume) -> None:
     """Call consume(lo, nb, L) per block points[lo : lo + nb]: row p * n_nodes + i
     of the Fortran-ordered L holds P_0..P_M(x_p . x_i).  A block holds about
-    `_BLOCK_PAIRS` (point, node) pairs, at least one point.  L is reused
-    across blocks, so `consume` may overwrite it but must not keep it."""
+    `_BLOCK_PAIRS` (point, node) pairs, at least one point.  L is a view of
+    one buffer reused across blocks, the last and shorter one included, so
+    `consume` may overwrite it but must not keep it."""
     chunk = max(1, _BLOCK_PAIRS // max(1, nodes.shape[0]))
-    L = None
+    buffer = np.empty(min(chunk, points.shape[0]) * nodes.shape[0] * (M + 1))
     for lo in range(0, points.shape[0], chunk):
         block = points[lo : lo + chunk]
         dots = np.clip(block @ nodes.T, -1.0, 1.0).ravel()
-        if L is None or L.shape[0] != dots.size:
-            L = np.empty((dots.size, M + 1), order="F")
+        L = buffer[: dots.size * (M + 1)].reshape((dots.size, M + 1), order="F")
         harmonics.legendre_matrix(M, dots, out=L)
         consume(lo, block.shape[0], L)
 
@@ -360,9 +360,12 @@ def _norm_oracle(
     On product grids the sums agree within a class, so only the ring x
     azimuth block of class representatives is evaluated: ``grid`` by the
     addition theorem on each call, ``grid-abs`` as one
-    `weighted_abs_legendre_sums` row per class, built once.  Other rules or
-    probe sets keep every probe, through `_kernel_blocks`.  Either way the
-    maximum is over the full probe set.
+    `weighted_abs_legendre_sums` row per class, built once.  On the probe
+    set of the balancing walk (`params._norm_probes`), which the rule's
+    symmetries map to itself, the block holds 2(M+1) probes at the default
+    resolution 2M, against (M+1)^2 on probe_grid(2M).  Other rules or probe
+    sets keep every probe, through `_kernel_blocks`.  Either way the maximum
+    is over the full probe set.
     """
     classes = _rings.probe_classes(rule.rings, probe_rings)
     if classes is not None:

@@ -214,7 +214,8 @@ def cmd_fit(settings: dict) -> int:
     )
     if probe_resolution is None:
         probe_resolution = approx.default_probe_resolution(M)
-    probes = cubature.probe_grid(probe_resolution)
+    # the walk's operator-norm probes, so norm_estimate is its threshold's norm
+    probes = params._norm_probes(rule, probe_resolution)[0]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"degree": M, "beta": settings["beta"]}

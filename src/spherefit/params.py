@@ -41,12 +41,14 @@ class BalancingConfig:
 
     The candidate grid is alpha_i = alpha0 * q**i for i = 1..L (strictly
     decreasing).  `omega` scales the noise-propagation threshold, `delta` is
-    the assumed sup-norm of the data noise.  `probe_resolution` selects the
-    grid used for sup norms (twice the fit degree when omitted), and
-    `norm_bound` picks how the operator norm in the threshold is computed:
+    the assumed sup-norm of the data noise.  `probe_resolution` sets the
+    rings of both probe sets (twice the fit degree when omitted): the step
+    differences are sup norms on probe_grid(probe_resolution), the operator
+    norm a maximum on the same rings at a multiple of the rule's azimuth
+    count (`_norm_probes`).  `norm_bound` picks how that norm is computed:
 
-      * ``grid``     -- probe-grid maximum of the exact kernel sum (default);
-      * ``grid-abs`` -- probe-grid maximum with the absolute values pulled
+      * ``grid``     -- probe maximum of the exact kernel sum (default);
+      * ``grid-abs`` -- probe maximum with the absolute values pulled
                         inside the degree sum, an upper envelope that is much
                         cheaper when many fits share one rule;
       * ``crude``    -- the analytic bound sum_k (2k+1)/(1+alpha*beta_k^2).
@@ -199,13 +201,36 @@ def _probes(resolution: int) -> tuple[np.ndarray, _rings.RingLayout]:
     return probe_grid(resolution), gauss_legendre_rule(resolution).rings
 
 
+def _norm_probes(rule, resolution: int) -> tuple[np.ndarray, _rings.RingLayout]:
+    """Probe set of the operator-norm maxima, and its ring layout.
+
+    Its rings are those of probe_grid(resolution).  On a product rule with A
+    azimuths per ring it takes A * ceil(2(resolution+1) / A) azimuths, the
+    smallest multiple of A no coarser than the probe grid, so the rule's
+    symmetries map the set to itself and `_rings.probe_classes` keeps the
+    azimuth offsets 0 to pi/A on each ring class: on gauss_legendre_rule(M)
+    at the default resolution 2M, 2(M+1) classes against (M+1)^2 on
+    probe_grid(2M).  The layout comes from the rings, without a scan.  Rules
+    that are no product grid take probe_grid(resolution)."""
+    if rule.rings is None:
+        return _probes(resolution)
+    rings = gauss_legendre_rule(resolution).rings
+    A = rule.rings.azimuths
+    azimuths = A * -(-2 * (resolution + 1) // A)
+    phi = 2.0 * np.pi * np.arange(azimuths) / azimuths
+    u, t = rings.meridian[:, 0:1], rings.meridian[:, 2:3]
+    points = np.stack(np.broadcast_arrays(u * np.cos(phi), u * np.sin(phi), t), axis=-1)
+    return points.reshape(-1, 3), _rings.RingLayout(rings.meridian, None, azimuths)
+
+
 @functools.lru_cache(maxsize=4)
 def _probe_norm(rule, M: int, resolution: int, bound: str):
-    """c -> max over probe_grid(resolution) under a `grid` or `grid-abs`
-    bound (`approx._norm_oracle`).  Memoized per rule object (rules compare
-    by identity), so the many balancing calls of a kernel search on one rule
-    classify the probes and build the `grid-abs` table once."""
-    return _norm_oracle(rule, M, *_probes(resolution), bound)
+    """c -> max over `_norm_probes(rule, resolution)` under a `grid` or
+    `grid-abs` bound (`approx._norm_oracle`).  Memoized per rule object
+    (rules compare by identity), so the many balancing calls of a kernel
+    search on one rule classify the probes and build the `grid-abs` table
+    once."""
+    return _norm_oracle(rule, M, *_norm_probes(rule, resolution), bound)
 
 
 def balancing_principle(

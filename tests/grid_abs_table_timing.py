@@ -1,18 +1,26 @@
-"""Cost of one cold `grid-abs` table build at high degree.
+"""Cost of the operator-norm oracles at high degree.
 
-Prints, for M = 30, 60 and 120, the wall time and the tracemalloc peak of
-one build of the `grid-abs` norm oracle (`params._probe_norm`, which
-classifies the probes and builds the table on one probe per class) on
-`gauss_legendre_rule(M)` with the default probe resolution 2M: what the
-`grid-abs` balancing walk builds once per rule.  The rule and the probe grid
-are made before the clock starts, as the walk makes them before it builds
-the oracle, and the memo is bypassed.  Wall time comes from a build without
-tracemalloc, which slows this loop by about a third; the peak, which counts
-every numpy array, and the table shape from a second build.
+Prints, for M = 30, 60 and 120, on `gauss_legendre_rule(M)` with the default
+probe resolution 2M:
+
+  * the wall time and the tracemalloc peak of one cold build of the
+    `grid-abs` norm oracle (`params._probe_norm`, which classifies the probes
+    and builds the table on one probe per class), with the table's shape:
+    what the `grid-abs` balancing walk builds once per rule;
+  * the wall time of one warm `grid` pass, the `grid` oracle evaluated once
+    more after a first evaluation has built the ring tables: what each step
+    of a `grid` walk costs.
+
+The rule and the probe grid are made before the clock starts, as the walk
+makes them before it builds the oracle, and the memo is bypassed.  The
+`grid-abs` wall time comes from a build without tracemalloc, which slows this
+loop by about a third; the peak, which counts every numpy array, and the
+table shape from a second build.  The `grid` time is the minimum of REPEATS
+warm passes.
 
 Not collected by pytest (the name does not start with `test_`).  Run from the
-repository root (about 8 minutes, nearly all of it at M = 120; pass degrees
-to run fewer, e.g. `30 60`):
+repository root (nearly all of the time goes to M = 120; pass degrees to run
+fewer, e.g. `30 60`):
 
     PYTHONPATH=src python tests/grid_abs_table_timing.py [M ...]
 """
@@ -23,11 +31,14 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
+
 from spherefit import approx, params
 from spherefit.approx import default_probe_resolution
 from spherefit.cubature import gauss_legendre_rule, probe_grid
 
 DEGREES = (30, 60, 120)
+REPEATS = 3
 
 
 def build(M: int) -> tuple[float, float, tuple[int, int]]:
@@ -57,12 +68,30 @@ def build(M: int) -> tuple[float, float, tuple[int, int]]:
     return seconds, peak / 2**20, shapes[0]
 
 
+def grid_pass(M: int) -> float:
+    """Wall seconds of one warm `grid` oracle evaluation, at alpha = 0."""
+    rule, resolution = gauss_legendre_rule(M), default_probe_resolution(M)
+    sup = params._probe_norm.__wrapped__(rule, M, resolution, "grid")
+    c = (2 * np.arange(M + 1) + 1) / (4 * np.pi)
+    sup(c)
+    best = np.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        sup(c)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def main(degrees) -> None:
-    print("| degree M | table rows x columns | wall time | tracemalloc peak |")
-    print("|---|---|---|---|")
+    print("| degree M | table rows x columns | `grid-abs` build | tracemalloc peak | warm `grid` pass |")
+    print("|---|---|---|---|---|")
     for M in degrees:
         seconds, peak_mb, (rows, cols) = build(M)
-        print(f"| {M} | {rows} x {cols} | {seconds:.2f} s | {peak_mb:.1f} MB |", flush=True)
+        pass_seconds = grid_pass(M)
+        print(
+            f"| {M} | {rows} x {cols} | {seconds:.2f} s | {peak_mb:.1f} MB | {pass_seconds:.3f} s |",
+            flush=True,
+        )
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ def measure(build) -> tuple[float, float]:
 
 
 def table_build(M: int, rings: _rings.RingLayout):
-    return lambda: _rings._legendre_table.__wrapped__(M, rings.meridian.tobytes(), rings.azimuths)
+    return lambda: _rings._legendre_table.__wrapped__(M, rings.meridian.tobytes())
 
 
 def rotated_rule_points(M: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from spherefit import (
     save_coefficients,
     sph_harm_matrix,
 )
-from spherefit import _rings, approx, harmonics
+from spherefit import _rings, approx, harmonics, params
 from spherefit.approx import expand_by_degree
 
 FOUR_PI = 4 * np.pi
@@ -355,11 +355,12 @@ class TestRingTransform:
     def test_legendre_table_memory_at_degree_60(self):
         # Y is reordered into P in place and the recurrence adds no table-sized
         # intermediate: a cold build on the 121 probe rings of M = 60 peaks at
-        # Y (3.6 MB) plus the trig tables, 4.24 MB, as the loop recurrence did
+        # Y (3.6 MB) plus the index tables, under the 4.24 MB the loop
+        # recurrence took with the trig tables
         rings = gauss_legendre_rule(120).rings
         tracemalloc.start()
         try:
-            _rings._legendre_table.__wrapped__(60, rings.meridian.tobytes(), rings.azimuths)
+            _rings._legendre_table.__wrapped__(60, rings.meridian.tobytes())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -633,19 +634,23 @@ def kernel_blocks_sums(rule, probes, coefs):
 
 def random_product_rule(kind, M, rng):
     """GL rule, or a product rule with random rings: mirrored rings of equal
-    weight ("mirror"), mirrored heights with other weights ("weights"), or
-    heights without mirror pairs ("heights")."""
+    weight ("mirror", and "odd" with an odd azimuth count), mirrored heights
+    with other weights ("weights"), or heights without mirror pairs
+    ("heights")."""
     if kind == "gl":
         return gauss_legendre_rule(M)
     R = int(rng.integers(1, M + 3))
     half = rng.uniform(0.05, 0.95, R // 2)
     t = np.concatenate([-half, np.zeros(R % 2), half[::-1]])
     weights = rng.uniform(0.5, 2.0, R)
-    if kind == "mirror":
+    if kind in ("mirror", "odd"):
         weights = (weights + weights[::-1]) / 2
     elif kind == "heights":
         t = rng.uniform(-0.95, 0.95, R)
-    return product_rule(t, weights, int(rng.integers(1, 2 * M + 3)), M)
+    azimuths = int(rng.integers(1, 2 * M + 3))
+    if kind == "odd":
+        azimuths |= 1
+    return product_rule(t, weights, azimuths, M)
 
 
 class TestAdditionTheoremSupNorm:
@@ -749,6 +754,89 @@ class TestAntipodalFold:
         nodes, weights = _rings.antipodal_half(rule.rings, rule.points, rule.weights)
         assert nodes is rule.points and weights is rule.weights
         assert_table_matches_all_nodes(rule, M, probe_grid(2 * M))
+
+
+def ring_points(meridian, azimuths):
+    """Points at `azimuths` equispaced azimuths on each ring of `meridian`."""
+    phi = 2.0 * np.pi * np.arange(azimuths) / azimuths
+    u, t = meridian[:, 0:1], meridian[:, 2:3]
+    return np.stack(np.broadcast_arrays(u * np.cos(phi), u * np.sin(phi), t), axis=-1).reshape(-1, 3)
+
+
+class TestInvariantProbeSet:
+    """The probe set of the operator-norm maxima, `params._norm_probes`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        M=st.integers(0, 12),
+        kind=st.sampled_from(["gl", "mirror", "heights", "odd"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_oracle_matches_every_point_property(self, M, kind, seed, data):
+        resolution = data.draw(st.integers(1, max(1, 3 * M)), label="resolution")
+        rng = np.random.default_rng(seed)
+        rule = random_product_rule(kind, M, rng)
+        probes, probe_rings = params._norm_probes(rule, resolution)
+        # the probe grid's rings at the smallest multiple of the rule's A
+        # azimuths no coarser than the probe grid; the layout is the points'
+        A, Ap = rule.rings.azimuths, probe_rings.azimuths
+        assert Ap % A == 0 and Ap - A < 2 * (resolution + 1) <= Ap
+        scanned = _rings.ring_layout(probes)
+        assert scanned.azimuths == Ap
+        assert np.array_equal(scanned.meridian, probe_rings.meridian)
+        assert np.array_equal(probe_rings.meridian, gauss_legendre_rule(resolution).rings.meridian)
+        # the rule's rotation maps the set to itself: each ring keeps the
+        # azimuth offsets 0, 2 pi / Ap, ..., up to pi / A
+        _, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
+        assert azimuths.size == Ap // A // 2 + 1
+        sup = approx._norm_oracle(rule, M, probes, probe_rings, "grid")
+        envelope = approx._norm_oracle(rule, M, probes, probe_rings, "grid-abs")
+        table = kernel_blocks_table(rule, probes, M)
+        for c in rng.normal(size=(2, M + 1)):
+            reference = kernel_blocks_sums(rule, probes, c)
+            assert abs(sup(c) - reference.max()) <= 1e-12 * reference.max()
+            upper = (table @ np.abs(c)).max()
+            assert abs(envelope(np.abs(c)) - upper) <= 1e-12 * upper
+
+    def test_degree_120_at_sampled_probes(self):
+        rng = np.random.default_rng(301)
+        M = 120
+        rule = gauss_legendre_rule(M)
+        probes, probe_rings = params._norm_probes(rule, 2 * M)
+        rings, azimuths, inverse = _rings.probe_classes(rule.rings, probe_rings)
+        assert rings.size * azimuths.size == 2 * (M + 1)
+        # 16 probes of the set against their class representatives
+        sample = rng.choice(probes.shape[0], 16, replace=False)
+        classes = inverse[sample]
+        k = np.arange(M + 1)
+        beta = PenalizationWeights(M, k * (k + 1.0))
+        c = (2 * k + 1) / FOUR_PI * approx.filter_factors(M, 1e-6, beta)
+        fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c)
+        assert rel_err(fast.ravel()[classes], kernel_blocks_sums(rule, probes[sample], c)) <= 1e-12
+        reps = block_indices(probe_rings, rings, azimuths)[classes]
+        rows = approx.weighted_abs_legendre_sums(rule, M, probes[reps])
+        reference = kernel_blocks_table(rule, probes[sample], M)
+        assert np.all(np.abs(rows - reference).max(axis=1) <= 1e-12 * reference.max(axis=1))
+
+    @pytest.mark.parametrize("M", [30, 60])
+    def test_maxima_match_a_16_times_finer_azimuth_set(self, M):
+        # the set is a subset of one with 16 times its azimuths on the same
+        # rings; both bounds' maxima agree with that set's to 1e-4 relative
+        # (3.4e-5 at most, at M = 60) and stay under the crude bound
+        rule = gauss_legendre_rule(M)
+        probes, probe_rings = params._norm_probes(rule, 2 * M)
+        fine = ring_points(probe_rings.meridian, 16 * probe_rings.azimuths)
+        fine_rings = _rings.ring_layout(fine)
+        beta = params.weights_laplace_beltrami(M)
+        for bound in ("grid", "grid-abs"):
+            coarse_max = approx._norm_oracle(rule, M, probes, probe_rings, bound)
+            fine_max = approx._norm_oracle(rule, M, fine, fine_rings, bound)
+            for alpha in (0.0, 1e-4, 1.0):
+                c = approx._kernel_coefficients(M, alpha, beta)
+                estimate, reference = coarse_max(c), fine_max(c)
+                assert reference * (1 - 1e-4) <= estimate <= reference * (1 + 1e-12)
+                assert estimate <= approx.crude_norm_upper(M, alpha, beta)
 
 
 class TestFilters:

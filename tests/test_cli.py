@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spherefit import evaluate_grid, gauss_legendre_rule, load_coefficients
+from spherefit import approx, evaluate_grid, gauss_legendre_rule, load_coefficients, params
 from spherefit.cli import main
 from spherefit.experiments import franke_cap_eval, sgg_generate
 
@@ -59,6 +59,27 @@ class TestFit:
         assert summary["norm_estimate"] <= summary["norm_crude_upper"]
         coeffs = load_coefficients(out / "coefficients.csv")
         assert coeffs.degree_M == M
+
+    def test_norm_estimate_is_the_walks_operator_norm(self, tmp_path):
+        # the estimate is the `grid` maximum on the probe set of the walk's
+        # thresholds (`params._norm_probes`), not on probe_grid(60), whose
+        # maximum differs in the sixth digit at this alpha
+        M, alpha = 30, 6.805647338418785e-4
+        rule = gauss_legendre_rule(M)
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, franke_cap_eval(rule.points))
+        out = tmp_path / "fit"
+        rc = main(
+            [
+                "fit", "--degree", str(M), "--samples", str(samples),
+                "--beta", "laplace-beltrami", "--alpha", repr(alpha),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        summary = json.loads((out / "fit_summary.json").read_text())
+        c = approx._kernel_coefficients(M, alpha, params.weights_laplace_beltrami(M))
+        assert summary["norm_estimate"] == params._probe_norm(rule, M, 2 * M, "grid")(c)
 
     def test_bp_writes_trace(self, tmp_path):
         M = 3

@@ -193,7 +193,7 @@ class TestBalancingPrinciple:
             alpha0=1.0, q=0.5, L=5, omega=1e9, delta=1.0, probe_resolution=6
         )
         res = balancing_principle(s, 3, beta, cfg)
-        probes = probe_grid(6)
+        probes = params._norm_probes(s.rule, 6)[0]
         grid = cfg.grid()
         omega_delta = cfg.omega * cfg.delta
         for step, z in zip(res.trace, range(cfg.L - 2, -1, -1)):
@@ -206,7 +206,8 @@ class TestBalancingPrinciple:
         # second walk on the same rule reuses the memoized oracle.  The walk
         # takes the probe rings from the probe grid's (memoized) rule, which
         # found them when it was built, so it scans for none; one
-        # operator_norm_bound call on bare probes scans and classifies once.
+        # operator_norm_bound call on the same points as bare probes, as
+        # `fit` makes it, scans and classifies once.
         calls = {"ring_layout": 0, "probe_classes": 0}
         for name in calls:
             def counting(*args, _name=name, _fn=getattr(_rings, name)):
@@ -223,7 +224,7 @@ class TestBalancingPrinciple:
         assert calls == {"ring_layout": 0, "probe_classes": 1}
         balancing_principle(s, 6, beta, cfg)
         assert calls == {"ring_layout": 0, "probe_classes": 1}
-        operator_norm_bound(s.rule, 6, 1e-3, beta, probe_grid(12))
+        operator_norm_bound(s.rule, 6, 1e-3, beta, params._norm_probes(s.rule, 12)[0])
         assert calls == {"ring_layout": 1, "probe_classes": 2}
 
     def test_norm_bound_variants_order(self):
@@ -257,7 +258,7 @@ class TestBalancingPrinciple:
         y = np.random.default_rng(9).normal(size=rule.n_points)
         balancing_principle(SampleSet(rule, y), 4, beta, cfg)
         res = balancing_principle(SampleSet(other, y), 4, beta, cfg)
-        table = weighted_abs_legendre_sums(other, 4, probe_grid(8))
+        table = weighted_abs_legendre_sums(other, 4, params._norm_probes(other, 8)[0])
         k = np.arange(5)
         grid = cfg.grid()
         for step, z in zip(res.trace, range(cfg.L - 2, -1, -1)):
@@ -282,14 +283,17 @@ class TestBalancingPrinciple:
 
     def test_grid_abs_table_keeps_one_row_per_probe_class(self, monkeypatch):
         # probes of one class share a table row, so max(table @ c) needs one
-        # row per class; a rule in another node order keeps every probe
+        # row per class: 31 ring classes x 2 azimuth offsets on the invariant
+        # set of M = 30.  A rule in another node order is no product grid,
+        # so it takes probe_grid(10) and keeps every probe
         shapes = self.record_table_shapes(monkeypatch)
-        approx._norm_oracle(gauss_legendre_rule(30), 30, *params._probes(60), "grid-abs")
-        assert shapes == [(961, 31)]
+        rule = gauss_legendre_rule(30)
+        approx._norm_oracle(rule, 30, *params._norm_probes(rule, 60), "grid-abs")
+        assert shapes == [(62, 31)]
         rule = gauss_legendre_rule(5)
         perm = np.random.default_rng(10).permutation(rule.n_points)
         shuffled = CubatureRule(5, rule.points[perm], rule.weights[perm])
-        approx._norm_oracle(shuffled, 5, *params._probes(10), "grid-abs")
+        approx._norm_oracle(shuffled, 5, *params._norm_probes(shuffled, 10), "grid-abs")
         assert shapes[1:] == [(probe_grid(10).shape[0], 6)]
 
     @staticmethod
@@ -309,22 +313,24 @@ class TestBalancingPrinciple:
         # probes as given and does not classify them
         calls = self.count_probe_classes(monkeypatch)
         rule = gauss_legendre_rule(10)
-        approx._norm_oracle(rule, 10, *params._probes(20), "grid-abs")
+        approx._norm_oracle(rule, 10, *params._norm_probes(rule, 20), "grid-abs")
         assert len(calls) == 1
         assert weighted_abs_legendre_sums(rule, 10, probe_grid(20)).shape == (882, 11)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("M, resolution", [(5, 2), (11, 5), (30, 30)])
     def test_single_azimuth_class_build_classifies_once(self, monkeypatch, M, resolution):
-        # with r + 1 dividing M + 1 one azimuth class remains, so the class
-        # representatives form a one-azimuth product grid; the build still
-        # classifies the probes once and keeps one row per ring class
+        # with 2(r + 1) <= 2(M + 1) the invariant set keeps the rule's
+        # azimuths, all in one class, so the class representatives form a
+        # one-azimuth product grid; the build still classifies the probes
+        # once and keeps one row per ring class
         calls = self.count_probe_classes(monkeypatch)
         shapes = self.record_table_shapes(monkeypatch)
-        rule, probes = gauss_legendre_rule(M), probe_grid(resolution)
+        rule = gauss_legendre_rule(M)
+        probes, probe_rings = params._norm_probes(rule, resolution)
         sup = params._probe_norm.__wrapped__(rule, M, resolution, "grid-abs")
         assert len(calls) == 1
-        rings, azimuths, _ = _rings.probe_classes(rule.rings, _rings.ring_layout(probes))
+        rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
         assert azimuths.size == 1 and shapes == [(rings.size, M + 1)]
         c = (2 * np.arange(M + 1) + 1) / (4 * np.pi)
         full = weighted_abs_legendre_sums(rule, M, probes) @ c
@@ -332,7 +338,7 @@ class TestBalancingPrinciple:
 
     def test_grid_abs_table_memory_at_degree_60(self, monkeypatch):
         # a fresh M = 60 build (the rule made beforehand) holds one Legendre
-        # block of about 15 MB and the 1.8 MB table: under 25 MB in all
+        # block of about 15 MB and the 122-row table: under 25 MB in all
         shapes = self.record_table_shapes(monkeypatch)
         rule = gauss_legendre_rule(60)
         tracemalloc.start()
@@ -341,7 +347,7 @@ class TestBalancingPrinciple:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert shapes == [(3721, 61)]
+        assert shapes == [(122, 61)]
         assert peak < 25 * 2**20
 
     def test_grid_abs_thresholds_equal_full_table_maxima(self):
@@ -353,13 +359,14 @@ class TestBalancingPrinciple:
         )
         res = balancing_principle(samples, M, beta, cfg)
         assert len(res.trace) == cfg.L - 1
-        table = weighted_abs_legendre_sums(samples.rule, M, probe_grid(2 * M))
+        probes = params._norm_probes(samples.rule, 2 * M)[0]
+        table = weighted_abs_legendre_sums(samples.rule, M, probes)
         k = np.arange(M + 1)
         grid = cfg.grid()
         for step, z in zip(res.trace, range(cfg.L - 2, -1, -1)):
             c = (2 * k + 1) / (4 * np.pi) * filter_factors(M, grid[z + 1], beta)
             # the walk's table holds one row per class, this one a row per
-            # probe; a class's rows agree to rounding (at most 4.4e-16
+            # probe; a class's rows agree to rounding (at most 2.1e-16
             # relative at M = 30 with OpenBLAS), as dot products round by
             # row position within a block
             expected = cfg.omega * cfg.delta * (table @ c).max()
