@@ -5,10 +5,11 @@ A product grid stores R rings one after another.  Ring s holds A points
 phi_r = 2 pi r / A, r = 0..A-1, and any weights are constant along a ring.
 Gauss-Legendre rules and probe grids are of this kind.
 
-For A > 2M a harmonic sum of degree M factors into sums along each ring
-against cos(m phi) and sin(m phi), m = 0..M, and, per order m, a product
-with that order's normalized Legendre values at the ring colatitudes
-(Driscoll & Healy 1994; Schaeffer, arXiv:1202.6522).  Both stages are
+A harmonic sum of degree M factors into sums along each ring against
+cos(m phi) and sin(m phi), m = 0..M, and, per order m, a product with that
+order's normalized Legendre values at the ring colatitudes (Driscoll & Healy
+1994; Schaeffer, arXiv:1202.6522), for any A: a product rule needs A > 2M
+to be exact, the transform does not.  Both stages are
 matrix products here.  Synthesis lines the coefficients up by order, takes
 one batched product over the orders with the zero-padded (M+1, M+1, R)
 Legendre table, and one product of the ring amplitudes with the
@@ -66,10 +67,6 @@ class RingLayout(NamedTuple):
     meridian: np.ndarray
     weights: np.ndarray | None
     azimuths: int
-
-    def supports(self, M: int) -> bool:
-        """Whether the rings resolve every order m <= M (A > 2M)."""
-        return self.azimuths > 2 * M
 
 
 def ring_layout(points: np.ndarray, weights: np.ndarray | None = None) -> RingLayout | None:
@@ -170,7 +167,7 @@ def _table(M: int, rings: RingLayout) -> _RingTable:
 def analysis(rings: RingLayout, M: int, values: np.ndarray) -> np.ndarray:
     """sum_i w_i Y_n(x_i) y_i for every flat index n of degree <= M.
 
-    Needs ring weights and `rings.supports(M)`.
+    Needs ring weights.
     """
     P, _, position, trig = _table(M, rings)
     R = rings.meridian.shape[0]
@@ -183,7 +180,7 @@ def analysis(rings: RingLayout, M: int, values: np.ndarray) -> np.ndarray:
 
 def synthesis(rings: RingLayout, M: int, coeffs: np.ndarray) -> np.ndarray:
     """Values at the grid points of the degree-M expansion with these
-    flat coefficients.  Needs `rings.supports(M)`."""
+    flat coefficients."""
     P, rows, _, trig = _table(M, rings)
     R = rings.meridian.shape[0]
     # per order m and ring: the amplitudes of cos(m phi) and sin(m phi)

@@ -160,7 +160,7 @@ class NormBound(NamedTuple):
 def _synthesizer(M: int, pts: np.ndarray, rings: _rings.RingLayout | None):
     """Map from degree-M flat coefficients to values at the given unit
     vectors, whose `_rings.ring_layout` is `rings`."""
-    if rings is not None and rings.supports(M):
+    if rings is not None:
         return functools.partial(_rings.synthesis, rings, M)
     Y = sph_harm_matrix(M, pts)
     return lambda coeffs: Y.T @ coeffs
@@ -187,7 +187,7 @@ def analyze(samples: SampleSet, M: int) -> HarmonicCoefficients:
     """
     _require_exactness(samples.rule, M)
     rings = samples.rule.rings
-    if rings is not None and rings.supports(M):
+    if rings is not None:
         return HarmonicCoefficients(M, _rings.analysis(rings, M, samples.values))
     Y = sph_harm_matrix(M, samples.rule.points)
     return HarmonicCoefficients(M, Y @ (samples.rule.weights * samples.values))
@@ -264,8 +264,8 @@ def evaluate(coeffs: HarmonicCoefficients, x) -> float:
 def evaluate_grid(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     """Polynomial values at many points; empty input gives an empty array.
 
-    Product grids with more than 2M azimuths per ring (Gauss-Legendre rules,
-    probe grids) take the ring transform; other point sets the dense matrix.
+    Product grids (Gauss-Legendre rules, probe grids), whatever their
+    azimuth count, take the ring transform; other point sets the dense matrix.
     """
     pts = as_unit_vectors(points)
     if pts.shape[0] == 0:

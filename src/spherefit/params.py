@@ -120,9 +120,14 @@ class RandomSearchConfig:
         object.__setattr__(
             self, "steps_per_run", _whole_number(self.steps_per_run, "steps_per_run")
         )
+        object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
         if self.runs < 1 or self.steps_per_run < 1:
             raise ValueError("runs and steps_per_run must both be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         (l1lo, l1hi), (l2lo, l2hi) = self.box
+        if not np.all(np.isfinite([l1lo, l1hi, l2lo, l2hi])):
+            raise ValueError(f"search box bounds must be finite, got {self.box}")
         if not (0.0 <= l1lo <= l1hi and 0.0 <= l2lo <= l2hi):
             raise ValueError(f"search box must satisfy 0 <= lo <= hi per axis, got {self.box}")
 

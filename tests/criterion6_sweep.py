@@ -3,10 +3,12 @@ experiment 1 follows the decay base and the noise level.
 
 Prints a table of median(plain-LS error) / median(a-priori-best error), the
 ratio acceptance criterion 6 bounds to [1.5, 5], with one row per decay base
-and one column per uniform-noise sup-norm.  Each cell runs
-`run_experiment_1` with 20 simulations and seed 0 on a per-run copy of
-`experiments.DEFAULTS` that changes only those two constants; DEFAULTS itself
-is left as it is.  The reference setting is decay 1.2, noise 0.05.
+and one column per uniform-noise sup-norm.  Each cell shows the closed-form
+prediction of `_criterion6.predicted_ratio`, then the simulated ratio of
+`run_experiment_1` with 20 simulations and seed 0, on a per-run copy of
+`experiments.DEFAULTS` that changes only those two constants
+(`_criterion6.simulated_ratio`).  The reference setting is decay 1.2,
+noise 0.05.
 
 Not collected by pytest (the name does not start with `test_`).  Run from the
 repository root (a few seconds):
@@ -16,11 +18,7 @@ repository root (a few seconds):
 
 from __future__ import annotations
 
-from unittest import mock
-
-import numpy as np
-
-from spherefit import experiments
+from _criterion6 import predicted_ratio, simulated_ratio
 
 DECAYS = (1.02, 1.05, 1.1, 1.2)
 NOISES = (0.005, 0.05, 0.5)
@@ -28,23 +26,15 @@ SIMULATIONS = 20
 SEED = 0
 
 
-def median_error(result, method: str) -> float:
-    return float(np.median([e for _, e in result.curves[method]]))
-
-
-def ratio(decay: float, noise: float) -> float:
-    """Plain-LS / a-priori-best median error ratio at this decay base and noise."""
-    defaults = {**experiments.DEFAULTS, "sgg_decay": decay, "uniform_noise": noise}
-    with mock.patch.object(experiments, "DEFAULTS", defaults):
-        result = experiments.run_experiment_1(seed=SEED, simulations=SIMULATIONS)
-    return median_error(result, "plain-ls") / median_error(result, "apriori-best")
-
-
 def main() -> None:
+    print("predicted / simulated")
     print("| decay \\ noise | " + " | ".join(f"{n:g}" for n in NOISES) + " |")
     print("|---" * (len(NOISES) + 1) + "|")
     for decay in DECAYS:
-        cells = " | ".join(f"{ratio(decay, noise):.2f}" for noise in NOISES)
+        cells = " | ".join(
+            f"{predicted_ratio(decay, noise):.3g} / {simulated_ratio(decay, noise, SEED, SIMULATIONS):.3g}"
+            for noise in NOISES
+        )
         label = f"{decay:g}" + (" (reference)" if decay == 1.2 else "")
         print(f"| {label} | {cells} |")
 

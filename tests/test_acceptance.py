@@ -36,6 +36,8 @@ from spherefit import (
 )
 from spherefit.experiments import write_experiment_1, write_experiment_2
 
+from _criterion6 import predicted_ratio, simulated_ratio
+
 FOUR_PI = 4 * np.pi
 
 
@@ -196,6 +198,21 @@ def test_criterion_6_bp_tracks_oracle(experiment_1_full):
         f"balanced alpha vs oracle alpha with the same weights: "
         f"{med_b:.4f} <= 1.25 * {med_d:.4f}",
     )
+
+
+# Spread of simulated / predicted - 1 over seeds 0-39 (20 simulations each):
+# standard deviation 0.028, 0.015, 0.020 and largest deviation 0.073, 0.031,
+# 0.044 at the three cells below.  0.1 is about 3.5 standard deviations at
+# the reference cell and above every deviation seen; the mean deviation is
+# under 0.002 at each cell, so the prediction carries no visible bias.
+@pytest.mark.parametrize("decay, noise", [(1.2, 0.05), (1.05, 0.05), (1.1, 0.05)])
+def test_criterion_6_ratio_matches_closed_form(decay, noise):
+    # the ratio criterion 6 bounds is what the closed-form expected error of
+    # experiment 1's model predicts, at the reference cell (far outside
+    # [1.5, 5]) and at two milder cells inside it
+    predicted = predicted_ratio(decay, noise)
+    simulated = simulated_ratio(decay, noise, seed=0, simulations=20)
+    assert simulated == pytest.approx(predicted, rel=0.1)
 
 
 def test_criterion_7_franke_balancing_band():

@@ -310,12 +310,12 @@ class TestRingTransform:
 
     @pytest.mark.parametrize("M", [0, 3, 8])
     def test_odd_azimuth_count(self, M, dense_calls):
-        # A = 2M+1 azimuths, the fewest `supports` accepts; with M+1
-        # Gauss-Legendre heights the rule is still exact to degree 2M
+        # A = 2M+1 azimuths, the fewest an exact product rule can have; with
+        # M+1 Gauss-Legendre heights the rule is still exact to degree 2M
         rng = np.random.default_rng(110 + M)
         t, v = gauss_legendre_nodes(M + 1)
         rule = product_rule(t, v, 2 * M + 1, M)
-        assert rule.rings.azimuths == 2 * M + 1 and rule.rings.supports(M)
+        assert rule.rings.azimuths == 2 * M + 1
         y = rng.normal(size=rule.n_points)
         assert rel_err(analyze(SampleSet(rule, y), M).values, dense_analysis(M, rule, y)) <= 1e-12
         c = random_coeffs(M, rng)
@@ -406,13 +406,58 @@ class TestRingTransform:
         assert rel_err(fast, dense_analysis(M, tilted, y)) <= 1e-12
         assert dense_calls == [M]
 
-    def test_too_few_azimuths_take_dense_path(self, dense_calls):
+    def test_too_few_azimuths_take_ring_path(self, dense_calls):
         rng = np.random.default_rng(104)
         M = 4
         pts = gauss_legendre_rule(M - 1).points  # 2M azimuths per ring
         c = random_coeffs(M, rng)
         assert rel_err(evaluate_grid(c, pts), dense_values(M, pts, c.values)) <= 1e-12
-        assert dense_calls == [M]
+        assert dense_calls == []
+
+    @pytest.mark.parametrize("M", [1, 4, 9])
+    @pytest.mark.parametrize("azimuths", ["1", "2", "M", "2M", "2M+1"])
+    def test_any_azimuth_count_takes_ring_path(self, M, azimuths, dense_calls):
+        # m phi_j is reduced mod 2 pi in integers, so the ring sums factor
+        # for any A; a rule with A <= 2M is not exact to degree 2M, but its
+        # discrete sums still match the dense ones.  A = 1 puts every ring's
+        # one point on the phi = 0 meridian.
+        A = {"1": 1, "2": 2, "M": M, "2M": 2 * M, "2M+1": 2 * M + 1}[azimuths]
+        rng = np.random.default_rng(120 + 10 * M + A)
+        t, v = gauss_legendre_nodes(M + 1)
+        rule = product_rule(t, v, A, M)
+        assert rule.rings is not None and rule.rings.azimuths == A
+        y = rng.normal(size=rule.n_points)
+        assert rel_err(analyze(SampleSet(rule, y), M).values, dense_analysis(M, rule, y)) <= 1e-12
+        c = random_coeffs(M, rng)
+        assert rel_err(evaluate_grid(c, rule.points), dense_values(M, rule.points, c.values)) <= 1e-12
+        assert dense_calls == []
+
+    @pytest.mark.parametrize("bound", params.NORM_BOUND_KINDS)
+    def test_coarse_probe_walk_takes_ring_path(self, bound, dense_calls):
+        # probe_grid(3) has 8 azimuths, fewer than 2M + 1 at M = 10: the
+        # walk's step differences still come from the ring synthesis.  With
+        # omega = 1 no threshold is met, so every grid value is synthesized.
+        M, resolution = 10, 3
+        rng = np.random.default_rng(130)
+        rule = gauss_legendre_rule(M)
+        samples = SampleSet(rule, rng.normal(size=rule.n_points))
+        beta = params.weights_laplace_beltrami(M)
+        cfg = params.BalancingConfig(
+            alpha0=8.0, q=0.5, L=12, omega=1.0, delta=0.5,
+            probe_resolution=resolution, norm_bound=bound,
+        )
+        result = params.balancing_principle(samples, M, beta, cfg)
+        assert dense_calls == []
+        assert len(result.trace) == cfg.L - 1 and not result.triggered
+        pts = probe_grid(resolution)
+        assert _rings.ring_layout(pts).azimuths == 2 * (resolution + 1) < 2 * M + 1
+        gamma = analyze(samples, M).values
+        b2 = expand_by_degree(beta.beta**2)
+        values = [dense_values(M, pts, gamma / (1.0 + a * b2)) for a in result.grid]
+        for z, step in zip(range(cfg.L - 2, -1, -1), result.trace):
+            assert step.alpha == result.grid[z]
+            expected = np.abs(values[z] - values[z + 1]).max()
+            assert step.difference == pytest.approx(expected, rel=1e-12)
 
 
 class TestOperatorNormBound:

@@ -431,6 +431,28 @@ class TestKernelSelect:
         with pytest.raises(ValueError):
             RandomSearchConfig(runs=1, steps_per_run=1, box=((2, 1), (0, 5)))
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(box=((0, np.inf), (0, 1))), "search box"),
+            (dict(box=((0, 1), (-np.inf, 1))), "search box"),
+            (dict(box=((0, np.nan), (0, 1))), "search box"),
+            (dict(seed=-1), "seed"),
+            (dict(seed=True), "seed"),
+            (dict(seed="3"), "seed"),
+            (dict(seed=2.5), "seed"),
+        ],
+    )
+    def test_seed_and_box_checked_when_built(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            RandomSearchConfig(runs=1, steps_per_run=1, **kwargs)
+
+    def test_whole_number_seed(self):
+        search = RandomSearchConfig(runs=1, steps_per_run=1, box=((0, 2), (0, 2)), seed=np.int64(5))
+        assert type(search.seed) is int
+        res = kernel_select(noisy_samples(3, seed=11), 3, search, BalancingConfig(**self.BP))
+        assert res.seed == 5 and type(res.seed) is int
+
     def test_whole_number_counts(self):
         with pytest.raises(ValueError, match="runs"):
             RandomSearchConfig(runs=2.5, steps_per_run=1)
