@@ -258,7 +258,8 @@ def regularized_fit_via_solver(
 
 def evaluate(coeffs: HarmonicCoefficients, x) -> float:
     """Value of the polynomial sum_{k,j} gamma_{k,j} Y_{k,j} at one point."""
-    return float(evaluate_grid(coeffs, _one_point(x))[0])
+    # the dense path: a one-point ring table would evict a rule's from the memo
+    return float(_synthesizer(coeffs.degree_M, _one_point(x), None)(coeffs.values)[0])
 
 
 def evaluate_grid(coeffs: HarmonicCoefficients, points) -> np.ndarray:
@@ -287,33 +288,38 @@ def evaluate_kernel_form(
     c = _kernel_coefficients(M, alpha, beta)
     wy = samples.rule.weights * samples.values
     out = np.empty(pts.shape[0])
-
-    def consume(lo, nb, L):
-        out[lo : lo + nb] = (L @ c).reshape(nb, -1) @ wy
-
-    _kernel_blocks(samples.rule.points, M, pts, consume)
+    for lo, nb, K in _kernel_sums(samples.rule.points, c, pts):
+        out[lo : lo + nb] = K.reshape(nb, -1) @ wy
     return out
 
 
-# (point, node) pairs per `_kernel_blocks` block: the Legendre buffer holds
-# (M+1) values per pair, about 8 MB at M = 30, so a block's columns stay in cache
+# (point, node) pairs per `_kernel_blocks` block: one degree's values fill a
+# vector of 262 KB, which stays in cache while it is reduced; much smaller
+# blocks lose more to the per-block overhead than they gain
 _BLOCK_PAIRS = 32_768
 
 
-def _kernel_blocks(nodes: np.ndarray, M: int, points: np.ndarray, consume) -> None:
-    """Call consume(lo, nb, L) per block points[lo : lo + nb]: row p * n_nodes + i
-    of the Fortran-ordered L holds P_0..P_M(x_p . x_i).  A block holds about
-    `_BLOCK_PAIRS` (point, node) pairs, at least one point.  L is a view of
-    one buffer reused across blocks, the last and shorter one included, so
-    `consume` may overwrite it but must not keep it."""
+def _kernel_blocks(nodes: np.ndarray, M: int, points: np.ndarray):
+    """Yield (lo, nb, columns) per block points[lo : lo + nb] of about
+    `_BLOCK_PAIRS` (point, node) pairs, at least one point.  `columns` yields
+    P_0..P_M(x_p . x_i) in turn at entry p * n_nodes + i of a vector that later
+    degrees overwrite (`harmonics._legendre_columns`), so no (pairs, M+1)
+    array is formed."""
     chunk = max(1, _BLOCK_PAIRS // max(1, nodes.shape[0]))
-    buffer = np.empty(min(chunk, points.shape[0]) * nodes.shape[0] * (M + 1))
     for lo in range(0, points.shape[0], chunk):
         block = points[lo : lo + chunk]
         dots = np.clip(block @ nodes.T, -1.0, 1.0).ravel()
-        L = buffer[: dots.size * (M + 1)].reshape((dots.size, M + 1), order="F")
-        harmonics.legendre_matrix(M, dots, out=L)
-        consume(lo, block.shape[0], L)
+        yield lo, block.shape[0], harmonics._legendre_columns(M, dots)
+
+
+def _kernel_sums(nodes: np.ndarray, c: np.ndarray, points: np.ndarray):
+    """Yield (lo, nb, K) per `_kernel_blocks` block, K = sum_k c_k P_k(x_p . x_i)
+    at entry p * n_nodes + i, accumulated one degree at a time."""
+    for lo, nb, columns in _kernel_blocks(nodes, c.size - 1, points):
+        K, term = np.zeros(nb * nodes.shape[0]), np.empty(nb * nodes.shape[0])
+        for ck, P in zip(c, columns):
+            K += np.multiply(ck, P, out=term)
+        yield lo, nb, K
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +343,10 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
         raise ValueError("need at least one probe point")
     nodes, weights = _rings.antipodal_half(rule.rings, rule.points, rule.weights)
     S = np.empty((pts.shape[0], M + 1))
-
-    def consume(lo, nb, L):
-        np.abs(L, out=L)
-        # L.T is C-ordered (M+1, nb * nodes): one batched product per block
-        S[lo : lo + nb] = (L.T.reshape(M + 1, nb, nodes.shape[0]) @ weights).T
-
-    _kernel_blocks(nodes, M, pts, consume)
+    for lo, nb, columns in _kernel_blocks(nodes, M, pts):
+        magnitude = np.empty(nb * nodes.shape[0])
+        for k, P in enumerate(columns):
+            S[lo : lo + nb, k] = np.abs(P, out=magnitude).reshape(nb, -1) @ weights
     return S
 
 
@@ -382,11 +385,8 @@ def _norm_oracle(
 
     def sup(c):
         sums = np.empty(probes.shape[0])
-
-        def consume(lo, nb, L):
-            sums[lo : lo + nb] = np.abs(L @ c).reshape(nb, rule.n_points) @ rule.weights
-
-        _kernel_blocks(rule.points, M, probes, consume)
+        for lo, nb, K in _kernel_sums(rule.points, c, probes):
+            sums[lo : lo + nb] = np.abs(K, out=K).reshape(nb, -1) @ rule.weights
         return float(sums.max())
 
     return sup

@@ -120,29 +120,36 @@ def _check_t(t):
     return np.clip(t, -1.0, 1.0)
 
 
-def legendre_matrix(k_max: int, t, out: np.ndarray | None = None) -> np.ndarray:
+def _legendre_columns(k_max: int, t: np.ndarray):
+    """Yield P_0(t), ..., P_k_max(t) in turn, t in [-1, 1], by the recurrence
+    P_k = ((2k-1)/k) t P_{k-1} - ((k-1)/k) P_{k-2} from P_{-1} = 0, P_0 = 1,
+    in three vectors of t's length that later degrees overwrite."""
+    prev, cur, new = np.zeros_like(t), np.ones_like(t), np.empty_like(t)
+    yield cur
+    for k in range(1, k_max + 1):
+        np.multiply(t, cur, out=new)
+        new *= (2.0 * k - 1.0) / k
+        prev *= (k - 1.0) / k
+        new -= prev
+        prev, cur, new = cur, new, prev
+        yield cur
+
+
+def legendre_matrix(k_max: int, t) -> np.ndarray:
     """Legendre values for an array of arguments, shape (len(t), k_max+1).
 
-    Column k holds P_k(t), built column by column with the three-term
-    recurrence P_k = ((2k-1)/k) t P_{k-1} - ((k-1)/k) P_{k-2} from P_0 = 1
-    and P_1 = t (`gauss_legendre_nodes` and `sph_harm_matrix` run their own
-    recurrences).  A preallocated `out` (ideally Fortran-ordered for fast
-    column updates) can be supplied to avoid repeated allocation in hot loops.
+    Column k holds P_k(t) from `_legendre_columns`, the one plain Legendre
+    recurrence, which the zonal-kernel sums of `approx` stream one degree at
+    a time instead; `gauss_legendre_nodes` (Newton on P_n) and
+    `sph_harm_matrix` (normalized P_k^m) run their own.
     """
     k_max = _whole_number(k_max, "degree")
     if k_max < 0:
         raise ValueError(f"degree must be non-negative, got {k_max}")
     t = _check_t(np.asarray(t, dtype=float).ravel())
-    n = t.size
-    if out is None:
-        out = np.empty((n, k_max + 1), order="F")
-    out[:, 0] = 1.0
-    if k_max >= 1:
-        out[:, 1] = t
-    for k in range(2, k_max + 1):
-        np.multiply(t, out[:, k - 1], out=out[:, k])
-        out[:, k] *= (2.0 * k - 1.0) / k
-        out[:, k] -= ((k - 1.0) / k) * out[:, k - 2]
+    out = np.empty((t.size, k_max + 1), order="F")
+    for k, column in enumerate(_legendre_columns(k_max, t)):
+        out[:, k] = column
     return out
 
 

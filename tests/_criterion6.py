@@ -16,10 +16,15 @@ with E g_kj^2 = (k+1/2)^-3 / 3.  The rescaling of the noise by its realized
 maximum is ignored.  The predicted plain-LS / a-priori-best ratio of
 criterion 6 is sqrt(E at alpha = 0 / the minimum of E over the grid).
 
+The grid value at that minimum is an a priori parameter choice: it needs the
+model's smoothness and noise level, which experiment 1 knows and real data do
+not.  `predicted_alpha` returns it with its predicted relative error
+sqrt(E ||err||^2 / E ||g||^2), E ||g||^2 = sum_k (2k+1) (k+1/2)^-3 / 3.
+
 `simulated_ratio` is the same ratio of median errors from `run_experiment_1`
-at other decay and noise constants, on a per-run copy of
-`experiments.DEFAULTS` that changes only those two; DEFAULTS itself is left
-as it is.
+(`simulate`, `median_ratio`) at other decay and noise constants, on a
+per-run copy of `experiments.DEFAULTS` that changes only those two; DEFAULTS
+itself is left as it is.
 """
 
 from __future__ import annotations
@@ -45,19 +50,50 @@ def expected_error_sq(M: int, decay: float, noise: float, alphas) -> np.ndarray:
     return ((1.0 - f) ** 2 * signal + f**2 * noise_var).sum(axis=1)
 
 
+def _alpha_grid() -> np.ndarray:
+    """Experiment 1's alpha grid at `experiments.DEFAULTS`."""
+    d = experiments.DEFAULTS
+    return d["grid_anchor"] * d["grid_ratio"] ** np.arange(1, d["grid_len"] + 1)
+
+
 def predicted_ratio(decay: float, noise: float) -> float:
     """sqrt(E ||err||^2 at alpha = 0 / its minimum over experiment 1's alpha
     grid), at the degree and grid of `experiments.DEFAULTS`."""
-    d = experiments.DEFAULTS
-    grid = d["grid_anchor"] * d["grid_ratio"] ** np.arange(1, d["grid_len"] + 1)
-    plain, *on_grid = expected_error_sq(d["degree"], decay, noise, np.concatenate([[0.0], grid]))
+    grid = np.concatenate([[0.0], _alpha_grid()])
+    plain, *on_grid = expected_error_sq(experiments.DEFAULTS["degree"], decay, noise, grid)
     return float(np.sqrt(plain / min(on_grid)))
 
 
-def simulated_ratio(decay: float, noise: float, seed: int, simulations: int) -> float:
-    """median(plain-LS error) / median(a-priori-best error) of experiment 1."""
+def predicted_alpha(decay: float, noise: float) -> tuple[float, float]:
+    """The a priori choice: the value of experiment 1's alpha grid that
+    minimizes E ||err||^2, and its predicted relative error."""
+    M, grid = experiments.DEFAULTS["degree"], _alpha_grid()
+    expected = expected_error_sq(M, decay, noise, grid)
+    k = np.arange(M + 1)
+    signal = np.sum((2 * k + 1) * (k + 0.5) ** -3 / 3.0)
+    best = int(np.argmin(expected))
+    return float(grid[best]), float(np.sqrt(expected[best] / signal))
+
+
+def simulate(decay: float, noise: float, seed: int, simulations: int):
+    """`run_experiment_1` at the given decay base and noise sup norm."""
     defaults = {**experiments.DEFAULTS, "sgg_decay": decay, "uniform_noise": noise}
     with mock.patch.object(experiments, "DEFAULTS", defaults):
-        result = experiments.run_experiment_1(seed=seed, simulations=simulations)
-    plain, best = (np.median([e for _, e in result.curves[m]]) for m in ("plain-ls", "apriori-best"))
-    return float(plain / best)
+        return experiments.run_experiment_1(seed=seed, simulations=simulations)
+
+
+def median_alpha_and_error(result, method: str) -> tuple[float, float]:
+    """Median alpha_star and median relative error of one method's runs."""
+    reports = [r for r in result.reports if r.method == method]
+    return float(np.median([r.alpha_star for r in reports])), float(np.median([r.rel_error for r in reports]))
+
+
+def median_ratio(result) -> float:
+    """median(plain-LS error) / median(a-priori-best error) of one run."""
+    plain, best = (median_alpha_and_error(result, m)[1] for m in ("plain-ls", "apriori-best"))
+    return plain / best
+
+
+def simulated_ratio(decay: float, noise: float, seed: int, simulations: int) -> float:
+    """`median_ratio` of experiment 1 at the given decay base and noise."""
+    return median_ratio(simulate(decay, noise, seed, simulations))

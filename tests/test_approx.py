@@ -220,6 +220,20 @@ class TestEvaluate:
         assert evaluate_grid(coeffs, p)[0] == evaluate(coeffs, p)
         assert evaluate_grid(coeffs, np.empty((0, 3))).size == 0
 
+    def test_one_point_leaves_the_ring_table_memo_alone(self):
+        # a point on the phi = 0 meridian is a one-ring product set, but
+        # evaluate takes the dense path: a rule's memoized table survives
+        # any number of calls
+        rng = np.random.default_rng(8)
+        M = 60
+        coeffs = random_coeffs(M, rng)
+        theta = rng.uniform(0.0, np.pi, 5)
+        pts = np.stack([np.sin(theta), np.zeros(5), np.cos(theta)], axis=1)
+        before = _rings._legendre_table.cache_info()
+        values = np.array([evaluate(coeffs, p) for p in pts])
+        assert _rings._legendre_table.cache_info() == before
+        assert rel_err(values, evaluate_grid(coeffs, pts)) <= 1e-13
+
     def test_odd_zonal_parity(self):
         # odd-degree zonal harmonics flip sign at antipodes
         coeffs = HarmonicCoefficients.zeros(3).values.copy()
@@ -635,19 +649,20 @@ class TestSupNormReduction:
         assert_reduction_exact(shuffled, probes, rng.normal(size=(M + 1, 2)))
 
     def test_operator_norm_bound_evaluates_one_probe_per_class(self, monkeypatch):
+        # pairs at which `_kernel_blocks` streams Legendre values
         sizes, probe_counts = [], []
-        legendre_matrix = harmonics.legendre_matrix
+        legendre_columns = harmonics._legendre_columns
         kernel_sums = _rings.weighted_abs_kernel_sums
 
-        def counting(k_max, t, out=None):
-            sizes.append(np.size(t))
-            return legendre_matrix(k_max, t, out=out)
+        def counting(k_max, t):
+            sizes.append(t.size)
+            return legendre_columns(k_max, t)
 
         def recording(rule_rings, probe_rings, rings, azimuths, coefs):
             probe_counts.append(rings.size * azimuths.size)
             return kernel_sums(rule_rings, probe_rings, rings, azimuths, coefs)
 
-        monkeypatch.setattr(harmonics, "legendre_matrix", counting)
+        monkeypatch.setattr(harmonics, "_legendre_columns", counting)
         monkeypatch.setattr(_rings, "weighted_abs_kernel_sums", recording)
         M = 30
         rule = gauss_legendre_rule(M)
@@ -666,15 +681,35 @@ class TestSupNormReduction:
         assert sum(sizes) == 7442 * 992
 
 
+def legendre_blocks(rule, probes, M):
+    """(rows, L) per block of probes, L[p, i, k] = P_k(x_p . x_i) at the probes
+    probes[rows] and every node, from `harmonics.legendre_matrix`: an oracle
+    independent of the degree-streaming loop of `approx._kernel_blocks`."""
+    chunk = max(1, 2**15 // rule.n_points)
+    for lo in range(0, probes.shape[0], chunk):
+        dots = np.clip(probes[lo : lo + chunk] @ rule.points.T, -1.0, 1.0)
+        yield slice(lo, lo + chunk), harmonics.legendre_matrix(M, dots).reshape(*dots.shape, M + 1)
+
+
 def kernel_blocks_sums(rule, probes, coefs):
-    """sum_i w_i |sum_k c_k P_k(x_p . x_i)| at every probe, through `_kernel_blocks`."""
+    """sum_i w_i |sum_k c_k P_k(x_p . x_i)| at every probe."""
     out = np.empty(probes.shape[0])
-
-    def consume(lo, nb, L):
-        out[lo : lo + nb] = np.abs(L @ coefs).reshape(nb, rule.n_points) @ rule.weights
-
-    approx._kernel_blocks(rule.points, coefs.size - 1, probes, consume)
+    for rows, L in legendre_blocks(rule, probes, coefs.size - 1):
+        out[rows] = np.abs(L @ coefs) @ rule.weights
     return out
+
+
+def kernel_form_values(samples, c, points):
+    """sum_k c_k sum_i w_i y_i P_k(x_p . x_i) at every point."""
+    rule, out = samples.rule, np.empty(points.shape[0])
+    for rows, L in legendre_blocks(rule, points, c.size - 1):
+        out[rows] = (L @ c) @ (rule.weights * samples.values)
+    return out
+
+
+def random_unit_vectors(n, rng):
+    pts = rng.normal(size=(n, 3))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def random_product_rule(kind, M, rng):
@@ -742,14 +777,10 @@ class TestAdditionTheoremSupNorm:
 
 
 def kernel_blocks_table(rule, probes, M):
-    """S[p, k] = sum_i w_i |P_k(x_p . x_i)| over every node, through `_kernel_blocks`."""
+    """S[p, k] = sum_i w_i |P_k(x_p . x_i)| over every node."""
     S = np.empty((probes.shape[0], M + 1))
-
-    def consume(lo, nb, L):
-        for k in range(M + 1):
-            S[lo : lo + nb, k] = np.abs(L[:, k]).reshape(nb, rule.n_points) @ rule.weights
-
-    approx._kernel_blocks(rule.points, M, probes, consume)
+    for rows, L in legendre_blocks(rule, probes, M):
+        S[rows] = np.einsum("pik,i->pk", np.abs(L), rule.weights)
     return S
 
 
@@ -799,6 +830,60 @@ class TestAntipodalFold:
         nodes, weights = _rings.antipodal_half(rule.rings, rule.points, rule.weights)
         assert nodes is rule.points and weights is rule.weights
         assert_table_matches_all_nodes(rule, M, probe_grid(2 * M))
+
+
+class TestStreamedKernelSums:
+    """The three consumers of `approx._kernel_blocks`, which streams P_k one
+    degree at a time, against `harmonics.legendre_matrix`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        M=st.integers(0, 12),
+        kind=st.sampled_from(["scattered", "gl", "mirror", "weights", "heights", "odd"]),
+        seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(1, 300),
+    )
+    def test_consumers_match_legendre_matrix_property(self, M, kind, seed, n_points):
+        rng = np.random.default_rng(seed)
+        if kind == "scattered":
+            N = int(rng.integers(1, 400))
+            w = rng.uniform(0.5, 2.0, N)
+            rule = CubatureRule(M, random_unit_vectors(N, rng), w / w.sum() * FOUR_PI)
+        else:
+            rule = random_product_rule(kind, M, rng)
+        # scattered points, so every consumer runs the degree loop: several
+        # blocks once n_points x nodes > 32768
+        points = random_unit_vectors(n_points, rng)
+        assert _rings.ring_layout(points) is None
+        table = approx.weighted_abs_legendre_sums(rule, M, points)
+        reference = kernel_blocks_table(rule, points, M)
+        assert np.all(np.abs(table - reference).max(axis=1) <= 1e-12 * reference.max(axis=1))
+        c = rng.normal(size=M + 1)
+        sup = approx._norm_oracle(rule, M, points, _rings.ring_layout(points), "grid")
+        sums = kernel_blocks_sums(rule, points, c)
+        assert abs(sup(c) - sums.max()) <= 1e-12 * sums.max()
+        samples = SampleSet(rule, rng.normal(size=rule.n_points))
+        alpha, beta = float(rng.uniform(0.0, 1.0)), params.weights_laplace_beltrami(M)
+        values = evaluate_kernel_form(samples, M, alpha, beta, points)
+        expected = kernel_form_values(samples, approx._kernel_coefficients(M, alpha, beta), points)
+        assert rel_err(values, expected) <= 1e-12
+
+    def test_kernel_form_memory_at_degree_60(self):
+        # 256 points against the 7442 nodes of gauss_legendre_rule(60): four
+        # points per block, each degree in a few vectors of 29 768 values; a
+        # (pairs, M+1) Legendre array per block would peak at 14.6 MB
+        M = 60
+        rule = gauss_legendre_rule(M)
+        samples = SampleSet(rule, np.sin(rule.points[:, 0]))
+        beta = params.weights_laplace_beltrami(M)
+        points = fibonacci_points(256)
+        tracemalloc.start()
+        try:
+            evaluate_kernel_form(samples, M, 1e-4, beta, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def ring_points(meridian, azimuths):

@@ -350,6 +350,19 @@ class TestBalancingPrinciple:
         assert shapes == [(122, 61)]
         assert peak < 25 * 2**20
 
+    def test_grid_abs_oracle_streams_the_degree_at_degree_60(self):
+        # the degree loop keeps a few vectors of one block's pairs (262 KB
+        # each): a cold build, probe set and classes included, stays under
+        # 4 MB, where a (pairs, M+1) Legendre array per block peaks at 16.8 MB
+        rule = gauss_legendre_rule(60)
+        tracemalloc.start()
+        try:
+            params._probe_norm.__wrapped__(rule, 60, 120, "grid-abs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_grid_abs_thresholds_equal_full_table_maxima(self):
         M = 30
         samples = noisy_samples(M, seed=11)
