@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _rings, harmonics
+from ._files import read_csv, write_csv
 from .cubature import CubatureRule
 from .harmonics import (
     FOUR_PI, _one_point, _whole_number, as_unit_vectors, basis_size, sph_harm_matrix,
@@ -488,18 +489,14 @@ def penalized_functional(
 
 def save_coefficients(coeffs: HarmonicCoefficients, path) -> None:
     """Write coefficients as CSV `k,j,value` in flat order, full precision."""
-    with open(path, "w", newline="") as fh:
-        fh.write("k,j,value\n")
-        for n, v in enumerate(coeffs.values):
-            k = int(np.sqrt(n))
-            fh.write(f"{k},{n - k * k + 1},{v:.17g}\n")
+    n = np.arange(coeffs.values.size)
+    k = np.sqrt(n).astype(int)
+    write_csv(path, "k,j,value", [k, n - k * k + 1, coeffs.values])
 
 
 def load_coefficients(path) -> HarmonicCoefficients:
     """Read a coefficient CSV written by `save_coefficients`."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 3:
-        raise ValueError(f"expected 3 columns k,j,value in {path}")
+    data = read_csv(path, "k,j,value")
     n = data.shape[0]
     M = int(round(np.sqrt(n))) - 1
     if basis_size(M) != n:

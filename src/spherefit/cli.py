@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import approx, cubature, experiments, params
+from ._files import read_csv, write_json
 from .harmonics import _whole_number
 
 
@@ -148,15 +149,8 @@ _NODE_TOL = 1e-12
 def _load_samples(path, rule) -> approx.SampleSet:
     """Values from a CSV with a `value` column, one row per node in the rule's
     order, and optionally the node coordinates x1,x2,x3, checked against the rule."""
-    with open(path) as fh:
-        header = [name.strip() for name in fh.readline().split(",")]
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    with_nodes = header == ["x1", "x2", "x3", "value"]
-    if data.shape[1] != len(header) or not (len(header) == 1 or with_nodes):
-        raise ValueError(
-            f"samples file {path} must hold a single `value` column, "
-            "or the columns x1,x2,x3,value"
-        )
+    data = read_csv(path, "value", "x1,x2,x3,value")
+    with_nodes = data.shape[1] == 4
     values = data[:, -1]
     if values.size != rule.n_points:
         raise ValueError(
@@ -247,9 +241,7 @@ def cmd_fit(settings: dict) -> int:
         functional=approx.penalized_functional(samples, gamma, alpha, beta),
     )
     summary_path = out_dir / "fit_summary.json"
-    with open(summary_path, "w", newline="") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, summary_path)
     print(f"wrote {coeff_path} and {summary_path} (alpha = {alpha:.6g})")
     return 0
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import read_csv, write_csv
 from ._rings import RingLayout, ring_layout
 from .harmonics import FOUR_PI, _whole_number, as_unit_vectors, basis_size, sph_harm_matrix
 
@@ -171,10 +172,7 @@ def integrate(rule: CubatureRule, f) -> float:
 
 def save_rule(rule: CubatureRule, path) -> None:
     """Write a rule as CSV with header x1,x2,x3,w at full double precision."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x1,x2,x3,w\n")
-        for (x1, x2, x3), w in zip(rule.points, rule.weights):
-            fh.write(f"{x1:.17g},{x2:.17g},{x3:.17g},{w:.17g}\n")
+    write_csv(path, "x1,x2,x3,w", [*rule.points.T, rule.weights])
 
 
 def load_rule(path, degree_M: int | None = None) -> CubatureRule:
@@ -186,9 +184,7 @@ def load_rule(path, degree_M: int | None = None) -> CubatureRule:
     integrate every harmonic of degree <= 2 * degree_M to within 1e-10, or
     ValueError is raised.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 4:
-        raise ValueError(f"expected 4 columns x1,x2,x3,w in {path}")
+    data = read_csv(path, "x1,x2,x3,w")
     if degree_M is None:
         root = np.sqrt(data.shape[0] / 2.0)
         if abs(root - round(root)) > 1e-9 or round(root) < 1:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import write_csv, write_json
 from .approx import (
     HarmonicCoefficients,
     SampleSet,
@@ -521,23 +522,9 @@ def rerun_from_config(config: dict):
 # persisted outputs (deterministic byte-for-byte for a fixed result)
 
 
-def _write_json(payload, path) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path, header: str, rows) -> None:
-    """CSV with numbers written at full precision (.17g) and strings as they are."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
-
-
 def _write_curves(curves: dict, path) -> None:
     rows = [(i, method, err) for method in sorted(curves) for i, err in curves[method]]
-    _write_csv(path, "sim_index,method,rel_error", rows)
+    write_csv(path, "sim_index,method,rel_error", zip(*rows))
 
 
 def write_experiment_1(result: Experiment1Result, out_dir) -> list[Path]:
@@ -545,7 +532,7 @@ def write_experiment_1(result: Experiment1Result, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     reports_path = out / "exp1_reports.json"
     curves_path = out / "exp1_curves.csv"
-    _write_json([r.to_dict() for r in result.reports], reports_path)
+    write_json([r.to_dict() for r in result.reports], reports_path)
     _write_curves(result.curves, curves_path)
     return [reports_path, curves_path]
 
@@ -557,18 +544,16 @@ def write_experiment_2(result: Experiment2Result, out_dir) -> list[Path]:
     payload = result.report.to_dict()
     payload["noisy_sup_error"] = result.noisy_sup_error
     payload["bp_triggered"] = result.bp_result.triggered
-    _write_json(payload, report_path)
+    write_json(payload, report_path)
 
     rule = gauss_legendre_rule(result.config["degree"])
     nodes_path = out / "exp2_surface_nodes.csv"
-    _write_csv(
-        nodes_path,
-        "x1,x2,x3,y,y_noisy,reconstruction",
-        zip(*rule.points.T, *result.node_values),
+    write_csv(
+        nodes_path, "x1,x2,x3,y,y_noisy,reconstruction", [*rule.points.T, *result.node_values]
     )
     probe_path = out / "exp2_reconstruction.csv"
     probes = probe_grid(2 * result.config["degree"])
-    _write_csv(probe_path, "x1,x2,x3,y,reconstruction", zip(*probes.T, *result.probe_values))
+    write_csv(probe_path, "x1,x2,x3,y,reconstruction", [*probes.T, *result.probe_values])
     return [report_path, nodes_path, probe_path]
 
 
@@ -581,7 +566,7 @@ def write_experiment_3(result: Experiment3Result, out_dir) -> list[Path]:
         "kernel_search": asdict(result.selection),
         "reports": [r.to_dict() for r in result.reports],
     }
-    _write_json(payload, report_path)
+    write_json(payload, report_path)
     curves_path = out / "exp3_curves.csv"
     _write_curves(result.curves, curves_path)
     return [report_path, curves_path]

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _rings
+from ._files import write_csv
 from .approx import (
     PenalizationWeights,
     SampleSet,
@@ -289,13 +290,8 @@ def balancing_principle(
 
 def save_bp_trace(result: BalancingResult, path) -> None:
     """Write the comparison trace as CSV `alpha,difference,threshold,triggered`."""
-    with open(path, "w", newline="") as fh:
-        fh.write("alpha,difference,threshold,triggered\n")
-        for step in result.trace:
-            fh.write(
-                f"{step.alpha:.17g},{step.difference:.17g},{step.threshold:.17g},"
-                f"{'true' if step.triggered else 'false'}\n"
-            )
+    rows = [(*step[:3], "true" if step.triggered else "false") for step in result.trace]
+    write_csv(path, "alpha,difference,threshold,triggered", zip(*rows))
 
 
 # ---------------------------------------------------------------------------

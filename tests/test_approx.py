@@ -1168,6 +1168,20 @@ class TestTypesAndSerialization:
         assert back.degree_M == M
         assert np.array_equal(back.values, np.array(values, dtype=float))
 
+    def test_swapped_columns_rejected(self, tmp_path):
+        # read by position, (j, k) = (1, 0) loaded as (k, j) = (1, 1)
+        path = tmp_path / "coeffs.csv"
+        path.write_text("j,k,value\n1,0,1\n1,1,2\n2,1,3\n3,1,4\n")
+        with pytest.raises(ValueError, match="expected k,j,value"):
+            load_coefficients(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        path.write_text("k,j,value\n")
+        with pytest.raises(ValueError, match="no rows"):
+            load_coefficients(path)
+
     def test_fractional_order_rejected(self, tmp_path):
         # j = 1.9 used to be truncated to 1
         path = tmp_path / "coeffs.csv"

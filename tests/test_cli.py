@@ -372,6 +372,27 @@ class TestSamplesWithNodes:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_one_column_under_another_name_rejected(self, tmp_path, capsys):
+        rule = gauss_legendre_rule(self.M)
+        samples = tmp_path / "samples.csv"
+        samples.write_text("y\n" + "".join(f"{v:.17g}\n" for v in franke_cap_eval(rule.points)))
+        out = tmp_path / "fit"
+        assert self.fit(samples, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "expected value or x1,x2,x3,value" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("header", ["value", "x1,x2,x3,value"])
+    def test_header_without_rows_rejected(self, tmp_path, capsys, header):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(header + "\n")
+        out = tmp_path / "fit"
+        assert self.fit(samples, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no rows" in err
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_experiment_1_outputs(self, tmp_path):

@@ -240,6 +240,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not exact to degree 8"):
             load_rule(path, degree_M=4)
 
+    def test_swapped_columns_rejected(self, tmp_path):
+        # read by position, this file loaded as the mirrored rule
+        rule = gauss_legendre_rule(4)
+        path = tmp_path / "rule.csv"
+        with open(path, "w") as fh:
+            fh.write("x2,x1,x3,w\n")
+            for (x1, x2, x3), w in zip(rule.points, rule.weights):
+                fh.write(f"{x2:.17g},{x1:.17g},{x3:.17g},{w:.17g}\n")
+        with pytest.raises(ValueError, match="expected x1,x2,x3,w"):
+            load_rule(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "rule.csv"
+        path.write_text("x1,x2,x3,w\n")
+        with pytest.raises(ValueError, match="no rows"):
+            load_rule(path)
+
     def test_bad_count_needs_degree(self, tmp_path):
         path = tmp_path / "rule.csv"
         rule = gauss_legendre_rule(1)

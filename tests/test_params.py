@@ -337,8 +337,9 @@ class TestBalancingPrinciple:
         assert sup(c) == pytest.approx(full.max(), rel=1e-12)
 
     def test_grid_abs_table_memory_at_degree_60(self, monkeypatch):
-        # a fresh M = 60 build (the rule made beforehand) holds one Legendre
-        # block of about 15 MB and the 122-row table: under 25 MB in all
+        # a fresh M = 60 build (the rule made beforehand) makes one table, a row
+        # per probe class (122) and a column per degree (61), and its traced
+        # peak stays under 25 MB; the next test bounds the same build at 4 MB
         shapes = self.record_table_shapes(monkeypatch)
         rule = gauss_legendre_rule(60)
         tracemalloc.start()
