@@ -30,7 +30,6 @@ from .cubature import (
     CubatureRule,
     gauss_legendre_nodes,
     gauss_legendre_rule,
-    integrate,
     load_rule,
     probe_grid,
     save_rule,
@@ -49,7 +48,7 @@ from .experiments import (
     sgg_generate,
     sgg_recover,
 )
-from .harmonics import SpherePoint, sph_harm_matrix
+from .harmonics import sph_harm_matrix
 from .params import (
     BalancingConfig,
     BalancingResult,

@@ -19,7 +19,7 @@ from . import _rings, harmonics
 from ._files import read_csv, write_csv
 from .cubature import CubatureRule
 from .harmonics import (
-    FOUR_PI, _one_point, _whole_number, as_unit_vectors, basis_size, sph_harm_matrix,
+    FOUR_PI, _degree, _one_point, as_unit_vectors, basis_size, sph_harm_matrix,
 )
 
 _SOLVER_DEGREE_CAP = 40
@@ -40,9 +40,7 @@ class HarmonicCoefficients:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "degree_M", _whole_number(self.degree_M, "degree"))
-        if self.degree_M < 0:
-            raise ValueError(f"degree must be non-negative, got {self.degree_M}")
+        object.__setattr__(self, "degree_M", _degree(self.degree_M))
         vals = np.asarray(self.values, dtype=float).ravel().copy()
         if vals.size != basis_size(self.degree_M):
             raise ValueError(
@@ -70,9 +68,7 @@ class PenalizationWeights:
     beta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "degree_M", _whole_number(self.degree_M, "degree"))
-        if self.degree_M < 0:
-            raise ValueError(f"degree must be non-negative, got {self.degree_M}")
+        object.__setattr__(self, "degree_M", _degree(self.degree_M))
         b = np.asarray(self.beta, dtype=float).ravel().copy()
         if b.size != self.degree_M + 1:
             raise ValueError(
@@ -235,10 +231,7 @@ def regularized_fit_via_solver(
     degree is capped at 40 to bound memory.
     """
     _require_exactness(samples.rule, M)
-    if beta.degree_M != M:
-        raise ValueError(f"weights are for degree {beta.degree_M}, expected {M}")
-    if not np.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"regularization parameter must be >= 0, got {alpha}")
+    filter_factors(M, alpha, beta)  # checks the weights' degree and alpha
     if M > _SOLVER_DEGREE_CAP:
         raise ValueError(f"dense solver capped at degree {_SOLVER_DEGREE_CAP}, got {M}")
     Y = sph_harm_matrix(M, samples.rule.points)

@@ -66,7 +66,7 @@ _GEN_RULE = (_DEGREE, ("out", _text, None, "output CSV path"))
 
 _FIT = (
     _DEGREE,
-    ("rule", _text, None, "rule CSV (default: generate for --degree)"),
+    ("rule", _text, None, "rule CSV, exact to degree 2*--degree (default: generate one)"),
     ("samples", _text, None,
      "CSV with a `value` column (and optionally x1,x2,x3), one row per node"),
     ("beta", _text, "ones", "weight family: ones|sgg|laplace-beltrami|kernel:l1,l2"),
@@ -194,8 +194,8 @@ def cmd_fit(settings: dict) -> int:
     if use_bp and noise_level is None:
         raise ValueError("fit --bp needs the noise level (--noise-level or config key noise-level)")
     rule_path = settings["rule"]
-    rule = cubature.load_rule(rule_path) if rule_path else cubature.gauss_legendre_rule(M)
-    approx._require_exactness(rule, M)
+    # a rule file may hold any rule exact to 2M; load_rule checks that
+    rule = cubature.load_rule(rule_path, M) if rule_path else cubature.gauss_legendre_rule(M)
     samples = _load_samples(settings["samples"], rule)
     beta = _parse_beta(settings["beta"], M, settings["sgg-decay"])
 

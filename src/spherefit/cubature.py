@@ -15,7 +15,7 @@ import numpy as np
 
 from ._files import read_csv, write_csv
 from ._rings import RingLayout, ring_layout
-from .harmonics import FOUR_PI, _whole_number, as_unit_vectors, basis_size, sph_harm_matrix
+from .harmonics import FOUR_PI, _degree, _whole_number, as_unit_vectors, basis_size, sph_harm_matrix
 
 _WEIGHT_SUM_TOL = 1e-10
 _EXACTNESS_TOL = 1e-10
@@ -42,11 +42,9 @@ class CubatureRule:
     rings: RingLayout | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "degree_M", _whole_number(self.degree_M, "degree"))
+        object.__setattr__(self, "degree_M", _degree(self.degree_M))
         pts = as_unit_vectors(self.points)
         w = np.asarray(self.weights, dtype=float).ravel()
-        if self.degree_M < 0:
-            raise ValueError(f"degree must be non-negative, got {self.degree_M}")
         if pts.shape[0] != w.size:
             raise ValueError(f"{pts.shape[0]} points but {w.size} weights")
         if not np.all(np.isfinite(w)):
@@ -140,10 +138,7 @@ def gauss_legendre_rule(M: int) -> CubatureRule:
     Colatitudes are the M+1 roots of P_{M+1}; azimuths are the 2(M+1) angles
     pi*r/(M+1); the weight at (t_s, phi_r) is (pi/(M+1)) * v_s.
     """
-    M = _whole_number(M, "degree")
-    if M < 0:
-        raise ValueError(f"degree must be non-negative, got {M}")
-    return _gl_rule_cached(M)
+    return _gl_rule_cached(_degree(M))
 
 
 def probe_grid(resolution_degree: int) -> np.ndarray:
@@ -155,19 +150,6 @@ def probe_grid(resolution_degree: int) -> np.ndarray:
     if resolution_degree < 1:
         raise ValueError(f"resolution degree must be >= 1, got {resolution_degree}")
     return gauss_legendre_rule(resolution_degree).points
-
-
-def integrate(rule: CubatureRule, f) -> float:
-    """Cubature sum sum_i w_i f(x_i).
-
-    `f` must accept an (n, 3) array of unit vectors and return n values.
-    """
-    values = np.asarray(f(rule.points), dtype=float).ravel()
-    if values.size != rule.n_points:
-        raise ValueError(
-            f"integrand returned {values.size} values for {rule.n_points} nodes"
-        )
-    return float(rule.weights @ values)
 
 
 def save_rule(rule: CubatureRule, path) -> None:

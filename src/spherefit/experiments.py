@@ -26,7 +26,7 @@ from .approx import (
     regularized_fit,
 )
 from .cubature import gauss_legendre_rule, probe_grid
-from .harmonics import SpherePoint, _whole_number, as_unit_vectors
+from .harmonics import _whole_number, as_unit_vectors
 from .params import (
     BalancingConfig,
     RandomSearchConfig,
@@ -185,7 +185,7 @@ _CAP_RADIUS = 0.5
 def franke_cap_eval(points):
     """Franke test function plus a raised cap, on unit vectors.
 
-    Returns a float for a single point, else an array of values.
+    Returns an array of values, one per point; a (3,) point gives one value.
     """
     pts = as_unit_vectors(points)
     x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -197,14 +197,7 @@ def franke_cap_eval(points):
     )
     dots = np.clip(pts @ _CAP_CENTER, -1.0, 1.0)
     cap = np.where(dots >= np.cos(_CAP_RADIUS), 2.0 * np.cos(np.pi * np.arccos(dots)), 0.0)
-    out = y1 + cap
-    single = isinstance(points, SpherePoint)
-    if not single:
-        try:
-            single = np.shape(points) == (3,)
-        except (TypeError, ValueError):
-            single = False
-    return float(out[0]) if single else out
+    return y1 + cap
 
 
 # ---------------------------------------------------------------------------

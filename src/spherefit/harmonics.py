@@ -18,9 +18,7 @@ matrix of degree M takes O(M) numpy steps however few the points are.
 
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,39 +30,6 @@ _T_SLACK = 1e-14
 _UNIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point on the unit sphere.
-
-    Coordinates with a non-unit norm are rescaled onto the sphere, however
-    large or small they are; the all-zero vector and non-finite input are
-    rejected.
-    """
-
-    x1: float
-    x2: float
-    x3: float
-
-    def __post_init__(self):
-        v = np.array([self.x1, self.x2, self.x3], dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sphere point coordinates must be finite")
-        scale = np.abs(v).max()
-        if scale == 0.0:
-            raise ValueError("cannot place the zero vector on the sphere")
-        # entries above 2 cannot be a unit vector's, and v @ v could overflow
-        if scale > 2.0 or abs(float(v @ v) - 1.0) > _UNIT_TOL:
-            # after dividing by the largest entry the norm lies in [1, sqrt(3)]
-            v /= scale
-            v /= math.hypot(*v)
-        object.__setattr__(self, "x1", float(v[0]))
-        object.__setattr__(self, "x2", float(v[1]))
-        object.__setattr__(self, "x3", float(v[2]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-
 def _whole_number(value, name: str) -> int:
     """`value` as an int; ValueError unless it is a whole number (not a bool)."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
@@ -74,27 +39,30 @@ def _whole_number(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _degree(value) -> int:
+    """A polynomial degree: a whole number, at least 0."""
+    degree = _whole_number(value, "degree")
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
+    return degree
+
+
 def basis_size(degree: int) -> int:
     """Dimension of the spherical polynomial space of the given degree."""
     return (degree + 1) ** 2
 
 
 def as_unit_vectors(points) -> np.ndarray:
-    """Coerce points to an (n, 3) float array of unit vectors.
+    """Points as an (n, 3) float array of unit vectors.
 
-    Accepts a SpherePoint, a length-3 array-like, an (n, 3) array, or a
-    sequence of either.  Rows must already satisfy |x|^2 = 1 within 1e-12.
+    Takes an array-like of shape (3,), one point, or (n, 3).  Coordinates
+    must be finite and each row must satisfy |x|^2 = 1 within 1e-12; points
+    off the sphere are refused, not rescaled onto it.
     """
-    if isinstance(points, SpherePoint):
-        pts = points.as_array()[None, :]
-    else:
-        seq = points
-        if isinstance(seq, (list, tuple)) and len(seq) > 0 and isinstance(seq[0], SpherePoint):
-            pts = np.array([p.as_array() for p in seq])
-        else:
-            pts = np.atleast_2d(np.asarray(seq, dtype=float))
+    given = np.asarray(points, dtype=float)
+    pts = np.atleast_2d(given)
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
+        raise ValueError(f"expected points of shape (3,) or (n, 3), got {given.shape}")
     if pts.shape[0] and not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
     if pts.shape[0]:
@@ -143,9 +111,7 @@ def legendre_matrix(k_max: int, t) -> np.ndarray:
     a time instead; `gauss_legendre_nodes` (Newton on P_n) and
     `sph_harm_matrix` (normalized P_k^m) run their own.
     """
-    k_max = _whole_number(k_max, "degree")
-    if k_max < 0:
-        raise ValueError(f"degree must be non-negative, got {k_max}")
+    k_max = _degree(k_max)
     t = _check_t(np.asarray(t, dtype=float).ravel())
     out = np.empty((t.size, k_max + 1), order="F")
     for k, column in enumerate(_legendre_columns(k_max, t)):
@@ -169,9 +135,7 @@ def sph_harm_matrix(degree: int, points) -> np.ndarray:
     k's values, its -m rows get the products with sqrt(2) sin(m phi) and its
     +m rows those with sqrt(2) cos(m phi), m > 0.
     """
-    degree = _whole_number(degree, "degree")
-    if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
+    degree = _degree(degree)
     pts = as_unit_vectors(points)
     M, n = degree, pts.shape[0]
     t = np.clip(pts[:, 2], -1.0, 1.0)

@@ -6,7 +6,8 @@ these wrappers pick one entry out of those matrices so tests can compare
 against closed forms and the addition theorem point by point.
 `sph_harm_matrix_loop` runs the harmonic recurrence one (degree, order) pair
 at a time, the form `sph_harm_matrix` vectorizes over the orders with the
-same floating-point operations.
+same floating-point operations.  `unit` makes a test point: the package
+refuses points off the sphere, so tests normalize theirs first.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ import numpy as np
 from spherefit.harmonics import (
     _SQRT2, FOUR_PI, _one_point, as_unit_vectors, basis_size, legendre_matrix, sph_harm_matrix,
 )
+
+
+def unit(*v) -> np.ndarray:
+    """The unit vector along (v1, v2, v3), as a (3,) array."""
+    v = np.array(v, dtype=float)
+    return v / np.linalg.norm(v)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from spherefit import (
     HarmonicCoefficients,
     PenalizationWeights,
     SampleSet,
-    SpherePoint,
     analyze,
     evaluate,
     evaluate_grid,
@@ -37,6 +36,7 @@ from spherefit import (
 from spherefit.experiments import write_experiment_1, write_experiment_2
 
 from _criterion6 import predicted_ratio, simulated_ratio
+from _scalar import unit
 
 FOUR_PI = 4 * np.pi
 
@@ -291,7 +291,7 @@ def test_criterion_9_property_suite():
     reproduced = True
     p = HarmonicCoefficients(M, rng.normal(size=(M + 1) ** 2))
     for _ in range(10):
-        x = SpherePoint(*rng.normal(size=3))
+        x = unit(*rng.normal(size=3))
         kx = kernel_section(beta, x)
         plus = HarmonicCoefficients(M, p.values + kx.values)
         minus = HarmonicCoefficients(M, p.values - kx.values)

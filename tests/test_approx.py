@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _scalar import sph_harm_matrix_loop
+from _scalar import sph_harm_matrix_loop, unit
 
 from spherefit import (
     CubatureRule,
@@ -13,7 +13,6 @@ from spherefit import (
     HarmonicCoefficients,
     PenalizationWeights,
     SampleSet,
-    SpherePoint,
     analyze,
     evaluate,
     evaluate_grid,
@@ -188,11 +187,11 @@ class TestSolverOracle:
 class TestEvaluate:
     def test_constant_mode(self):
         coeffs = HarmonicCoefficients(0, [1.0])
-        for p in (SpherePoint(0, 0, 1), SpherePoint(1, 0, 0)):
+        for p in (unit(0, 0, 1), unit(1, 0, 0)):
             assert evaluate(coeffs, p) == pytest.approx(1 / np.sqrt(FOUR_PI), abs=1e-15)
 
     def test_zero_coefficients(self):
-        assert evaluate(HarmonicCoefficients.zeros(3), SpherePoint(0, 1, 0)) == 0.0
+        assert evaluate(HarmonicCoefficients.zeros(3), unit(0, 1, 0)) == 0.0
 
     def test_kernel_form_agreement(self):
         rng = np.random.default_rng(5)
@@ -216,7 +215,7 @@ class TestEvaluate:
     def test_grid_single_and_empty(self):
         rng = np.random.default_rng(6)
         coeffs = random_coeffs(2, rng)
-        p = SpherePoint(0.1, -0.7, 0.9)
+        p = unit(0.1, -0.7, 0.9)
         assert evaluate_grid(coeffs, p)[0] == evaluate(coeffs, p)
         assert evaluate_grid(coeffs, np.empty((0, 3))).size == 0
 
@@ -1071,7 +1070,7 @@ class TestRkhs:
         p = random_coeffs(M, rng)
         for _ in range(5):
             v = rng.normal(size=3)
-            x = SpherePoint(*v)
+            x = unit(*v)
             kx = kernel_section(beta, x)
             plus = HarmonicCoefficients(M, p.values + kx.values)
             minus = HarmonicCoefficients(M, p.values - kx.values)
@@ -1081,7 +1080,7 @@ class TestRkhs:
     def test_kernel_section_needs_positive_weights(self):
         beta = PenalizationWeights(2, [0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
-            kernel_section(beta, SpherePoint(0, 0, 1))
+            kernel_section(beta, unit(0, 0, 1))
 
 
 class TestPenalizedFunctional:

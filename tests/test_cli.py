@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from spherefit import approx, evaluate_grid, gauss_legendre_rule, load_coefficients, params
+from spherefit import (
+    CubatureRule, SampleSet, approx, evaluate_grid, gauss_legendre_nodes, gauss_legendre_rule,
+    load_coefficients, params, regularized_fit, save_rule,
+)
 from spherefit.cli import main
 from spherefit.experiments import franke_cap_eval, sgg_generate
 
@@ -296,7 +299,8 @@ class TestFit:
                 "--alpha", "0.1", "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "exact to degree 6" in err
+        # loaded at --degree 5, the rule must be exact to degree 10
+        assert err.startswith("error:") and "not exact to degree 10" in err
         assert not out.exists()
 
     def test_rule_file_roundtrip(self, tmp_path):
@@ -312,6 +316,30 @@ class TestFit:
              "--out", str(out)]
         )
         assert rc == 0
+
+    def test_rule_of_any_point_count(self, tmp_path):
+        # 5 Gauss-Legendre rings of 9 azimuths: 45 points, exact to degree 8,
+        # a point count from which no degree can be inferred
+        M = 4
+        t, v = gauss_legendre_nodes(5)
+        phi = 2 * np.pi * np.arange(9) / 9
+        u = np.sqrt(1 - t * t)[:, None]
+        points = np.stack(
+            [(u * np.cos(phi)).ravel(), (u * np.sin(phi)).ravel(), np.repeat(t, 9)], axis=1
+        )
+        rule = CubatureRule(M, points, np.repeat(v * 2 * np.pi / 9, 9))
+        rule_path, samples, out = tmp_path / "rule.csv", tmp_path / "samples.csv", tmp_path / "fit"
+        save_rule(rule, rule_path)
+        values = franke_cap_eval(rule.points)
+        write_samples(samples, values)
+        rc = main(
+            ["fit", "--degree", str(M), "--rule", str(rule_path), "--samples", str(samples),
+             "--beta", "laplace-beltrami", "--alpha", "0.1", "--out", str(out)]
+        )
+        assert rc == 0
+        assert (out / "fit_summary.json").exists()
+        want = regularized_fit(SampleSet(rule, values), M, 0.1, params.weights_laplace_beltrami(M))
+        assert np.array_equal(load_coefficients(out / "coefficients.csv").values, want.values)
 
 
 def write_samples_with_nodes(path, points, values):

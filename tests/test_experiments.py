@@ -8,7 +8,6 @@ from spherefit import (
     HarmonicCoefficients,
     NoiseSpec,
     SampleSet,
-    SpherePoint,
     add_noise,
     analyze,
     evaluate_grid,
@@ -155,11 +154,12 @@ class TestFrankeCap:
     def test_matches_independent_oracle_off_cap(self):
         # (1, 0, 0) lies far from the cap center, so only the four-term sum acts
         val = franke_cap_eval((1.0, 0.0, 0.0))
-        assert val == pytest.approx(franke_only_oracle(1.0, 0.0, 0.0), abs=1e-15)
+        assert val.shape == (1,)  # one point gives an array, as evaluate_grid does
+        assert val[0] == pytest.approx(franke_only_oracle(1.0, 0.0, 0.0), abs=1e-15)
 
     def test_cap_contribution_at_center(self):
         c = (-0.5, -0.5, 1 / np.sqrt(2))
-        cap = franke_cap_eval(c) - franke_only_oracle(*c)
+        cap = franke_cap_eval(c)[0] - franke_only_oracle(*c)
         assert cap == pytest.approx(2.0, abs=1e-12)
 
     def test_cap_edge_continuity(self):
@@ -167,7 +167,7 @@ class TestFrankeCap:
         c = np.array([-0.5, -0.5, 1 / np.sqrt(2)])
         tangent = np.array([0.5, 0.5, 1 / np.sqrt(2)])  # unit, orthogonal to c
         edge = np.cos(0.5) * c + np.sin(0.5) * tangent
-        cap = franke_cap_eval(edge) - franke_only_oracle(*edge)
+        cap = franke_cap_eval(edge)[0] - franke_only_oracle(*edge)
         assert abs(cap) <= 1e-12
 
     def test_outside_cap_is_franke_only(self):
@@ -186,7 +186,7 @@ class TestFrankeCap:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         vals = franke_cap_eval(pts)
         for p, v in zip(pts, vals):
-            assert franke_cap_eval(SpherePoint(*p)) == pytest.approx(v, abs=1e-15)
+            assert franke_cap_eval(p)[0] == pytest.approx(v, abs=1e-15)
 
 
 class TestExperimentRuns:

@@ -2,16 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from _scalar import (
     HarmonicIndex, addition_kernel, legendre_batch, legendre_eval, sph_harm_eval,
-    sph_harm_matrix_loop,
+    sph_harm_matrix_loop, unit,
 )
 
-from spherefit import SpherePoint, gauss_legendre_rule, sph_harm_matrix
-from spherefit.harmonics import as_unit_vectors, legendre_matrix
+from spherefit import (
+    CubatureRule, HarmonicCoefficients, PenalizationWeights, evaluate, evaluate_grid,
+    franke_cap_eval, gauss_legendre_rule, kernel_section, operator_norm_bound, sph_harm_matrix,
+)
+from spherefit.harmonics import legendre_matrix
 
 FOUR_PI = 4 * np.pi
 
@@ -75,33 +76,44 @@ class TestLegendre:
         assert legendre_eval(4, 1 + 5e-15) == legendre_eval(4, 1.0)
 
 
-class TestSpherePoint:
-    def test_normalizes(self):
-        p = SpherePoint(2.0, 0.0, 0.0)
-        assert (p.x1, p.x2, p.x3) == (1.0, 0.0, 0.0)
+# Every entry point that takes points refuses, rather than rescales, input
+# off the sphere.  The one-point entries get the last row only.
+_RULE, _BETA = gauss_legendre_rule(2), PenalizationWeights(2, [1.0, 2.0, 3.0])
+_POINT_ENTRIES = {
+    "evaluate_grid": lambda pts: evaluate_grid(HarmonicCoefficients.zeros(2), pts),
+    "evaluate": lambda pts: evaluate(HarmonicCoefficients.zeros(2), pts[-1]),
+    "operator_norm_bound": lambda pts: operator_norm_bound(_RULE, 2, 0.1, _BETA, pts),
+    "kernel_section": lambda pts: kernel_section(_BETA, pts[-1]),
+    "franke_cap_eval": franke_cap_eval,
+    "sph_harm_matrix": lambda pts: sph_harm_matrix(2, pts),
+    "CubatureRule": lambda pts: CubatureRule(0, pts, np.full(len(pts), FOUR_PI / len(pts))),
+}
 
-    def test_unit_invariant(self):
-        p = SpherePoint(1.3, -0.2, 2.4)
-        assert abs(p.x1**2 + p.x2**2 + p.x3**2 - 1) <= 1e-12
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            SpherePoint(0.0, 0.0, 0.0)
+def _with_last_row(row):
+    return np.array([[0.0, 0.0, 1.0], row])
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SpherePoint(np.nan, 0.0, 1.0)
 
-    @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3).filter(any))
-    @example((1e200, 0.0, 0.0))  # |v|^2 overflows
-    @example((1e155, 1e155, 0.0))
-    @example((1e-200, 0.0, 0.0))  # |v|^2 underflows
-    @example((5e-324, -5e-324, 5e-324))
-    def test_any_finite_nonzero_triple_lands_parallel(self, v):
-        x = as_unit_vectors(SpherePoint(*v))[0]
-        w = np.array(v) / np.abs(v).max()
-        assert x @ w > 0.0
-        assert np.linalg.norm(np.cross(x, w)) <= 1e-14 * np.linalg.norm(w)
+@pytest.mark.parametrize("entry", _POINT_ENTRIES)
+@pytest.mark.parametrize(
+    "points, fault",
+    [
+        (_with_last_row(unit(0.6, 0.8, 0.0) * np.sqrt(1 + 1e-9)), "must lie on the unit sphere"),
+        (_with_last_row([np.nan, 0.0, 1.0]), "must be finite"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), r"shape \(3,\) or \(n, 3\), got \((2, )?2,?\)"),
+    ],
+    ids=["off-sphere", "nan", "two-columns"],
+)
+def test_points_off_the_sphere_are_refused(entry, points, fault):
+    with pytest.raises(ValueError, match=fault):
+        _POINT_ENTRIES[entry](points)
+
+
+@pytest.mark.parametrize("entry", _POINT_ENTRIES)
+def test_points_within_rounding_of_the_sphere_are_accepted(entry):
+    # |x|^2 - 1 = 1e-13, inside the 1e-12 tolerance
+    points = _with_last_row(unit(0.6, 0.8, 0.0) * np.sqrt(1 + 1e-13))
+    _POINT_ENTRIES[entry](points)
 
 
 class TestHarmonicIndex:
@@ -135,12 +147,12 @@ class TestSphHarm:
             assert val == pytest.approx(0.2820947917738781, abs=1e-15)
 
     def test_zonal_degree_one_at_pole(self):
-        val = sph_harm_eval(HarmonicIndex(1, 2), SpherePoint(0.0, 0.0, 1.0))
+        val = sph_harm_eval(HarmonicIndex(1, 2), unit(0.0, 0.0, 1.0))
         assert val == pytest.approx(np.sqrt(3 / FOUR_PI), abs=1e-14)
         assert val == pytest.approx(0.4886025119, abs=1e-9)
 
     def test_zonal_vanishes_on_equator(self):
-        assert sph_harm_eval(HarmonicIndex(1, 2), SpherePoint(1.0, 0.0, 0.0)) == 0.0
+        assert sph_harm_eval(HarmonicIndex(1, 2), unit(1.0, 0.0, 0.0)) == 0.0
 
     def test_nonzonal_vanish_at_poles(self):
         Y = sph_harm_matrix(5, [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
@@ -201,12 +213,12 @@ class TestSphHarm:
 
 class TestAdditionKernel:
     def test_degree_zero(self):
-        x = SpherePoint(0.3, -0.5, 1.1)
-        z = SpherePoint(-1.0, 0.2, 0.1)
+        x = unit(0.3, -0.5, 1.1)
+        z = unit(-1.0, 0.2, 0.1)
         assert addition_kernel(0, x, z) == pytest.approx(1 / FOUR_PI, abs=1e-15)
 
     def test_rejects_several_points(self):
-        x = SpherePoint(0.0, 0.0, 1.0)
+        x = unit(0.0, 0.0, 1.0)
         two = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]
         with pytest.raises(ValueError, match="one point"):
             addition_kernel(2, two, x)
@@ -214,12 +226,12 @@ class TestAdditionKernel:
             addition_kernel(2, x, two)
 
     def test_same_point(self):
-        x = SpherePoint(0.3, 0.4, 0.5)
+        x = unit(0.3, 0.4, 0.5)
         assert addition_kernel(1, x, x) == pytest.approx(3 / FOUR_PI, abs=1e-15)
 
     def test_orthogonal_degree_two(self):
-        x = SpherePoint(1.0, 0.0, 0.0)
-        z = SpherePoint(0.0, 0.0, 1.0)
+        x = unit(1.0, 0.0, 0.0)
+        z = unit(0.0, 0.0, 1.0)
         # P_2(0) = -1/2
         assert addition_kernel(2, x, z) == pytest.approx(5 / FOUR_PI * -0.5, abs=1e-15)
 
@@ -240,8 +252,8 @@ class TestAdditionKernel:
         # two pairs sharing the same dot product give the same kernel value
         c = 0.37
         s = np.sqrt(1 - c * c)
-        pair1 = (SpherePoint(0, 0, 1), SpherePoint(s, 0, c))
-        pair2 = (SpherePoint(1, 0, 0), SpherePoint(c, s, 0))
+        pair1 = (unit(0, 0, 1), unit(s, 0, c))
+        pair2 = (unit(1, 0, 0), unit(c, s, 0))
         for k in (1, 5, 12):
             v1 = addition_kernel(k, *pair1)
             v2 = addition_kernel(k, *pair2)
