@@ -25,6 +25,10 @@ recurrence takes all orders of one degree in one vectorized step, so a table
 costs O(M) numpy steps on vectors of R ring heights, not one step per
 (degree, order) pair.
 
+`degree_weighted_sup` gives each step of the balancing walk, the sup norm
+of a degree-weighted expansion, from the cosine and sine halves of every
+ring on half its azimuths, without synthesizing the expansion.
+
 `probe_classes` groups the probe points at which the sup-norm kernel sums
 over a product rule agree.  The groups form one ring x azimuth block (ring
 classes times azimuth classes).  They are found in one place,
@@ -186,6 +190,33 @@ def synthesis(rings: RingLayout, M: int, coeffs: np.ndarray) -> np.ndarray:
     # per order m and ring: the amplitudes of cos(m phi) and sin(m phi)
     B = np.matmul(coeffs[rows], P)
     return (B.reshape(2 * (M + 1), R).T @ trig).ravel()
+
+
+def degree_weighted_sup(rings: RingLayout, M: int, coeffs: np.ndarray):
+    """w -> max over the grid of |sum_k w_k sum_j c_kj Y_kj(x)|.
+
+    `coeffs` holds the flat c_kj and w the per-degree weights w_0..w_M.  The
+    coefficients are lined up by order once; each call takes one product
+    over the orders with the Legendre table, then, per ring, the cosine half
+    C(phi) = sum_m a_m cos(m phi) and the sine half S(phi) = sum_m b_m sin(m phi)
+    at the azimuths phi_j, j = 0..A/2, only.  As phi_(A-j) = -phi_j, the
+    expansion is C + S at phi_j and C - S at phi_(A-j), so the largest
+    |C| + |S| is the maximum over the whole ring, for any azimuth count A.
+    """
+    P, rows, _, trig = _table(M, rings)
+    half = rings.azimuths // 2 + 1
+    cos, sin = trig[0::2, :half], trig[1::2, :half]
+    lined_up = coeffs[rows]
+
+    def sup(w: np.ndarray) -> float:
+        B = np.matmul(lined_up * w, P)
+        C = B[:, 0].T @ cos
+        S = B[:, 1].T @ sin
+        np.abs(C, out=C)
+        C += np.abs(S, out=S)
+        return float(C.max())
+
+    return sup
 
 
 def mirrored(rings: RingLayout) -> bool:

@@ -10,7 +10,7 @@ penalized functional is built from.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -86,10 +86,16 @@ class PenalizationWeights:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Function values at the nodes of a cubature rule."""
+    """Function values at the nodes of a cubature rule.
+
+    `analyze` keeps its coefficients in `_analyses`, one entry per degree,
+    so a balancing walk and the fits that follow it analyze a sample set
+    once.  The entry is neither compared nor shown in the repr.
+    """
 
     rule: CubatureRule
     values: np.ndarray
+    _analyses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).ravel().copy()
@@ -182,12 +188,17 @@ def analyze(samples: SampleSet, M: int) -> HarmonicCoefficients:
     sampled function onto the degree-M polynomials (hyperinterpolation), and
     reproduces every polynomial of degree <= M from its samples.
     """
+    M = _degree(M)
     _require_exactness(samples.rule, M)
-    rings = samples.rule.rings
-    if rings is not None:
-        return HarmonicCoefficients(M, _rings.analysis(rings, M, samples.values))
-    Y = sph_harm_matrix(M, samples.rule.points)
-    return HarmonicCoefficients(M, Y @ (samples.rule.weights * samples.values))
+    coeffs = samples._analyses.get(M)
+    if coeffs is None:
+        rule = samples.rule
+        if rule.rings is not None:
+            values = _rings.analysis(rule.rings, M, samples.values)
+        else:
+            values = sph_harm_matrix(M, rule.points) @ (rule.weights * samples.values)
+        coeffs = samples._analyses[M] = HarmonicCoefficients(M, values)
+    return coeffs
 
 
 def filter_factors(M: int, alpha: float, beta: PenalizationWeights) -> np.ndarray:

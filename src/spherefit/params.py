@@ -22,11 +22,9 @@ from .approx import (
     SampleSet,
     _kernel_coefficients,
     _norm_oracle,
-    _synthesizer,
     analyze,
     crude_norm_upper,
     default_probe_resolution,
-    expand_by_degree,
     penalized_functional,
     regularized_fit,
 )
@@ -44,9 +42,11 @@ class BalancingConfig:
     decreasing).  `omega` scales the noise-propagation threshold, `delta` is
     the assumed sup-norm of the data noise.  `probe_resolution` sets the
     rings of both probe sets (twice the fit degree when omitted): the step
-    differences are sup norms on probe_grid(probe_resolution), the operator
-    norm a maximum on the same rings at a multiple of the rule's azimuth
-    count (`_norm_probes`).  `norm_bound` picks how that norm is computed:
+    differences are sup norms on probe_grid(probe_resolution), each taken
+    on half of every ring's azimuths (`_rings.degree_weighted_sup`), the
+    operator norm a maximum on the same rings at a multiple of the rule's
+    azimuth count (`_norm_probes`).  `norm_bound` picks how that norm is
+    computed:
 
       * ``grid``     -- probe maximum of the exact kernel sum (default);
       * ``grid-abs`` -- probe maximum with the absolute values pulled
@@ -249,12 +249,19 @@ def balancing_principle(
     omega * delta * ||T_{alpha_{z+1}}|| in the probe-grid sup norm.  Every
     comparison is recorded in the trace; if the threshold is never exceeded
     the largest grid value is returned with `triggered=False`.
+
+    The two fits differ by the degree filter alone, so a step's difference
+    is the sup of the analysis coefficients weighted by
+    f(alpha_z) - f(alpha_{z+1}), f(alpha)_k = 1/(1 + alpha beta_k^2), built
+    for the whole grid once.  `_rings.degree_weighted_sup` takes it from
+    the cosine and sine halves of each probe ring on half its azimuths; no
+    fit is synthesized.  The analysis is the one `analyze` keeps on the
+    sample set, so the fit that follows reuses it.
     """
     alphas = cfg.grid()
     resolution = cfg.probe_resolution or default_probe_resolution(M)
-    synthesize = _synthesizer(M, *_probes(resolution))
-    gamma_hat = analyze(samples, M).values
-    b2 = expand_by_degree(beta.beta**2)
+    step_sup = _rings.degree_weighted_sup(_probes(resolution)[1], M, analyze(samples, M).values)
+    factors = 1.0 / (1.0 + np.multiply.outer(alphas, beta.beta**2))
     if cfg.norm_bound == "crude":
         norm = lambda alpha: crude_norm_upper(M, alpha, beta)
     else:
@@ -262,22 +269,16 @@ def balancing_principle(
         norm = lambda alpha: sup(_kernel_coefficients(M, alpha, beta))
     omega_delta = cfg.omega * cfg.delta
 
-    def fit_values(i: int) -> np.ndarray:
-        return synthesize(gamma_hat / (1.0 + alphas[i] * b2))
-
     trace = []
-    prev = fit_values(cfg.L - 1)
     alpha_star, triggered = alphas[0], False
     for z in range(cfg.L - 2, -1, -1):
-        cur = fit_values(z)
-        difference = float(np.abs(cur - prev).max())
+        difference = step_sup(factors[z] - factors[z + 1])
         threshold = omega_delta * norm(alphas[z + 1])
         hit = difference > threshold
         trace.append(TraceStep(float(alphas[z]), difference, float(threshold), hit))
         if hit:
             alpha_star, triggered = float(alphas[z]), True
             break
-        prev = cur
     return BalancingResult(
         alpha_star=alpha_star,
         triggered=triggered,

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _scalar import sph_harm_matrix_loop, unit
@@ -471,6 +471,51 @@ class TestRingTransform:
             assert step.alpha == result.grid[z]
             expected = np.abs(values[z] - values[z + 1]).max()
             assert step.difference == pytest.approx(expected, rel=1e-12)
+
+
+class TestDegreeWeightedSup:
+    """`_rings.degree_weighted_sup` against the maximum of the full ring
+    synthesis of the degree-weighted coefficients, to 1e-12 of that maximum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+        azimuths=st.one_of(st.sampled_from([1, 2]), st.integers(3, 40)),
+        n_rings=st.integers(1, 6),
+        mirror=st.booleans(),
+    )
+    @example(M=6, seed=1, azimuths=1, n_rings=3, mirror=True)
+    @example(M=6, seed=2, azimuths=2, n_rings=3, mirror=False)
+    def test_matches_synthesis_property(self, M, seed, azimuths, n_rings, mirror):
+        # random product layouts, odd and even azimuth counts; mirrored ones
+        # hold each ring at t and -t with equal weight, plus one at t = 0.
+        # A = 1 has only phi = 0; at A = 2 both azimuths are their own mirror
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(-1.0, 1.0, n_rings)
+        if mirror:
+            t = np.concatenate([t, [0.0], -t])
+        u = np.sqrt(1.0 - t * t)
+        rings = _rings.RingLayout(np.column_stack([u, np.zeros_like(t), t]), np.ones_like(t), azimuths)
+        assert _rings.mirrored(rings) == mirror
+        c = rng.normal(size=(M + 1) ** 2)
+        w = rng.normal(size=M + 1) * (rng.uniform(size=M + 1) < 0.7)
+        sup = _rings.degree_weighted_sup(rings, M, c)
+        # one helper serves any number of weight vectors
+        for weights in (w, np.zeros(M + 1), w[::-1]):
+            expected = np.abs(_rings.synthesis(rings, M, c * expand_by_degree(weights))).max()
+            assert abs(sup(weights) - expected) <= 1e-12 * expected
+
+    def test_degree_120_on_probe_grid(self):
+        # the walk's default probe rings at M = 120: 241 rings of 482 azimuths
+        M = 120
+        rng = np.random.default_rng(121)
+        rings = gauss_legendre_rule(2 * M).rings
+        c = rng.normal(size=(M + 1) ** 2)
+        w = rng.uniform(size=M + 1)
+        w[::7] = 0.0
+        expected = np.abs(_rings.synthesis(rings, M, c * expand_by_degree(w))).max()
+        assert abs(_rings.degree_weighted_sup(rings, M, c)(w) - expected) <= 1e-12 * expected
 
 
 class TestOperatorNormBound:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,14 @@ from spherefit import (
     PenalizationWeights,
     RandomSearchConfig,
     SampleSet,
+    analyze,
     balancing_principle,
+    experiments,
     gauss_legendre_rule,
     kernel_select,
     operator_norm_bound,
     probe_grid,
+    regularized_fit,
     save_bp_trace,
     weights_from_kernel_params,
     weights_laplace_beltrami,
@@ -22,7 +26,7 @@ from spherefit import (
     weights_sgg_apriori,
 )
 from spherefit import _rings, approx, params
-from spherefit.approx import filter_factors, weighted_abs_legendre_sums
+from spherefit.approx import expand_by_degree, filter_factors, weighted_abs_legendre_sums
 
 
 def noisy_samples(M, seed=0, scale=1.0):
@@ -398,6 +402,125 @@ class TestBalancingPrinciple:
         lines = path.read_text().splitlines()
         assert lines[0] == "alpha,difference,threshold,triggered"
         assert len(lines) == 1 + len(res.trace)
+
+
+class TestWalkAgainstFullSynthesis:
+    """The walk takes each step's difference as the half-azimuth sup of one
+    degree-weighted expansion; the reference synthesizes both fits on the
+    whole probe grid and subtracts them."""
+
+    M = 30
+
+    @staticmethod
+    def reference_walk(samples, M, beta, cfg):
+        """(alpha_star, triggered, steps, largest |fit value|), each step an
+        (alpha, difference, threshold, triggered) tuple."""
+        alphas = cfg.grid()
+        resolution = cfg.probe_resolution or 2 * M
+        rings = gauss_legendre_rule(resolution).rings
+        gamma = analyze(samples, M).values
+        b2 = expand_by_degree(beta.beta**2)
+        if cfg.norm_bound == "crude":
+            norm = lambda alpha: approx.crude_norm_upper(M, alpha, beta)
+        else:
+            probes = params._norm_probes(samples.rule, resolution)
+            sup = approx._norm_oracle(samples.rule, M, *probes, cfg.norm_bound)
+            norm = lambda alpha: sup(approx._kernel_coefficients(M, alpha, beta))
+        fits = [_rings.synthesis(rings, M, gamma / (1.0 + alphas[cfg.L - 1] * b2))]
+        steps, alpha_star, triggered = [], alphas[0], False
+        for z in range(cfg.L - 2, -1, -1):
+            fits.append(_rings.synthesis(rings, M, gamma / (1.0 + alphas[z] * b2)))
+            difference = float(np.abs(fits[-1] - fits[-2]).max())
+            threshold = cfg.omega * cfg.delta * norm(alphas[z + 1])
+            hit = difference > threshold
+            steps.append((float(alphas[z]), difference, float(threshold), hit))
+            if hit:
+                alpha_star, triggered = float(alphas[z]), True
+                break
+        return alpha_star, triggered, steps, max(np.abs(f).max() for f in fits)
+
+    @pytest.mark.parametrize("sigma", [0.005, 0.05, 0.5])
+    @pytest.mark.parametrize("bound", params.NORM_BOUND_KINDS)
+    def test_same_walk_as_full_synthesis(self, bound, sigma):
+        # the reference fit's data.  Both walks compute the thresholds by
+        # the same expression, so they agree bit for bit.  The differences
+        # agree to 1e-12 of the largest fit value (1.1e-15 measured): the
+        # reference subtracts two nearly equal fits, so its rounding is
+        # relative to the fits, not to their difference
+        M, d = self.M, experiments.DEFAULTS
+        rule = gauss_legendre_rule(M)
+        clean = experiments.franke_cap_eval(rule.points)
+        noisy, delta = experiments.add_noise(clean, experiments.NoiseSpec("gaussian", sigma, 1))
+        beta = weights_laplace_beltrami(M)
+        cfg = BalancingConfig(
+            alpha0=d["grid_anchor"], q=d["grid_ratio"], L=d["grid_len"], omega=d["omega"],
+            delta=delta, norm_bound=bound,
+        )
+        alpha_star, triggered, steps, scale = self.reference_walk(SampleSet(rule, noisy), M, beta, cfg)
+        res = balancing_principle(SampleSet(rule, noisy), M, beta, cfg)
+        assert res.alpha_star == alpha_star and res.triggered == triggered
+        assert len(res.trace) == len(steps)
+        for step, (alpha, difference, threshold, hit) in zip(res.trace, steps):
+            assert step.alpha == alpha and step.threshold == threshold
+            assert step.triggered == hit
+            assert abs(step.difference - difference) <= 1e-12 * scale
+
+
+class TestOneAnalysisPerSampleSet:
+    """`analyze` keeps its coefficients on the sample set, so the walks and
+    fits of one sample set run the ring analysis once."""
+
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        degrees = []
+        analysis = _rings.analysis
+
+        def counting(rings, M, values):
+            degrees.append(M)
+            return analysis(rings, M, values)
+
+        monkeypatch.setattr(_rings, "analysis", counting)
+        return degrees
+
+    def test_kernel_search_analyzes_once(self, analyses):
+        # 3 x 3 draws and the final mean: ten walks and ten fits
+        s = noisy_samples(6, seed=15)
+        search = RandomSearchConfig(runs=3, steps_per_run=3, box=((0, 3), (0, 3)), seed=4)
+        bp = BalancingConfig(alpha0=8.0, q=0.8, L=20, omega=0.002, delta=0.5, norm_bound="grid-abs")
+        kernel_select(s, 6, search, bp)
+        assert analyses == [6]
+
+    def test_walk_then_fit_analyzes_once(self, analyses):
+        s = noisy_samples(6, seed=16)
+        beta = weights_laplace_beltrami(6)
+        cfg = BalancingConfig(alpha0=8.0, q=0.8, L=20, omega=0.002, delta=0.5)
+        res = balancing_principle(s, 6, beta, cfg)
+        gamma = regularized_fit(s, 6, res.alpha_star, beta)
+        assert analyses == [6]
+        factors = expand_by_degree(filter_factors(6, res.alpha_star, beta))
+        assert np.array_equal(gamma.values, factors * analyze(s, 6).values)
+        assert analyses == [6]
+
+    def test_one_entry_per_degree(self, analyses):
+        s = noisy_samples(6, seed=17)
+        low, high = analyze(s, 4), analyze(s, 6)
+        assert analyze(s, 4.0) is low and analyze(s, np.int64(6)) is high
+        assert analyses == [4, 6]
+        assert sorted(s._analyses) == [4, 6]
+        assert low.degree_M == 4 and high.degree_M == 6
+        assert SampleSet(s.rule, s.values)._analyses == {}
+
+    def test_analyses_stay_out_of_repr_and_eq(self):
+        field = {f.name: f for f in dataclasses.fields(SampleSet)}["_analyses"]
+        assert not (field.init or field.repr or field.compare)
+        s = noisy_samples(3, seed=18)
+        twin = SampleSet(s.rule, s.values)
+        object.__setattr__(twin, "values", s.values)  # == on two distinct arrays is ambiguous
+        before = repr(s)
+        analyze(s, 3)
+        assert s._analyses and not twin._analyses
+        assert repr(s) == before and "_analyses" not in before
+        assert s == twin
 
 
 class TestKernelSelect:
