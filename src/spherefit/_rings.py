@@ -31,21 +31,18 @@ ring on half its azimuths, without synthesizing the expansion.
 
 `probe_classes` groups the probe points at which the sup-norm kernel sums
 over a product rule agree.  The groups form one ring x azimuth block (ring
-classes times azimuth classes).  They are found in one place,
-`approx._norm_oracle`, once per oracle it builds: once per
-`operator_norm_bound` call, and once per (rule, M, probe resolution, bound)
-in the balancing walk, which memoizes its oracle under that key.
-`weighted_abs_kernel_sums` evaluates the `grid` sums on that block, one per
-group, by the addition theorem with the same Legendre table; the `grid-abs`
-table takes one row per group from `approx.weighted_abs_legendre_sums`,
-which returns one row for each probe it is given.  The balancing walk and
-`fit`'s norm estimate take their maxima on a probe set that the rule's
-symmetries map to itself (`params._norm_probes`): the rings of the probe
+classes times azimuth classes), found in one place, `approx._norm_oracle`,
+once per oracle it builds.  `weighted_abs_kernel_sums` evaluates the `grid`
+sums on that block, one per group, by the addition theorem with the same
+Legendre table; the `grid-abs` table takes one row per group from
+`approx.weighted_abs_legendre_sums` at the points `ring_points` builds from
+the group's ring and azimuth.  A balancing walk takes every sup norm, its
+step differences and its operator norms, on one probe layout
+(`params._probe_rings`) and forms no probe point: the rings of the probe
 grid, at a multiple of the rule's azimuth count A.  Its azimuths then fall
 into the offsets 0 to pi/A from the rule's, two of them at the default
 resolution 2M, so on gauss_legendre_rule(M) 2(M+1) groups remain where
-probe_grid(2M) leaves (M+1)^2.  The Legendre table depends on the rings
-alone, so that set shares the probe grid's.
+probe_grid(2M) leaves (M+1)^2.
 `antipodal_half` keeps one node of each antipodal pair of a mirrored rule
 for sums whose terms are even in x . x_i, such as the `grid-abs` table.
 """
@@ -128,7 +125,7 @@ def _legendre_table(M: int, meridian: bytes) -> tuple[np.ndarray, np.ndarray, np
     """The transform's P, rows and position, memoized by degree and rings.
 
     They do not depend on the azimuth count, so point sets on the same rings
-    (the probe grid and the sup-norm probe set) share one table."""
+    (the probe grid and a balancing walk's probe layout) share one table."""
     k, m, sign = np.arange(M + 1), np.arange(M + 1)[:, None, None], np.array([[1], [-1]])
     # entries with k < m point at row 0 and meet the zeros of P there
     rows = (k * k + k + sign * m) * (k >= m)
@@ -282,6 +279,15 @@ def probe_classes(
     _, rings, ring_class = np.unique(ring_key, axis=0, return_index=True, return_inverse=True)
     inverse = ring_class.reshape(-1, 1) * azimuths.size + az_class
     return rings, azimuths, inverse.ravel()
+
+
+def ring_points(meridian: np.ndarray, azimuths: int, q=None) -> np.ndarray:
+    """Points at the azimuths 2 pi q / `azimuths` (every one when q is None)
+    on the rings whose phi = 0 points are `meridian`, ring-major."""
+    phi = 2.0 * np.pi * (np.arange(azimuths) if q is None else q) / azimuths
+    u, t = meridian[:, 0:1], meridian[:, 2:3]
+    points = np.broadcast_arrays(u * np.cos(phi), u * np.sin(phi), t)
+    return np.stack(points, axis=-1).reshape(-1, 3)
 
 
 def _trig_columns(q: np.ndarray, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:

@@ -32,9 +32,9 @@ def expand_by_degree(per_degree: np.ndarray) -> np.ndarray:
     return np.repeat(per_degree, 2 * np.arange(M + 1) + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicCoefficients:
-    """Coefficient vector over the flat harmonic layout of a given degree."""
+    """Coefficient vector over the flat harmonic layout of a given degree, compared by identity."""
 
     degree_M: int
     values: np.ndarray
@@ -60,9 +60,9 @@ class HarmonicCoefficients:
         return float(np.linalg.norm(self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PenalizationWeights:
-    """Non-negative, non-decreasing per-degree penalization factors beta_k."""
+    """Non-negative, non-decreasing per-degree penalization factors beta_k, compared by identity."""
 
     degree_M: int
     beta: np.ndarray
@@ -84,13 +84,13 @@ class PenalizationWeights:
         object.__setattr__(self, "beta", b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Function values at the nodes of a cubature rule.
 
     `analyze` keeps its coefficients in `_analyses`, one entry per degree,
     so a balancing walk and the fits that follow it analyze a sample set
-    once.  The entry is neither compared nor shown in the repr.
+    once.  The entry is not shown in the repr; sample sets compare by identity.
     """
 
     rule: CubatureRule
@@ -356,41 +356,46 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
 
 
 def _norm_oracle(
-    rule: CubatureRule, M: int, probes: np.ndarray, probe_rings: _rings.RingLayout | None, bound: str
+    rule: CubatureRule, M: int, probe_rings: _rings.RingLayout | None, bound: str, probes=None
 ):
-    """Map from coefficients c_0..c_M (c >= 0 for ``grid-abs``) to the maximum
-    over the probes, whose `_rings.ring_layout` is `probe_rings`, of the
-    `bound` sup-norm sum over the rule:
-    sum_i w_i |sum_k c_k P_k(x . x_i)| for ``grid``, and its upper envelope
-    sum_k c_k sum_i w_i |P_k(x . x_i)| for ``grid-abs``.
+    """Map from filter factors f_0..f_M (f >= 0 for ``grid-abs``) to the
+    `bound` on the sup norm of the fit operator over the rule: for ``crude``
+    sum_k (2k+1) f_k; else, with c_k = (2k+1) f_k / (4 pi), the maximum over
+    the probes of sum_i w_i |sum_k c_k P_k(x . x_i)| for ``grid``, and of its
+    upper envelope sum_k c_k sum_i w_i |P_k(x . x_i)| for ``grid-abs``.
 
-    The probes are classified here and only here (`_rings.probe_classes`).
-    On product grids the sums agree within a class, so only the ring x
-    azimuth block of class representatives is evaluated: ``grid`` by the
-    addition theorem on each call, ``grid-abs`` as one
-    `weighted_abs_legendre_sums` row per class, built once.  On the probe
-    set of the balancing walk (`params._norm_probes`), which the rule's
-    symmetries map to itself, the block holds 2(M+1) probes at the default
-    resolution 2M, against (M+1)^2 on probe_grid(2M).  Other rules or probe
-    sets keep every probe, through `_kernel_blocks`.  Either way the maximum
-    is over the full probe set.
+    The probes are those of the ring layout `probe_rings`, or the points
+    `probes` when they are no product grid (`probe_rings` None).  They are
+    classified here and only here (`_rings.probe_classes`).  On product
+    grids the sums agree within a class, so only the ring x azimuth block of
+    class representatives is evaluated: ``grid`` by the addition theorem on
+    each call, ``grid-abs`` as one `weighted_abs_legendre_sums` row per
+    class, built once at points formed from the layout.  On a balancing
+    walk's layout (`params._probe_rings`) the block holds 2(M+1) probes at
+    the default resolution 2M, against (M+1)^2 on probe_grid(2M).  Other
+    rules keep every probe, through `_kernel_blocks`, formed from the layout
+    unless given.  Either way the maximum is over the full probe set.
     """
+    weight = 2 * np.arange(M + 1) + 1
+    if bound == "crude":
+        return lambda f: float(np.sum(weight * f))
+    scale = weight / FOUR_PI
     classes = _rings.probe_classes(rule.rings, probe_rings)
     if classes is not None:
         rings, azimuths, _ = classes
         if bound == "grid":
-            return lambda c: float(
-                _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c).max()
-            )
-        block = probes.reshape(-1, probe_rings.azimuths, 3)[np.ix_(rings, azimuths)]
-        probes = block.reshape(-1, 3)
+            block = (rule.rings, probe_rings, rings, azimuths)
+            return lambda f: float(_rings.weighted_abs_kernel_sums(*block, scale * f).max())
+        probes = _rings.ring_points(probe_rings.meridian[rings], probe_rings.azimuths, azimuths)
+    elif probes is None:
+        probes = _rings.ring_points(probe_rings.meridian, probe_rings.azimuths)
     if bound == "grid-abs":
         table = weighted_abs_legendre_sums(rule, M, probes)
-        return lambda c: float((table @ c).max())
+        return lambda f: float((table @ (scale * f)).max())
 
-    def sup(c):
+    def sup(f):
         sums = np.empty(probes.shape[0])
-        for lo, nb, K in _kernel_sums(rule.points, c, probes):
+        for lo, nb, K in _kernel_sums(rule.points, scale * f, probes):
             sums[lo : lo + nb] = np.abs(K, out=K).reshape(nb, -1) @ rule.weights
         return float(sums.max())
 
@@ -414,14 +419,15 @@ def operator_norm_bound(
     When the rule and the probes are product grids, the kernel sums come
     from the addition theorem, one matrix product per probe ring, at one
     probe per symmetry class; no Legendre value at a (probe, node) pair is
-    formed.  Either way the estimate is the maximum over the full probe set.
+    formed.  Either way the estimate is the maximum over the full probe set,
+    of any kind; `fit` takes the walk's `grid` oracle on its probe layout.
     """
     _require_exactness(rule, M)
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
-    sup = _norm_oracle(rule, M, pts, _rings.ring_layout(pts), "grid")
-    est = sup(_kernel_coefficients(M, alpha, beta))
+    sup = _norm_oracle(rule, M, _rings.ring_layout(pts), "grid", pts)
+    est = sup(filter_factors(M, alpha, beta))
     crude = crude_norm_upper(M, alpha, beta)
     # the weight sum carries ~1e-12 roundoff; the true norm never exceeds crude
     return NormBound(estimate=min(est, crude), crude_upper=crude)
@@ -482,9 +488,10 @@ def penalized_functional(
     sum_i w_i (p(x_i) - y_i)^2 + alpha * rkhs_norm_sq(p), with p evaluated
     from the coefficients at the rule nodes.
     """
-    p_at_nodes = evaluate_grid(coeffs, samples.rule.points)
+    rule = samples.rule
+    p_at_nodes = _synthesizer(coeffs.degree_M, rule.points, rule.rings)(coeffs.values)
     resid = p_at_nodes - samples.values
-    return float(samples.rule.weights @ (resid * resid)) + alpha * rkhs_norm_sq(coeffs, beta)
+    return float(rule.weights @ (resid * resid)) + alpha * rkhs_norm_sq(coeffs, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,6 @@ def cmd_fit(settings: dict) -> int:
     )
     if probe_resolution is None:
         probe_resolution = approx.default_probe_resolution(M)
-    # the walk's operator-norm probes, so norm_estimate is its threshold's norm
-    probes = params._norm_probes(rule, probe_resolution)[0]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"degree": M, "beta": settings["beta"]}
@@ -233,11 +231,13 @@ def cmd_fit(settings: dict) -> int:
     coeff_path = out_dir / "coefficients.csv"
     approx.save_coefficients(gamma, coeff_path)
 
-    bound = approx.operator_norm_bound(rule, M, alpha, beta, probes)
+    # the walk's memoized `grid` oracle, clamped as in operator_norm_bound
+    sup = params._probe_norm(rule, M, probe_resolution, "grid")
+    crude = approx.crude_norm_upper(M, alpha, beta)
     summary.update(
         coefficients=coeff_path.name,
-        norm_estimate=bound.estimate,
-        norm_crude_upper=bound.crude_upper,
+        norm_estimate=min(sup(approx.filter_factors(M, alpha, beta)), crude),
+        norm_crude_upper=crude,
         functional=approx.penalized_functional(samples, gamma, alpha, beta),
     )
     summary_path = out_dir / "fit_summary.json"

@@ -20,15 +20,14 @@ from ._files import write_csv
 from .approx import (
     PenalizationWeights,
     SampleSet,
-    _kernel_coefficients,
     _norm_oracle,
     analyze,
-    crude_norm_upper,
     default_probe_resolution,
+    filter_factors,
     penalized_functional,
     regularized_fit,
 )
-from .cubature import gauss_legendre_rule, probe_grid
+from .cubature import gauss_legendre_rule
 from .harmonics import _whole_number
 
 NORM_BOUND_KINDS = ("grid", "grid-abs", "crude")
@@ -41,12 +40,12 @@ class BalancingConfig:
     The candidate grid is alpha_i = alpha0 * q**i for i = 1..L (strictly
     decreasing).  `omega` scales the noise-propagation threshold, `delta` is
     the assumed sup-norm of the data noise.  `probe_resolution` sets the
-    rings of both probe sets (twice the fit degree when omitted): the step
-    differences are sup norms on probe_grid(probe_resolution), each taken
-    on half of every ring's azimuths (`_rings.degree_weighted_sup`), the
-    operator norm a maximum on the same rings at a multiple of the rule's
-    azimuth count (`_norm_probes`).  `norm_bound` picks how that norm is
-    computed:
+    walk's one probe layout (twice the fit degree when omitted): the rings
+    of probe_grid(probe_resolution) at a multiple of the rule's azimuth
+    count (`_probe_rings`).  The step differences are sup norms on it, each
+    taken on half of every ring's azimuths (`_rings.degree_weighted_sup`),
+    and the operator norm a maximum on it.  `norm_bound` picks how that
+    norm is computed:
 
       * ``grid``     -- probe maximum of the exact kernel sum (default);
       * ``grid-abs`` -- probe maximum with the absolute values pulled
@@ -200,43 +199,30 @@ def weights_from_kernel_params(M: int, p: KernelParams) -> PenalizationWeights:
 # balancing principle
 
 
-def _probes(resolution: int) -> tuple[np.ndarray, _rings.RingLayout]:
-    """probe_grid(resolution) and its ring layout.  The grid is the node set
-    of gauss_legendre_rule(resolution), which holds the layout already, so
-    no scan of the points is needed."""
-    return probe_grid(resolution), gauss_legendre_rule(resolution).rings
-
-
-def _norm_probes(rule, resolution: int) -> tuple[np.ndarray, _rings.RingLayout]:
-    """Probe set of the operator-norm maxima, and its ring layout.
-
-    Its rings are those of probe_grid(resolution).  On a product rule with A
-    azimuths per ring it takes A * ceil(2(resolution+1) / A) azimuths, the
-    smallest multiple of A no coarser than the probe grid, so the rule's
-    symmetries map the set to itself and `_rings.probe_classes` keeps the
-    azimuth offsets 0 to pi/A on each ring class: on gauss_legendre_rule(M)
-    at the default resolution 2M, 2(M+1) classes against (M+1)^2 on
-    probe_grid(2M).  The layout comes from the rings, without a scan.  Rules
-    that are no product grid take probe_grid(resolution)."""
-    if rule.rings is None:
-        return _probes(resolution)
+def _probe_rings(rule, resolution: int) -> _rings.RingLayout:
+    """The one probe layout of a balancing walk: the rings of
+    probe_grid(resolution), without a scan or a point.  On a product rule
+    with A azimuths per ring it takes the smallest multiple of A no coarser
+    than the probe grid's 2(resolution+1), so the rule's symmetries map the
+    probes to themselves: on gauss_legendre_rule(M) at the default
+    resolution 2M, 2(M+1) probe classes remain, against (M+1)^2 on
+    probe_grid(2M).  Other rules keep the probe grid's azimuths."""
     rings = gauss_legendre_rule(resolution).rings
-    A = rule.rings.azimuths
-    azimuths = A * -(-2 * (resolution + 1) // A)
-    phi = 2.0 * np.pi * np.arange(azimuths) / azimuths
-    u, t = rings.meridian[:, 0:1], rings.meridian[:, 2:3]
-    points = np.stack(np.broadcast_arrays(u * np.cos(phi), u * np.sin(phi), t), axis=-1)
-    return points.reshape(-1, 3), _rings.RingLayout(rings.meridian, None, azimuths)
+    azimuths = rings.azimuths
+    if rule.rings is not None:
+        A = rule.rings.azimuths
+        azimuths = A * -(-azimuths // A)
+    return _rings.RingLayout(rings.meridian, None, azimuths)
 
 
 @functools.lru_cache(maxsize=4)
 def _probe_norm(rule, M: int, resolution: int, bound: str):
-    """c -> max over `_norm_probes(rule, resolution)` under a `grid` or
-    `grid-abs` bound (`approx._norm_oracle`).  Memoized per rule object
-    (rules compare by identity), so the many balancing calls of a kernel
-    search on one rule classify the probes and build the `grid-abs` table
-    once."""
-    return _norm_oracle(rule, M, *_norm_probes(rule, resolution), bound)
+    """f -> the `bound` operator norm (`approx._norm_oracle`) at filter
+    factors f, on `_probe_rings(rule, resolution)`.  Memoized per rule
+    object (rules compare by identity), so the many balancing calls of a
+    kernel search on one rule, and `fit`'s norm estimate after its walk,
+    classify the probes and build the `grid-abs` table once."""
+    return _norm_oracle(rule, M, _probe_rings(rule, resolution), bound)
 
 
 def balancing_principle(
@@ -256,24 +242,23 @@ def balancing_principle(
     for the whole grid once.  `_rings.degree_weighted_sup` takes it from
     the cosine and sine halves of each probe ring on half its azimuths; no
     fit is synthesized.  The analysis is the one `analyze` keeps on the
-    sample set, so the fit that follows reuses it.
+    sample set, so the fit that follows reuses it.  The threshold's norm
+    is the memoized `cfg.norm_bound` oracle at f(alpha_{z+1}), on the same rings.
     """
+    filter_factors(M, 0.0, beta)  # checks the weights' degree
     alphas = cfg.grid()
     resolution = cfg.probe_resolution or default_probe_resolution(M)
-    step_sup = _rings.degree_weighted_sup(_probes(resolution)[1], M, analyze(samples, M).values)
+    rings = _probe_rings(samples.rule, resolution)
+    step_sup = _rings.degree_weighted_sup(rings, M, analyze(samples, M).values)
+    norm = _probe_norm(samples.rule, M, resolution, cfg.norm_bound)
     factors = 1.0 / (1.0 + np.multiply.outer(alphas, beta.beta**2))
-    if cfg.norm_bound == "crude":
-        norm = lambda alpha: crude_norm_upper(M, alpha, beta)
-    else:
-        sup = _probe_norm(samples.rule, M, resolution, cfg.norm_bound)
-        norm = lambda alpha: sup(_kernel_coefficients(M, alpha, beta))
     omega_delta = cfg.omega * cfg.delta
 
     trace = []
     alpha_star, triggered = alphas[0], False
     for z in range(cfg.L - 2, -1, -1):
         difference = step_sup(factors[z] - factors[z + 1])
-        threshold = omega_delta * norm(alphas[z + 1])
+        threshold = omega_delta * norm(factors[z + 1])
         hit = difference > threshold
         trace.append(TraceStep(float(alphas[z]), difference, float(threshold), hit))
         if hit:

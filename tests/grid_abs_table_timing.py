@@ -5,8 +5,9 @@ probe resolution 2M:
 
   * the wall time and the tracemalloc peak of one cold build of the
     `grid-abs` norm oracle (`params._probe_norm`, which classifies the probes
-    and builds the table on one probe per class), with the table's shape:
-    what the `grid-abs` balancing walk builds once per rule;
+    of the walk's layout `params._probe_rings` and builds the table on one
+    probe per class), with the table's shape: what the `grid-abs` balancing
+    walk builds once per rule;
   * the wall time of one warm `grid` pass, the `grid` oracle evaluated once
     more after a first evaluation has built the ring tables: what each step
     of a `grid` walk costs;
@@ -68,7 +69,7 @@ def build(M: int) -> tuple[float, float, tuple[int, int]]:
     rule, resolution = gauss_legendre_rule(M), default_probe_resolution(M)
     probe_grid(resolution)
     seconds, peak = cost(lambda: params._probe_norm.__wrapped__(rule, M, resolution, "grid-abs"))
-    rings, azimuths, _ = _rings.probe_classes(rule.rings, params._norm_probes(rule, resolution)[1])
+    rings, azimuths, _ = _rings.probe_classes(rule.rings, params._probe_rings(rule, resolution))
     return seconds, peak, (rings.size * azimuths.size, M + 1)
 
 
@@ -100,20 +101,19 @@ def rotated_grid_pass(M: int) -> tuple[float, float]:
     assert rotated.rings is None
     probe_grid(default_probe_resolution(M))
     sup = params._probe_norm.__wrapped__(rotated, M, default_probe_resolution(M), "grid")
-    c = (2 * np.arange(M + 1) + 1) / (4 * np.pi)
-    return cost(lambda: sup(c))
+    return cost(lambda: sup(np.ones(M + 1)))
 
 
 def grid_pass(M: int) -> float:
     """Wall seconds of one warm `grid` oracle evaluation, at alpha = 0."""
     rule, resolution = gauss_legendre_rule(M), default_probe_resolution(M)
     sup = params._probe_norm.__wrapped__(rule, M, resolution, "grid")
-    c = (2 * np.arange(M + 1) + 1) / (4 * np.pi)
-    sup(c)
+    factors = np.ones(M + 1)
+    sup(factors)
     best = np.inf
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        sup(c)
+        sup(factors)
         best = min(best, time.perf_counter() - t0)
     return best
 

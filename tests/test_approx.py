@@ -447,20 +447,25 @@ class TestRingTransform:
 
     @pytest.mark.parametrize("bound", params.NORM_BOUND_KINDS)
     def test_coarse_probe_walk_takes_ring_path(self, bound, dense_calls):
-        # probe_grid(3) has 8 azimuths, fewer than 2M + 1 at M = 10: the
-        # walk's step differences still come from the ring synthesis.  With
-        # omega = 1 no threshold is met, so every grid value is synthesized.
+        # on a rule that is no product grid the walk probes probe_grid(3):
+        # 8 azimuths, fewer than 2M + 1 at M = 10, yet the step differences
+        # still come from the ring synthesis; the one dense matrix is the
+        # rule's analysis.  With omega = 1 no threshold is met, so every
+        # grid value is synthesized.
         M, resolution = 10, 3
         rng = np.random.default_rng(130)
         rule = gauss_legendre_rule(M)
-        samples = SampleSet(rule, rng.normal(size=rule.n_points))
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        rotated = CubatureRule(M, rule.points @ Q.T, rule.weights)
+        assert rotated.rings is None
+        samples = SampleSet(rotated, rng.normal(size=rule.n_points))
         beta = params.weights_laplace_beltrami(M)
         cfg = params.BalancingConfig(
             alpha0=8.0, q=0.5, L=12, omega=1.0, delta=0.5,
             probe_resolution=resolution, norm_bound=bound,
         )
         result = params.balancing_principle(samples, M, beta, cfg)
-        assert dense_calls == []
+        assert dense_calls == [M]
         assert len(result.trace) == cfg.L - 1 and not result.triggered
         pts = probe_grid(resolution)
         assert _rings.ring_layout(pts).azimuths == 2 * (resolution + 1) < 2 * M + 1
@@ -583,19 +588,28 @@ def probe_by_probe_sums(rule, probes, cols):
     return out
 
 
-def assert_reduction_exact(rule, probes, cols):
+def kernel_coefficients(factors):
+    """c_k = (2k+1) f_k / (4 pi) for filter factors f_0..f_M, per column."""
+    k = np.arange(factors.shape[0]).reshape(-1, *[1] * (factors.ndim - 1))
+    return (2 * k + 1) / FOUR_PI * factors
+
+
+def assert_reduction_exact(rule, probes, factors):
+    """The oracles at the filter factors in each column, against every probe."""
+    cols = kernel_coefficients(factors)
     full = probe_by_probe_sums(rule, probes, cols)
     M = cols.shape[0] - 1
-    sup = approx._norm_oracle(rule, M, probes, _rings.ring_layout(probes), "grid")
-    maxima = [sup(c) for c in cols.T]
+    sup = approx._norm_oracle(rule, M, _rings.ring_layout(probes), "grid", probes)
+    maxima = [sup(f) for f in factors.T]
     assert rel_err(np.array(maxima), full.max(axis=0)) <= 1e-12
     table = approx.weighted_abs_legendre_sums(rule, M, probes)
     assert table.shape == (probes.shape[0], M + 1)
     assert rel_err(table, probe_by_probe_sums(rule, probes, np.eye(M + 1))) <= 1e-12
     # the grid-abs oracle, on one row per class, against the full table
-    envelope = approx._norm_oracle(rule, M, probes, _rings.ring_layout(probes), "grid-abs")
-    c = np.abs(cols[:, 0])
-    assert abs(envelope(c) - (table @ c).max()) <= 1e-12 * (table @ c).max()
+    envelope = approx._norm_oracle(rule, M, _rings.ring_layout(probes), "grid-abs", probes)
+    f = np.abs(factors[:, 0])
+    upper = (table @ kernel_coefficients(f)).max()
+    assert abs(envelope(f) - upper) <= 1e-12 * upper
 
 
 def product_rule(t, ring_weights, azimuths, M):
@@ -715,7 +729,7 @@ class TestSupNormReduction:
         # the addition theorem needs no Legendre values at (probe, node) pairs
         assert sizes == [] and probe_counts == [961]
         probes = probe_grid(2 * M)
-        approx._norm_oracle(rule, M, probes, _rings.ring_layout(probes), "grid-abs")
+        approx._norm_oracle(rule, M, _rings.ring_layout(probes), "grid-abs", probes)
         # the table sums over one node of each antipodal pair: the 15 rings
         # with t > 0 and the equator, 16 x 62 = 992 of the 1922 nodes
         assert sum(sizes) == 961 * 992
@@ -793,13 +807,14 @@ class TestAdditionTheoremSupNorm:
         probe_rings = _rings.ring_layout(probes)
         rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
         reps = block_indices(probe_rings, rings, azimuths)
-        sup = approx._norm_oracle(rule, M, probes, probe_rings, "grid")
-        for c in rng.normal(size=(2, M + 1)):
+        sup = approx._norm_oracle(rule, M, probe_rings, "grid")
+        for f in rng.normal(size=(2, M + 1)):
+            c = kernel_coefficients(f)
             reference = kernel_blocks_sums(rule, probes, c)
             fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c)
             assert fast.shape == (rings.size, azimuths.size)
             assert rel_err(fast.ravel(), reference[reps]) <= 1e-12
-            maximum = sup(c)
+            maximum = sup(f)
             assert abs(maximum - reference.max()) <= 1e-12 * reference.max()
 
     def test_degree_120_at_sampled_probes(self):
@@ -902,10 +917,10 @@ class TestStreamedKernelSums:
         table = approx.weighted_abs_legendre_sums(rule, M, points)
         reference = kernel_blocks_table(rule, points, M)
         assert np.all(np.abs(table - reference).max(axis=1) <= 1e-12 * reference.max(axis=1))
-        c = rng.normal(size=M + 1)
-        sup = approx._norm_oracle(rule, M, points, _rings.ring_layout(points), "grid")
-        sums = kernel_blocks_sums(rule, points, c)
-        assert abs(sup(c) - sums.max()) <= 1e-12 * sums.max()
+        f = rng.normal(size=M + 1)
+        sup = approx._norm_oracle(rule, M, _rings.ring_layout(points), "grid", points)
+        sums = kernel_blocks_sums(rule, points, kernel_coefficients(f))
+        assert abs(sup(f) - sums.max()) <= 1e-12 * sums.max()
         samples = SampleSet(rule, rng.normal(size=rule.n_points))
         alpha, beta = float(rng.uniform(0.0, 1.0)), params.weights_laplace_beltrami(M)
         values = evaluate_kernel_form(samples, M, alpha, beta, points)
@@ -930,15 +945,35 @@ class TestStreamedKernelSums:
         assert peak < 4 * 2**20
 
 
-def ring_points(meridian, azimuths):
-    """Points at `azimuths` equispaced azimuths on each ring of `meridian`."""
+def norm_probe_points(rule, resolution):
+    """Every point of a walk's probe layout on a product rule, formed as a
+    walk once formed them: the rings of probe_grid(resolution) at the
+    smallest multiple of the rule's A azimuths no coarser than 2(resolution+1)."""
+    rings = gauss_legendre_rule(resolution).rings
+    A = rule.rings.azimuths
+    azimuths = A * -(-2 * (resolution + 1) // A)
     phi = 2.0 * np.pi * np.arange(azimuths) / azimuths
-    u, t = meridian[:, 0:1], meridian[:, 2:3]
-    return np.stack(np.broadcast_arrays(u * np.cos(phi), u * np.sin(phi), t), axis=-1).reshape(-1, 3)
+    u, t = rings.meridian[:, 0:1], rings.meridian[:, 2:3]
+    points = np.stack(np.broadcast_arrays(u * np.cos(phi), u * np.sin(phi), t), axis=-1)
+    return points.reshape(-1, 3)
+
+
+def record_table_points(monkeypatch):
+    """The probes of each `grid-abs` table the norm oracle builds."""
+    calls = []
+    table = approx.weighted_abs_legendre_sums
+
+    def recording(rule, M, probes):
+        calls.append(probes)
+        return table(rule, M, probes)
+
+    monkeypatch.setattr(approx, "weighted_abs_legendre_sums", recording)
+    return calls
 
 
 class TestInvariantProbeSet:
-    """The probe set of the operator-norm maxima, `params._norm_probes`."""
+    """The one probe layout of a balancing walk, `params._probe_rings`, and
+    the norm oracle on it, against the full probe set the layout stands for."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -951,33 +986,74 @@ class TestInvariantProbeSet:
         resolution = data.draw(st.integers(1, max(1, 3 * M)), label="resolution")
         rng = np.random.default_rng(seed)
         rule = random_product_rule(kind, M, rng)
-        probes, probe_rings = params._norm_probes(rule, resolution)
+        probes = norm_probe_points(rule, resolution)
+        probe_rings = params._probe_rings(rule, resolution)
         # the probe grid's rings at the smallest multiple of the rule's A
-        # azimuths no coarser than the probe grid; the layout is the points'
+        # azimuths no coarser than the probe grid: the full set's layout
         A, Ap = rule.rings.azimuths, probe_rings.azimuths
         assert Ap % A == 0 and Ap - A < 2 * (resolution + 1) <= Ap
         scanned = _rings.ring_layout(probes)
-        assert scanned.azimuths == Ap
+        assert scanned.azimuths == Ap and probe_rings.weights is None
         assert np.array_equal(scanned.meridian, probe_rings.meridian)
-        assert np.array_equal(probe_rings.meridian, gauss_legendre_rule(resolution).rings.meridian)
         # the rule's rotation maps the set to itself: each ring keeps the
         # azimuth offsets 0, 2 pi / Ap, ..., up to pi / A
-        _, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
+        rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
         assert azimuths.size == Ap // A // 2 + 1
-        sup = approx._norm_oracle(rule, M, probes, probe_rings, "grid")
-        envelope = approx._norm_oracle(rule, M, probes, probe_rings, "grid-abs")
+        # representatives formed from the layout are the set's points, bit for bit
+        reps = _rings.ring_points(probe_rings.meridian[rings], Ap, azimuths)
+        assert np.array_equal(reps, probes[block_indices(probe_rings, rings, azimuths)])
+        oracle = {b: approx._norm_oracle(rule, M, probe_rings, b) for b in params.NORM_BOUND_KINDS}
         table = kernel_blocks_table(rule, probes, M)
-        for c in rng.normal(size=(2, M + 1)):
+        beta = params.weights_laplace_beltrami(M)
+        for alpha in rng.uniform(0.0, 1.0, 2):
+            f = approx.filter_factors(M, alpha, beta)
+            c = approx._kernel_coefficients(M, alpha, beta)
             reference = kernel_blocks_sums(rule, probes, c)
-            assert abs(sup(c) - reference.max()) <= 1e-12 * reference.max()
-            upper = (table @ np.abs(c)).max()
-            assert abs(envelope(np.abs(c)) - upper) <= 1e-12 * upper
+            assert abs(oracle["grid"](f) - reference.max()) <= 1e-12 * reference.max()
+            upper = (table @ c).max()
+            assert abs(oracle["grid-abs"](f) - upper) <= 1e-12 * upper
+            assert oracle["crude"](f) == approx.crude_norm_upper(M, alpha, beta)
+
+    @pytest.mark.parametrize("M, resolution", [(6, 12), (5, 3), (9, 30)])
+    def test_grid_abs_table_at_the_sets_representatives(self, monkeypatch, M, resolution):
+        # the table's probes are those the full set held at the class
+        # representatives, so the table is the one built from the full set
+        calls = record_table_points(monkeypatch)
+        rule = gauss_legendre_rule(M)
+        probe_rings = params._probe_rings(rule, resolution)
+        approx._norm_oracle(rule, M, probe_rings, "grid-abs")
+        rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
+        full = norm_probe_points(rule, resolution)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], full[block_indices(probe_rings, rings, azimuths)])
+
+    def test_rule_without_rings_takes_the_probe_grid(self, monkeypatch):
+        # no product rule, no classes: the full set is probe_grid(r) itself
+        M, resolution = 5, 10
+        calls = record_table_points(monkeypatch)
+        rule = gauss_legendre_rule(M)
+        Q, _ = np.linalg.qr(np.random.default_rng(302).normal(size=(3, 3)))
+        rotated = CubatureRule(M, rule.points @ Q.T, rule.weights)
+        assert rotated.rings is None
+        probe_rings = params._probe_rings(rotated, resolution)
+        assert probe_rings.azimuths == 2 * (resolution + 1)
+        beta = params.weights_laplace_beltrami(M)
+        f = approx.filter_factors(M, 1e-3, beta)
+        envelope = approx._norm_oracle(rotated, M, probe_rings, "grid-abs")
+        assert len(calls) == 1 and np.array_equal(calls[0], probe_grid(resolution))
+        sup = approx._norm_oracle(rotated, M, probe_rings, "grid")
+        c = approx._kernel_coefficients(M, 1e-3, beta)
+        reference = kernel_blocks_sums(rotated, probe_grid(resolution), c)
+        assert abs(sup(f) - reference.max()) <= 1e-12 * reference.max()
+        upper = (kernel_blocks_table(rotated, probe_grid(resolution), M) @ c).max()
+        assert abs(envelope(f) - upper) <= 1e-12 * upper
 
     def test_degree_120_at_sampled_probes(self):
         rng = np.random.default_rng(301)
         M = 120
         rule = gauss_legendre_rule(M)
-        probes, probe_rings = params._norm_probes(rule, 2 * M)
+        probes = norm_probe_points(rule, 2 * M)
+        probe_rings = params._probe_rings(rule, 2 * M)
         rings, azimuths, inverse = _rings.probe_classes(rule.rings, probe_rings)
         assert rings.size * azimuths.size == 2 * (M + 1)
         # 16 probes of the set against their class representatives
@@ -999,16 +1075,15 @@ class TestInvariantProbeSet:
         # rings; both bounds' maxima agree with that set's to 1e-4 relative
         # (3.4e-5 at most, at M = 60) and stay under the crude bound
         rule = gauss_legendre_rule(M)
-        probes, probe_rings = params._norm_probes(rule, 2 * M)
-        fine = ring_points(probe_rings.meridian, 16 * probe_rings.azimuths)
-        fine_rings = _rings.ring_layout(fine)
+        probe_rings = params._probe_rings(rule, 2 * M)
+        fine_rings = _rings.RingLayout(probe_rings.meridian, None, 16 * probe_rings.azimuths)
         beta = params.weights_laplace_beltrami(M)
         for bound in ("grid", "grid-abs"):
-            coarse_max = approx._norm_oracle(rule, M, probes, probe_rings, bound)
-            fine_max = approx._norm_oracle(rule, M, fine, fine_rings, bound)
+            coarse_max = approx._norm_oracle(rule, M, probe_rings, bound)
+            fine_max = approx._norm_oracle(rule, M, fine_rings, bound)
             for alpha in (0.0, 1e-4, 1.0):
-                c = approx._kernel_coefficients(M, alpha, beta)
-                estimate, reference = coarse_max(c), fine_max(c)
+                f = approx.filter_factors(M, alpha, beta)
+                estimate, reference = coarse_max(f), fine_max(f)
                 assert reference * (1 - 1e-4) <= estimate <= reference * (1 + 1e-12)
                 assert estimate <= approx.crude_norm_upper(M, alpha, beta)
 
@@ -1171,6 +1246,20 @@ class TestTypesAndSerialization:
         with pytest.raises(ValueError):
             PenalizationWeights(2, [2.0, 1.0, 3.0])
         PenalizationWeights(2, [0.0, 0.0, 1.0])  # zeros are fine
+
+    def test_array_types_compare_by_identity(self):
+        # == answers instead of asking an array for one truth value: two
+        # instances made from equal arrays are different objects
+        rule = gauss_legendre_rule(2)
+        makers = [
+            lambda: SampleSet(rule, np.arange(rule.n_points, dtype=float)),
+            lambda: HarmonicCoefficients(2, np.arange(9.0)),
+            lambda: PenalizationWeights(2, [1.0, 2.0, 3.0]),
+        ]
+        for make in makers:
+            a, b = make(), make()
+            assert a == a and not (a == b) and a != b
+            assert hash(a) != hash(b) and len({a, a, b}) == 2
 
     def test_sample_length_mismatch(self):
         rule = gauss_legendre_rule(2)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spherefit import (
-    CubatureRule, SampleSet, approx, evaluate_grid, gauss_legendre_nodes, gauss_legendre_rule,
-    load_coefficients, params, regularized_fit, save_rule,
+    CubatureRule, SampleSet, _rings, approx, evaluate_grid, gauss_legendre_nodes,
+    gauss_legendre_rule, load_coefficients, params, regularized_fit, save_rule,
 )
 from spherefit.cli import main
 from spherefit.experiments import franke_cap_eval, sgg_generate
@@ -64,9 +64,9 @@ class TestFit:
         assert coeffs.degree_M == M
 
     def test_norm_estimate_is_the_walks_operator_norm(self, tmp_path):
-        # the estimate is the `grid` maximum on the probe set of the walk's
-        # thresholds (`params._norm_probes`), not on probe_grid(60), whose
-        # maximum differs in the sixth digit at this alpha
+        # the estimate is the walk's memoized `grid` oracle on its probe
+        # layout (`params._probe_rings`), not the maximum on probe_grid(60),
+        # which differs in the sixth digit at this alpha
         M, alpha = 30, 6.805647338418785e-4
         rule = gauss_legendre_rule(M)
         samples = tmp_path / "samples.csv"
@@ -81,8 +81,34 @@ class TestFit:
         )
         assert rc == 0
         summary = json.loads((out / "fit_summary.json").read_text())
-        c = approx._kernel_coefficients(M, alpha, params.weights_laplace_beltrami(M))
-        assert summary["norm_estimate"] == params._probe_norm(rule, M, 2 * M, "grid")(c)
+        f = approx.filter_factors(M, alpha, params.weights_laplace_beltrami(M))
+        assert summary["norm_estimate"] == params._probe_norm(rule, M, 2 * M, "grid")(f)
+
+    def test_grid_fit_classifies_its_probes_once(self, tmp_path, monkeypatch):
+        # the walk and the norm estimate share one memoized `grid` oracle on
+        # one probe layout, so a fresh `fit --bp` classifies the probes once
+        # and scans no point set for rings (the rule and the probe grid's
+        # rule found theirs when they were built)
+        M = 30
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, franke_cap_eval(gauss_legendre_rule(M).points))
+        calls = {"ring_layout": 0, "probe_classes": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(_rings, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(_rings, name, counting)
+        params._probe_norm.cache_clear()
+        rc = main(
+            [
+                "fit", "--degree", str(M), "--samples", str(samples),
+                "--beta", "laplace-beltrami", "--bp", "--noise-level", "0.5",
+                "--norm-bound", "grid", "--out", str(tmp_path / "fit"),
+            ]
+        )
+        assert rc == 0
+        assert calls == {"ring_layout": 0, "probe_classes": 1}
 
     def test_bp_writes_trace(self, tmp_path):
         M = 3

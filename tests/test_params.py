@@ -29,6 +29,12 @@ from spherefit import _rings, approx, params
 from spherefit.approx import expand_by_degree, filter_factors, weighted_abs_legendre_sums
 
 
+def walk_probe_points(rule, resolution):
+    """Every point of the walk's probe layout, `params._probe_rings`."""
+    rings = params._probe_rings(rule, resolution)
+    return _rings.ring_points(rings.meridian, rings.azimuths)
+
+
 def noisy_samples(M, seed=0, scale=1.0):
     rule = gauss_legendre_rule(M)
     rng = np.random.default_rng(seed)
@@ -197,7 +203,7 @@ class TestBalancingPrinciple:
             alpha0=1.0, q=0.5, L=5, omega=1e9, delta=1.0, probe_resolution=6
         )
         res = balancing_principle(s, 3, beta, cfg)
-        probes = params._norm_probes(s.rule, 6)[0]
+        probes = walk_probe_points(s.rule, 6)
         grid = cfg.grid()
         omega_delta = cfg.omega * cfg.delta
         for step, z in zip(res.trace, range(cfg.L - 2, -1, -1)):
@@ -210,8 +216,8 @@ class TestBalancingPrinciple:
         # second walk on the same rule reuses the memoized oracle.  The walk
         # takes the probe rings from the probe grid's (memoized) rule, which
         # found them when it was built, so it scans for none; one
-        # operator_norm_bound call on the same points as bare probes, as
-        # `fit` makes it, scans and classifies once.
+        # operator_norm_bound call on the layout's points as bare probes
+        # scans and classifies once.
         calls = {"ring_layout": 0, "probe_classes": 0}
         for name in calls:
             def counting(*args, _name=name, _fn=getattr(_rings, name)):
@@ -228,7 +234,7 @@ class TestBalancingPrinciple:
         assert calls == {"ring_layout": 0, "probe_classes": 1}
         balancing_principle(s, 6, beta, cfg)
         assert calls == {"ring_layout": 0, "probe_classes": 1}
-        operator_norm_bound(s.rule, 6, 1e-3, beta, params._norm_probes(s.rule, 12)[0])
+        operator_norm_bound(s.rule, 6, 1e-3, beta, walk_probe_points(s.rule, 12))
         assert calls == {"ring_layout": 1, "probe_classes": 2}
 
     def test_norm_bound_variants_order(self):
@@ -262,7 +268,7 @@ class TestBalancingPrinciple:
         y = np.random.default_rng(9).normal(size=rule.n_points)
         balancing_principle(SampleSet(rule, y), 4, beta, cfg)
         res = balancing_principle(SampleSet(other, y), 4, beta, cfg)
-        table = weighted_abs_legendre_sums(other, 4, params._norm_probes(other, 8)[0])
+        table = weighted_abs_legendre_sums(other, 4, walk_probe_points(other, 8))
         k = np.arange(5)
         grid = cfg.grid()
         for step, z in zip(res.trace, range(cfg.L - 2, -1, -1)):
@@ -292,12 +298,12 @@ class TestBalancingPrinciple:
         # so it takes probe_grid(10) and keeps every probe
         shapes = self.record_table_shapes(monkeypatch)
         rule = gauss_legendre_rule(30)
-        approx._norm_oracle(rule, 30, *params._norm_probes(rule, 60), "grid-abs")
+        params._probe_norm.__wrapped__(rule, 30, 60, "grid-abs")
         assert shapes == [(62, 31)]
         rule = gauss_legendre_rule(5)
         perm = np.random.default_rng(10).permutation(rule.n_points)
         shuffled = CubatureRule(5, rule.points[perm], rule.weights[perm])
-        approx._norm_oracle(shuffled, 5, *params._norm_probes(shuffled, 10), "grid-abs")
+        params._probe_norm.__wrapped__(shuffled, 5, 10, "grid-abs")
         assert shapes[1:] == [(probe_grid(10).shape[0], 6)]
 
     @staticmethod
@@ -317,7 +323,7 @@ class TestBalancingPrinciple:
         # probes as given and does not classify them
         calls = self.count_probe_classes(monkeypatch)
         rule = gauss_legendre_rule(10)
-        approx._norm_oracle(rule, 10, *params._norm_probes(rule, 20), "grid-abs")
+        params._probe_norm.__wrapped__(rule, 10, 20, "grid-abs")
         assert len(calls) == 1
         assert weighted_abs_legendre_sums(rule, 10, probe_grid(20)).shape == (882, 11)
         assert len(calls) == 1
@@ -331,14 +337,13 @@ class TestBalancingPrinciple:
         calls = self.count_probe_classes(monkeypatch)
         shapes = self.record_table_shapes(monkeypatch)
         rule = gauss_legendre_rule(M)
-        probes, probe_rings = params._norm_probes(rule, resolution)
         sup = params._probe_norm.__wrapped__(rule, M, resolution, "grid-abs")
         assert len(calls) == 1
-        rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
+        rings, azimuths, _ = _rings.probe_classes(rule.rings, params._probe_rings(rule, resolution))
         assert azimuths.size == 1 and shapes == [(rings.size, M + 1)]
         c = (2 * np.arange(M + 1) + 1) / (4 * np.pi)
-        full = weighted_abs_legendre_sums(rule, M, probes) @ c
-        assert sup(c) == pytest.approx(full.max(), rel=1e-12)
+        full = weighted_abs_legendre_sums(rule, M, walk_probe_points(rule, resolution)) @ c
+        assert sup(np.ones(M + 1)) == pytest.approx(full.max(), rel=1e-12)
 
     def test_grid_abs_table_memory_at_degree_60(self, monkeypatch):
         # a fresh M = 60 build (the rule made beforehand) makes one table, a row
@@ -368,6 +373,28 @@ class TestBalancingPrinciple:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_grid_abs_oracle_forms_no_probe_set_at_degree_120(self):
+        # a cold M = 120 build forms its 242 class representatives from the
+        # probe layout and peaks at 2.9 MB; forming the layout's 116 644
+        # points as well (2.8 MB) takes the peak to 5.6 MB
+        rule = gauss_legendre_rule(120)
+        gauss_legendre_rule(240)  # the probe rings' rule, made beforehand as by a walk
+        tracemalloc.start()
+        try:
+            params._probe_norm.__wrapped__(rule, 120, 240, "grid-abs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_walk_refuses_weights_of_another_degree(self):
+        s = noisy_samples(4, seed=19)
+        for bound in params.NORM_BOUND_KINDS:
+            cfg = BalancingConfig(alpha0=2.0, q=0.5, L=4, omega=1.0, delta=0.1, norm_bound=bound)
+            for beta in (weights_ones(0), weights_ones(5)):
+                with pytest.raises(ValueError, match="weights are for degree"):
+                    balancing_principle(s, 4, beta, cfg)
+
     def test_grid_abs_thresholds_equal_full_table_maxima(self):
         M = 30
         samples = noisy_samples(M, seed=11)
@@ -377,7 +404,7 @@ class TestBalancingPrinciple:
         )
         res = balancing_principle(samples, M, beta, cfg)
         assert len(res.trace) == cfg.L - 1
-        probes = params._norm_probes(samples.rule, 2 * M)[0]
+        probes = walk_probe_points(samples.rule, 2 * M)
         table = weighted_abs_legendre_sums(samples.rule, M, probes)
         k = np.arange(M + 1)
         grid = cfg.grid()
@@ -406,8 +433,8 @@ class TestBalancingPrinciple:
 
 class TestWalkAgainstFullSynthesis:
     """The walk takes each step's difference as the half-azimuth sup of one
-    degree-weighted expansion; the reference synthesizes both fits on the
-    whole probe grid and subtracts them."""
+    degree-weighted expansion; the reference synthesizes both fits on every
+    point of the walk's probe layout and subtracts them."""
 
     M = 30
 
@@ -417,15 +444,14 @@ class TestWalkAgainstFullSynthesis:
         (alpha, difference, threshold, triggered) tuple."""
         alphas = cfg.grid()
         resolution = cfg.probe_resolution or 2 * M
-        rings = gauss_legendre_rule(resolution).rings
+        rings = params._probe_rings(samples.rule, resolution)
         gamma = analyze(samples, M).values
         b2 = expand_by_degree(beta.beta**2)
         if cfg.norm_bound == "crude":
             norm = lambda alpha: approx.crude_norm_upper(M, alpha, beta)
         else:
-            probes = params._norm_probes(samples.rule, resolution)
-            sup = approx._norm_oracle(samples.rule, M, *probes, cfg.norm_bound)
-            norm = lambda alpha: sup(approx._kernel_coefficients(M, alpha, beta))
+            sup = approx._norm_oracle(samples.rule, M, rings, cfg.norm_bound)
+            norm = lambda alpha: sup(filter_factors(M, alpha, beta))
         fits = [_rings.synthesis(rings, M, gamma / (1.0 + alphas[cfg.L - 1] * b2))]
         steps, alpha_star, triggered = [], alphas[0], False
         for z in range(cfg.L - 2, -1, -1):
@@ -515,12 +541,12 @@ class TestOneAnalysisPerSampleSet:
         assert not (field.init or field.repr or field.compare)
         s = noisy_samples(3, seed=18)
         twin = SampleSet(s.rule, s.values)
-        object.__setattr__(twin, "values", s.values)  # == on two distinct arrays is ambiguous
         before = repr(s)
         analyze(s, 3)
         assert s._analyses and not twin._analyses
         assert repr(s) == before and "_analyses" not in before
-        assert s == twin
+        # sample sets compare by identity, analyzed or not
+        assert s == s and s != twin
 
 
 class TestKernelSelect:
