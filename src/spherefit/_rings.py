@@ -9,21 +9,26 @@ A harmonic sum of degree M factors into sums along each ring against
 cos(m phi) and sin(m phi), m = 0..M, and, per order m, a product with that
 order's normalized Legendre values at the ring colatitudes (Driscoll & Healy
 1994; Schaeffer, arXiv:1202.6522), for any A: a product rule needs A > 2M
-to be exact, the transform does not.  Both stages are
-matrix products here.  Synthesis lines the coefficients up by order, takes
-one batched product over the orders with the zero-padded (M+1, M+1, R)
-Legendre table, and one product of the ring amplitudes with the
-(2(M+1), A) table of cos(m phi_j) and sin(m phi_j); analysis is the
-transpose.  That costs O(M^3) time and memory where the dense harmonic
-matrix costs O(M^4).  At the degrees this package runs, a ring holds
-A = 2(M+1) points, often twice a prime, so the products beat an FFT along
-the rings and a loop over the orders.  The Legendre values are taken from
-`sph_harm_matrix` on one point per ring at phi = 0, where row k^2+k+m holds
-sqrt(2) Nbar P_k^m(t_s) for m > 0 and Nbar P_k^0(t_s) for m = 0: the values
-the transform needs, built by the same recurrence as the dense path.  That
-recurrence takes all orders of one degree in one vectorized step, so a table
-costs O(M) numpy steps on vectors of R ring heights, not one step per
-(degree, order) pair.
+to be exact, the transform does not.  Both stages are matrix products here,
+and cost O(M^3) time and memory where the dense harmonic matrix costs
+O(M^4).  At the degrees this package runs, a ring holds A = 2(M+1) points,
+often twice a prime, so the products beat an FFT along the rings and a loop
+over the orders.
+
+The Legendre table holds only what the sums read, laid out as SHTns lays
+it out (Schaeffer, above; see `_RingTable`): per order m the degrees
+k >= m, split by the parity of k + m, once per ring height |t|.  As
+P_k^m(-t) = (-1)^(k+m) P_k^m(t), a ring at t reads E + O from the sums E
+and O over the even and the odd degrees, and its mirror at -t reads E - O.
+On the probe rings of a degree-120 walk it holds 7.2 MB, a quarter of a
+zero-padded (M+1, M+1, R) table.  Its values come from
+`harmonics._associated_legendre`, the recurrence `sph_harm_matrix` runs, so
+they equal its rows at the ring points bit for bit, and a table takes O(M)
+numpy steps on vectors of the ring heights.  Synthesis lines the
+coefficients up by slot, takes one product with the Legendre table and one
+with the table of cos(m phi_j) and sin(m phi_j), and turns (E, O) along
+each height into the rings above and below it; analysis runs the same steps
+backwards.
 
 `degree_weighted_sup` gives each step of the balancing walk, the sup norm
 of a degree-weighted expansion, from the cosine and sine halves of every
@@ -34,15 +39,15 @@ over a product rule agree.  The groups form one ring x azimuth block (ring
 classes times azimuth classes), found in one place, `approx._norm_oracle`,
 once per oracle it builds.  `weighted_abs_kernel_sums` evaluates the `grid`
 sums on that block, one per group, by the addition theorem with the same
-Legendre table; the `grid-abs` table takes one row per group from
-`approx.weighted_abs_legendre_sums` at the points `ring_points` builds from
-the group's ring and azimuth.  A balancing walk takes every sup norm, its
-step differences and its operator norms, on one probe layout
-(`params._probe_rings`) and forms no probe point: the rings of the probe
-grid, at a multiple of the rule's azimuth count A.  Its azimuths then fall
-into the offsets 0 to pi/A from the rule's, two of them at the default
-resolution 2M, so on gauss_legendre_rule(M) 2(M+1) groups remain where
-probe_grid(2M) leaves (M+1)^2.
+Legendre tables, one probe ring at a time; the `grid-abs` table takes one
+row per group from `approx.weighted_abs_legendre_sums` at the points
+`ring_points` builds from the group's ring and azimuth.  A balancing walk
+takes every sup norm, its step differences and its operator norms, on one
+probe layout (`params._probe_rings`) and forms no probe point: the rings of
+the probe grid, at a multiple of the rule's azimuth count A.  Its azimuths
+then fall into the offsets 0 to pi/A from the rule's, two of them at the
+default resolution 2M, so on gauss_legendre_rule(M) 2(M+1) groups remain
+where probe_grid(2M) leaves (M+1)^2.
 `antipodal_half` keeps one node of each antipodal pair of a mirrored rule
 for sums whose terms are even in x . x_i, such as the `grid-abs` table.
 """
@@ -54,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonics import FOUR_PI, basis_size, sph_harm_matrix
+from .harmonics import _SQRT2, FOUR_PI, _associated_legendre, basis_size
 
 # largest coordinate deviation from the ideal ring positions, and relative
 # weight deviation along a ring, still accepted as a product grid
@@ -107,56 +112,122 @@ def ring_layout(points: np.ndarray, weights: np.ndarray | None = None) -> RingLa
 class _RingTable(NamedTuple):
     """Operators of the ring transform at degree M on one set of rings.
 
-    P[m, k, s] holds the Legendre values of order m and degree k at ring s
-    (zero for k < m).  rows[m, 0, k] and rows[m, 1, k] are the flat indices
-    of the +m and -m harmonics of degree k, so that coeffs[rows] lines the
-    coefficients up with P; `position` maps each flat index back into
-    rows.ravel().  trig holds cos(m phi_j) in row 2m and sin(m phi_j) in
-    row 2m+1 for the A ring azimuths phi_j."""
+    The orders pair up in S = M // 2 + 1 slots: slot i holds order i and its
+    partner M' - i, M' = M | 1 (for even M the partner of order 0 is the
+    empty order M + 1).  A slot holds M + 1 or M + 2 degrees k >= m, and
+    splitting them by the parity q of k + m gives K positions of even
+    parity and K - 1 of odd parity, however the degree; the last odd
+    position of each slot is zero.  The Legendre values are stored once per
+    ring height (u, |t|), since P_k^m(-t) = (-1)^(k+m) P_k^m(t).
+
+    P[q, i, j, h] is the value at height h of position j of parity q in slot
+    i: sqrt(2) Nbar P_k^m(|t|) for m > 0, Nbar P_k^0(|t|) for m = 0.
+    rows[q, i, c, p, j] is the flat index of the harmonic of degree k at
+    that position whose azimuth factor is cos (c = 0) or sin (c = 1) of the
+    slot's own order (p = 0) or of its partner (p = 1), and (M+1)^2 where
+    no such harmonic exists: coefficients extended by one zero and indexed
+    by rows line up with P, four rows per slot.  `position` maps each flat
+    index back into rows.ravel(), and degree[q, i, 0, 0, j] is k.  Ring s
+    lies at row ring[s] = side * H + height of the flattened (side, height)
+    axis: at one of the H heights, on side 0 (t >= 0), where the ring reads
+    E + O from the sums E and O over the even and the odd positions, or on
+    side 1 (t < 0), where it reads E - O.  The rows at which a ring lies
+    form one block `reached` of that axis.  trig[c, p * S + i] holds cos (c = 0) or sin
+    (c = 1) of m phi_j for the order m of slot i and member p, at the A ring
+    azimuths phi_j; the sums by order are laid out (c, p, i) to match."""
 
     P: np.ndarray
     rows: np.ndarray
     position: np.ndarray
+    degree: np.ndarray
+    ring: np.ndarray
+    reached: slice
     trig: np.ndarray
 
 
+# E + O and E - O from the sums (E, O) over the even and the odd positions,
+# and (E, O) from the sums over a height's rings above and below the equator
+_SIDES = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def _heights(meridian: np.ndarray) -> tuple[np.ndarray, np.ndarray, slice]:
+    """Ring heights (u, |t|) of the rings with these phi = 0 points.
+
+    The n-th ring at (u, t) and the n-th at (u, -t) share a height, so each
+    height holds at most one ring on each side of the equator.  Heights
+    with rings below the equator only come first, then those with rings on
+    both sides (a ring at t = 0 counts for both: E - O = E + O there), then
+    those with rings above only.  Returns the (H, 2) heights, each ring's
+    row side * H + height of the flattened (side, height) axis, and the
+    block of that axis that rings reach.
+    """
+    u, t = meridian[:, 0], meridian[:, 2]
+    side = np.signbit(t).astype(np.intp)
+    _, twin = np.unique(meridian[:, [0, 2]], axis=0, return_inverse=True)
+    twin = twin.ravel()
+    order = np.argsort(twin, kind="stable")
+    copy = np.empty(twin.size, dtype=np.intp)
+    copy[order] = np.arange(twin.size) - np.searchsorted(twin[order], twin[order])
+    key = np.column_stack([u, np.minimum(np.abs(t), 1.0), copy])
+    unique, height = np.unique(key, axis=0, return_inverse=True)
+    height = height.ravel()
+    sides = np.zeros((unique.shape[0], 2), dtype=bool)
+    sides[height, side] = True
+    sides[unique[:, 1] == 0.0] = True
+    rank = np.argsort(sides[:, 0].astype(int) - sides[:, 1], kind="stable")
+    new = np.empty_like(rank)
+    new[rank] = np.arange(rank.size)
+    H, above = rank.size, int(np.count_nonzero(sides[:, 0]))
+    reached = slice(H - above, H + int(np.count_nonzero(sides[:, 1])))
+    return unique[rank, :2], side * H + new[height], reached
+
+
 @functools.lru_cache(maxsize=4)
-def _legendre_table(M: int, meridian: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The transform's P, rows and position, memoized by degree and rings.
+def _legendre_table(M: int, meridian: bytes):
+    """The transform's P, rows, position, degree, ring rows and reached
+    block (see `_RingTable`), memoized by degree and rings.
 
     They do not depend on the azimuth count, so point sets on the same rings
-    (the probe grid and a balancing walk's probe layout) share one table."""
-    k, m, sign = np.arange(M + 1), np.arange(M + 1)[:, None, None], np.array([[1], [-1]])
-    # entries with k < m point at row 0 and meet the zeros of P there
-    rows = (k * k + k + sign * m) * (k >= m)
-    # P is Y reordered in place, so the table costs no second copy.  First
-    # degree-major, row k(M+1)+m = Y row k^2+k+m for m <= k and zero above:
-    # degree k's rows only move up, so going down from k = M overwrites only
-    # rows already moved.  Then swap the blocks (k, m) and (m, k).
-    Y = sph_harm_matrix(M, np.frombuffer(meridian).reshape(-1, 3))
-    for deg in range(M, -1, -1):
-        top = deg * (M + 1)
-        Y[top : top + deg + 1] = Y[deg * deg + deg : deg * deg + 2 * deg + 1]
-        Y[top + deg + 1 : top + M + 1] = 0.0
-    P = Y.reshape(M + 1, M + 1, -1)
-    for deg in range(1, M + 1):
-        below = P[deg, :deg].copy()
-        P[deg, :deg] = P[:deg, deg]
-        P[:deg, deg] = below
-    # order 0 has no -m harmonic: its sin(0 phi) row is zero
-    used = (k >= m) & ((sign > 0) | (m > 0))
-    position = np.empty(basis_size(M), dtype=np.intp)
-    position[rows[used]] = np.flatnonzero(used)
-    for a in (P, rows, position):
+    (the probe grid and a balancing walk's probe layout) share one table.
+    The values come from `harmonics._associated_legendre` at the heights,
+    bit for bit those `sph_harm_matrix` gives at the ring points up to the
+    sign (-1)^(k+m) on the rings below the equator."""
+    heights, ring, reached = _heights(np.frombuffer(meridian).reshape(-1, 3))
+    S, K = M // 2 + 1, M // 2 + 1 + M % 2
+    # every harmonic degree k >= order m >= 0: its parity, slot, member and position
+    k, m = np.tril_indices(M + 1)
+    parity = (k - m) % 2
+    member = (m > M // 2).astype(np.intp)
+    slot = np.where(member, (M | 1) - m, m)
+    j = (k - m) // 2 + member * ((M - slot - parity) // 2 + 1)
+    P = np.zeros((2, S, K, heights.shape[0]))
+    target = P.reshape(-1, heights.shape[0])
+    at = (parity * S + slot) * K + j
+    scale = np.full((M + 1, 1), _SQRT2)
+    scale[0] = 1.0
+    for deg, values in enumerate(_associated_legendre(M, heights[:, 1], heights[:, 0])):
+        first = deg * (deg + 1) // 2
+        target[at[first : first + deg + 1]] = values * scale[: deg + 1]
+    size = basis_size(M)
+    rows = np.full((2, S, 2, 2, K), size, dtype=np.intp)
+    position = np.empty(size, dtype=np.intp)
+    for c, n, harmonic in ((0, k * k + k + m, m >= 0), (1, k * k + k - m, m > 0)):
+        where = (parity, slot, np.full_like(k, c), member, j)
+        index = np.ravel_multi_index(where, rows.shape)[harmonic]
+        rows.ravel()[index] = n[harmonic]
+        position[n[harmonic]] = index
+    degree = np.zeros((2, S, 1, 1, K), dtype=np.intp)
+    degree[parity, slot, 0, 0, j] = k
+    for a in (P, rows, position, degree, ring):
         a.setflags(write=False)
-    return P, rows, position
+    return P, rows, position, degree, ring, reached
 
 
 @functools.lru_cache(maxsize=4)
 def _trig_table(M: int, azimuths: int) -> np.ndarray:
-    """cos(m phi_j) in row 2m and sin(m phi_j) in row 2m+1, memoized."""
-    cos, sin = _trig_columns(np.arange(azimuths), azimuths, M)
-    trig = np.stack([cos, sin], axis=1).reshape(2 * (M + 1), azimuths)
+    """cos and sin of m phi_j for the slot orders m (see `_RingTable`), memoized."""
+    i = np.arange(M // 2 + 1)
+    trig = np.stack(_trig_columns(np.arange(azimuths), azimuths, np.concatenate([i, (M | 1) - i])))
     trig.setflags(write=False)
     return trig
 
@@ -165,53 +236,86 @@ def _table(M: int, rings: RingLayout) -> _RingTable:
     return _RingTable(*_legendre_table(M, rings.meridian.tobytes()), _trig_table(M, rings.azimuths))
 
 
+def _by_order(sums: np.ndarray) -> np.ndarray:
+    """The (2, S, 4, n) view of sums by order laid out (parity, c, p, slot,
+    n): the shape of one batched product over the parities and slots with
+    the rows (c, p) of a slot, while each half c keeps its orders in the
+    (p, slot) order of the trig table."""
+    q, c, p, S, n = sums.shape
+    return sums.reshape(q, c * p, S, n).transpose(0, 2, 1, 3)
+
+
 def analysis(rings: RingLayout, M: int, values: np.ndarray) -> np.ndarray:
     """sum_i w_i Y_n(x_i) y_i for every flat index n of degree <= M.
 
     Needs ring weights.
     """
-    P, _, position, trig = _table(M, rings)
-    R = rings.meridian.shape[0]
-    # rows (2m, 2m+1): the weighted ring sums of y cos(m phi) and y sin(m phi)
-    G = trig @ values.reshape(R, rings.azimuths).T
-    G *= rings.weights
-    H = np.matmul(G.reshape(M + 1, 2, R), P.transpose(0, 2, 1))
-    return H.ravel()[position]
+    table = _table(M, rings)
+    S, H, A = table.rows.shape[1], table.P.shape[-1], rings.azimuths
+    # per height: the weighted values of its rings above and below, then
+    # their sum and difference, and the sums against cos(m phi) and sin(m phi)
+    sides = np.zeros((2 * H, A))
+    sides[table.ring] = values.reshape(-1, A) * rings.weights[:, None]
+    EO = _SIDES @ sides.reshape(2, -1)
+    G = np.matmul(table.trig.reshape(-1, A), EO.reshape(2, H, A).transpose(0, 2, 1))
+    sums = np.matmul(_by_order(G.reshape(2, 2, 2, S, H)), table.P.transpose(0, 1, 3, 2))
+    return sums.ravel()[table.position]
 
 
 def synthesis(rings: RingLayout, M: int, coeffs: np.ndarray) -> np.ndarray:
     """Values at the grid points of the degree-M expansion with these
     flat coefficients."""
-    P, rows, _, trig = _table(M, rings)
-    R = rings.meridian.shape[0]
-    # per order m and ring: the amplitudes of cos(m phi) and sin(m phi)
-    B = np.matmul(coeffs[rows], P)
-    return (B.reshape(2 * (M + 1), R).T @ trig).ravel()
+    table = _table(M, rings)
+    (_, S, _, _, K), H = table.rows.shape, table.P.shape[-1]
+    # per order and height: E and O, the amplitudes of cos(m phi) and sin(m phi)
+    EO = np.empty((2, 2, 2, S, H))
+    lined_up = np.append(coeffs, 0.0)[table.rows]
+    np.matmul(lined_up.reshape(2, S, 4, K), table.P, out=_by_order(EO))
+    # per height: E and O along the ring, then the rings above and below
+    along = EO.reshape(2, -1, H).transpose(0, 2, 1) @ table.trig.reshape(-1, rings.azimuths)
+    sides = (_SIDES @ along.reshape(2, -1)).reshape(2 * H, -1)
+    return sides[table.ring].ravel()
 
 
 def degree_weighted_sup(rings: RingLayout, M: int, coeffs: np.ndarray):
     """w -> max over the grid of |sum_k w_k sum_j c_kj Y_kj(x)|.
 
     `coeffs` holds the flat c_kj and w the per-degree weights w_0..w_M.  The
-    coefficients are lined up by order once; each call takes one product
-    over the orders with the Legendre table, then, per ring, the cosine half
+    coefficients are lined up by slot once; each call takes one product
+    over the parities and slots with the Legendre table and turns the sums
+    E, O over the even and odd degrees into E + O and E - O, the rings
+    above and below the equator.  Then, per ring, it forms the cosine half
     C(phi) = sum_m a_m cos(m phi) and the sine half S(phi) = sum_m b_m sin(m phi)
     at the azimuths phi_j, j = 0..A/2, only.  As phi_(A-j) = -phi_j, the
     expansion is C + S at phi_j and C - S at phi_(A-j), so the largest
-    |C| + |S| is the maximum over the whole ring, for any azimuth count A.
+    |C| + |S| over the heights and sides where a ring lies is the maximum
+    over the whole grid, for any azimuth count A.  Every array is allocated
+    once and every stage writes whole contiguous blocks.
     """
-    P, rows, _, trig = _table(M, rings)
+    table = _table(M, rings)
+    (_, S, _, _, K), H = table.rows.shape, table.P.shape[-1]
     half = rings.azimuths // 2 + 1
-    cos, sin = trig[0::2, :half], trig[1::2, :half]
-    lined_up = coeffs[rows]
+    trig = table.trig[:, None, :, :half]
+    lined_up = np.append(coeffs, 0.0)[table.rows]
+    lhs = np.empty_like(lined_up)
+    EO = np.empty((2, 2, 2, S, H))
+    sides = np.empty_like(EO)
+    # per (cosine or sine half, side): C (or S) at each height and azimuth;
+    # |C| + |S| goes to the cosine half
+    halves = np.empty((2, 2, H, half))
+    reached = halves[0].reshape(2 * H, half)[table.reached]
+    lhs4, EO4 = lhs.reshape(2, S, 4, K), _by_order(EO)
+    EO2, sides2 = EO.reshape(2, -1), sides.reshape(2, -1)
+    orders = sides.reshape(2, 2, 2 * S, H).transpose(1, 0, 3, 2)
 
     def sup(w: np.ndarray) -> float:
-        B = np.matmul(lined_up * w, P)
-        C = B[:, 0].T @ cos
-        S = B[:, 1].T @ sin
-        np.abs(C, out=C)
-        C += np.abs(S, out=S)
-        return float(C.max())
+        np.multiply(lined_up, w[table.degree], out=lhs)
+        np.matmul(lhs4, table.P, out=EO4)
+        np.matmul(_SIDES, EO2, out=sides2)
+        np.matmul(orders, trig, out=halves)
+        np.abs(halves, out=halves)
+        np.add(halves[0], halves[1], out=halves[0])
+        return float(reached.max())
 
     return sup
 
@@ -248,7 +352,7 @@ def antipodal_half(
 
 def probe_classes(
     rule_rings: RingLayout | None, probe_rings: RingLayout | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Classes of probes at which every weighted zonal sum over the rule agrees.
 
     A sum F(x) = sum_i w_i g(x . x_i) over a product rule with A azimuths per
@@ -259,26 +363,21 @@ def probe_classes(
     also even in x3, so probe rings of equal radius and |t| share classes.
 
     The two keys are independent, so the classes form one ring x azimuth
-    block.  Returns (rings, azimuths, inverse): the first probe ring of each
-    ring class, the first azimuth q of each azimuth class, and for each probe
-    the index i * azimuths.size + j of its class, i the class of its ring and
-    j that of its azimuth.  The probe at (rings[i], azimuths[j]) represents
-    class (i, j).  Returns None when the rule (with weights) or the probes
-    are no product grid.
+    block.  Returns (rings, azimuths): the first probe ring of each ring
+    class and the first azimuth q of each azimuth class; the probe at
+    (rings[i], azimuths[j]) represents class (i, j).  Returns None when the
+    rule (with weights) or the probes are no product grid.
     """
     if rule_rings is None or probe_rings is None:
         return None
     A, Ap = rule_rings.azimuths, probe_rings.azimuths
     shift = np.arange(Ap) * A % Ap
-    _, azimuths, az_class = np.unique(
-        np.minimum(shift, (Ap - shift) % Ap), return_index=True, return_inverse=True
-    )
+    _, azimuths = np.unique(np.minimum(shift, (Ap - shift) % Ap), return_index=True)
     ring_key = probe_rings.meridian[:, [0, 2]]
     if mirrored(rule_rings):
         ring_key[:, 1] = np.abs(ring_key[:, 1])
-    _, rings, ring_class = np.unique(ring_key, axis=0, return_index=True, return_inverse=True)
-    inverse = ring_class.reshape(-1, 1) * azimuths.size + az_class
-    return rings, azimuths, inverse.ravel()
+    _, rings = np.unique(ring_key, axis=0, return_index=True)
+    return rings, azimuths
 
 
 def ring_points(meridian: np.ndarray, azimuths: int, q=None) -> np.ndarray:
@@ -290,10 +389,10 @@ def ring_points(meridian: np.ndarray, azimuths: int, q=None) -> np.ndarray:
     return np.stack(points, axis=-1).reshape(-1, 3)
 
 
-def _trig_columns(q: np.ndarray, n: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of m * 2 pi q / n, shape (M+1, len(q)), with the angle
-    reduced mod 2 pi in integers first."""
-    angle = (2.0 * np.pi / n) * (np.outer(np.arange(M + 1), q) % n)
+def _trig_columns(q: np.ndarray, n: int, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of m * 2 pi q / n for each order m, shape
+    (len(orders), len(q)), with the angle reduced mod 2 pi in integers first."""
+    angle = (2.0 * np.pi / n) * (np.outer(orders, q) % n)
     return np.cos(angle), np.sin(angle)
 
 
@@ -309,35 +408,39 @@ def weighted_abs_kernel_sums(
     By the addition theorem, the kernel between probe ring p at
     azimuth psi and rule ring s at azimuth phi is
     sum_m a_m(p, s) cos(m (psi - phi)) with
-    a_m(p, s) = sum_k c_k 4 pi / (2k+1) P[m, k, p] P[m, k, s], where P is
-    the ring table's Legendre table (which carries the sqrt(2) for m > 0),
-    so one batched product over the orders gives every a_m.
-    With the (M+1, K, A) table of cos(m (psi_j - phi_r)) over the K probe
-    azimuths psi_j in use and the A rule azimuths phi_r, one matrix product
-    per probe ring gives the kernel at every (probe azimuth, rule node) pair
-    of that ring: O(R M K A) time per probe ring for R rule rings, and no
-    condition on A.
+    a_m(p, s) = sum_k c_k 4 pi / (2k+1) P_k^m(t_p) P_k^m(t_s) in the ring
+    tables' normalization (which carries the sqrt(2) for m > 0).  One probe
+    ring at a time, one batched product over the parities and slots of the
+    two tables gives the even- and odd-degree parts E, O of every a_m at
+    every rule height, and a_m(p, s) = E + O when p and s lie on the same
+    side of the equator, E - O otherwise.  With the (orders, K, A) table of
+    cos(m (psi_j - phi_r)) over the K probe azimuths psi_j in use and the A
+    rule azimuths phi_r, one matrix product per probe ring then gives the
+    kernel at every (probe azimuth, rule node) pair of that ring: O(R M K A)
+    time per probe ring for R rule rings, and no condition on A; memory
+    holds one probe ring's a_m at a time.
     """
     M = coefs.size - 1
-    R, A = rule_rings.meridian.shape[0], rule_rings.azimuths
+    A = rule_rings.azimuths
     d = FOUR_PI / (2 * np.arange(M + 1) + 1) * coefs
-    rule_table = _table(M, rule_rings)
-    probe_P = _legendre_table(M, probe_rings.meridian.tobytes())[0]
-    # a[p, s, m] = a_m(p, s); the zeros of P for k < m add nothing
-    a = np.matmul(probe_P[:, :, rings].transpose(0, 2, 1) * d, rule_table.P)
-    a = np.ascontiguousarray(a.transpose(1, 2, 0))
-    cos_psi, sin_psi = _trig_columns(azimuths, probe_rings.azimuths, M)
-    cos_phi, sin_phi = rule_table.trig[0::2], rule_table.trig[1::2]
+    rule = _table(M, rule_rings)
+    probe = _table(M, probe_rings)
+    # d_k at each position, kept where it belongs to the slot's order (p = 0)
+    # or to its partner (p = 1)
+    S, H = rule.P.shape[1], rule.P.shape[-1]
+    weight = d[rule.degree[:, :, 0]] * (rule.rows[:, :, 0] < d.size**2)
+    (cos_psi, sin_psi), (cos_phi, sin_phi) = probe.trig[:, :, azimuths, None], rule.trig[:, :, None]
     # row m, column (j, r): cos(m (psi_j - phi_r)) by the angle-sum formula
-    cos_table = np.empty((M + 1, azimuths.size * A))
-    for m in range(M + 1):
-        cos_table[m] = (
-            np.outer(cos_psi[m], cos_phi[m]) + np.outer(sin_psi[m], sin_phi[m])
-        ).ravel()
-    V = np.empty((R, cos_table.shape[1]))
+    cos_table = (cos_psi * cos_phi + sin_psi * sin_phi).reshape(cos_phi.shape[0], -1)
+    EO = np.empty((2, 2, S, H))
+    EO4 = EO.transpose(0, 2, 1, 3)
+    side, height = np.divmod(rule.ring, H)
+    probe_side, probe_height = np.divmod(probe.ring[rings], probe.P.shape[-1])
     out = np.empty((rings.size, azimuths.size))
-    for a_p, row in zip(a, out):
-        np.matmul(a_p, cos_table, out=V)
+    for p_side, p_height, row in zip(probe_side, probe_height, out):
+        np.matmul(weight * probe.P[:, :, None, :, p_height], rule.P, out=EO4)
+        sides = (_SIDES @ EO.reshape(2, -1)).reshape(2, 2 * S, H)
+        V = sides[side ^ p_side, :, height] @ cos_table
         np.abs(V, out=V)
         row[:] = (rule_rings.weights @ V).reshape(azimuths.size, A).sum(axis=1)
     return out

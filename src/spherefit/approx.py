@@ -382,7 +382,7 @@ def _norm_oracle(
     scale = weight / FOUR_PI
     classes = _rings.probe_classes(rule.rings, probe_rings)
     if classes is not None:
-        rings, azimuths, _ = classes
+        rings, azimuths = classes
         if bound == "grid":
             block = (rule.rings, probe_rings, rings, azimuths)
             return lambda f: float(_rings.weighted_abs_kernel_sums(*block, scale * f).max())

@@ -11,9 +11,10 @@ phase.  Degrees k and order indices j (1 <= j <= 2k+1, m = j - k - 1) are laid
 out flat as n = k^2 + j - 1, i.e. degree-major with orders ascending.
 
 All evaluation goes through normalized recurrences, so degrees of several
-hundred are safe from overflow.  `sph_harm_matrix` runs its recurrence over
-the degree only, every order of a degree in one vectorized step, so the
-matrix of degree M takes O(M) numpy steps however few the points are.
+hundred are safe from overflow.  `_associated_legendre`, the recurrence of
+the normalized P_k^m behind `sph_harm_matrix` and the ring transform's
+tables, runs over the degree only, every order of a degree in one vectorized
+step, so degree M takes O(M) numpy steps however few the points are.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def legendre_matrix(k_max: int, t) -> np.ndarray:
     Column k holds P_k(t) from `_legendre_columns`, the one plain Legendre
     recurrence, which the zonal-kernel sums of `approx` stream one degree at
     a time instead; `gauss_legendre_nodes` (Newton on P_n) and
-    `sph_harm_matrix` (normalized P_k^m) run their own.
+    `_associated_legendre` (normalized P_k^m) run their own.
     """
     k_max = _degree(k_max)
     t = _check_t(np.asarray(t, dtype=float).ravel())
@@ -126,14 +127,10 @@ def sph_harm_matrix(degree: int, points) -> np.ndarray:
     Y_{k,j} at every point.  Azimuth is taken as 0 at the poles, where all
     m != 0 harmonics vanish anyway.
 
-    The normalized Legendre recurrence runs over the degree k only, all
-    orders m <= k of a degree in one step (as in Schaeffer, arXiv:1202.6522),
-    so the matrix takes O(degree) numpy steps.  Step k writes the values
-    Nbar P_k^m into rows k^2+k+m, m >= 0: order k from the diagonal, order
-    k-1 from it by one product, and the orders m <= k-2 from the two
-    degrees below by the three-term recurrence.  Once no step reads degree
-    k's values, its -m rows get the products with sqrt(2) sin(m phi) and its
-    +m rows those with sqrt(2) cos(m phi), m > 0.
+    `_associated_legendre` writes degree k's values Nbar P_k^m into rows
+    k^2+k+m, m >= 0.  Once no step reads them, its -m rows get the products
+    with sqrt(2) sin(m phi) and its +m rows those with sqrt(2) cos(m phi),
+    m > 0.
     """
     degree = _degree(degree)
     pts = as_unit_vectors(points)
@@ -143,38 +140,65 @@ def sph_harm_matrix(degree: int, points) -> np.ndarray:
     phi = np.arctan2(pts[:, 1], pts[:, 0])
 
     Y = np.empty((basis_size(M), n))
-    Y[0] = 1.0 / np.sqrt(FOUR_PI)
     # cos_m[m-1] holds sqrt(2) cos(m phi); sqrt(2) sin(m phi) waits in row
     # M^2+M-m, the -m row of degree M, which is the last one written
     cos_m = np.empty((M, n))
     for m in range(1, M + 1):
         cos_m[m - 1] = _SQRT2 * np.cos(m * phi)
         Y[M * M + M - m] = _SQRT2 * np.sin(m * phi)
-    orders = np.arange(1, M + 1, dtype=float)
-    diagonal = np.sqrt((2.0 * orders + 1.0) / (2.0 * orders))  # P_m^m from P_{m-1}^{m-1}
-    next_to_diagonal = np.sqrt(2.0 * orders + 1.0)  # P_m^{m-1} from P_{m-1}^{m-1}
-    a, b = _recurrence_coefficients(M)
-    for k in range(1, M + 1):
-        row = k * k + k  # row of order m >= 0 of degree k is row + m
-        prev, prev2 = row - 2 * k, row - 4 * k + 2  # the same rows of degrees k-1, k-2
-        if k >= 2:
-            # (a t) P_{k-1}^m - b P_{k-2}^m for m <= k-2; the k-1 rows of
-            # degree k-1's -m harmonics are free until its sin products
-            at = Y[prev - k + 1 : prev]
-            np.multiply(a[k, : k - 1, None], t, out=at)
-            at *= Y[prev : prev + k - 1]
-            new = Y[row : row + k - 1]
-            np.multiply(b[k, : k - 1, None], Y[prev2 : prev2 + k - 1], out=new)
-            np.subtract(at, new, out=new)
-        np.multiply(next_to_diagonal[k - 1], t, out=Y[row + k - 1])
-        Y[row + k - 1] *= Y[prev + k - 1]
-        np.multiply(Y[prev + k - 1], u, out=Y[row + k])
-        Y[row + k] *= diagonal[k - 1]
+    for k, _ in enumerate(_associated_legendre(M, t, u, Y)):
         if k >= 3:
             _apply_azimuth(Y, k - 2, cos_m)
     for k in range(max(1, M - 1), M + 1):
         _apply_azimuth(Y, k, cos_m)
     return Y
+
+
+def _associated_legendre(M: int, t: np.ndarray, u: np.ndarray, Y: np.ndarray | None = None):
+    """Yield, for k = 0..M, the (k+1, n) array of Nbar_{k,m} P_k^m(t),
+    m = 0..k, at n arguments t with u = sqrt(1 - t^2) (the sine of the
+    colatitude, passed in so that callers keep its rounding).
+
+    The package's one normalized Legendre recurrence; `sph_harm_matrix` and
+    the ring transform's tables (`_rings`) both read it.  It runs over the
+    degree k only, all orders of a degree in one vectorized step (as in
+    Schaeffer, arXiv:1202.6522), so degree M takes O(M) numpy steps: order k
+    from the diagonal, order k-1 from it by one product, and the orders
+    m <= k-2 from the two degrees below by the three-term recurrence.
+    Degree k's values go to rows k^2+k+m of the ((M+1)^2, n) matrix Y when
+    it is given, and the products a t P_{k-1}^m to the rows of degree k-1's
+    -m harmonics, which are free until the caller fills them; otherwise
+    three arrays take the degrees in turn.  Either way step k reads degrees
+    k-1 and k-2, so a yielded array must stay as it is until the yield of
+    degree k+2, and may be overwritten after it.
+    """
+    if Y is None:
+        work = np.empty((4, M + 1, t.size))
+        values = lambda k: work[k % 3, : k + 1]
+        scratch = lambda k: work[3, : k - 1]
+    else:
+        values = lambda k: Y[k * k + k : k * k + 2 * k + 1]
+        scratch = lambda k: Y[(k - 1) ** 2 : k * k - k]
+    orders = np.arange(1, M + 1, dtype=float)
+    diagonal = np.sqrt((2.0 * orders + 1.0) / (2.0 * orders))  # P_m^m from P_{m-1}^{m-1}
+    next_to_diagonal = np.sqrt(2.0 * orders + 1.0)  # P_m^{m-1} from P_{m-1}^{m-1}
+    a, b = _recurrence_coefficients(M)
+    values(0)[0] = 1.0 / np.sqrt(FOUR_PI)
+    yield values(0)
+    for k in range(1, M + 1):
+        new, prev = values(k), values(k - 1)
+        if k >= 2:
+            # (a t) P_{k-1}^m - b P_{k-2}^m for m <= k-2
+            at = scratch(k)
+            np.multiply(a[k, : k - 1, None], t, out=at)
+            at *= prev[: k - 1]
+            np.multiply(b[k, : k - 1, None], values(k - 2), out=new[: k - 1])
+            np.subtract(at, new[: k - 1], out=new[: k - 1])
+        np.multiply(next_to_diagonal[k - 1], t, out=new[k - 1])
+        new[k - 1] *= prev[k - 1]
+        np.multiply(prev[k - 1], u, out=new[k])
+        new[k] *= diagonal[k - 1]
+        yield new
 
 
 def _recurrence_coefficients(M: int) -> tuple[np.ndarray, np.ndarray]:

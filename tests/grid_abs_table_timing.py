@@ -69,7 +69,7 @@ def build(M: int) -> tuple[float, float, tuple[int, int]]:
     rule, resolution = gauss_legendre_rule(M), default_probe_resolution(M)
     probe_grid(resolution)
     seconds, peak = cost(lambda: params._probe_norm.__wrapped__(rule, M, resolution, "grid-abs"))
-    rings, azimuths, _ = _rings.probe_classes(rule.rings, params._probe_rings(rule, resolution))
+    rings, azimuths = _rings.probe_classes(rule.rings, params._probe_rings(rule, resolution))
     return seconds, peak, (rings.size * azimuths.size, M + 1)
 
 

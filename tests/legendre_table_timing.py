@@ -5,7 +5,8 @@ and the tracemalloc peak of one cold build of the ring transform's Legendre
 table (`_rings._legendre_table`, memo bypassed) on the rings of
 `gauss_legendre_rule(M)` and on those of the default probe grid
 `probe_grid(2M)`: the two tables a fit at degree M builds before its first
-analysis and synthesis.  The second gives the same for the dense
+analysis and synthesis.  Beside each it gives the table's bytes and the
+(M+1)^2 R 8 bytes of a zero-padded (M+1, M+1, R) table on the same R rings.  The second gives the same for the dense
 `sph_harm_matrix` on a randomly rotated `gauss_legendre_rule(M)`, which has
 no ring layout, at the degrees up to 60, with the matrix's own size.  Wall times
 are the minimum of REPEATS builds without tracemalloc; the peak, which
@@ -63,14 +64,20 @@ def rotated_rule_points(M: int) -> np.ndarray:
 
 
 def main(degrees) -> None:
-    print("| degree M | rings | table build | tracemalloc peak |")
-    print("|---|---|---|---|")
+    print("| degree M | rings | table build | tracemalloc peak | table | zero-padded table |")
+    print("|---|---|---|---|---|---|")
     for M in degrees:
         for label, res in (("rule", M), ("probe", 2 * M)):
             rings = gauss_legendre_rule(res).rings
             seconds, peak = measure(table_build(M, rings))
-            name = f"{label} ({rings.meridian.shape[0]})"
-            print(f"| {M} | {name} | {1e3 * seconds:.2f} ms | {peak:.2f} MB |", flush=True)
+            R = rings.meridian.shape[0]
+            table = table_build(M, rings)()[0].nbytes / 1e6
+            padded = (M + 1) ** 2 * R * 8 / 1e6
+            print(
+                f"| {M} | {label} ({R}) | {1e3 * seconds:.2f} ms | {peak:.2f} MB "
+                f"| {table:.2f} MB | {padded:.2f} MB |",
+                flush=True,
+            )
     print()
     print("| degree M | points | dense matrix | size | tracemalloc peak |")
     print("|---|---|---|---|---|")

@@ -354,22 +354,38 @@ class TestRingTransform:
 
     @pytest.mark.parametrize("M", [0, 1, 2, 5, 30, 60])
     def test_legendre_table_is_the_loop_recurrence_reordered(self, M):
-        # P[m, k, s] is the loop oracle's row k^2+k+m at ring s, bit for bit,
-        # and zero for k < m
-        rings = gauss_legendre_rule(2 * M).rings
-        Y = sph_harm_matrix_loop(M, rings.meridian)
-        expected = np.zeros((M + 1, M + 1, rings.meridian.shape[0]))
-        for k in range(M + 1):
-            expected[: k + 1, k] = Y[k * k + k : k * k + 2 * k + 1]
-        P = _rings._table(M, rings).P
-        assert P.shape == expected.shape
-        assert np.array_equal(P.view(np.int64), expected.view(np.int64))
+        # each value of the table, times (-1)^(k+m) on a ring below the
+        # equator, is row k^2+k+m of sph_harm_matrix (and of the loop oracle)
+        # at the ring's phi = 0 point, bit for bit; each harmonic of order
+        # m >= 0 has one position and the positions of none are zero.  On the
+        # mirrored Gauss-Legendre rings (with a ring at t = 0) and on random
+        # rings without mirror pairs
+        rng = np.random.default_rng(M)
+        t = rng.uniform(-1.0, 1.0, 7)
+        for meridian in (
+            gauss_legendre_rule(2 * M).rings.meridian,
+            np.column_stack([np.sqrt(1.0 - t * t), np.zeros_like(t), t]),
+        ):
+            Y = sph_harm_matrix(M, meridian)
+            assert np.array_equal(Y.view(np.int64), sph_harm_matrix_loop(M, meridian).view(np.int64))
+            table = _rings._table(M, _rings.RingLayout(meridian, None, 1))
+            below, height = np.divmod(table.ring, table.P.shape[-1])
+            # rows[q, i, 0, p, j]: the harmonic with cos(m phi) of order m
+            # (slot i's own for p = 0, its partner's for p = 1) at position j
+            n = table.rows[:, :, 0]
+            held = n < (M + 1) ** 2
+            q, i, p, j = np.nonzero(held)
+            cos_harmonics = [k * k + k + np.arange(k + 1) for k in range(M + 1)]
+            assert np.array_equal(np.sort(n[held]), np.concatenate(cos_harmonics))
+            values = table.P[q, i, j][:, height] * np.where((below == 1) & (q[:, None] == 1), -1.0, 1.0)
+            assert np.array_equal(values.view(np.int64), Y[n[held]].view(np.int64))
+            assert np.all(table.P[~held.any(axis=2)] == 0.0)
 
     def test_legendre_table_memory_at_degree_60(self):
-        # Y is reordered into P in place and the recurrence adds no table-sized
-        # intermediate: a cold build on the 121 probe rings of M = 60 peaks at
-        # Y (3.6 MB) plus the index tables, under the 4.24 MB the loop
-        # recurrence took with the trig tables
+        # the recurrence writes each degree into the table and adds no
+        # table-sized intermediate: a cold build on the 121 probe rings of
+        # M = 60 peaks at 1.4 MB, the 0.94 MB table plus the index tables
+        # and a few vectors of the 61 ring heights
         rings = gauss_legendre_rule(120).rings
         tracemalloc.start()
         try:
@@ -523,6 +539,103 @@ class TestDegreeWeightedSup:
         assert abs(_rings.degree_weighted_sup(rings, M, c)(w) - expected) <= 1e-12 * expected
 
 
+def random_ring_set(kind, rng):
+    """Ring heights and weights: Gauss-Legendre rings with a ring at t = 0
+    ("gl-equator", an odd count) or without one ("gl"), mirrored heights
+    with unequal weights ("weights"), heights without mirror pairs
+    ("heights"), a single ring ("single"), or rings without mirror pairs
+    plus a second ring at the first one's height and one at its mirror
+    ("repeated")."""
+    if kind.startswith("gl"):
+        n = 2 * int(rng.integers(0, 6)) + (kind == "gl-equator")
+        return gauss_legendre_nodes(max(n, 1))
+    if kind == "weights":
+        half = rng.uniform(0.05, 0.95, int(rng.integers(1, 5)))
+        t = np.concatenate([-half, half])
+    else:
+        t = rng.uniform(-0.95, 0.95, 1 if kind == "single" else int(rng.integers(2, 8)))
+    if kind == "repeated":
+        t = np.concatenate([t, t[:1], -t[:1]])
+    return t, rng.uniform(0.5, 2.0, t.size)
+
+
+def ring_set_layout(t, ring_weights, azimuths):
+    """The `RingLayout` of rings at heights t with A azimuths and these
+    per-ring weights, and its points, ring-major."""
+    meridian = np.column_stack([np.sqrt(1.0 - t * t), np.zeros_like(t), t])
+    rings = _rings.RingLayout(meridian, ring_weights, azimuths)
+    return rings, _rings.ring_points(meridian, azimuths)
+
+
+class TestRingTablesAgainstDenseOracles:
+    """Every reader of the ring tables (analysis, synthesis, the walk's
+    `degree_weighted_sup` and the `grid` sums `weighted_abs_kernel_sums`)
+    against the dense matrices `sph_harm_matrix` and `legendre_matrix`, on
+    ring sets with and without mirror pairs, to 1e-12."""
+
+    KINDS = ["gl-equator", "gl", "weights", "heights", "single", "repeated"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.integers(0, 12),
+        kind=st.sampled_from(KINDS),
+        probe_kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        azimuths=st.integers(1, 27),
+        probe_azimuths=st.integers(1, 27),
+    )
+    @example(M=0, kind="gl-equator", probe_kind="single", seed=0, azimuths=1, probe_azimuths=2)
+    @example(M=1, kind="gl", probe_kind="weights", seed=1, azimuths=4, probe_azimuths=3)
+    @example(M=2, kind="weights", probe_kind="heights", seed=2, azimuths=7, probe_azimuths=5)
+    @example(M=3, kind="heights", probe_kind="gl-equator", seed=3, azimuths=8, probe_azimuths=8)
+    @example(M=4, kind="repeated", probe_kind="repeated", seed=4, azimuths=9, probe_azimuths=6)
+    def test_matches_dense_oracles_property(self, M, kind, probe_kind, seed, azimuths, probe_azimuths):
+        rng = np.random.default_rng(seed)
+        rings, points = ring_set_layout(*random_ring_set(kind, rng), azimuths)
+        Y = sph_harm_matrix(M, points)
+        c = rng.normal(size=(M + 1) ** 2)
+        assert rel_err(_rings.synthesis(rings, M, c), Y.T @ c) <= 1e-12
+        y = rng.normal(size=points.shape[0])
+        weights = np.repeat(rings.weights, azimuths)
+        assert rel_err(_rings.analysis(rings, M, y), Y @ (weights * y)) <= 1e-12
+        sup = _rings.degree_weighted_sup(rings, M, c)
+        for w in (rng.normal(size=M + 1), np.ones(M + 1)):
+            expected = np.abs(Y.T @ (c * expand_by_degree(w))).max()
+            assert abs(sup(w) - expected) <= 1e-12 * expected
+        # the grid sums on every probe of another ring set
+        probe_rings, probes = ring_set_layout(*random_ring_set(probe_kind, rng), probe_azimuths)
+        coefs = rng.normal(size=M + 1)
+        L = harmonics.legendre_matrix(M, np.clip(probes @ points.T, -1.0, 1.0))
+        expected = np.abs(L @ coefs).reshape(probes.shape[0], -1) @ weights
+        every = np.arange(probe_rings.meridian.shape[0]), np.arange(probe_azimuths)
+        fast = _rings.weighted_abs_kernel_sums(rings, probe_rings, *every, coefs)
+        assert rel_err(fast.ravel(), expected) <= 1e-12
+
+    def test_walk_probe_table_at_degree_120(self):
+        # the probe rings of a degree-120 walk, 241 rings at 121 heights:
+        # 7.2 MB, a quarter of (M+1)^2 values per ring
+        rule = gauss_legendre_rule(120)
+        meridian = params._probe_rings(rule, 240).meridian
+        assert _rings._legendre_table(120, meridian.tobytes())[0].nbytes <= 8e6
+
+    def test_grid_pass_memory_at_degree_120(self):
+        # a warm `grid` pass holds one probe ring class's a_m(p, s) and kernel
+        # values at a time (1.9 MB measured), not the (R', R, M+1) array of
+        # every a_m (14 MB)
+        M = 120
+        rule = gauss_legendre_rule(M)
+        sup = approx._norm_oracle(rule, M, params._probe_rings(rule, 2 * M), "grid")
+        f = approx.filter_factors(M, 1e-4, params.weights_laplace_beltrami(M))
+        sup(f)
+        tracemalloc.start()
+        try:
+            sup(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
+
+
 class TestOperatorNormBound:
     def test_degree_zero_closed_form(self):
         rule = gauss_legendre_rule(0)
@@ -629,6 +742,27 @@ def block_indices(probe_rings, rings, azimuths):
     return (rings[:, None] * probe_rings.azimuths + azimuths).ravel()
 
 
+def class_of_every_probe(rule_rings, probe_rings, rings, azimuths):
+    """Flat class index i * azimuths.size + j of every probe of the layout,
+    ring-major: class (i, j) holds the probes whose ring has the radius and
+    height of probe ring rings[i] (its |height| when the rule's rings are
+    mirrored) and whose azimuth index q has the key of azimuths[j],
+    min(qA mod A', -qA mod A') for the rule's A and the probes' A'
+    azimuths.  Every probe must fall into exactly one class."""
+    A, Ap = rule_rings.azimuths, probe_rings.azimuths
+    key = np.arange(Ap) * A % Ap
+    key = np.minimum(key, (Ap - key) % Ap)
+    az_class = np.argmax(key[:, None] == key[azimuths], axis=1)
+    assert np.array_equal(key[azimuths][az_class], key)
+    ring_key = probe_rings.meridian[:, [0, 2]].copy()
+    if _rings.mirrored(rule_rings):
+        ring_key[:, 1] = np.abs(ring_key[:, 1])
+    same = np.all(ring_key[:, None] == ring_key[rings], axis=2)
+    assert np.all(same.sum(axis=1) == 1)
+    ring_class = np.argmax(same, axis=1)
+    return (ring_class[:, None] * azimuths.size + az_class).ravel()
+
+
 class TestSupNormReduction:
     @settings(max_examples=25, deadline=None)
     @given(M=st.integers(0, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -640,13 +774,10 @@ class TestSupNormReduction:
         probe_rings = _rings.ring_layout(probes)
         classes = _rings.probe_classes(rule.rings, probe_rings)
         assert classes is not None
-        rings, azimuths, inverse = classes
-        # the classes form one ring x azimuth block: the class of the probe at
-        # (ring p, azimuth q) is ring_class[p] * azimuths.size + az_class[q],
-        # and each class is represented by its first probe in flat order
-        block = inverse.reshape(-1, probe_rings.azimuths)
-        ring_class, az_class = block[:, :1] // azimuths.size, block[:1] % azimuths.size
-        assert np.array_equal(block, ring_class * azimuths.size + az_class)
+        rings, azimuths = classes
+        # the classes form one ring x azimuth block, and each class is
+        # represented by its first probe in flat order
+        inverse = class_of_every_probe(rule.rings, probe_rings, rings, azimuths)
         reps = block_indices(probe_rings, rings, azimuths)
         assert np.array_equal(reps, np.unique(inverse, return_index=True)[1])
         # every probe's row of the full grid-abs table is its representative's
@@ -659,12 +790,13 @@ class TestSupNormReduction:
         # (M+1)^2 classes on probe_grid(2M): M+1 mirrored ring pairs (the
         # equator alone) times M+1 azimuth keys
         for M in (1, 4, 30):
-            rings, azimuths, inverse = _rings.probe_classes(
-                gauss_legendre_rule(M).rings, _rings.ring_layout(probe_grid(2 * M))
-            )
+            rule_rings = gauss_legendre_rule(M).rings
+            probe_rings = _rings.ring_layout(probe_grid(2 * M))
+            rings, azimuths = _rings.probe_classes(rule_rings, probe_rings)
             assert rings.size == M + 1 and azimuths.size == M + 1
             assert rings.size * azimuths.size == (M + 1) ** 2
-            assert inverse.size == probe_grid(2 * M).shape[0]
+            inverse = class_of_every_probe(rule_rings, probe_rings, rings, azimuths)
+            assert np.unique(inverse).size == (M + 1) ** 2
 
     def test_scattered_probes_take_full_set(self):
         rng = np.random.default_rng(200)
@@ -689,7 +821,7 @@ class TestSupNormReduction:
         assert rule.rings is not None
         probes = probe_grid(8)
         probe_rings = _rings.ring_layout(probes)
-        rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
+        rings, azimuths = _rings.probe_classes(rule.rings, probe_rings)
         reps = block_indices(probe_rings, rings, azimuths)
         # every probe ring is its own class; only the azimuth symmetry applies
         assert np.unique(probes[reps, 2]).size == probe_rings.meridian.shape[0]
@@ -805,7 +937,7 @@ class TestAdditionTheoremSupNorm:
         rule = random_product_rule(kind, M, rng)
         probes = probe_grid(resolution)
         probe_rings = _rings.ring_layout(probes)
-        rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
+        rings, azimuths = _rings.probe_classes(rule.rings, probe_rings)
         reps = block_indices(probe_rings, rings, azimuths)
         sup = approx._norm_oracle(rule, M, probe_rings, "grid")
         for f in rng.normal(size=(2, M + 1)):
@@ -997,7 +1129,7 @@ class TestInvariantProbeSet:
         assert np.array_equal(scanned.meridian, probe_rings.meridian)
         # the rule's rotation maps the set to itself: each ring keeps the
         # azimuth offsets 0, 2 pi / Ap, ..., up to pi / A
-        rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
+        rings, azimuths = _rings.probe_classes(rule.rings, probe_rings)
         assert azimuths.size == Ap // A // 2 + 1
         # representatives formed from the layout are the set's points, bit for bit
         reps = _rings.ring_points(probe_rings.meridian[rings], Ap, azimuths)
@@ -1022,7 +1154,7 @@ class TestInvariantProbeSet:
         rule = gauss_legendre_rule(M)
         probe_rings = params._probe_rings(rule, resolution)
         approx._norm_oracle(rule, M, probe_rings, "grid-abs")
-        rings, azimuths, _ = _rings.probe_classes(rule.rings, probe_rings)
+        rings, azimuths = _rings.probe_classes(rule.rings, probe_rings)
         full = norm_probe_points(rule, resolution)
         assert len(calls) == 1
         assert np.array_equal(calls[0], full[block_indices(probe_rings, rings, azimuths)])
@@ -1054,8 +1186,9 @@ class TestInvariantProbeSet:
         rule = gauss_legendre_rule(M)
         probes = norm_probe_points(rule, 2 * M)
         probe_rings = params._probe_rings(rule, 2 * M)
-        rings, azimuths, inverse = _rings.probe_classes(rule.rings, probe_rings)
+        rings, azimuths = _rings.probe_classes(rule.rings, probe_rings)
         assert rings.size * azimuths.size == 2 * (M + 1)
+        inverse = class_of_every_probe(rule.rings, probe_rings, rings, azimuths)
         # 16 probes of the set against their class representatives
         sample = rng.choice(probes.shape[0], 16, replace=False)
         classes = inverse[sample]

@@ -339,7 +339,7 @@ class TestBalancingPrinciple:
         rule = gauss_legendre_rule(M)
         sup = params._probe_norm.__wrapped__(rule, M, resolution, "grid-abs")
         assert len(calls) == 1
-        rings, azimuths, _ = _rings.probe_classes(rule.rings, params._probe_rings(rule, resolution))
+        rings, azimuths = _rings.probe_classes(rule.rings, params._probe_rings(rule, resolution))
         assert azimuths.size == 1 and shapes == [(rings.size, M + 1)]
         c = (2 * np.arange(M + 1) + 1) / (4 * np.pi)
         full = weighted_abs_legendre_sums(rule, M, walk_probe_points(rule, resolution)) @ c
