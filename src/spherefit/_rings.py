@@ -15,46 +15,29 @@ O(M^4).  At the degrees this package runs, a ring holds A = 2(M+1) points,
 often twice a prime, so the products beat an FFT along the rings and a loop
 over the orders.
 
-The Legendre table holds only what the sums read, laid out as SHTns lays
-it out (Schaeffer, above; see `_RingTable`): per order m the degrees
-k >= m, split by the parity of k + m, once per ring height |t|.  As
-P_k^m(-t) = (-1)^(k+m) P_k^m(t), a ring at t reads E + O from the sums E
-and O over the even and the odd degrees, and its mirror at -t reads E - O.
-On the probe rings of a degree-120 walk it holds 7.2 MB, a quarter of a
-zero-padded (M+1, M+1, R) table.  Its values come from
-`harmonics._associated_legendre`, the recurrence `sph_harm_matrix` runs, so
-they equal its rows at the ring points bit for bit, and a table takes O(M)
-numpy steps on vectors of the ring heights.  Synthesis lines the
-coefficients up by slot, takes one product with the Legendre table and one
-with the table of cos(m phi_j) and sin(m phi_j), and turns (E, O) along
-each height into the rings above and below it; analysis runs the same steps
-backwards.
+`ring_table` builds the operators of one (degree, rings, azimuth count),
+laid out as SHTns lays them out (`_RingTable`): per order m the degrees
+k >= m, split by the parity of k + m, once per ring height |t|, so a ring at
+t reads E + O from the even- and odd-degree sums E and O, and its mirror at
+-t reads E - O.  On the probe rings of a degree-120 walk the Legendre table
+holds 7.2 MB, a quarter of a zero-padded one, and its values are the rows of
+`sph_harm_matrix` at the ring points bit for bit.  The table is kept
+nowhere: a caller that transforms on one rule many times holds it in a plan
+(`approx._Plan`), as SHTns keeps one configuration per (degree, grid).
+`analysis`, `synthesis`, the balancing walk's step `degree_weighted_sup`
+(the sup norm of a degree-weighted expansion, without synthesizing it) and
+the `grid` sums `weighted_abs_kernel_sums` read it.
 
-`degree_weighted_sup` gives each step of the balancing walk, the sup norm
-of a degree-weighted expansion, from the cosine and sine halves of every
-ring on half its azimuths, without synthesizing the expansion.
-
-`probe_classes` groups the probe points at which the sup-norm kernel sums
-over a product rule agree.  The groups form one ring x azimuth block (ring
-classes times azimuth classes), found in one place, `approx._norm_oracle`,
-once per oracle it builds.  `weighted_abs_kernel_sums` evaluates the `grid`
-sums on that block, one per group, by the addition theorem with the same
-Legendre tables, one probe ring at a time; the `grid-abs` table takes one
-row per group from `approx.weighted_abs_legendre_sums` at the points
-`ring_points` builds from the group's ring and azimuth.  A balancing walk
-takes every sup norm, its step differences and its operator norms, on one
-probe layout (`params._probe_rings`) and forms no probe point: the rings of
-the probe grid, at a multiple of the rule's azimuth count A.  Its azimuths
-then fall into the offsets 0 to pi/A from the rule's, two of them at the
-default resolution 2M, so on gauss_legendre_rule(M) 2(M+1) groups remain
-where probe_grid(2M) leaves (M+1)^2.
-`antipodal_half` keeps one node of each antipodal pair of a mirrored rule
-for sums whose terms are even in x . x_i, such as the `grid-abs` table.
+`probe_classes` groups the probes at which the sup-norm kernel sums over a
+product rule agree into one ring x azimuth block, on which
+`weighted_abs_kernel_sums` evaluates the sums by the addition theorem, one
+probe ring at a time.  `antipodal_half` keeps one node of each antipodal
+pair of a mirrored rule for sums whose terms are even in x . x_i, such as
+the `grid-abs` table.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -134,7 +117,8 @@ class _RingTable(NamedTuple):
     side 1 (t < 0), where it reads E - O.  The rows at which a ring lies
     form one block `reached` of that axis.  trig[c, p * S + i] holds cos (c = 0) or sin
     (c = 1) of m phi_j for the order m of slot i and member p, at the A ring
-    azimuths phi_j; the sums by order are laid out (c, p, i) to match."""
+    azimuths phi_j; the sums by order are laid out (c, p, i) to match.
+    `weights` are the ring weights of the layout (None for bare points)."""
 
     P: np.ndarray
     rows: np.ndarray
@@ -143,6 +127,7 @@ class _RingTable(NamedTuple):
     ring: np.ndarray
     reached: slice
     trig: np.ndarray
+    weights: np.ndarray | None
 
 
 # E + O and E - O from the sums (E, O) over the even and the odd positions,
@@ -182,17 +167,13 @@ def _heights(meridian: np.ndarray) -> tuple[np.ndarray, np.ndarray, slice]:
     return unique[rank, :2], side * H + new[height], reached
 
 
-@functools.lru_cache(maxsize=4)
-def _legendre_table(M: int, meridian: bytes):
-    """The transform's P, rows, position, degree, ring rows and reached
-    block (see `_RingTable`), memoized by degree and rings.
-
-    They do not depend on the azimuth count, so point sets on the same rings
-    (the probe grid and a balancing walk's probe layout) share one table.
-    The values come from `harmonics._associated_legendre` at the heights,
-    bit for bit those `sph_harm_matrix` gives at the ring points up to the
-    sign (-1)^(k+m) on the rings below the equator."""
-    heights, ring, reached = _heights(np.frombuffer(meridian).reshape(-1, 3))
+def ring_table(M: int, rings: RingLayout) -> _RingTable:
+    """The operators of the ring transform at degree M on these rings (see
+    `_RingTable`), built anew on each call.  The Legendre values come from
+    `harmonics._associated_legendre` at the ring heights, bit for bit those
+    `sph_harm_matrix` gives at the ring points up to the sign (-1)^(k+m) on
+    the rings below the equator."""
+    heights, ring, reached = _heights(rings.meridian)
     S, K = M // 2 + 1, M // 2 + 1 + M % 2
     # every harmonic degree k >= order m >= 0: its parity, slot, member and position
     k, m = np.tril_indices(M + 1)
@@ -218,22 +199,14 @@ def _legendre_table(M: int, meridian: bytes):
         position[n[harmonic]] = index
     degree = np.zeros((2, S, 1, 1, K), dtype=np.intp)
     degree[parity, slot, 0, 0, j] = k
-    for a in (P, rows, position, degree, ring):
+    # the slot orders' m phi_j, reduced mod 2 pi in integers first
+    i, A = np.arange(S), rings.azimuths
+    orders = np.concatenate([i, (M | 1) - i])
+    angle = (2.0 * np.pi / A) * (np.outer(orders, np.arange(A)) % A)
+    trig = np.stack([np.cos(angle), np.sin(angle)])
+    for a in (P, rows, position, degree, ring, trig):
         a.setflags(write=False)
-    return P, rows, position, degree, ring, reached
-
-
-@functools.lru_cache(maxsize=4)
-def _trig_table(M: int, azimuths: int) -> np.ndarray:
-    """cos and sin of m phi_j for the slot orders m (see `_RingTable`), memoized."""
-    i = np.arange(M // 2 + 1)
-    trig = np.stack(_trig_columns(np.arange(azimuths), azimuths, np.concatenate([i, (M | 1) - i])))
-    trig.setflags(write=False)
-    return trig
-
-
-def _table(M: int, rings: RingLayout) -> _RingTable:
-    return _RingTable(*_legendre_table(M, rings.meridian.tobytes()), _trig_table(M, rings.azimuths))
+    return _RingTable(P, rows, position, degree, ring, reached, trig, rings.weights)
 
 
 def _by_order(sums: np.ndarray) -> np.ndarray:
@@ -245,40 +218,37 @@ def _by_order(sums: np.ndarray) -> np.ndarray:
     return sums.reshape(q, c * p, S, n).transpose(0, 2, 1, 3)
 
 
-def analysis(rings: RingLayout, M: int, values: np.ndarray) -> np.ndarray:
-    """sum_i w_i Y_n(x_i) y_i for every flat index n of degree <= M.
-
-    Needs ring weights.
-    """
-    table = _table(M, rings)
-    S, H, A = table.rows.shape[1], table.P.shape[-1], rings.azimuths
+def analysis(table: _RingTable, values: np.ndarray) -> np.ndarray:
+    """sum_i w_i Y_n(x_i) y_i for every flat index n of degree <= M, on the
+    grid of a `ring_table` of degree M with ring weights."""
+    S, H, A = table.rows.shape[1], table.P.shape[-1], table.trig.shape[-1]
     # per height: the weighted values of its rings above and below, then
     # their sum and difference, and the sums against cos(m phi) and sin(m phi)
     sides = np.zeros((2 * H, A))
-    sides[table.ring] = values.reshape(-1, A) * rings.weights[:, None]
+    sides[table.ring] = values.reshape(-1, A) * table.weights[:, None]
     EO = _SIDES @ sides.reshape(2, -1)
     G = np.matmul(table.trig.reshape(-1, A), EO.reshape(2, H, A).transpose(0, 2, 1))
     sums = np.matmul(_by_order(G.reshape(2, 2, 2, S, H)), table.P.transpose(0, 1, 3, 2))
     return sums.ravel()[table.position]
 
 
-def synthesis(rings: RingLayout, M: int, coeffs: np.ndarray) -> np.ndarray:
-    """Values at the grid points of the degree-M expansion with these
-    flat coefficients."""
-    table = _table(M, rings)
+def synthesis(table: _RingTable, coeffs: np.ndarray) -> np.ndarray:
+    """Values at the grid points of a `ring_table` of degree M of the
+    degree-M expansion with these flat coefficients."""
     (_, S, _, _, K), H = table.rows.shape, table.P.shape[-1]
     # per order and height: E and O, the amplitudes of cos(m phi) and sin(m phi)
     EO = np.empty((2, 2, 2, S, H))
     lined_up = np.append(coeffs, 0.0)[table.rows]
     np.matmul(lined_up.reshape(2, S, 4, K), table.P, out=_by_order(EO))
     # per height: E and O along the ring, then the rings above and below
-    along = EO.reshape(2, -1, H).transpose(0, 2, 1) @ table.trig.reshape(-1, rings.azimuths)
+    along = EO.reshape(2, -1, H).transpose(0, 2, 1) @ table.trig.reshape(-1, table.trig.shape[-1])
     sides = (_SIDES @ along.reshape(2, -1)).reshape(2 * H, -1)
     return sides[table.ring].ravel()
 
 
-def degree_weighted_sup(rings: RingLayout, M: int, coeffs: np.ndarray):
-    """w -> max over the grid of |sum_k w_k sum_j c_kj Y_kj(x)|.
+def degree_weighted_sup(table: _RingTable, coeffs: np.ndarray):
+    """w -> max over the grid of a `ring_table` of degree M of
+    |sum_k w_k sum_j c_kj Y_kj(x)|.
 
     `coeffs` holds the flat c_kj and w the per-degree weights w_0..w_M.  The
     coefficients are lined up by slot once; each call takes one product
@@ -292,9 +262,8 @@ def degree_weighted_sup(rings: RingLayout, M: int, coeffs: np.ndarray):
     over the whole grid, for any azimuth count A.  Every array is allocated
     once and every stage writes whole contiguous blocks.
     """
-    table = _table(M, rings)
     (_, S, _, _, K), H = table.rows.shape, table.P.shape[-1]
-    half = rings.azimuths // 2 + 1
+    half = table.trig.shape[-1] // 2 + 1
     trig = table.trig[:, None, :, :half]
     lined_up = np.append(coeffs, 0.0)[table.rows]
     lhs = np.empty_like(lined_up)
@@ -389,19 +358,13 @@ def ring_points(meridian: np.ndarray, azimuths: int, q=None) -> np.ndarray:
     return np.stack(points, axis=-1).reshape(-1, 3)
 
 
-def _trig_columns(q: np.ndarray, n: int, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of m * 2 pi q / n for each order m, shape
-    (len(orders), len(q)), with the angle reduced mod 2 pi in integers first."""
-    angle = (2.0 * np.pi / n) * (np.outer(orders, q) % n)
-    return np.cos(angle), np.sin(angle)
-
-
 def weighted_abs_kernel_sums(
-    rule_rings: RingLayout, probe_rings: RingLayout, rings, azimuths, coefs: np.ndarray
+    rule: _RingTable, probe: _RingTable, rings, azimuths, coefs: np.ndarray
 ) -> np.ndarray:
     """sum_i w_i |sum_k c_k P_k(x . x_i)| over the rule on a block of probes.
 
-    `coefs` holds the c_k, k = 0..M.  Entry (i, j) of the returned
+    `rule` and `probe` are the `ring_table`s of degree M of the rule's rings
+    and of the probe rings; `coefs` holds the c_k, k = 0..M.  Entry (i, j) of the returned
     (rings.size, azimuths.size) block is the sum at the probe on probe ring
     rings[i] at azimuth index azimuths[j]; on the representatives of
     `probe_classes`, found once by the caller, that is one sum per class.
@@ -421,10 +384,8 @@ def weighted_abs_kernel_sums(
     holds one probe ring's a_m at a time.
     """
     M = coefs.size - 1
-    A = rule_rings.azimuths
+    A = rule.trig.shape[-1]
     d = FOUR_PI / (2 * np.arange(M + 1) + 1) * coefs
-    rule = _table(M, rule_rings)
-    probe = _table(M, probe_rings)
     # d_k at each position, kept where it belongs to the slot's order (p = 0)
     # or to its partner (p = 1)
     S, H = rule.P.shape[1], rule.P.shape[-1]
@@ -442,5 +403,5 @@ def weighted_abs_kernel_sums(
         sides = (_SIDES @ EO.reshape(2, -1)).reshape(2, 2 * S, H)
         V = sides[side ^ p_side, :, height] @ cos_table
         np.abs(V, out=V)
-        row[:] = (rule_rings.weights @ V).reshape(azimuths.size, A).sum(axis=1)
+        row[:] = (rule.weights @ V).reshape(azimuths.size, A).sum(axis=1)
     return out

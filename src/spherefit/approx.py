@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _rings, harmonics
 from ._files import read_csv, write_csv
-from .cubature import CubatureRule
+from .cubature import CubatureRule, gauss_legendre_nodes
 from .harmonics import (
     FOUR_PI, _degree, _one_point, as_unit_vectors, basis_size, sph_harm_matrix,
 )
@@ -157,19 +157,6 @@ class NormBound(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# synthesis: ring transform on product grids, dense harmonic matrix elsewhere
-
-
-def _synthesizer(M: int, pts: np.ndarray, rings: _rings.RingLayout | None):
-    """Map from degree-M flat coefficients to values at the given unit
-    vectors, whose `_rings.ring_layout` is `rings`."""
-    if rings is not None:
-        return functools.partial(_rings.synthesis, rings, M)
-    Y = sph_harm_matrix(M, pts)
-    return lambda coeffs: Y.T @ coeffs
-
-
-# ---------------------------------------------------------------------------
 # analysis and the regularized fit
 
 
@@ -181,22 +168,23 @@ def _require_exactness(rule: CubatureRule, M: int) -> None:
         )
 
 
-def analyze(samples: SampleSet, M: int) -> HarmonicCoefficients:
+def analyze(samples: SampleSet, M: int, *, plan=None) -> HarmonicCoefficients:
     """Discrete Fourier coefficients gamma_{k,j} = sum_i w_i Y_{k,j}(x_i) y_i.
 
     On a rule exact to degree 2M this is the orthogonal projection of the
     sampled function onto the degree-M polynomials (hyperinterpolation), and
-    reproduces every polynomial of degree <= M from its samples.
+    reproduces every polynomial of degree <= M from its samples.  `plan`, a
+    `_Plan`, lends its ring table.
     """
     M = _degree(M)
     _require_exactness(samples.rule, M)
+    plan = _plan_for(plan, samples.rule, M)
     coeffs = samples._analyses.get(M)
     if coeffs is None:
-        rule = samples.rule
-        if rule.rings is not None:
-            values = _rings.analysis(rule.rings, M, samples.values)
+        if plan.table is not None:
+            values = _rings.analysis(plan.table, samples.values)
         else:
-            values = sph_harm_matrix(M, rule.points) @ (rule.weights * samples.values)
+            values = sph_harm_matrix(M, plan.rule.points) @ (plan.rule.weights * samples.values)
         coeffs = samples._analyses[M] = HarmonicCoefficients(M, values)
     return coeffs
 
@@ -216,15 +204,15 @@ def _kernel_coefficients(M: int, alpha: float, beta: PenalizationWeights) -> np.
 
 
 def regularized_fit(
-    samples: SampleSet, M: int, alpha: float, beta: PenalizationWeights
+    samples: SampleSet, M: int, alpha: float, beta: PenalizationWeights, *, plan=None
 ) -> HarmonicCoefficients:
     """Closed-form solution of the weighted regularized least-squares problem.
 
     gamma_{k,j} = (1/(1 + alpha*beta_k^2)) sum_i w_i Y_{k,j}(x_i) y_i,
-    i.e. the analysis coefficients passed through the degree filter.
+    i.e. the analysis coefficients (`analyze`, given `plan`) through the degree filter.
     """
     factors = expand_by_degree(filter_factors(M, alpha, beta))
-    plain = analyze(samples, M)
+    plain = analyze(samples, M, plan=plan)
     return HarmonicCoefficients(M, factors * plain.values)
 
 
@@ -263,8 +251,7 @@ def regularized_fit_via_solver(
 
 def evaluate(coeffs: HarmonicCoefficients, x) -> float:
     """Value of the polynomial sum_{k,j} gamma_{k,j} Y_{k,j} at one point."""
-    # the dense path: a one-point ring table would evict a rule's from the memo
-    return float(_synthesizer(coeffs.degree_M, _one_point(x), None)(coeffs.values)[0])
+    return float((sph_harm_matrix(coeffs.degree_M, _one_point(x)).T @ coeffs.values)[0])
 
 
 def evaluate_grid(coeffs: HarmonicCoefficients, points) -> np.ndarray:
@@ -276,7 +263,10 @@ def evaluate_grid(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     pts = as_unit_vectors(points)
     if pts.shape[0] == 0:
         return np.empty(0)
-    return _synthesizer(coeffs.degree_M, pts, _rings.ring_layout(pts))(coeffs.values)
+    rings = _rings.ring_layout(pts)
+    if rings is not None:
+        return _rings.synthesis(_rings.ring_table(coeffs.degree_M, rings), coeffs.values)
+    return sph_harm_matrix(coeffs.degree_M, pts).T @ coeffs.values
 
 
 def evaluate_kernel_form(
@@ -355,9 +345,7 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
     return S
 
 
-def _norm_oracle(
-    rule: CubatureRule, M: int, probe_rings: _rings.RingLayout | None, bound: str, probes=None
-):
+def _norm_oracle(rule: CubatureRule, M: int, probe_rings, bound: str, probes=None, tables=None):
     """Map from filter factors f_0..f_M (f >= 0 for ``grid-abs``) to the
     `bound` on the sup norm of the fit operator over the rule: for ``crude``
     sum_k (2k+1) f_k; else, with c_k = (2k+1) f_k / (4 pi), the maximum over
@@ -369,12 +357,12 @@ def _norm_oracle(
     classified here and only here (`_rings.probe_classes`).  On product
     grids the sums agree within a class, so only the ring x azimuth block of
     class representatives is evaluated: ``grid`` by the addition theorem on
-    each call, ``grid-abs`` as one `weighted_abs_legendre_sums` row per
-    class, built once at points formed from the layout.  On a balancing
-    walk's layout (`params._probe_rings`) the block holds 2(M+1) probes at
-    the default resolution 2M, against (M+1)^2 on probe_grid(2M).  Other
-    rules keep every probe, through `_kernel_blocks`, formed from the layout
-    unless given.  Either way the maximum is over the full probe set.
+    each call, from the ring tables of the rule and the probes (`tables`,
+    lent by a `_Plan`, else built here), ``grid-abs`` as one
+    `weighted_abs_legendre_sums` row per class, built once at points formed
+    from the layout.  Other rules keep every probe, through `_kernel_blocks`,
+    formed from the layout unless given.  Either way the maximum is over the
+    full probe set.
     """
     weight = 2 * np.arange(M + 1) + 1
     if bound == "crude":
@@ -384,7 +372,8 @@ def _norm_oracle(
     if classes is not None:
         rings, azimuths = classes
         if bound == "grid":
-            block = (rule.rings, probe_rings, rings, azimuths)
+            tables = tables or (_rings.ring_table(M, rule.rings), _rings.ring_table(M, probe_rings))
+            block = (*tables, rings, azimuths)
             return lambda f: float(_rings.weighted_abs_kernel_sums(*block, scale * f).max())
         probes = _rings.ring_points(probe_rings.meridian[rings], probe_rings.azimuths, azimuths)
     elif probes is None:
@@ -416,11 +405,8 @@ def operator_norm_bound(
         sum_i w_i |sum_k (2k+1)/(4 pi (1+alpha*beta_k^2)) P_k(x . x_i)|,
     a lower bound on the true sup norm that sharpens with the probe grid;
     crude_upper = sum_k (2k+1)/(1+alpha*beta_k^2) >= estimate always.
-    When the rule and the probes are product grids, the kernel sums come
-    from the addition theorem, one matrix product per probe ring, at one
-    probe per symmetry class; no Legendre value at a (probe, node) pair is
-    formed.  Either way the estimate is the maximum over the full probe set,
-    of any kind; `fit` takes the walk's `grid` oracle on its probe layout.
+    The sums come from `_norm_oracle`, at one probe per symmetry class by
+    the addition theorem when the rule and the probes are product grids.
     """
     _require_exactness(rule, M)
     pts = as_unit_vectors(probes)
@@ -433,9 +419,74 @@ def operator_norm_bound(
     return NormBound(estimate=min(est, crude), crude_upper=crude)
 
 
-def default_probe_resolution(M: int) -> int:
-    """Probe-grid resolution used for sup norms when none is requested."""
-    return max(1, 2 * M)
+# ---------------------------------------------------------------------------
+# transform plans: the operators many fits on one rule share
+
+
+def _probe_rings(rule: CubatureRule, resolution: int) -> _rings.RingLayout:
+    """The one probe layout of a balancing walk: the rings of
+    probe_grid(resolution), formed from its Gauss-Legendre nodes alone.  On
+    a product rule with A azimuths per ring it takes the smallest multiple
+    of A no coarser than the probe grid's 2(resolution+1), so the rule's
+    symmetries map the probes to themselves: on gauss_legendre_rule(M) at
+    resolution 2M, 2(M+1) probe classes remain, against (M+1)^2 on
+    probe_grid(2M).  Other rules keep the probe grid's azimuths."""
+    t = gauss_legendre_nodes(resolution + 1)[0]
+    meridian = np.column_stack([np.sqrt(1.0 - t * t), np.zeros_like(t), t])
+    meridian.setflags(write=False)
+    azimuths = 2 * (resolution + 1)
+    if rule.rings is not None:
+        A = rule.rings.azimuths
+        azimuths = A * -(-azimuths // A)
+    return _rings.RingLayout(meridian, None, azimuths)
+
+
+class _Plan:
+    """What the analyses, walks, fits and norm oracles on one rule share at
+    degree M and one probe resolution, each part built on first use: the
+    rule's `_rings.ring_table` (None for a rule without rings), the walk's
+    `_probe_rings` with their table, and each bound's `_norm_oracle` on
+    them.  Like the plans of SHTns and FFTW, one per (degree, grid), made
+    and dropped by the caller that runs many fits on the rule."""
+
+    def __init__(self, rule: CubatureRule, M: int, resolution: int | None = None):
+        self.rule, self.M, self.resolution = rule, M, resolution
+        self.probe_rings = None if resolution is None else _probe_rings(rule, resolution)
+        self._norms = {}
+
+    @functools.cached_property
+    def table(self):
+        rings = self.rule.rings
+        return None if rings is None else _rings.ring_table(self.M, rings)
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values at the rule's nodes of the degree-M flat coefficients."""
+        if self.table is None:
+            return sph_harm_matrix(self.M, self.rule.points).T @ coeffs
+        return _rings.synthesis(self.table, coeffs)
+
+    @functools.cached_property
+    def probe_table(self):
+        return _rings.ring_table(self.M, self.probe_rings)
+
+    def norm(self, bound: str):
+        if bound not in self._norms:
+            tables = (self.table, self.probe_table) if bound == "grid" else None
+            oracle = _norm_oracle(self.rule, self.M, self.probe_rings, bound, tables=tables)
+            self._norms[bound] = oracle
+        return self._norms[bound]
+
+
+def _plan_for(plan: _Plan | None, rule: CubatureRule, M: int, resolution: int | None = None):
+    """`plan`, refused unless made for this rule object, degree and (when
+    given) probe resolution; else a new plan, so no result depends on it."""
+    if plan is None:
+        return _Plan(rule, M, resolution)
+    made = {"rule": plan.rule, "degree": plan.M, "probe resolution": plan.resolution}
+    for (name, built), wanted in zip(made.items(), (rule, M, resolution)):
+        if wanted is not None and built != wanted:
+            raise ValueError(f"the plan was made for another {name}")
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +533,16 @@ def penalized_functional(
     coeffs: HarmonicCoefficients,
     alpha: float,
     beta: PenalizationWeights,
+    *,
+    plan=None,
 ) -> float:
     """Weighted data misfit plus alpha times the weighted coefficient norm.
 
     sum_i w_i (p(x_i) - y_i)^2 + alpha * rkhs_norm_sq(p), with p evaluated
-    from the coefficients at the rule nodes.
+    from the coefficients at the rule nodes, by `plan` (a `_Plan`) if given.
     """
     rule = samples.rule
-    p_at_nodes = _synthesizer(coeffs.degree_M, rule.points, rule.rings)(coeffs.values)
+    p_at_nodes = _plan_for(plan, rule, coeffs.degree_M).synthesize(coeffs.values)
     resid = p_at_nodes - samples.values
     return float(rule.weights @ (resid * resid)) + alpha * rkhs_norm_sq(coeffs, beta)
 

@@ -181,7 +181,7 @@ def cmd_gen_rule(settings: dict) -> int:
 
 def cmd_fit(settings: dict) -> int:
     M, alpha, use_bp = settings["degree"], settings["alpha"], settings["bp"]
-    noise_level, probe_resolution = settings["noise-level"], settings["probe-resolution"]
+    noise_level = settings["noise-level"]
     out_dir = Path(settings["out"])
     if settings["samples"] is None:
         raise ValueError("fit needs a samples file (--samples)")
@@ -204,15 +204,15 @@ def cmd_fit(settings: dict) -> int:
     bp_cfg = params.BalancingConfig(
         alpha0=settings["grid-anchor"], q=settings["grid-ratio"], L=settings["grid-len"],
         omega=settings["omega"], delta=0.0 if noise_level is None else noise_level,
-        probe_resolution=probe_resolution, norm_bound=settings["norm-bound"],
+        probe_resolution=settings["probe-resolution"], norm_bound=settings["norm-bound"],
     )
-    if probe_resolution is None:
-        probe_resolution = approx.default_probe_resolution(M)
+    # the walk, the norm estimate and the functional share one plan of the rule
+    plan = approx._Plan(rule, M, bp_cfg.resolution(M))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"degree": M, "beta": settings["beta"]}
     if use_bp:
-        bres = params.balancing_principle(samples, M, beta, bp_cfg)
+        bres = params.balancing_principle(samples, M, beta, bp_cfg, plan=plan)
         alpha = bres.alpha_star
         trace_path = out_dir / "bp_trace.csv"
         params.save_bp_trace(bres, trace_path)
@@ -227,18 +227,18 @@ def cmd_fit(settings: dict) -> int:
     else:
         summary.update(alpha_source="fixed", alpha=alpha)
 
-    gamma = approx.regularized_fit(samples, M, alpha, beta)
+    gamma = approx.regularized_fit(samples, M, alpha, beta, plan=plan)
     coeff_path = out_dir / "coefficients.csv"
     approx.save_coefficients(gamma, coeff_path)
 
-    # the walk's memoized `grid` oracle, clamped as in operator_norm_bound
-    sup = params._probe_norm(rule, M, probe_resolution, "grid")
+    # the plan's `grid` oracle, clamped as in operator_norm_bound
+    sup = plan.norm("grid")
     crude = approx.crude_norm_upper(M, alpha, beta)
     summary.update(
         coefficients=coeff_path.name,
         norm_estimate=min(sup(approx.filter_factors(M, alpha, beta)), crude),
         norm_crude_upper=crude,
-        functional=approx.penalized_functional(samples, gamma, alpha, beta),
+        functional=approx.penalized_functional(samples, gamma, alpha, beta, plan=plan),
     )
     summary_path = out_dir / "fit_summary.json"
     write_json(summary, summary_path)

@@ -32,8 +32,8 @@ class CubatureRule:
     exact for all spherical polynomials of degree <= 2*degree_M.  `rings`
     holds the ring layout when the rule is a product grid (ring transform
     for analysis), else None (dense harmonic matrix).  Rules compare and
-    hash by identity, so a rule can key a memo of tables built from it; two
-    rules made from equal arrays are different rules.
+    hash by identity, so a plan (`approx._Plan`) knows the rule it was made
+    for; two rules made from equal arrays are different rules.
     """
 
     degree_M: int

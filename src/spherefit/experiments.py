@@ -19,9 +19,8 @@ from ._files import write_csv, write_json
 from .approx import (
     HarmonicCoefficients,
     SampleSet,
-    _synthesizer,
+    _Plan,
     analyze,
-    evaluate_grid,
     expand_by_degree,
     regularized_fit,
 )
@@ -290,6 +289,7 @@ def run_experiment_1(seed: int = 0, simulations: int | None = None):
     seed, M, simulations = config["seed"], config["degree"], config["simulations"]
     rule = gauss_legendre_rule(M)
     bp_cfg = _bp_config(config, config["noise_level"])
+    plan = _Plan(rule, M, bp_cfg.resolution(M))
     grid = bp_cfg.grid()
     beta_one = weights_ones(M)
     b2_one = expand_by_degree(beta_one.beta**2)
@@ -299,12 +299,12 @@ def run_experiment_1(seed: int = 0, simulations: int | None = None):
     reports = []
     for sim in range(simulations):
         model, y_coeffs = sgg_generate(M, config["decay"], [seed, sim, 0])
-        clean = evaluate_grid(y_coeffs, rule.points)
+        clean = plan.synthesize(y_coeffs.values)
         noisy, eps_sup = add_noise(
             clean, NoiseSpec("uniform_supnorm", config["noise_level"], [seed, sim, 1])
         )
         samples = SampleSet(rule, noisy)
-        gamma_hat = analyze(samples, M)
+        gamma_hat = analyze(samples, M, plan=plan)
         a_flat = expand_by_degree(model.a)
         g_true = model.g_true
 
@@ -313,7 +313,7 @@ def run_experiment_1(seed: int = 0, simulations: int | None = None):
 
         err_a = relative_error_l2(sgg_recover(gamma_hat, model), g_true)
 
-        bres = balancing_principle(samples, M, beta_sgg, bp_cfg)
+        bres = balancing_principle(samples, M, beta_sgg, bp_cfg, plan=plan)
         rec_b = sgg_recover(regularized_fit(samples, M, bres.alpha_star, beta_sgg), model)
         err_b = relative_error_l2(rec_b, g_true)
 
@@ -370,15 +370,17 @@ def run_experiment_2(seed: int = 0):
     noisy, eps_sup = add_noise(clean, NoiseSpec("gaussian", config["noise_level"], [seed, 0]))
     samples = SampleSet(rule, noisy)
     beta = weights_laplace_beltrami(M)
-    bres = balancing_principle(samples, M, beta, _bp_config(config, eps_sup))
+    bp_cfg = _bp_config(config, eps_sup)
+    plan = _Plan(rule, M, bp_cfg.resolution(M))
+    bres = balancing_principle(samples, M, beta, bp_cfg, plan=plan)
     gamma = regularized_fit(samples, M, bres.alpha_star, beta)
 
     probe_rule = gauss_legendre_rule(2 * M)
     truth_probe = franke_cap_eval(probe_rule.points)
-    rec_probe = _synthesizer(M, probe_rule.points, probe_rule.rings)(gamma.values)
+    rec_probe = _Plan(probe_rule, M).synthesize(gamma.values)
     sup_error = float(np.abs(rec_probe - truth_probe).max())
     rel_error = _weighted_l2_rel_error(probe_rule, rec_probe, truth_probe)
-    rec_nodes = evaluate_grid(gamma, rule.points)
+    rec_nodes = plan.synthesize(gamma.values)
 
     report = ExperimentReport(
         run_id="exp2",
@@ -441,13 +443,16 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
         box=tuple(tuple(b) for b in config["search_box"]),
         seed=search_seed,
     )
-    selection = kernel_select(sel_samples, M, search, _bp_config(config, sel_eps))
+    sel_cfg = _bp_config(config, sel_eps)
+    # the search and every walk and fit below share one plan of the rule
+    plan = _Plan(rule, M, sel_cfg.resolution(M))
+    selection = kernel_select(sel_samples, M, search, sel_cfg, plan=plan)
     beta_sel = weights_from_kernel_params(M, selection.best)
     beta_lb = weights_laplace_beltrami(M)
 
     probe_rule = gauss_legendre_rule(2 * M)
     truth_probe = franke_cap_eval(probe_rule.points)
-    synthesize_probes = _synthesizer(M, probe_rule.points, probe_rule.rings)
+    synthesize_probes = _Plan(probe_rule, M).synthesize
 
     methods = {"laplace-beltrami+bp": beta_lb, "selected-kernel+bp": beta_sel}
     errors = {m: np.empty(simulations) for m in methods}
@@ -458,7 +463,7 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
         )
         samples = SampleSet(rule, noisy)
         for method, beta in methods.items():
-            bres = balancing_principle(samples, M, beta, _bp_config(config, eps_sup))
+            bres = balancing_principle(samples, M, beta, _bp_config(config, eps_sup), plan=plan)
             gamma = regularized_fit(samples, M, bres.alpha_star, beta)
             rec_probe = synthesize_probes(gamma.values)
             err = _weighted_l2_rel_error(probe_rule, rec_probe, truth_probe)

@@ -9,7 +9,6 @@ by repeated Random Search.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,14 +19,12 @@ from ._files import write_csv
 from .approx import (
     PenalizationWeights,
     SampleSet,
-    _norm_oracle,
+    _plan_for,
     analyze,
-    default_probe_resolution,
     filter_factors,
     penalized_functional,
     regularized_fit,
 )
-from .cubature import gauss_legendre_rule
 from .harmonics import _whole_number
 
 NORM_BOUND_KINDS = ("grid", "grid-abs", "crude")
@@ -42,8 +39,8 @@ class BalancingConfig:
     the assumed sup-norm of the data noise.  `probe_resolution` sets the
     walk's one probe layout (twice the fit degree when omitted): the rings
     of probe_grid(probe_resolution) at a multiple of the rule's azimuth
-    count (`_probe_rings`).  The step differences are sup norms on it, each
-    taken on half of every ring's azimuths (`_rings.degree_weighted_sup`),
+    count (`approx._probe_rings`).  The step differences are sup norms on
+    it, each on half of every ring's azimuths (`_rings.degree_weighted_sup`),
     and the operator norm a maximum on it.  `norm_bound` picks how that
     norm is computed:
 
@@ -90,6 +87,11 @@ class BalancingConfig:
     def grid(self) -> np.ndarray:
         """Candidate values alpha_1 > alpha_2 > ... > alpha_L."""
         return self.alpha0 * self.q ** np.arange(1, self.L + 1, dtype=float)
+
+    def resolution(self, M: int) -> int:
+        """The probe resolution of a walk at fit degree M: 2M unless given
+        (1 at M = 0)."""
+        return self.probe_resolution or max(1, 2 * M)
 
 
 @dataclass(frozen=True)
@@ -199,34 +201,8 @@ def weights_from_kernel_params(M: int, p: KernelParams) -> PenalizationWeights:
 # balancing principle
 
 
-def _probe_rings(rule, resolution: int) -> _rings.RingLayout:
-    """The one probe layout of a balancing walk: the rings of
-    probe_grid(resolution), without a scan or a point.  On a product rule
-    with A azimuths per ring it takes the smallest multiple of A no coarser
-    than the probe grid's 2(resolution+1), so the rule's symmetries map the
-    probes to themselves: on gauss_legendre_rule(M) at the default
-    resolution 2M, 2(M+1) probe classes remain, against (M+1)^2 on
-    probe_grid(2M).  Other rules keep the probe grid's azimuths."""
-    rings = gauss_legendre_rule(resolution).rings
-    azimuths = rings.azimuths
-    if rule.rings is not None:
-        A = rule.rings.azimuths
-        azimuths = A * -(-azimuths // A)
-    return _rings.RingLayout(rings.meridian, None, azimuths)
-
-
-@functools.lru_cache(maxsize=4)
-def _probe_norm(rule, M: int, resolution: int, bound: str):
-    """f -> the `bound` operator norm (`approx._norm_oracle`) at filter
-    factors f, on `_probe_rings(rule, resolution)`.  Memoized per rule
-    object (rules compare by identity), so the many balancing calls of a
-    kernel search on one rule, and `fit`'s norm estimate after its walk,
-    classify the probes and build the `grid-abs` table once."""
-    return _norm_oracle(rule, M, _probe_rings(rule, resolution), bound)
-
-
 def balancing_principle(
-    samples: SampleSet, M: int, beta: PenalizationWeights, cfg: BalancingConfig
+    samples: SampleSet, M: int, beta: PenalizationWeights, cfg: BalancingConfig, *, plan=None
 ) -> BalancingResult:
     """Pick the regularization parameter by balancing successive differences.
 
@@ -243,14 +219,16 @@ def balancing_principle(
     the cosine and sine halves of each probe ring on half its azimuths; no
     fit is synthesized.  The analysis is the one `analyze` keeps on the
     sample set, so the fit that follows reuses it.  The threshold's norm
-    is the memoized `cfg.norm_bound` oracle at f(alpha_{z+1}), on the same rings.
+    is the `cfg.norm_bound` oracle at f(alpha_{z+1}), on the same rings.
+    `plan`, an `approx._Plan`, lends the probe rings, their table and the
+    oracle.
     """
     filter_factors(M, 0.0, beta)  # checks the weights' degree
     alphas = cfg.grid()
-    resolution = cfg.probe_resolution or default_probe_resolution(M)
-    rings = _probe_rings(samples.rule, resolution)
-    step_sup = _rings.degree_weighted_sup(rings, M, analyze(samples, M).values)
-    norm = _probe_norm(samples.rule, M, resolution, cfg.norm_bound)
+    resolution = cfg.resolution(M)
+    plan = _plan_for(plan, samples.rule, M, resolution)
+    step_sup = _rings.degree_weighted_sup(plan.probe_table, analyze(samples, M, plan=plan).values)
+    norm = plan.norm(cfg.norm_bound)
     factors = 1.0 / (1.0 + np.multiply.outer(alphas, beta.beta**2))
     omega_delta = cfg.omega * cfg.delta
 
@@ -285,7 +263,7 @@ def save_bp_trace(result: BalancingResult, path) -> None:
 
 
 def kernel_select(
-    samples: SampleSet, M: int, search: RandomSearchConfig, bp: BalancingConfig
+    samples: SampleSet, M: int, search: RandomSearchConfig, bp: BalancingConfig, *, plan=None
 ) -> KernelSelectResult:
     """Select weight-family rates by repeated Random Search.
 
@@ -294,7 +272,9 @@ def kernel_select(
     balancing principle, functional evaluated at the resulting coefficients.
     Each run keeps the best of its uniform draws; the reported optimum is the
     coordinate-wise mean of the per-run winners, scored once more at the end.
+    Every walk and score shares one `approx._Plan`, `plan` when given.
     """
+    plan = _plan_for(plan, samples.rule, M, bp.resolution(M))
     (l1lo, l1hi), (l2lo, l2hi) = search.box
     scores: dict[tuple, float] = {}
 
@@ -302,9 +282,9 @@ def kernel_select(
         key = (p.lambda1, p.lambda2)
         if key not in scores:
             beta = weights_from_kernel_params(M, p)
-            bres = balancing_principle(samples, M, beta, bp)
+            bres = balancing_principle(samples, M, beta, bp, plan=plan)
             gamma = regularized_fit(samples, M, bres.alpha_star, beta)
-            scores[key] = penalized_functional(samples, gamma, bres.alpha_star, beta)
+            scores[key] = penalized_functional(samples, gamma, bres.alpha_star, beta, plan=plan)
         return scores[key]
 
     def draw(rng, lo, hi):

@@ -4,13 +4,13 @@ Prints, for M = 30, 60 and 120, on `gauss_legendre_rule(M)` with the default
 probe resolution 2M:
 
   * the wall time and the tracemalloc peak of one cold build of the
-    `grid-abs` norm oracle (`params._probe_norm`, which classifies the probes
-    of the walk's layout `params._probe_rings` and builds the table on one
-    probe per class), with the table's shape: what the `grid-abs` balancing
-    walk builds once per rule;
+    `grid-abs` norm oracle on a fresh plan (`approx._Plan.norm`, which
+    classifies the probes of the walk's layout `approx._probe_rings` and
+    builds the table on one probe per class), with the table's shape: what
+    the `grid-abs` balancing walk builds once per plan;
   * the wall time of one warm `grid` pass, the `grid` oracle evaluated once
-    more after a first evaluation has built the ring tables: what each step
-    of a `grid` walk costs;
+    more after the plan has built its ring tables and a first evaluation
+    has run: what each step of a `grid` walk costs;
   * the wall time and the tracemalloc peak of `evaluate_kernel_form` at the
     256 Fibonacci points the benchmark checks fits on.
 
@@ -19,9 +19,8 @@ M = 30 on the Gauss-Legendre rule under a random rotation, which has no ring
 layout: the pass sums the kernel over every node at each of the 7442 points
 of probe_grid(60), in the degree loop of `approx._kernel_blocks`.
 
-The rules and the probe grid are made before the clock starts, as the walk
-makes them before it builds the oracle, and the memo is bypassed.  Each
-wall time but the warm `grid` pass comes from a run without tracemalloc,
+The rules are made before the clock starts, as the walk's caller makes
+them before the walk builds the oracle.  Each wall time but the warm `grid` pass comes from a run without tracemalloc,
 which slows these loops by about a third; the peak, which counts every numpy
 array, from a second run.  The warm `grid` time is the minimum of REPEATS
 passes.
@@ -42,8 +41,8 @@ import tracemalloc
 import numpy as np
 
 from spherefit import _rings, approx, params
-from spherefit.approx import SampleSet, default_probe_resolution
-from spherefit.cubature import CubatureRule, gauss_legendre_rule, probe_grid
+from spherefit.approx import SampleSet
+from spherefit.cubature import CubatureRule, gauss_legendre_rule
 
 DEGREES = (30, 60, 120)
 REPEATS = 3
@@ -66,10 +65,9 @@ def cost(fn) -> tuple[float, float]:
 
 def build(M: int) -> tuple[float, float, tuple[int, int]]:
     """Wall seconds, tracemalloc peak in MB and table shape of one build."""
-    rule, resolution = gauss_legendre_rule(M), default_probe_resolution(M)
-    probe_grid(resolution)
-    seconds, peak = cost(lambda: params._probe_norm.__wrapped__(rule, M, resolution, "grid-abs"))
-    rings, azimuths = _rings.probe_classes(rule.rings, params._probe_rings(rule, resolution))
+    rule, resolution = gauss_legendre_rule(M), 2 * M
+    seconds, peak = cost(lambda: approx._Plan(rule, M, resolution).norm("grid-abs"))
+    rings, azimuths = _rings.probe_classes(rule.rings, approx._probe_rings(rule, resolution))
     return seconds, peak, (rings.size * azimuths.size, M + 1)
 
 
@@ -99,15 +97,14 @@ def rotated_grid_pass(M: int) -> tuple[float, float]:
     Q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
     rotated = CubatureRule(M, rule.points @ Q.T, rule.weights)
     assert rotated.rings is None
-    probe_grid(default_probe_resolution(M))
-    sup = params._probe_norm.__wrapped__(rotated, M, default_probe_resolution(M), "grid")
+    sup = approx._Plan(rotated, M, 2 * M).norm("grid")
     return cost(lambda: sup(np.ones(M + 1)))
 
 
 def grid_pass(M: int) -> float:
     """Wall seconds of one warm `grid` oracle evaluation, at alpha = 0."""
-    rule, resolution = gauss_legendre_rule(M), default_probe_resolution(M)
-    sup = params._probe_norm.__wrapped__(rule, M, resolution, "grid")
+    rule, resolution = gauss_legendre_rule(M), 2 * M
+    sup = approx._Plan(rule, M, resolution).norm("grid")
     factors = np.ones(M + 1)
     sup(factors)
     best = np.inf
@@ -136,7 +133,7 @@ def main(degrees) -> None:
     seconds, peak_mb = rotated_grid_pass(ROTATED_DEGREE)
     print(
         f"\nrotated gauss_legendre_rule({ROTATED_DEGREE}), one `grid` pass on "
-        f"probe_grid({default_probe_resolution(ROTATED_DEGREE)}): {seconds:.2f} s, "
+        f"probe_grid({2 * ROTATED_DEGREE}): {seconds:.2f} s, "
         f"tracemalloc peak {peak_mb:.1f} MB"
     )
 

@@ -1,11 +1,12 @@
 """Cost of the harmonic recurrence: ring-transform tables and dense matrices.
 
 Prints two tables.  The first gives, for M = 30, 60 and 120, the wall time
-and the tracemalloc peak of one cold build of the ring transform's Legendre
-table (`_rings._legendre_table`, memo bypassed) on the rings of
-`gauss_legendre_rule(M)` and on those of the default probe grid
-`probe_grid(2M)`: the two tables a fit at degree M builds before its first
-analysis and synthesis.  Beside each it gives the table's bytes and the
+and the tracemalloc peak of one build of the ring transform's tables
+(`_rings.ring_table`: the Legendre table and the cos / sin table of the
+azimuths) on the rings of `gauss_legendre_rule(M)` and on those of the
+default probe grid `probe_grid(2M)`: the two tables a balanced fit at degree
+M builds, in its plan, before its first analysis and walk step.  Beside
+each it gives the Legendre table's bytes and the
 (M+1)^2 R 8 bytes of a zero-padded (M+1, M+1, R) table on the same R rings.  The second gives the same for the dense
 `sph_harm_matrix` on a randomly rotated `gauss_legendre_rule(M)`, which has
 no ring layout, at the degrees up to 60, with the matrix's own size.  Wall times
@@ -54,7 +55,7 @@ def measure(build) -> tuple[float, float]:
 
 
 def table_build(M: int, rings: _rings.RingLayout):
-    return lambda: _rings._legendre_table.__wrapped__(M, rings.meridian.tobytes())
+    return lambda: _rings.ring_table(M, rings)
 
 
 def rotated_rule_points(M: int) -> np.ndarray:
@@ -71,7 +72,7 @@ def main(degrees) -> None:
             rings = gauss_legendre_rule(res).rings
             seconds, peak = measure(table_build(M, rings))
             R = rings.meridian.shape[0]
-            table = table_build(M, rings)()[0].nbytes / 1e6
+            table = table_build(M, rings)().P.nbytes / 1e6
             padded = (M + 1) ** 2 * R * 8 / 1e6
             print(
                 f"| {M} | {label} ({R}) | {1e3 * seconds:.2f} ms | {peak:.2f} MB "

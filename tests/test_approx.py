@@ -219,18 +219,17 @@ class TestEvaluate:
         assert evaluate_grid(coeffs, p)[0] == evaluate(coeffs, p)
         assert evaluate_grid(coeffs, np.empty((0, 3))).size == 0
 
-    def test_one_point_leaves_the_ring_table_memo_alone(self):
+    def test_one_point_on_the_meridian_matches_the_ring_transform(self):
         # a point on the phi = 0 meridian is a one-ring product set, but
-        # evaluate takes the dense path: a rule's memoized table survives
-        # any number of calls
+        # evaluate takes its dense column; points on the meridian, taken
+        # together, are rings of one azimuth for evaluate_grid
         rng = np.random.default_rng(8)
         M = 60
         coeffs = random_coeffs(M, rng)
         theta = rng.uniform(0.0, np.pi, 5)
         pts = np.stack([np.sin(theta), np.zeros(5), np.cos(theta)], axis=1)
-        before = _rings._legendre_table.cache_info()
+        assert _rings.ring_layout(pts).azimuths == 1
         values = np.array([evaluate(coeffs, p) for p in pts])
-        assert _rings._legendre_table.cache_info() == before
         assert rel_err(values, evaluate_grid(coeffs, pts)) <= 1e-13
 
     def test_odd_zonal_parity(self):
@@ -368,7 +367,7 @@ class TestRingTransform:
         ):
             Y = sph_harm_matrix(M, meridian)
             assert np.array_equal(Y.view(np.int64), sph_harm_matrix_loop(M, meridian).view(np.int64))
-            table = _rings._table(M, _rings.RingLayout(meridian, None, 1))
+            table = _rings.ring_table(M, _rings.RingLayout(meridian, None, 1))
             below, height = np.divmod(table.ring, table.P.shape[-1])
             # rows[q, i, 0, p, j]: the harmonic with cos(m phi) of order m
             # (slot i's own for p = 0, its partner's for p = 1) at position j
@@ -384,12 +383,13 @@ class TestRingTransform:
     def test_legendre_table_memory_at_degree_60(self):
         # the recurrence writes each degree into the table and adds no
         # table-sized intermediate: a cold build on the 121 probe rings of
-        # M = 60 peaks at 1.4 MB, the 0.94 MB table plus the index tables
-        # and a few vectors of the 61 ring heights
+        # M = 60 peaks at 1.9 MB, the 0.94 MB table plus the cos / sin
+        # table of the 242 azimuths, the index tables and a few vectors of
+        # the 61 ring heights
         rings = gauss_legendre_rule(120).rings
         tracemalloc.start()
         try:
-            _rings._legendre_table.__wrapped__(60, rings.meridian.tobytes())
+            _rings.ring_table(60, rings)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -521,10 +521,11 @@ class TestDegreeWeightedSup:
         assert _rings.mirrored(rings) == mirror
         c = rng.normal(size=(M + 1) ** 2)
         w = rng.normal(size=M + 1) * (rng.uniform(size=M + 1) < 0.7)
-        sup = _rings.degree_weighted_sup(rings, M, c)
+        table = _rings.ring_table(M, rings)
+        sup = _rings.degree_weighted_sup(table, c)
         # one helper serves any number of weight vectors
         for weights in (w, np.zeros(M + 1), w[::-1]):
-            expected = np.abs(_rings.synthesis(rings, M, c * expand_by_degree(weights))).max()
+            expected = np.abs(_rings.synthesis(table, c * expand_by_degree(weights))).max()
             assert abs(sup(weights) - expected) <= 1e-12 * expected
 
     def test_degree_120_on_probe_grid(self):
@@ -535,8 +536,9 @@ class TestDegreeWeightedSup:
         c = rng.normal(size=(M + 1) ** 2)
         w = rng.uniform(size=M + 1)
         w[::7] = 0.0
-        expected = np.abs(_rings.synthesis(rings, M, c * expand_by_degree(w))).max()
-        assert abs(_rings.degree_weighted_sup(rings, M, c)(w) - expected) <= 1e-12 * expected
+        table = _rings.ring_table(M, rings)
+        expected = np.abs(_rings.synthesis(table, c * expand_by_degree(w))).max()
+        assert abs(_rings.degree_weighted_sup(table, c)(w) - expected) <= 1e-12 * expected
 
 
 def random_ring_set(kind, rng):
@@ -567,6 +569,11 @@ def ring_set_layout(t, ring_weights, azimuths):
     return rings, _rings.ring_points(meridian, azimuths)
 
 
+def ring_tables(rule, probe_rings, M):
+    """The degree-M `ring_table`s of a product rule's rings and of probe rings."""
+    return _rings.ring_table(M, rule.rings), _rings.ring_table(M, probe_rings)
+
+
 class TestRingTablesAgainstDenseOracles:
     """Every reader of the ring tables (analysis, synthesis, the walk's
     `degree_weighted_sup` and the `grid` sums `weighted_abs_kernel_sums`)
@@ -594,11 +601,12 @@ class TestRingTablesAgainstDenseOracles:
         rings, points = ring_set_layout(*random_ring_set(kind, rng), azimuths)
         Y = sph_harm_matrix(M, points)
         c = rng.normal(size=(M + 1) ** 2)
-        assert rel_err(_rings.synthesis(rings, M, c), Y.T @ c) <= 1e-12
+        table = _rings.ring_table(M, rings)
+        assert rel_err(_rings.synthesis(table, c), Y.T @ c) <= 1e-12
         y = rng.normal(size=points.shape[0])
         weights = np.repeat(rings.weights, azimuths)
-        assert rel_err(_rings.analysis(rings, M, y), Y @ (weights * y)) <= 1e-12
-        sup = _rings.degree_weighted_sup(rings, M, c)
+        assert rel_err(_rings.analysis(table, y), Y @ (weights * y)) <= 1e-12
+        sup = _rings.degree_weighted_sup(table, c)
         for w in (rng.normal(size=M + 1), np.ones(M + 1)):
             expected = np.abs(Y.T @ (c * expand_by_degree(w))).max()
             assert abs(sup(w) - expected) <= 1e-12 * expected
@@ -608,15 +616,14 @@ class TestRingTablesAgainstDenseOracles:
         L = harmonics.legendre_matrix(M, np.clip(probes @ points.T, -1.0, 1.0))
         expected = np.abs(L @ coefs).reshape(probes.shape[0], -1) @ weights
         every = np.arange(probe_rings.meridian.shape[0]), np.arange(probe_azimuths)
-        fast = _rings.weighted_abs_kernel_sums(rings, probe_rings, *every, coefs)
+        fast = _rings.weighted_abs_kernel_sums(table, _rings.ring_table(M, probe_rings), *every, coefs)
         assert rel_err(fast.ravel(), expected) <= 1e-12
 
     def test_walk_probe_table_at_degree_120(self):
         # the probe rings of a degree-120 walk, 241 rings at 121 heights:
         # 7.2 MB, a quarter of (M+1)^2 values per ring
-        rule = gauss_legendre_rule(120)
-        meridian = params._probe_rings(rule, 240).meridian
-        assert _rings._legendre_table(120, meridian.tobytes())[0].nbytes <= 8e6
+        plan = approx._Plan(gauss_legendre_rule(120), 120, 240)
+        assert plan.probe_table.P.nbytes <= 8e6
 
     def test_grid_pass_memory_at_degree_120(self):
         # a warm `grid` pass holds one probe ring class's a_m(p, s) and kernel
@@ -624,7 +631,7 @@ class TestRingTablesAgainstDenseOracles:
         # every a_m (14 MB)
         M = 120
         rule = gauss_legendre_rule(M)
-        sup = approx._norm_oracle(rule, M, params._probe_rings(rule, 2 * M), "grid")
+        sup = approx._norm_oracle(rule, M, approx._probe_rings(rule, 2 * M), "grid")
         f = approx.filter_factors(M, 1e-4, params.weights_laplace_beltrami(M))
         sup(f)
         tracemalloc.start()
@@ -848,9 +855,9 @@ class TestSupNormReduction:
             sizes.append(t.size)
             return legendre_columns(k_max, t)
 
-        def recording(rule_rings, probe_rings, rings, azimuths, coefs):
+        def recording(rule_table, probe_table, rings, azimuths, coefs):
             probe_counts.append(rings.size * azimuths.size)
-            return kernel_sums(rule_rings, probe_rings, rings, azimuths, coefs)
+            return kernel_sums(rule_table, probe_table, rings, azimuths, coefs)
 
         monkeypatch.setattr(harmonics, "_legendre_columns", counting)
         monkeypatch.setattr(_rings, "weighted_abs_kernel_sums", recording)
@@ -943,7 +950,7 @@ class TestAdditionTheoremSupNorm:
         for f in rng.normal(size=(2, M + 1)):
             c = kernel_coefficients(f)
             reference = kernel_blocks_sums(rule, probes, c)
-            fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c)
+            fast = _rings.weighted_abs_kernel_sums(*ring_tables(rule, probe_rings, M), rings, azimuths, c)
             assert fast.shape == (rings.size, azimuths.size)
             assert rel_err(fast.ravel(), reference[reps]) <= 1e-12
             maximum = sup(f)
@@ -963,7 +970,7 @@ class TestAdditionTheoremSupNorm:
         beta = PenalizationWeights(M, k * (k + 1.0))
         for alpha in (0.0, 1e-6):
             c = (2 * k + 1) / FOUR_PI * approx.filter_factors(M, alpha, beta)
-            fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c)
+            fast = _rings.weighted_abs_kernel_sums(*ring_tables(rule, probe_rings, M), rings, azimuths, c)
             assert rel_err(fast.ravel(), kernel_blocks_sums(rule, probes[sample], c)) <= 1e-12
 
 
@@ -1104,7 +1111,7 @@ def record_table_points(monkeypatch):
 
 
 class TestInvariantProbeSet:
-    """The one probe layout of a balancing walk, `params._probe_rings`, and
+    """The one probe layout of a balancing walk, `approx._probe_rings`, and
     the norm oracle on it, against the full probe set the layout stands for."""
 
     @settings(max_examples=40, deadline=None)
@@ -1119,7 +1126,7 @@ class TestInvariantProbeSet:
         rng = np.random.default_rng(seed)
         rule = random_product_rule(kind, M, rng)
         probes = norm_probe_points(rule, resolution)
-        probe_rings = params._probe_rings(rule, resolution)
+        probe_rings = approx._probe_rings(rule, resolution)
         # the probe grid's rings at the smallest multiple of the rule's A
         # azimuths no coarser than the probe grid: the full set's layout
         A, Ap = rule.rings.azimuths, probe_rings.azimuths
@@ -1152,7 +1159,7 @@ class TestInvariantProbeSet:
         # representatives, so the table is the one built from the full set
         calls = record_table_points(monkeypatch)
         rule = gauss_legendre_rule(M)
-        probe_rings = params._probe_rings(rule, resolution)
+        probe_rings = approx._probe_rings(rule, resolution)
         approx._norm_oracle(rule, M, probe_rings, "grid-abs")
         rings, azimuths = _rings.probe_classes(rule.rings, probe_rings)
         full = norm_probe_points(rule, resolution)
@@ -1167,7 +1174,7 @@ class TestInvariantProbeSet:
         Q, _ = np.linalg.qr(np.random.default_rng(302).normal(size=(3, 3)))
         rotated = CubatureRule(M, rule.points @ Q.T, rule.weights)
         assert rotated.rings is None
-        probe_rings = params._probe_rings(rotated, resolution)
+        probe_rings = approx._probe_rings(rotated, resolution)
         assert probe_rings.azimuths == 2 * (resolution + 1)
         beta = params.weights_laplace_beltrami(M)
         f = approx.filter_factors(M, 1e-3, beta)
@@ -1185,7 +1192,7 @@ class TestInvariantProbeSet:
         M = 120
         rule = gauss_legendre_rule(M)
         probes = norm_probe_points(rule, 2 * M)
-        probe_rings = params._probe_rings(rule, 2 * M)
+        probe_rings = approx._probe_rings(rule, 2 * M)
         rings, azimuths = _rings.probe_classes(rule.rings, probe_rings)
         assert rings.size * azimuths.size == 2 * (M + 1)
         inverse = class_of_every_probe(rule.rings, probe_rings, rings, azimuths)
@@ -1195,7 +1202,7 @@ class TestInvariantProbeSet:
         k = np.arange(M + 1)
         beta = PenalizationWeights(M, k * (k + 1.0))
         c = (2 * k + 1) / FOUR_PI * approx.filter_factors(M, 1e-6, beta)
-        fast = _rings.weighted_abs_kernel_sums(rule.rings, probe_rings, rings, azimuths, c)
+        fast = _rings.weighted_abs_kernel_sums(*ring_tables(rule, probe_rings, M), rings, azimuths, c)
         assert rel_err(fast.ravel()[classes], kernel_blocks_sums(rule, probes[sample], c)) <= 1e-12
         reps = block_indices(probe_rings, rings, azimuths)[classes]
         rows = approx.weighted_abs_legendre_sums(rule, M, probes[reps])
@@ -1208,7 +1215,7 @@ class TestInvariantProbeSet:
         # rings; both bounds' maxima agree with that set's to 1e-4 relative
         # (3.4e-5 at most, at M = 60) and stay under the crude bound
         rule = gauss_legendre_rule(M)
-        probe_rings = params._probe_rings(rule, 2 * M)
+        probe_rings = approx._probe_rings(rule, 2 * M)
         fine_rings = _rings.RingLayout(probe_rings.meridian, None, 16 * probe_rings.azimuths)
         beta = params.weights_laplace_beltrami(M)
         for bound in ("grid", "grid-abs"):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from spherefit import (
-    CubatureRule, SampleSet, _rings, approx, evaluate_grid, gauss_legendre_nodes,
+    CubatureRule, SampleSet, _rings, approx, cubature, evaluate_grid, gauss_legendre_nodes,
     gauss_legendre_rule, load_coefficients, params, regularized_fit, save_rule,
 )
 from spherefit.cli import main
-from spherefit.experiments import franke_cap_eval, sgg_generate
+from spherefit.experiments import franke_cap_eval, run_experiment_3, sgg_generate
 
 
 def write_samples(path, values):
@@ -64,8 +64,8 @@ class TestFit:
         assert coeffs.degree_M == M
 
     def test_norm_estimate_is_the_walks_operator_norm(self, tmp_path):
-        # the estimate is the walk's memoized `grid` oracle on its probe
-        # layout (`params._probe_rings`), not the maximum on probe_grid(60),
+        # the estimate is the plan's `grid` oracle on the walk's probe
+        # layout (`approx._probe_rings`), not the maximum on probe_grid(60),
         # which differs in the sixth digit at this alpha
         M, alpha = 30, 6.805647338418785e-4
         rule = gauss_legendre_rule(M)
@@ -82,13 +82,13 @@ class TestFit:
         assert rc == 0
         summary = json.loads((out / "fit_summary.json").read_text())
         f = approx.filter_factors(M, alpha, params.weights_laplace_beltrami(M))
-        assert summary["norm_estimate"] == params._probe_norm(rule, M, 2 * M, "grid")(f)
+        assert summary["norm_estimate"] == approx._Plan(rule, M, 2 * M).norm("grid")(f)
 
     def test_grid_fit_classifies_its_probes_once(self, tmp_path, monkeypatch):
-        # the walk and the norm estimate share one memoized `grid` oracle on
-        # one probe layout, so a fresh `fit --bp` classifies the probes once
-        # and scans no point set for rings (the rule and the probe grid's
-        # rule found theirs when they were built)
+        # the walk and the norm estimate share one plan's `grid` oracle on
+        # one probe layout, so `fit --bp` classifies the probes once and
+        # scans no point set for rings (the rule found its own when it was
+        # built, and the walk forms its probe rings from the nodes)
         M = 30
         samples = tmp_path / "samples.csv"
         write_samples(samples, franke_cap_eval(gauss_legendre_rule(M).points))
@@ -99,7 +99,6 @@ class TestFit:
                 return _fn(*args)
 
             monkeypatch.setattr(_rings, name, counting)
-        params._probe_norm.cache_clear()
         rc = main(
             [
                 "fit", "--degree", str(M), "--samples", str(samples),
@@ -109,6 +108,28 @@ class TestFit:
         )
         assert rc == 0
         assert calls == {"ring_layout": 0, "probe_classes": 1}
+
+    def test_walk_makes_no_probe_rule(self, tmp_path, monkeypatch):
+        # the walk forms its probe rings from the Gauss-Legendre nodes: a
+        # `grid-abs` fit at M = 30 makes the rule gauss_legendre_rule(30)
+        # and no probe rule gauss_legendre_rule(60)
+        made, rule_cache = [], cubature._gl_rule_cached
+
+        def making(M):
+            made.append(M)
+            return rule_cache(M)
+
+        monkeypatch.setattr(cubature, "_gl_rule_cached", making)
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, franke_cap_eval(rule_cache(30).points))
+        rc = main(
+            [
+                "fit", "--degree", "30", "--samples", str(samples),
+                "--beta", "laplace-beltrami", "--bp", "--noise-level", "0.5",
+                "--norm-bound", "grid-abs", "--out", str(tmp_path / "fit"),
+            ]
+        )
+        assert rc == 0 and made == [30]
 
     def test_bp_writes_trace(self, tmp_path):
         M = 3
@@ -619,3 +640,61 @@ class TestParserHygiene:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code != 0
+
+
+class TestOnePlanPerRun:
+    """`fit` and an experiment driver share one plan across their walks,
+    fits and norm estimates: each ring table is built at most once per
+    (degree, rings, azimuth count), and the probes classified once per bound."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        tables, classified = [], []
+        ring_table, probe_classes = _rings.ring_table, _rings.probe_classes
+
+        def building(M, rings):
+            tables.append((M, rings.meridian.tobytes(), rings.azimuths))
+            return ring_table(M, rings)
+
+        def classifying(*args):
+            classified.append(args)
+            return probe_classes(*args)
+
+        monkeypatch.setattr(_rings, "ring_table", building)
+        monkeypatch.setattr(_rings, "probe_classes", classifying)
+        return tables, classified
+
+    @pytest.mark.parametrize(
+        "mode, bounds",
+        [
+            (["--bp", "--noise-level", "0.5", "--norm-bound", "grid"], 1),
+            (["--bp", "--noise-level", "0.5", "--norm-bound", "grid-abs"], 2),
+            (["--alpha", "1e-4"], 1),
+        ],
+    )
+    def test_fit(self, tmp_path, builds, mode, bounds):
+        # the rule's table and the probe rings' table; the `grid` estimate
+        # reuses a `grid` walk's oracle, and builds its own after a
+        # `grid-abs` walk or at a fixed alpha
+        M = 30
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, franke_cap_eval(gauss_legendre_rule(M).points))
+        rc = main(
+            [
+                "fit", "--degree", str(M), "--samples", str(samples),
+                "--beta", "laplace-beltrami", *mode, "--out", str(tmp_path / "fit"),
+            ]
+        )
+        tables, classified = builds
+        assert rc == 0
+        assert len(tables) == len(set(tables)) == 2
+        assert len(classified) == bounds
+
+    def test_experiment_3(self, builds):
+        # the rule's table, the walks' probe table on 4(M+1) azimuths and
+        # the probe rule's on 2(2M+1), over 105 walks and 101 scores
+        run_experiment_3(0, 2)
+        tables, classified = builds
+        assert len(tables) == len(set(tables)) == 3
+        assert sorted(azimuths for _, _, azimuths in tables) == [62, 122, 124]
+        assert len(classified) == 1

@@ -30,8 +30,8 @@ from spherefit.approx import expand_by_degree, filter_factors, weighted_abs_lege
 
 
 def walk_probe_points(rule, resolution):
-    """Every point of the walk's probe layout, `params._probe_rings`."""
-    rings = params._probe_rings(rule, resolution)
+    """Every point of the walk's probe layout, `approx._probe_rings`."""
+    rings = approx._probe_rings(rule, resolution)
     return _rings.ring_points(rings.meridian, rings.azimuths)
 
 
@@ -212,10 +212,10 @@ class TestBalancingPrinciple:
 
     def test_grid_walk_classifies_the_probes_once(self, monkeypatch):
         # the probe classes depend only on the rule and the probe grid, so a
-        # walk classifies the probes once, however many steps it takes, and a
-        # second walk on the same rule reuses the memoized oracle.  The walk
-        # takes the probe rings from the probe grid's (memoized) rule, which
-        # found them when it was built, so it scans for none; one
+        # walk classifies the probes once, however many steps it takes; a
+        # second walk given the first one's plan reuses its oracle, and one
+        # given none classifies them anew.  The walk forms its probe rings
+        # from the Gauss-Legendre nodes, so it scans for none; one
         # operator_norm_bound call on the layout's points as bare probes
         # scans and classifies once.
         calls = {"ring_layout": 0, "probe_classes": 0}
@@ -225,17 +225,19 @@ class TestBalancingPrinciple:
                 return _fn(*args)
 
             monkeypatch.setattr(_rings, name, counting)
-        params._probe_norm.cache_clear()
         s = noisy_samples(6, seed=12)
         beta = PenalizationWeights(6, np.arange(7.0) + 1)
         cfg = BalancingConfig(alpha0=2.0, q=0.5, L=6, omega=1e9, delta=1.0)
-        res = balancing_principle(s, 6, beta, cfg)
+        plan = approx._Plan(s.rule, 6, 12)
+        res = balancing_principle(s, 6, beta, cfg, plan=plan)
         assert len(res.trace) == cfg.L - 1
         assert calls == {"ring_layout": 0, "probe_classes": 1}
-        balancing_principle(s, 6, beta, cfg)
+        balancing_principle(s, 6, beta, cfg, plan=plan)
         assert calls == {"ring_layout": 0, "probe_classes": 1}
+        balancing_principle(s, 6, beta, cfg)
+        assert calls == {"ring_layout": 0, "probe_classes": 2}
         operator_norm_bound(s.rule, 6, 1e-3, beta, walk_probe_points(s.rule, 12))
-        assert calls == {"ring_layout": 1, "probe_classes": 2}
+        assert calls == {"ring_layout": 1, "probe_classes": 3}
 
     def test_norm_bound_variants_order(self):
         # grid <= grid-abs <= crude thresholds, step by step
@@ -298,12 +300,12 @@ class TestBalancingPrinciple:
         # so it takes probe_grid(10) and keeps every probe
         shapes = self.record_table_shapes(monkeypatch)
         rule = gauss_legendre_rule(30)
-        params._probe_norm.__wrapped__(rule, 30, 60, "grid-abs")
+        approx._Plan(rule, 30, 60).norm("grid-abs")
         assert shapes == [(62, 31)]
         rule = gauss_legendre_rule(5)
         perm = np.random.default_rng(10).permutation(rule.n_points)
         shuffled = CubatureRule(5, rule.points[perm], rule.weights[perm])
-        params._probe_norm.__wrapped__(shuffled, 5, 10, "grid-abs")
+        approx._Plan(shuffled, 5, 10).norm("grid-abs")
         assert shapes[1:] == [(probe_grid(10).shape[0], 6)]
 
     @staticmethod
@@ -323,7 +325,7 @@ class TestBalancingPrinciple:
         # probes as given and does not classify them
         calls = self.count_probe_classes(monkeypatch)
         rule = gauss_legendre_rule(10)
-        params._probe_norm.__wrapped__(rule, 10, 20, "grid-abs")
+        approx._Plan(rule, 10, 20).norm("grid-abs")
         assert len(calls) == 1
         assert weighted_abs_legendre_sums(rule, 10, probe_grid(20)).shape == (882, 11)
         assert len(calls) == 1
@@ -337,9 +339,9 @@ class TestBalancingPrinciple:
         calls = self.count_probe_classes(monkeypatch)
         shapes = self.record_table_shapes(monkeypatch)
         rule = gauss_legendre_rule(M)
-        sup = params._probe_norm.__wrapped__(rule, M, resolution, "grid-abs")
+        sup = approx._Plan(rule, M, resolution).norm("grid-abs")
         assert len(calls) == 1
-        rings, azimuths = _rings.probe_classes(rule.rings, params._probe_rings(rule, resolution))
+        rings, azimuths = _rings.probe_classes(rule.rings, approx._probe_rings(rule, resolution))
         assert azimuths.size == 1 and shapes == [(rings.size, M + 1)]
         c = (2 * np.arange(M + 1) + 1) / (4 * np.pi)
         full = weighted_abs_legendre_sums(rule, M, walk_probe_points(rule, resolution)) @ c
@@ -353,7 +355,7 @@ class TestBalancingPrinciple:
         rule = gauss_legendre_rule(60)
         tracemalloc.start()
         try:
-            params._probe_norm.__wrapped__(rule, 60, 120, "grid-abs")
+            approx._Plan(rule, 60, 120).norm("grid-abs")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -367,7 +369,7 @@ class TestBalancingPrinciple:
         rule = gauss_legendre_rule(60)
         tracemalloc.start()
         try:
-            params._probe_norm.__wrapped__(rule, 60, 120, "grid-abs")
+            approx._Plan(rule, 60, 120).norm("grid-abs")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,10 +380,9 @@ class TestBalancingPrinciple:
         # probe layout and peaks at 2.9 MB; forming the layout's 116 644
         # points as well (2.8 MB) takes the peak to 5.6 MB
         rule = gauss_legendre_rule(120)
-        gauss_legendre_rule(240)  # the probe rings' rule, made beforehand as by a walk
         tracemalloc.start()
         try:
-            params._probe_norm.__wrapped__(rule, 120, 240, "grid-abs")
+            approx._Plan(rule, 120, 240).norm("grid-abs")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -444,7 +445,8 @@ class TestWalkAgainstFullSynthesis:
         (alpha, difference, threshold, triggered) tuple."""
         alphas = cfg.grid()
         resolution = cfg.probe_resolution or 2 * M
-        rings = params._probe_rings(samples.rule, resolution)
+        rings = approx._probe_rings(samples.rule, resolution)
+        table = _rings.ring_table(M, rings)
         gamma = analyze(samples, M).values
         b2 = expand_by_degree(beta.beta**2)
         if cfg.norm_bound == "crude":
@@ -452,10 +454,10 @@ class TestWalkAgainstFullSynthesis:
         else:
             sup = approx._norm_oracle(samples.rule, M, rings, cfg.norm_bound)
             norm = lambda alpha: sup(filter_factors(M, alpha, beta))
-        fits = [_rings.synthesis(rings, M, gamma / (1.0 + alphas[cfg.L - 1] * b2))]
+        fits = [_rings.synthesis(table, gamma / (1.0 + alphas[cfg.L - 1] * b2))]
         steps, alpha_star, triggered = [], alphas[0], False
         for z in range(cfg.L - 2, -1, -1):
-            fits.append(_rings.synthesis(rings, M, gamma / (1.0 + alphas[z] * b2)))
+            fits.append(_rings.synthesis(table, gamma / (1.0 + alphas[z] * b2)))
             difference = float(np.abs(fits[-1] - fits[-2]).max())
             threshold = cfg.omega * cfg.delta * norm(alphas[z + 1])
             hit = difference > threshold
@@ -501,9 +503,10 @@ class TestOneAnalysisPerSampleSet:
         degrees = []
         analysis = _rings.analysis
 
-        def counting(rings, M, values):
-            degrees.append(M)
-            return analysis(rings, M, values)
+        def counting(table, values):
+            # the table holds one position per harmonic, (M+1)^2 of them
+            degrees.append(round(table.position.size**0.5) - 1)
+            return analysis(table, values)
 
         monkeypatch.setattr(_rings, "analysis", counting)
         return degrees
@@ -625,3 +628,88 @@ class TestKernelSelect:
         assert type(search.runs) is int and type(search.steps_per_run) is int
         s = noisy_samples(3, seed=14)
         assert len(kernel_select(s, 3, search, BalancingConfig(**self.BP)).per_run) == 2
+
+
+class TestPlan:
+    """One `approx._Plan` per (rule, degree, probe resolution): the tables
+    and oracles the walks and fits on one rule share, made by the caller,
+    passed on as `plan=`, and dropped when the caller returns."""
+
+    @pytest.mark.parametrize("resolution", [1, 2, 7, 60, 240])
+    def test_probe_rings_are_the_probe_grids_rings(self, resolution):
+        # formed from the Gauss-Legendre nodes alone, bit for bit the rings
+        # of probe_grid(resolution); a product rule's probe rings take a
+        # multiple of its 12 azimuths, a rule without rings the grid's own
+        rule = gauss_legendre_rule(5)
+        perm = np.random.default_rng(21).permutation(rule.n_points)
+        shuffled = CubatureRule(5, rule.points[perm], rule.weights[perm])
+        meridian = gauss_legendre_rule(resolution).rings.meridian
+        for r, azimuths in ((rule, 12 * -(-(resolution + 1) // 6)), (shuffled, 2 * (resolution + 1))):
+            rings = approx._probe_rings(r, resolution)
+            assert np.array_equal(rings.meridian.view(np.int64), meridian.view(np.int64))
+            assert rings.weights is None and rings.azimuths == azimuths
+
+    @pytest.mark.parametrize("field", ["rule", "degree", "probe resolution"])
+    def test_refuses_a_plan_made_for_another(self, field):
+        s = noisy_samples(4, seed=20)
+        twin = CubatureRule(4, s.rule.points, s.rule.weights)  # equal arrays, another rule
+        made_for = {"rule": (twin, 4, 8), "degree": (s.rule, 3, 8), "probe resolution": (s.rule, 4, 9)}
+        plan = approx._Plan(*made_for[field])
+        beta = weights_laplace_beltrami(4)
+        cfg = BalancingConfig(alpha0=2.0, q=0.5, L=4, omega=1.0, delta=0.1)
+        search = RandomSearchConfig(runs=1, steps_per_run=1)
+        calls = [
+            lambda: balancing_principle(s, 4, beta, cfg, plan=plan),
+            lambda: kernel_select(s, 4, search, cfg, plan=plan),
+        ]
+        if field != "probe resolution":
+            gamma = regularized_fit(s, 4, 0.1, beta)
+            calls += [
+                lambda: analyze(s, 4, plan=plan),
+                lambda: regularized_fit(s, 4, 0.1, beta, plan=plan),
+                lambda: approx.penalized_functional(s, gamma, 0.1, beta, plan=plan),
+            ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"plan was made for another {field}"):
+                call()
+
+    @pytest.mark.parametrize("bound", params.NORM_BOUND_KINDS)
+    def test_results_do_not_depend_on_the_plan(self, bound):
+        # the keyword selects no behaviour: a shared plan and a plan per
+        # call give the same walks, scores and search, bit for bit
+        M = 6
+        cfg = BalancingConfig(alpha0=8.0, q=0.8, L=20, omega=0.002, delta=0.5, norm_bound=bound)
+        search = RandomSearchConfig(runs=2, steps_per_run=2, box=((0, 3), (0, 3)), seed=5)
+        beta = weights_laplace_beltrami(M)
+        s = noisy_samples(M, seed=22)
+        plan = approx._Plan(s.rule, M, 2 * M)
+        alone = noisy_samples(M, seed=22)
+        shared = balancing_principle(s, M, beta, cfg, plan=plan)
+        own = balancing_principle(alone, M, beta, cfg)
+        assert shared.trace == own.trace and shared.alpha_star == own.alpha_star
+        gamma = regularized_fit(s, M, shared.alpha_star, beta)
+        assert approx.penalized_functional(s, gamma, 0.1, beta, plan=plan) == (
+            approx.penalized_functional(alone, gamma, 0.1, beta)
+        )
+        assert kernel_select(s, M, search, cfg, plan=plan) == kernel_select(alone, M, search, cfg)
+
+    @pytest.mark.parametrize("bound", ["grid", "grid-abs"])
+    def test_walk_frees_its_plan_on_return(self, bound):
+        # a walk given no plan makes its own and drops it: once it returns,
+        # with the analysis it kept on the sample set cleared, under 0.5 MB
+        # stays held: at most 11 kB measured at M = 60 and at M = 120, where
+        # module memos of the tables, the oracle and the probe rule held
+        # 3.0 MB and 17 MB
+        M = 60
+        s = noisy_samples(M, seed=23)
+        cfg = BalancingConfig(alpha0=8.0, q=0.8, L=60, omega=0.002, delta=0.5, norm_bound=bound)
+        beta = weights_laplace_beltrami(M)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            balancing_principle(s, M, beta, cfg)
+            s._analyses.clear()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 0.5e6

@@ -51,6 +51,21 @@ def test_public_names_are_pinned():
     assert set(out.split()) == PUBLIC_NAMES
 
 
+def test_no_memo_but_the_rule_cache():
+    # ring tables and norm oracles live in explicit plans, made and dropped
+    # by their callers; the one memo left holds Gauss-Legendre rules by degree
+    import spherefit.cli  # noqa: F401  (loads the one submodule the package leaves out)
+
+    memos = {
+        f"{name}.{attr}"
+        for name, module in vars(spherefit).items()
+        if type(module) is type(spherefit)
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    assert memos == {"cubature._gl_rule_cached"}
+
+
 # numpy is the only dependency: scipy cannot be imported, yet the package,
 # the CLI and the dense-solver cross-check all run
 NO_SCIPY = """

@@ -8,19 +8,18 @@ the Franke-plus-cap function at the nodes of gauss_legendre_rule(M),
 Gaussian noise of sigma 0.5 (seed 1) and Laplace-Beltrami weights.  The
 walk uses the `crude` bound, so a step is the difference of two successive
 fits in the probe-grid sup norm and nothing else.  Each walk is on a fresh
-`SampleSet`, so it includes one analysis; the ring tables are warm.  Wall
+`SampleSet`, so it includes one analysis; the walks share one plan
+(`approx._Plan`), so the ring tables are built once, before the clock.  Wall
 times are the minimum over at least REPEATS walks and MIN_SECONDS, without
 tracemalloc; the peak comes from one more walk.
 
 The second table gives, for one `run_experiment_3(seed, 50)` (seeds 0 and 1,
 the bench's reference size), its wall time, its walks and steps, the wall
 time of its walks per step (the `grid-abs` threshold included), and the
-tracemalloc peak of a second run.  The first seed's run also builds the
-memoized ring tables and the walk's `grid-abs` oracle.
+tracemalloc peak of a second run.  Each run builds its own plan: the ring
+tables and the walks' `grid-abs` oracle.
 
-Only the public API is used, so the same script times an older tree when
-its `src` comes first on the path.  Not collected by pytest (the name does
-not start with `test_`).  Run from the repository root (about 20 s; pass
+Not collected by pytest (the name does not start with `test_`).  Run from the repository root (about 20 s; pass
 degrees to run fewer, e.g. `30 60`):
 
     PYTHONPATH=src python tests/walk_step_timing.py [M ...]
@@ -37,6 +36,7 @@ import numpy as np
 from spherefit import (
     BalancingConfig,
     SampleSet,
+    approx,
     balancing_principle,
     experiments,
     gauss_legendre_rule,
@@ -77,7 +77,8 @@ def walk_table(degrees) -> None:
             alpha0=d["grid_anchor"], q=d["grid_ratio"], L=d["grid_len"], omega=1e12,
             delta=delta, norm_bound="crude",
         )
-        walk = lambda: balancing_principle(SampleSet(rule, noisy), M, beta, cfg)
+        plan = approx._Plan(rule, M, cfg.resolution(M))
+        walk = lambda: balancing_principle(SampleSet(rule, noisy), M, beta, cfg, plan=plan)
         steps = len(walk().trace)
         best, spent, runs = np.inf, 0.0, 0
         while runs < REPEATS or spent < MIN_SECONDS:
@@ -96,9 +97,9 @@ def exp3_table() -> None:
     walks = {"calls": 0, "steps": 0, "seconds": 0.0}
     inner = params.balancing_principle
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         t0 = time.perf_counter()
-        result = inner(*args)
+        result = inner(*args, **kwargs)
         walks["seconds"] += time.perf_counter() - t0
         walks["calls"] += 1
         walks["steps"] += len(result.trace)
