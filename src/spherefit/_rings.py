@@ -1,39 +1,37 @@
-"""Ring transform: fast analysis and synthesis on product grids.
+"""Harmonic transforms, chosen once per point set by `transform`: the ring
+transform on a product grid, else the harmonic matrix (`sph_harm_matrix`) one
+block of about `_BLOCK_BYTES` at a time, O(M^2 x block) memory instead of
+(M+1)^2 x N.  `analysis` and `synthesis` take either.
 
 A product grid stores R rings one after another.  Ring s holds A points
 (u_s cos phi_r, u_s sin phi_r, t_s) at the equispaced azimuths
-phi_r = 2 pi r / A, r = 0..A-1, and any weights are constant along a ring.
-Gauss-Legendre rules and probe grids are of this kind.
+phi_r = 2 pi r / A, and any weights are constant along a ring, as on
+Gauss-Legendre rules and probe grids.  A harmonic sum of degree M factors
+into sums along each ring against cos(m phi) and sin(m phi), m = 0..M, and,
+per order m, a product with that order's normalized Legendre values at the
+ring colatitudes (Driscoll & Healy 1994; Schaeffer, arXiv:1202.6522), for any
+A.  Both stages are matrix products here, O(M^3) time and memory where the
+dense matrix costs O(M^4); at A = 2(M+1), often twice a prime, they beat an
+FFT along the rings and a loop over the orders.
 
-A harmonic sum of degree M factors into sums along each ring against
-cos(m phi) and sin(m phi), m = 0..M, and, per order m, a product with that
-order's normalized Legendre values at the ring colatitudes (Driscoll & Healy
-1994; Schaeffer, arXiv:1202.6522), for any A: a product rule needs A > 2M
-to be exact, the transform does not.  Both stages are matrix products here,
-and cost O(M^3) time and memory where the dense harmonic matrix costs
-O(M^4).  At the degrees this package runs, a ring holds A = 2(M+1) points,
-often twice a prime, so the products beat an FFT along the rings and a loop
-over the orders.
-
-`ring_table` builds the operators of one (degree, rings, azimuth count),
+`ring_table` builds the ring operators of one (degree, rings, azimuth count),
 laid out as SHTns lays them out (`_RingTable`): per order m the degrees
 k >= m, split by the parity of k + m, once per ring height |t|, so a ring at
 t reads E + O from the even- and odd-degree sums E and O, and its mirror at
--t reads E - O.  On the probe rings of a degree-120 walk the Legendre table
-holds 7.2 MB, a quarter of a zero-padded one, and its values are the rows of
-`sph_harm_matrix` at the ring points bit for bit.  The table is kept
-nowhere: a caller that transforms on one rule many times holds it in a plan
-(`approx._Plan`), as SHTns keeps one configuration per (degree, grid).
-`analysis`, `synthesis`, the balancing walk's step `degree_weighted_sup`
-(the sup norm of a degree-weighted expansion, without synthesizing it) and
-the `grid` sums `weighted_abs_kernel_sums` read it.
+-t reads E - O.  The Legendre table holds 7.2 MB on the probe rings of a
+degree-120 walk, a quarter of a zero-padded one, and its values are those of
+`sph_harm_matrix` bit for bit.  A plan (`approx._Plan`) holds the transform
+of a rule, as SHTns keeps one configuration per (degree, grid).  The walk's
+step `degree_weighted_sup` (the sup norm of a degree-weighted expansion,
+without synthesizing it) and the `grid` sums `weighted_abs_kernel_sums` read
+ring tables only.
 
 `probe_classes` groups the probes at which the sup-norm kernel sums over a
 product rule agree into one ring x azimuth block, on which
 `weighted_abs_kernel_sums` evaluates the sums by the addition theorem, one
-probe ring at a time.  `antipodal_half` keeps one node of each antipodal
-pair of a mirrored rule for sums whose terms are even in x . x_i, such as
-the `grid-abs` table.
+probe ring at a time.  `antipodal_half` keeps one node of each antipodal pair
+of a mirrored rule for sums whose terms are even in x . x_i, such as the
+`grid-abs` table.
 """
 
 from __future__ import annotations
@@ -42,7 +40,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .harmonics import _SQRT2, FOUR_PI, _associated_legendre, basis_size
+from .harmonics import _SQRT2, FOUR_PI, _associated_legendre, basis_size, sph_harm_matrix
+
+# bytes of one block of the harmonic matrix (256-point blocks are slow at low M)
+_BLOCK_BYTES = 1 << 24
 
 # largest coordinate deviation from the ideal ring positions, and relative
 # weight deviation along a ring, still accepted as a product grid
@@ -218,9 +219,35 @@ def _by_order(sums: np.ndarray) -> np.ndarray:
     return sums.reshape(q, c * p, S, n).transpose(0, 2, 1, 3)
 
 
-def analysis(table: _RingTable, values: np.ndarray) -> np.ndarray:
+class _HarmonicBlocks(NamedTuple):
+    """Harmonic matrix of degree M on weighted or bare (None) points: `each_block(fn)`
+    yields fn(slice, matrix) per `chunk` points, so one block's matrix lives at a time."""
+
+    M: int
+    points: np.ndarray
+    weights: np.ndarray | None
+    chunk: int
+
+    def each_block(self, fn):
+        for lo in range(0, self.points.shape[0], self.chunk):
+            block = slice(lo, lo + self.chunk)
+            yield fn(block, sph_harm_matrix(self.M, self.points[block]))
+
+
+def transform(M: int, points: np.ndarray, rings: RingLayout | None, weights=None):
+    """The transform at degree M on these points: the `ring_table` of their
+    `rings` (`ring_layout`), else `_HarmonicBlocks` with these `weights`."""
+    if rings is not None:
+        return ring_table(M, rings)
+    return _HarmonicBlocks(M, points, weights, max(1, _BLOCK_BYTES // (8 * basis_size(M))))
+
+
+def analysis(table, values: np.ndarray) -> np.ndarray:
     """sum_i w_i Y_n(x_i) y_i for every flat index n of degree <= M, on the
-    grid of a `ring_table` of degree M with ring weights."""
+    points of a weighted `transform` of degree M."""
+    if isinstance(table, _HarmonicBlocks):
+        wy = table.weights * values
+        return sum(table.each_block(lambda block, Y: Y @ wy[block]))
     S, H, A = table.rows.shape[1], table.P.shape[-1], table.trig.shape[-1]
     # per height: the weighted values of its rings above and below, then
     # their sum and difference, and the sums against cos(m phi) and sin(m phi)
@@ -232,9 +259,11 @@ def analysis(table: _RingTable, values: np.ndarray) -> np.ndarray:
     return sums.ravel()[table.position]
 
 
-def synthesis(table: _RingTable, coeffs: np.ndarray) -> np.ndarray:
-    """Values at the grid points of a `ring_table` of degree M of the
-    degree-M expansion with these flat coefficients."""
+def synthesis(table, coeffs: np.ndarray) -> np.ndarray:
+    """Values at the points of a `transform` of degree M of the degree-M
+    expansion with these flat coefficients."""
+    if isinstance(table, _HarmonicBlocks):
+        return np.concatenate([np.empty(0), *table.each_block(lambda _, Y: Y.T @ coeffs)])
     (_, S, _, _, K), H = table.rows.shape, table.P.shape[-1]
     # per order and height: E and O, the amplitudes of cos(m phi) and sin(m phi)
     EO = np.empty((2, 2, 2, S, H))

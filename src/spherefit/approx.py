@@ -174,19 +174,14 @@ def analyze(samples: SampleSet, M: int, *, plan=None) -> HarmonicCoefficients:
     On a rule exact to degree 2M this is the orthogonal projection of the
     sampled function onto the degree-M polynomials (hyperinterpolation), and
     reproduces every polynomial of degree <= M from its samples.  `plan`, a
-    `_Plan`, lends its ring table.
+    `_Plan`, lends its transform.
     """
     M = _degree(M)
     _require_exactness(samples.rule, M)
     plan = _plan_for(plan, samples.rule, M)
-    coeffs = samples._analyses.get(M)
-    if coeffs is None:
-        if plan.table is not None:
-            values = _rings.analysis(plan.table, samples.values)
-        else:
-            values = sph_harm_matrix(M, plan.rule.points) @ (plan.rule.weights * samples.values)
-        coeffs = samples._analyses[M] = HarmonicCoefficients(M, values)
-    return coeffs
+    if M not in samples._analyses:
+        samples._analyses[M] = HarmonicCoefficients(M, _rings.analysis(plan.table, samples.values))
+    return samples._analyses[M]
 
 
 def filter_factors(M: int, alpha: float, beta: PenalizationWeights) -> np.ndarray:
@@ -251,22 +246,18 @@ def regularized_fit_via_solver(
 
 def evaluate(coeffs: HarmonicCoefficients, x) -> float:
     """Value of the polynomial sum_{k,j} gamma_{k,j} Y_{k,j} at one point."""
-    return float((sph_harm_matrix(coeffs.degree_M, _one_point(x)).T @ coeffs.values)[0])
+    return float(evaluate_grid(coeffs, _one_point(x))[0])
 
 
 def evaluate_grid(coeffs: HarmonicCoefficients, points) -> np.ndarray:
     """Polynomial values at many points; empty input gives an empty array.
 
-    Product grids (Gauss-Legendre rules, probe grids), whatever their
-    azimuth count, take the ring transform; other point sets the dense matrix.
+    Product grids, whatever their azimuth count, take the ring transform,
+    other point sets the blocked harmonic matrix (`_rings.transform`).
     """
     pts = as_unit_vectors(points)
-    if pts.shape[0] == 0:
-        return np.empty(0)
-    rings = _rings.ring_layout(pts)
-    if rings is not None:
-        return _rings.synthesis(_rings.ring_table(coeffs.degree_M, rings), coeffs.values)
-    return sph_harm_matrix(coeffs.degree_M, pts).T @ coeffs.values
+    table = _rings.transform(coeffs.degree_M, pts, _rings.ring_layout(pts))
+    return _rings.synthesis(table, coeffs.values)
 
 
 def evaluate_kernel_form(
@@ -444,10 +435,10 @@ def _probe_rings(rule: CubatureRule, resolution: int) -> _rings.RingLayout:
 class _Plan:
     """What the analyses, walks, fits and norm oracles on one rule share at
     degree M and one probe resolution, each part built on first use: the
-    rule's `_rings.ring_table` (None for a rule without rings), the walk's
-    `_probe_rings` with their table, and each bound's `_norm_oracle` on
-    them.  Like the plans of SHTns and FFTW, one per (degree, grid), made
-    and dropped by the caller that runs many fits on the rule."""
+    rule's `_rings.transform`, the walk's `_probe_rings` with their table,
+    and each bound's `_norm_oracle` on them.  Like the plans of SHTns and
+    FFTW, one per (degree, grid), made and dropped by the caller that runs
+    many fits on the rule."""
 
     def __init__(self, rule: CubatureRule, M: int, resolution: int | None = None):
         self.rule, self.M, self.resolution = rule, M, resolution
@@ -456,13 +447,10 @@ class _Plan:
 
     @functools.cached_property
     def table(self):
-        rings = self.rule.rings
-        return None if rings is None else _rings.ring_table(self.M, rings)
+        return _rings.transform(self.M, self.rule.points, self.rule.rings, self.rule.weights)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the rule's nodes of the degree-M flat coefficients."""
-        if self.table is None:
-            return sph_harm_matrix(self.M, self.rule.points).T @ coeffs
         return _rings.synthesis(self.table, coeffs)
 
     @functools.cached_property

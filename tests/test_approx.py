@@ -219,10 +219,12 @@ class TestEvaluate:
         assert evaluate_grid(coeffs, p)[0] == evaluate(coeffs, p)
         assert evaluate_grid(coeffs, np.empty((0, 3))).size == 0
 
-    def test_one_point_on_the_meridian_matches_the_ring_transform(self):
-        # a point on the phi = 0 meridian is a one-ring product set, but
-        # evaluate takes its dense column; points on the meridian, taken
-        # together, are rings of one azimuth for evaluate_grid
+    def test_one_point_on_the_meridian_matches_the_ring_transform(self, dense_calls):
+        # evaluate is evaluate_grid of one point: a point on the phi = 0
+        # meridian is a one-ring product set, and points on the meridian,
+        # taken together, are rings of one azimuth, so both take the ring
+        # transform and match the dense matrix; a point off the meridian
+        # takes one block of the harmonic matrix
         rng = np.random.default_rng(8)
         M = 60
         coeffs = random_coeffs(M, rng)
@@ -230,7 +232,13 @@ class TestEvaluate:
         pts = np.stack([np.sin(theta), np.zeros(5), np.cos(theta)], axis=1)
         assert _rings.ring_layout(pts).azimuths == 1
         values = np.array([evaluate(coeffs, p) for p in pts])
-        assert rel_err(values, evaluate_grid(coeffs, pts)) <= 1e-13
+        dense = sph_harm_matrix(M, pts).T @ coeffs.values
+        assert rel_err(values, dense) <= 1e-13
+        assert rel_err(evaluate_grid(coeffs, pts), dense) <= 1e-13
+        assert dense_calls == []
+        p = unit(0.1, -0.7, 0.9)
+        assert evaluate(coeffs, p) == (sph_harm_matrix(M, p).T @ coeffs.values)[0]
+        assert dense_calls == [M]
 
     def test_odd_zonal_parity(self):
         # odd-degree zonal harmonics flip sign at antipodes
@@ -273,15 +281,33 @@ def fibonacci_points(n):
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """Degrees of the dense harmonic matrices that approx builds."""
+    """Degrees of the harmonic matrix blocks that the transforms build, one
+    entry per block of points (`_rings._HarmonicBlocks`)."""
     calls = []
 
     def counting(M, pts):
         calls.append(M)
         return sph_harm_matrix(M, pts)
 
-    monkeypatch.setattr(approx, "sph_harm_matrix", counting)
+    monkeypatch.setattr(_rings, "sph_harm_matrix", counting)
     return calls
+
+
+def rotated_rule(M, seed=7):
+    """gauss_legendre_rule(M) under a random rotation: no product grid."""
+    rule = gauss_legendre_rule(M)
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    return CubatureRule(M, rule.points @ Q.T, rule.weights)
+
+
+def traced_peak(fn):
+    """tracemalloc peak in bytes of one call fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRingTransform:
@@ -403,9 +429,32 @@ class TestRingTransform:
         assert rule.rings is None
         c = random_coeffs(M, rng)
         y = rng.normal(size=300)
+        chunk = _rings.transform(M, pts, None).chunk
+        assert chunk >= 300
         assert np.array_equal(evaluate_grid(c, pts), sph_harm_matrix(M, pts).T @ c.values)
-        assert np.array_equal(analyze(SampleSet(rule, y), M).values, dense_analysis(M, rule, y, chunk=300))
+        assert np.array_equal(analyze(SampleSet(rule, y), M).values, dense_analysis(M, rule, y, chunk=chunk))
         assert dense_calls == [M, M]
+
+    def test_scattered_points_span_several_blocks(self, dense_calls):
+        # at M = 30 a point's harmonic column holds 7.7 KB, so a block of
+        # about 16 MB holds 2182 points and 5000 points take three blocks;
+        # the blocked transforms match the unblocked matrix to rounding, and
+        # the blocked oracle bit for bit
+        rng = np.random.default_rng(105)
+        M, n = 30, 5000
+        pts = fibonacci_points(n)
+        rule = CubatureRule(M, pts, np.full(n, 4 * np.pi / n))
+        chunk = _rings.transform(M, pts, None).chunk
+        blocks = -(-n // chunk)
+        assert blocks >= 2
+        c = random_coeffs(M, rng)
+        y = rng.normal(size=n)
+        Y = sph_harm_matrix(M, pts)
+        assert rel_err(evaluate_grid(c, pts), Y.T @ c.values) <= 1e-12
+        fast = analyze(SampleSet(rule, y), M).values
+        assert rel_err(fast, Y @ (rule.weights * y)) <= 1e-12
+        assert np.array_equal(fast, dense_analysis(M, rule, y, chunk=chunk))
+        assert dense_calls == [M] * (2 * blocks)
 
     def test_permuted_nodes_take_dense_path(self, dense_calls):
         rng = np.random.default_rng(102)
@@ -434,6 +483,18 @@ class TestRingTransform:
         fast = analyze(SampleSet(tilted, y), M).values
         assert rel_err(fast, dense_analysis(M, tilted, y)) <= 1e-12
         assert dense_calls == [M]
+
+    def test_blocked_transforms_memory_at_degree_60(self):
+        # a rotated gauss_legendre_rule(60) is no product grid: analysis and
+        # synthesis hold one block of about 16 MB of the harmonic matrix at
+        # a time (17 MB measured), not the whole 225 MB matrix
+        M = 60
+        rule = rotated_rule(M)
+        rng = np.random.default_rng(106)
+        samples = SampleSet(rule, rng.normal(size=rule.n_points))
+        c = random_coeffs(M, rng)
+        assert traced_peak(lambda: analyze(samples, M)) <= 32e6
+        assert traced_peak(lambda: evaluate_grid(c, rule.points)) <= 32e6
 
     def test_too_few_azimuths_take_ring_path(self, dense_calls):
         rng = np.random.default_rng(104)

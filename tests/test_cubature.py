@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from spherefit import (
     HarmonicCoefficients,
     PenalizationWeights,
     SampleSet,
+    _rings,
     analyze,
     approx,
+    cubature,
     gauss_legendre_nodes,
     gauss_legendre_rule,
     load_rule,
@@ -228,7 +232,7 @@ class TestSerialization:
         def no_dense(*args):
             raise AssertionError("dense harmonic matrix built for a product rule")
 
-        monkeypatch.setattr(approx, "sph_harm_matrix", no_dense)
+        monkeypatch.setattr(_rings, "sph_harm_matrix", no_dense)
         y = np.random.default_rng(3).normal(size=rule.n_points)
         assert np.array_equal(
             analyze(SampleSet(back, y), 9).values, analyze(SampleSet(rule, y), 9).values
@@ -257,6 +261,37 @@ class TestSerialization:
         assert load_rule(path, degree_M=3).rings is None
         with pytest.raises(ValueError, match="not exact to degree 8"):
             load_rule(path, degree_M=4)
+
+    @pytest.mark.parametrize("M", [3, 10])
+    def test_exactness_verdict_on_both_paths(self, tmp_path, M):
+        # the rule takes the ring analysis of the constant 1, a node-permuted
+        # copy (no product grid) the blocked harmonic matrix: both load at
+        # degree_M = M, and both are refused at M + 1 with the same message
+        rule = gauss_legendre_rule(M)
+        perm = np.random.default_rng(M).permutation(rule.n_points)
+        paths = [tmp_path / "ring.csv", tmp_path / "scattered.csv"]
+        save_rule(rule, paths[0])
+        save_rule(CubatureRule(M, rule.points[perm], rule.weights[perm]), paths[1])
+        ring, scattered = (load_rule(p, degree_M=M) for p in paths)
+        assert ring.rings is not None and scattered.rings is None
+        messages = []
+        for path in paths:
+            with pytest.raises(ValueError, match=f"not exact to degree {2 * M + 2}:") as refused:
+                load_rule(path, degree_M=M + 1)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+
+    def test_exactness_check_memory_at_degree_120(self):
+        # one ring analysis of degree 240 on the rule's rings, whose
+        # Legendre table holds 14 MB on the 61 ring heights: 21 MB measured
+        rule = gauss_legendre_rule(120)
+        tracemalloc.start()
+        try:
+            cubature._check_exactness(rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
 
     def test_swapped_columns_rejected(self, tmp_path):
         # read by position, this file loaded as the mirrored rule
