@@ -1,37 +1,23 @@
 """Harmonic transforms, chosen once per point set by `transform`: the ring
 transform on a product grid, else the harmonic matrix (`sph_harm_matrix`) one
-block of about `_BLOCK_BYTES` at a time, O(M^2 x block) memory instead of
-(M+1)^2 x N.  `analysis` and `synthesis` take either.
+block of about `_BLOCK_BYTES` at a time.  `analysis` and `synthesis` take
+either.
 
-A product grid stores R rings one after another.  Ring s holds A points
-(u_s cos phi_r, u_s sin phi_r, t_s) at the equispaced azimuths
-phi_r = 2 pi r / A, and any weights are constant along a ring, as on
-Gauss-Legendre rules and probe grids.  A harmonic sum of degree M factors
-into sums along each ring against cos(m phi) and sin(m phi), m = 0..M, and,
-per order m, a product with that order's normalized Legendre values at the
-ring colatitudes (Driscoll & Healy 1994; Schaeffer, arXiv:1202.6522), for any
-A.  Both stages are matrix products here, O(M^3) time and memory where the
-dense matrix costs O(M^4); at A = 2(M+1), often twice a prime, they beat an
-FFT along the rings and a loop over the orders.
+A product grid stores R rings of A points (u_s cos phi_r, u_s sin phi_r, t_s),
+phi_r = 2 pi r / A, one after another, with any weights constant along a
+ring.  A harmonic sum of degree M factors into sums along each ring against
+cos(m phi) and sin(m phi), m = 0..M, and, per order m, a product with that
+order's normalized Legendre values at the ring colatitudes (Driscoll & Healy
+1994; Schaeffer, arXiv:1202.6522), for any A: two matrix products, O(M^3)
+time and memory where the dense matrix costs O(M^4).
 
-`ring_table` builds the ring operators of one (degree, rings, azimuth count),
-laid out as SHTns lays them out (`_RingTable`): per order m the degrees
-k >= m, split by the parity of k + m, once per ring height |t|, so a ring at
-t reads E + O from the even- and odd-degree sums E and O, and its mirror at
--t reads E - O.  The Legendre table holds 7.2 MB on the probe rings of a
-degree-120 walk, a quarter of a zero-padded one, and its values are those of
-`sph_harm_matrix` bit for bit.  A plan (`approx._Plan`) holds the transform
-of a rule, as SHTns keeps one configuration per (degree, grid).  The walk's
-step `degree_weighted_sup` (the sup norm of a degree-weighted expansion,
-without synthesizing it) and the `grid` sums `weighted_abs_kernel_sums` read
-ring tables only.
-
-`probe_classes` groups the probes at which the sup-norm kernel sums over a
-product rule agree into one ring x azimuth block, on which
-`weighted_abs_kernel_sums` evaluates the sums by the addition theorem, one
-probe ring at a time.  `antipodal_half` keeps one node of each antipodal pair
-of a mirrored rule for sums whose terms are even in x . x_i, such as the
-`grid-abs` table.
+A `_RingTable` is laid out as SHTns lays it out, from three parts built
+apart: the `degree_layout` of M, the `legendre_part` of M and the ring
+heights, and the `trig_table` of M and the azimuth count.  `ring_table`
+builds all three; a plan (`approx._Plan`) builds the layout once and the
+Legendre part once per ring set, as SHTns keeps one configuration per
+(degree, grid).  The walk's step (`degree_weighted_sup`) and the `grid` sums
+(`weighted_abs_kernel_sums`) read ring tables only.
 """
 
 from __future__ import annotations
@@ -93,38 +79,46 @@ def ring_layout(points: np.ndarray, weights: np.ndarray | None = None) -> RingLa
     return RingLayout(meridian, ring_w, A)
 
 
-class _RingTable(NamedTuple):
-    """Operators of the ring transform at degree M on one set of rings.
+class _DegreeLayout(NamedTuple):
+    """Where each harmonic of degree <= M sits in a ring table.  The orders
+    pair up in S = M // 2 + 1 slots, order i with M' - i, M' = M | 1 (for
+    even M order 0 has the empty partner M + 1).  Split by the parity q of
+    k + m, a slot's degrees k >= m fill K even and K - 1 odd positions.
+    rows[q, i, c, p, j] is the flat index of the harmonic at position j of
+    parity q in slot i with azimuth factor cos (c = 0) or sin (c = 1) of the
+    slot's order (p = 0) or its partner (p = 1), else (M+1)^2, so
+    coefficients extended by one zero and indexed by rows line up with the
+    Legendre values.  `position` maps each flat index back into rows.ravel();
+    degree[q, i, 0, 0, j] is k."""
 
-    The orders pair up in S = M // 2 + 1 slots: slot i holds order i and its
-    partner M' - i, M' = M | 1 (for even M the partner of order 0 is the
-    empty order M + 1).  A slot holds M + 1 or M + 2 degrees k >= m, and
-    splitting them by the parity q of k + m gives K positions of even
-    parity and K - 1 of odd parity, however the degree; the last odd
-    position of each slot is zero.  The Legendre values are stored once per
-    ring height (u, |t|), since P_k^m(-t) = (-1)^(k+m) P_k^m(t).
-
-    P[q, i, j, h] is the value at height h of position j of parity q in slot
-    i: sqrt(2) Nbar P_k^m(|t|) for m > 0, Nbar P_k^0(|t|) for m = 0.
-    rows[q, i, c, p, j] is the flat index of the harmonic of degree k at
-    that position whose azimuth factor is cos (c = 0) or sin (c = 1) of the
-    slot's own order (p = 0) or of its partner (p = 1), and (M+1)^2 where
-    no such harmonic exists: coefficients extended by one zero and indexed
-    by rows line up with P, four rows per slot.  `position` maps each flat
-    index back into rows.ravel(), and degree[q, i, 0, 0, j] is k.  Ring s
-    lies at row ring[s] = side * H + height of the flattened (side, height)
-    axis: at one of the H heights, on side 0 (t >= 0), where the ring reads
-    E + O from the sums E and O over the even and the odd positions, or on
-    side 1 (t < 0), where it reads E - O.  The rows at which a ring lies
-    form one block `reached` of that axis.  trig[c, p * S + i] holds cos (c = 0) or sin
-    (c = 1) of m phi_j for the order m of slot i and member p, at the A ring
-    azimuths phi_j; the sums by order are laid out (c, p, i) to match.
-    `weights` are the ring weights of the layout (None for bare points)."""
-
-    P: np.ndarray
     rows: np.ndarray
     position: np.ndarray
     degree: np.ndarray
+
+
+class _LegendrePart(NamedTuple):
+    """Legendre values of a ring table, once per ring height (u, |t|), as
+    P_k^m(-t) = (-1)^(k+m) P_k^m(t).  P[q, i, j, h] is sqrt(2) Nbar P_k^m(|t|)
+    (Nbar P_k^0(|t|) for m = 0) of position j of parity q in slot i
+    (`_DegreeLayout`) at height h, 0 at empty positions.  Ring s lies at row
+    ring[s] = side * H + height of the (side, height) axis: side 0 (t >= 0)
+    reads E + O from the sums E, O over the even and odd positions, side 1
+    reads E - O.  The rows rings lie at form the block `reached`."""
+
+    P: np.ndarray
+    ring: np.ndarray
+    reached: slice
+
+
+class _RingTable(NamedTuple):
+    """Operators of the ring transform at degree M on one set of rings: the
+    `_DegreeLayout`, the `_LegendrePart`, the `trig_table` and the ring
+    weights (None for bare points)."""
+
+    rows: np.ndarray
+    position: np.ndarray
+    degree: np.ndarray
+    P: np.ndarray
     ring: np.ndarray
     reached: slice
     trig: np.ndarray
@@ -139,13 +133,11 @@ _SIDES = np.array([[1.0, 1.0], [1.0, -1.0]])
 def _heights(meridian: np.ndarray) -> tuple[np.ndarray, np.ndarray, slice]:
     """Ring heights (u, |t|) of the rings with these phi = 0 points.
 
-    The n-th ring at (u, t) and the n-th at (u, -t) share a height, so each
-    height holds at most one ring on each side of the equator.  Heights
+    The n-th ring at (u, t) and the n-th at (u, -t) share a height.  Heights
     with rings below the equator only come first, then those with rings on
-    both sides (a ring at t = 0 counts for both: E - O = E + O there), then
-    those with rings above only.  Returns the (H, 2) heights, each ring's
-    row side * H + height of the flattened (side, height) axis, and the
-    block of that axis that rings reach.
+    both sides (a ring at t = 0 counts for both), then those above only.
+    Returns the (H, 2) heights, each ring's row side * H + height, and the
+    block of rows that rings reach.
     """
     u, t = meridian[:, 0], meridian[:, 2]
     side = np.signbit(t).astype(np.intp)
@@ -168,13 +160,8 @@ def _heights(meridian: np.ndarray) -> tuple[np.ndarray, np.ndarray, slice]:
     return unique[rank, :2], side * H + new[height], reached
 
 
-def ring_table(M: int, rings: RingLayout) -> _RingTable:
-    """The operators of the ring transform at degree M on these rings (see
-    `_RingTable`), built anew on each call.  The Legendre values come from
-    `harmonics._associated_legendre` at the ring heights, bit for bit those
-    `sph_harm_matrix` gives at the ring points up to the sign (-1)^(k+m) on
-    the rings below the equator."""
-    heights, ring, reached = _heights(rings.meridian)
+def degree_layout(M: int) -> _DegreeLayout:
+    """The `_DegreeLayout` of degree M."""
     S, K = M // 2 + 1, M // 2 + 1 + M % 2
     # every harmonic degree k >= order m >= 0: its parity, slot, member and position
     k, m = np.tril_indices(M + 1)
@@ -182,14 +169,6 @@ def ring_table(M: int, rings: RingLayout) -> _RingTable:
     member = (m > M // 2).astype(np.intp)
     slot = np.where(member, (M | 1) - m, m)
     j = (k - m) // 2 + member * ((M - slot - parity) // 2 + 1)
-    P = np.zeros((2, S, K, heights.shape[0]))
-    target = P.reshape(-1, heights.shape[0])
-    at = (parity * S + slot) * K + j
-    scale = np.full((M + 1, 1), _SQRT2)
-    scale[0] = 1.0
-    for deg, values in enumerate(_associated_legendre(M, heights[:, 1], heights[:, 0])):
-        first = deg * (deg + 1) // 2
-        target[at[first : first + deg + 1]] = values * scale[: deg + 1]
     size = basis_size(M)
     rows = np.full((2, S, 2, 2, K), size, dtype=np.intp)
     position = np.empty(size, dtype=np.intp)
@@ -200,14 +179,52 @@ def ring_table(M: int, rings: RingLayout) -> _RingTable:
         position[n[harmonic]] = index
     degree = np.zeros((2, S, 1, 1, K), dtype=np.intp)
     degree[parity, slot, 0, 0, j] = k
-    # the slot orders' m phi_j, reduced mod 2 pi in integers first
-    i, A = np.arange(S), rings.azimuths
-    orders = np.concatenate([i, (M | 1) - i])
-    angle = (2.0 * np.pi / A) * (np.outer(orders, np.arange(A)) % A)
-    trig = np.stack([np.cos(angle), np.sin(angle)])
-    for a in (P, rows, position, degree, ring, trig):
+    for a in (rows, position, degree):
         a.setflags(write=False)
-    return _RingTable(P, rows, position, degree, ring, reached, trig, rings.weights)
+    return _DegreeLayout(rows, position, degree)
+
+
+def legendre_part(layout: _DegreeLayout, meridian: np.ndarray) -> _LegendrePart:
+    """The `_LegendrePart` of the degree of `layout` on the rings at
+    `meridian`: bit for bit the values of `sph_harm_matrix`, up to the sign
+    (-1)^(k+m) below the equator."""
+    heights, ring, reached = _heights(meridian)
+    _, S, _, _, K = layout.rows.shape
+    M = int(layout.degree.max())
+    # the position of each order's cos harmonic, m = 0..k, degree by degree
+    q, i, _, _, j = np.unravel_index(layout.position, layout.rows.shape)
+    at = (q * S + i) * K + j
+    P = np.zeros((2, S, K, heights.shape[0]))
+    target = P.reshape(-1, heights.shape[0])
+    scale = np.full((M + 1, 1), _SQRT2)
+    scale[0] = 1.0
+    for deg, values in enumerate(_associated_legendre(M, heights[:, 1], heights[:, 0])):
+        target[at[deg * deg + deg : (deg + 1) ** 2]] = values * scale[: deg + 1]
+    for a in (P, ring):
+        a.setflags(write=False)
+    return _LegendrePart(P, ring, reached)
+
+
+def trig_table(M: int, azimuths: int) -> np.ndarray:
+    """trig[c, p * S + i]: cos (c = 0) or sin (c = 1) of m phi_j for the
+    order m of slot i and member p (`_DegreeLayout`) at the azimuths
+    phi_j = 2 pi j / `azimuths`; the sums by order are laid out (c, p, i)
+    to match."""
+    i = np.arange(M // 2 + 1)
+    orders = np.concatenate([i, (M | 1) - i])
+    # m phi_j, reduced mod 2 pi in integers first
+    angle = (2.0 * np.pi / azimuths) * (np.outer(orders, np.arange(azimuths)) % azimuths)
+    trig = np.stack([np.cos(angle), np.sin(angle)])
+    trig.setflags(write=False)
+    return trig
+
+
+def ring_table(M: int, rings: RingLayout) -> _RingTable:
+    """The operators of the ring transform at degree M on these rings, every
+    part built anew (a plan, `approx._Plan`, builds each part once)."""
+    layout = degree_layout(M)
+    legendre = legendre_part(layout, rings.meridian)
+    return _RingTable(*layout, *legendre, trig_table(M, rings.azimuths), rings.weights)
 
 
 def _by_order(sums: np.ndarray) -> np.ndarray:
@@ -279,17 +296,14 @@ def degree_weighted_sup(table: _RingTable, coeffs: np.ndarray):
     """w -> max over the grid of a `ring_table` of degree M of
     |sum_k w_k sum_j c_kj Y_kj(x)|.
 
-    `coeffs` holds the flat c_kj and w the per-degree weights w_0..w_M.  The
-    coefficients are lined up by slot once; each call takes one product
-    over the parities and slots with the Legendre table and turns the sums
-    E, O over the even and odd degrees into E + O and E - O, the rings
-    above and below the equator.  Then, per ring, it forms the cosine half
-    C(phi) = sum_m a_m cos(m phi) and the sine half S(phi) = sum_m b_m sin(m phi)
-    at the azimuths phi_j, j = 0..A/2, only.  As phi_(A-j) = -phi_j, the
-    expansion is C + S at phi_j and C - S at phi_(A-j), so the largest
-    |C| + |S| over the heights and sides where a ring lies is the maximum
-    over the whole grid, for any azimuth count A.  Every array is allocated
-    once and every stage writes whole contiguous blocks.
+    `coeffs` holds the flat c_kj and w the per-degree weights w_0..w_M.  Each
+    call takes one product with the Legendre values, turns the even- and
+    odd-degree sums E, O into E + O and E - O, and forms per ring the cosine
+    half C(phi) = sum_m a_m cos(m phi) and the sine half
+    S(phi) = sum_m b_m sin(m phi) at phi_j, j = 0..A/2, only: the expansion
+    is C + S at phi_j and C - S at phi_(A-j) = -phi_j, so the largest
+    |C| + |S| where a ring lies is the maximum over the grid.  Every array
+    is allocated once.
     """
     (_, S, _, _, K), H = table.rows.shape, table.P.shape[-1]
     half = table.trig.shape[-1] // 2 + 1
@@ -331,12 +345,10 @@ def antipodal_half(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One node of each antipodal pair of a rule, with the pair's weight.
 
-    When a product rule's rings are `mirrored` and A is even, the antipode
-    of the node at azimuth index r on ring t is the node at index r + A/2 on
-    ring -t, of equal weight.  A sum sum_i w_i g(x . x_i) with g(-s) = g(s)
-    is then the sum over the rings with t > 0 at weight 2 w_i, plus the
-    rings at t = 0 whole.  Returns those nodes and weights, or the inputs
-    unchanged for other rules.
+    On `mirrored` rings with even A, the antipode of node r on ring t is node
+    r + A/2 on ring -t, of equal weight, so a sum sum_i w_i g(x . x_i) with
+    g(-s) = g(s) runs over the rings with t > 0 at weight 2 w_i and the
+    rings at t = 0 whole.  Other rules come back unchanged.
     """
     if rings is None or rings.azimuths % 2 or not mirrored(rings):
         return points, weights
@@ -354,17 +366,13 @@ def probe_classes(
     """Classes of probes at which every weighted zonal sum over the rule agrees.
 
     A sum F(x) = sum_i w_i g(x . x_i) over a product rule with A azimuths per
-    ring depends on the azimuth psi of x only through +-psi mod 2 pi / A.  On
-    probe rings with A' azimuths, the probe at psi = 2 pi q / A' therefore
-    has the key min(qA mod A', (A' - qA mod A') mod A').  When the rule's
-    rings come in exact mirror pairs (t, -t) of equal radius and weight, F is
-    also even in x3, so probe rings of equal radius and |t| share classes.
-
-    The two keys are independent, so the classes form one ring x azimuth
-    block.  Returns (rings, azimuths): the first probe ring of each ring
-    class and the first azimuth q of each azimuth class; the probe at
-    (rings[i], azimuths[j]) represents class (i, j).  Returns None when the
-    rule (with weights) or the probes are no product grid.
+    ring depends on the azimuth psi of x only through +-psi mod 2 pi / A: on
+    probe rings with A' azimuths, the probe at psi = 2 pi q / A' has the key
+    min(qA mod A', (A' - qA mod A') mod A').  On a `mirrored` rule F is also
+    even in x3, so probe rings of equal radius and |t| share classes.  The
+    classes form one ring x azimuth block: returns the first probe ring of
+    each ring class and the first azimuth q of each azimuth class, or None
+    when the rule (with weights) or the probes are no product grid.
     """
     if rule_rings is None or probe_rings is None:
         return None
@@ -392,25 +400,18 @@ def weighted_abs_kernel_sums(
 ) -> np.ndarray:
     """sum_i w_i |sum_k c_k P_k(x . x_i)| over the rule on a block of probes.
 
-    `rule` and `probe` are the `ring_table`s of degree M of the rule's rings
-    and of the probe rings; `coefs` holds the c_k, k = 0..M.  Entry (i, j) of the returned
-    (rings.size, azimuths.size) block is the sum at the probe on probe ring
-    rings[i] at azimuth index azimuths[j]; on the representatives of
-    `probe_classes`, found once by the caller, that is one sum per class.
-    By the addition theorem, the kernel between probe ring p at
-    azimuth psi and rule ring s at azimuth phi is
-    sum_m a_m(p, s) cos(m (psi - phi)) with
-    a_m(p, s) = sum_k c_k 4 pi / (2k+1) P_k^m(t_p) P_k^m(t_s) in the ring
-    tables' normalization (which carries the sqrt(2) for m > 0).  One probe
-    ring at a time, one batched product over the parities and slots of the
-    two tables gives the even- and odd-degree parts E, O of every a_m at
-    every rule height, and a_m(p, s) = E + O when p and s lie on the same
-    side of the equator, E - O otherwise.  With the (orders, K, A) table of
-    cos(m (psi_j - phi_r)) over the K probe azimuths psi_j in use and the A
-    rule azimuths phi_r, one matrix product per probe ring then gives the
-    kernel at every (probe azimuth, rule node) pair of that ring: O(R M K A)
-    time per probe ring for R rule rings, and no condition on A; memory
-    holds one probe ring's a_m at a time.
+    `rule` and `probe` are the degree-M ring tables of the rule's rings and
+    of the probe rings, `coefs` the c_k.  Entry (i, j) is the sum at the
+    probe on ring rings[i] at azimuth index azimuths[j].  By the addition
+    theorem the kernel between probe ring p at azimuth psi and rule ring s
+    at azimuth phi is sum_m a_m(p, s) cos(m (psi - phi)), with
+    a_m(p, s) = sum_k c_k 4 pi / (2k+1) P_k^m(t_p) P_k^m(t_s) in the tables'
+    normalization.  Per probe ring, one batched product over the parities
+    and slots of the two tables gives the even- and odd-degree parts E, O
+    of every a_m at every rule height (a_m = E + O on the probe's side of
+    the equator, E - O across it), and one product with cos(m (psi_j - phi_r))
+    the kernel at every (probe azimuth, rule node) pair: O(R M K A) time per
+    probe ring for R rule rings and K probe azimuths, for any A.
     """
     M = coefs.size - 1
     A = rule.trig.shape[-1]

@@ -1,10 +1,8 @@
-"""Approximation operators on the sphere.
-
-Covers discrete harmonic analysis on an exact rule, the regularized
-least-squares fit with its closed-form degree filter 1/(1 + alpha*beta_k^2),
-an independent dense-solver cross-check, filtered approximation, sup-norm
-bounds for the fit operator, and the weighted-coefficient (RKHS) norms the
-penalized functional is built from.
+"""Approximation operators on the sphere: harmonic analysis on an exact
+rule, the regularized least-squares fit with its closed-form degree filter
+1/(1 + alpha*beta_k^2) and a dense-solver cross-check, filtered
+approximation, sup-norm bounds for the fit operator, the weighted-coefficient
+(RKHS) norms, and the transform plans many fits on one rule share.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import numpy as np
 
 from . import _rings, harmonics
 from ._files import read_csv, write_csv
-from .cubature import CubatureRule, gauss_legendre_nodes
+from .cubature import CubatureRule, _gl_meridian
 from .harmonics import (
     FOUR_PI, _degree, _one_point, as_unit_vectors, basis_size, sph_harm_matrix,
 )
@@ -88,9 +86,9 @@ class PenalizationWeights:
 class SampleSet:
     """Function values at the nodes of a cubature rule.
 
-    `analyze` keeps its coefficients in `_analyses`, one entry per degree,
-    so a balancing walk and the fits that follow it analyze a sample set
-    once.  The entry is not shown in the repr; sample sets compare by identity.
+    `analyze` keeps its coefficients in `_analyses`, one entry per degree, so
+    a walk and the fits that follow it analyze a sample set once.  Sample
+    sets compare by identity.
     """
 
     rule: CubatureRule
@@ -250,11 +248,8 @@ def evaluate(coeffs: HarmonicCoefficients, x) -> float:
 
 
 def evaluate_grid(coeffs: HarmonicCoefficients, points) -> np.ndarray:
-    """Polynomial values at many points; empty input gives an empty array.
-
-    Product grids, whatever their azimuth count, take the ring transform,
-    other point sets the blocked harmonic matrix (`_rings.transform`).
-    """
+    """Polynomial values at many points (`_rings.transform`); empty input
+    gives an empty array."""
     pts = as_unit_vectors(points)
     table = _rings.transform(coeffs.degree_M, pts, _rings.ring_layout(pts))
     return _rings.synthesis(table, coeffs.values)
@@ -315,13 +310,11 @@ def _kernel_sums(nodes: np.ndarray, c: np.ndarray, points: np.ndarray):
 def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray:
     """Table S[p, k] = sum_i w_i |P_k(x_p . x_i)|, one row per probe point.
 
-    The table depends only on the rule and the probes, so `grid-abs` upper
-    bounds of the fit operator's sup norm for any (alpha, beta) reduce to
-    max(S @ c).  |P_k| is even, so on a rule whose rings come in mirror pairs
-    with an even azimuth count the sum runs over one node of each antipodal
-    pair at twice its weight (`_rings.antipodal_half`): 992 of the 1922
-    nodes of `gauss_legendre_rule(30)`.  Either way the table equals the one
-    computed probe by probe over every node, up to rounding.
+    `grid-abs` bounds of the fit operator's sup norm for any (alpha, beta)
+    reduce to max(S @ c).  |P_k| is even, so on a mirrored rule the sum runs
+    over one node of each antipodal pair at twice its weight
+    (`_rings.antipodal_half`): 992 of the 1922 nodes of
+    `gauss_legendre_rule(30)`.
     """
     _require_exactness(rule, M)
     pts = as_unit_vectors(probes)
@@ -338,27 +331,22 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
 
 def _norm_oracle(rule: CubatureRule, M: int, probe_rings, bound: str, probes=None, tables=None):
     """Map from filter factors f_0..f_M (f >= 0 for ``grid-abs``) to the
-    `bound` on the sup norm of the fit operator over the rule: for ``crude``
-    sum_k (2k+1) f_k; else, with c_k = (2k+1) f_k / (4 pi), the maximum over
-    the probes of sum_i w_i |sum_k c_k P_k(x . x_i)| for ``grid``, and of its
+    `bound` on the sup norm of the fit operator over the rule: `_crude` for
+    ``crude``; else, with c_k = (2k+1) f_k / (4 pi), the maximum over the
+    probes of sum_i w_i |sum_k c_k P_k(x . x_i)| for ``grid``, and of its
     upper envelope sum_k c_k sum_i w_i |P_k(x . x_i)| for ``grid-abs``.
 
-    The probes are those of the ring layout `probe_rings`, or the points
-    `probes` when they are no product grid (`probe_rings` None).  They are
-    classified here and only here (`_rings.probe_classes`).  On product
-    grids the sums agree within a class, so only the ring x azimuth block of
-    class representatives is evaluated: ``grid`` by the addition theorem on
-    each call, from the ring tables of the rule and the probes (`tables`,
-    lent by a `_Plan`, else built here), ``grid-abs`` as one
-    `weighted_abs_legendre_sums` row per class, built once at points formed
-    from the layout.  Other rules keep every probe, through `_kernel_blocks`,
-    formed from the layout unless given.  Either way the maximum is over the
-    full probe set.
+    The probes are those of the ring layout `probe_rings`, else the points
+    `probes`.  They are classified here only (`_rings.probe_classes`): on
+    product grids one probe per class is evaluated, ``grid`` by the addition
+    theorem on the ring `tables` of the rule and the probes (lent by a
+    `_Plan`, else built here), ``grid-abs`` as one
+    `weighted_abs_legendre_sums` row per class.  Other rules keep every
+    probe, through `_kernel_blocks`.
     """
-    weight = 2 * np.arange(M + 1) + 1
     if bound == "crude":
-        return lambda f: float(np.sum(weight * f))
-    scale = weight / FOUR_PI
+        return _crude
+    scale = (2 * np.arange(M + 1) + 1) / FOUR_PI
     classes = _rings.probe_classes(rule.rings, probe_rings)
     if classes is not None:
         rings, azimuths = classes
@@ -382,9 +370,21 @@ def _norm_oracle(rule: CubatureRule, M: int, probe_rings, bound: str, probes=Non
     return sup
 
 
+def _crude(f: np.ndarray) -> float:
+    """sum_k (2k+1) f_k, the sup norm bound of filter factors f_0..f_M."""
+    return float(np.sum((2 * np.arange(f.size) + 1) * f))
+
+
 def crude_norm_upper(M: int, alpha: float, beta: PenalizationWeights) -> float:
     """Analytic upper bound sum_k (2k+1)/(1 + alpha*beta_k^2) for the operator norm."""
-    return float(np.sum((2 * np.arange(M + 1) + 1) * filter_factors(M, alpha, beta)))
+    return _crude(filter_factors(M, alpha, beta))
+
+
+def _norm_bound(sup, M: int, alpha: float, beta: PenalizationWeights) -> NormBound:
+    """The `NormBound` of the `grid` oracle `sup` at (alpha, beta)."""
+    crude = crude_norm_upper(M, alpha, beta)
+    # the weight sum carries ~1e-12 roundoff; the true norm never exceeds crude
+    return NormBound(estimate=min(sup(filter_factors(M, alpha, beta)), crude), crude_upper=crude)
 
 
 def operator_norm_bound(
@@ -396,18 +396,13 @@ def operator_norm_bound(
         sum_i w_i |sum_k (2k+1)/(4 pi (1+alpha*beta_k^2)) P_k(x . x_i)|,
     a lower bound on the true sup norm that sharpens with the probe grid;
     crude_upper = sum_k (2k+1)/(1+alpha*beta_k^2) >= estimate always.
-    The sums come from `_norm_oracle`, at one probe per symmetry class by
-    the addition theorem when the rule and the probes are product grids.
+    The sums come from `_norm_oracle`.
     """
     _require_exactness(rule, M)
     pts = as_unit_vectors(probes)
     if pts.shape[0] == 0:
         raise ValueError("need at least one probe point")
-    sup = _norm_oracle(rule, M, _rings.ring_layout(pts), "grid", pts)
-    est = sup(filter_factors(M, alpha, beta))
-    crude = crude_norm_upper(M, alpha, beta)
-    # the weight sum carries ~1e-12 roundoff; the true norm never exceeds crude
-    return NormBound(estimate=min(est, crude), crude_upper=crude)
+    return _norm_bound(_norm_oracle(rule, M, _rings.ring_layout(pts), "grid", pts), M, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +411,13 @@ def operator_norm_bound(
 
 def _probe_rings(rule: CubatureRule, resolution: int) -> _rings.RingLayout:
     """The one probe layout of a balancing walk: the rings of
-    probe_grid(resolution), formed from its Gauss-Legendre nodes alone.  On
-    a product rule with A azimuths per ring it takes the smallest multiple
-    of A no coarser than the probe grid's 2(resolution+1), so the rule's
-    symmetries map the probes to themselves: on gauss_legendre_rule(M) at
-    resolution 2M, 2(M+1) probe classes remain, against (M+1)^2 on
-    probe_grid(2M).  Other rules keep the probe grid's azimuths."""
-    t = gauss_legendre_nodes(resolution + 1)[0]
-    meridian = np.column_stack([np.sqrt(1.0 - t * t), np.zeros_like(t), t])
+    probe_grid(resolution), without building it.  On a product rule with A
+    azimuths per ring it takes the smallest multiple of A no coarser than
+    the probe grid's 2(resolution+1), so the rule's symmetries map the
+    probes to themselves: on gauss_legendre_rule(M) at resolution 2M,
+    2(M+1) probe classes remain, against (M+1)^2 on probe_grid(2M).  Other
+    rules keep the probe grid's azimuths."""
+    meridian = _gl_meridian(resolution + 1)[0]
     meridian.setflags(write=False)
     azimuths = 2 * (resolution + 1)
     if rule.rings is not None:
@@ -435,10 +429,10 @@ def _probe_rings(rule: CubatureRule, resolution: int) -> _rings.RingLayout:
 class _Plan:
     """What the analyses, walks, fits and norm oracles on one rule share at
     degree M and one probe resolution, each part built on first use: the
-    rule's `_rings.transform`, the walk's `_probe_rings` with their table,
-    and each bound's `_norm_oracle` on them.  Like the plans of SHTns and
-    FFTW, one per (degree, grid), made and dropped by the caller that runs
-    many fits on the rule."""
+    `_rings.degree_layout` of M, the `_rings.legendre_part` of the rule's
+    rings and of the walk's `_probe_rings`, the tables on them and each
+    bound's `_norm_oracle`.  Like the plans of SHTns and FFTW, one per
+    (degree, grid), made and dropped by the caller that runs many fits."""
 
     def __init__(self, rule: CubatureRule, M: int, resolution: int | None = None):
         self.rule, self.M, self.resolution = rule, M, resolution
@@ -446,8 +440,35 @@ class _Plan:
         self._norms = {}
 
     @functools.cached_property
+    def layout(self):
+        return _rings.degree_layout(self.M)
+
+    @functools.cached_property
+    def rule_legendre(self):
+        return _rings.legendre_part(self.layout, self.rule.rings.meridian)
+
+    @functools.cached_property
+    def probe_legendre(self):
+        return _rings.legendre_part(self.layout, self.probe_rings.meridian)
+
+    def ring_table(self, rings: _rings.RingLayout) -> _rings._RingTable:
+        """The ring table of degree M on `rings`, which lie where the rule's
+        rings or the probe rings lie, bit for bit; ValueError otherwise."""
+        rule, probe = self.rule.rings, self.probe_rings
+        if rule is not None and np.array_equal(rings.meridian, rule.meridian):
+            legendre = self.rule_legendre
+        elif probe is not None and np.array_equal(rings.meridian, probe.meridian):
+            legendre = self.probe_legendre
+        else:
+            raise ValueError("the plan holds no Legendre values at these ring heights")
+        trig = _rings.trig_table(self.M, rings.azimuths)
+        return _rings._RingTable(*self.layout, *legendre, trig, rings.weights)
+
+    @functools.cached_property
     def table(self):
-        return _rings.transform(self.M, self.rule.points, self.rule.rings, self.rule.weights)
+        if self.rule.rings is None:
+            return _rings.transform(self.M, self.rule.points, None, self.rule.weights)
+        return self.ring_table(self.rule.rings)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the rule's nodes of the degree-M flat coefficients."""
@@ -455,7 +476,7 @@ class _Plan:
 
     @functools.cached_property
     def probe_table(self):
-        return _rings.ring_table(self.M, self.probe_rings)
+        return self.ring_table(self.probe_rings)
 
     def norm(self, bound: str):
         if bound not in self._norms:

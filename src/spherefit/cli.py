@@ -231,13 +231,11 @@ def cmd_fit(settings: dict) -> int:
     coeff_path = out_dir / "coefficients.csv"
     approx.save_coefficients(gamma, coeff_path)
 
-    # the plan's `grid` oracle, clamped as in operator_norm_bound
-    sup = plan.norm("grid")
-    crude = approx.crude_norm_upper(M, alpha, beta)
+    bound = approx._norm_bound(plan.norm("grid"), M, alpha, beta)
     summary.update(
         coefficients=coeff_path.name,
-        norm_estimate=min(sup(approx.filter_factors(M, alpha, beta)), crude),
-        norm_crude_upper=crude,
+        norm_estimate=bound.estimate,
+        norm_crude_upper=bound.crude_upper,
         functional=approx.penalized_functional(samples, gamma, alpha, beta, plan=plan),
     )
     summary_path = out_dir / "fit_summary.json"

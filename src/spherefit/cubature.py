@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._files import read_csv, write_csv
-from ._rings import RingLayout, analysis, ring_layout, transform
+from ._rings import RingLayout, analysis, ring_layout, ring_points, transform
 from .harmonics import FOUR_PI, _degree, _whole_number, as_unit_vectors
 
 _WEIGHT_SUM_TOL = 1e-10
@@ -27,12 +27,10 @@ _NEWTON_MAX_ITER = 100
 class CubatureRule:
     """A point set on the sphere with positive weights summing to 4 pi.
 
-    `degree_M` is the reconstruction degree the rule supports: the rule is
-    exact for all spherical polynomials of degree <= 2*degree_M.  `rings`,
-    the ring layout of a product grid or None, picks the rule's transform
-    (`_rings.transform`).  Rules compare and hash by identity, so a plan
-    (`approx._Plan`) knows the rule it was made for; two rules made from
-    equal arrays are different rules.
+    The rule is exact for all spherical polynomials of degree <= 2*degree_M.
+    `rings`, the ring layout of a product grid or None, picks its transform.
+    Rules compare and hash by identity, even when made from equal arrays, so
+    a plan (`approx._Plan`) knows the rule it was made for.
     """
 
     degree_M: int
@@ -114,21 +112,20 @@ def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes[order], weights[order]
 
 
+def _gl_meridian(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The phi = 0 points (sqrt(1 - t^2), 0, t) of the rings at the n
+    Gauss-Legendre nodes t, ascending, and the nodes' weights."""
+    t, v = gauss_legendre_nodes(n)
+    return np.column_stack([np.sqrt(1.0 - t * t), np.zeros_like(t), t]), v
+
+
 @functools.lru_cache(maxsize=16)
 def _gl_rule_cached(M: int) -> CubatureRule:
     n = M + 1
-    t, v = gauss_legendre_nodes(n)
-    u = np.sqrt(1.0 - t * t)
-    phi = np.pi * np.arange(2 * n) / n
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-
+    meridian, v = _gl_meridian(n)
     # colatitude-major layout: node (s, r) sits at index s*2n + r
-    x1 = np.outer(u, cos_phi).ravel()
-    x2 = np.outer(u, sin_phi).ravel()
-    x3 = np.repeat(t, 2 * n)
     weights = np.repeat(v * (np.pi / n), 2 * n)
-    points = np.stack([x1, x2, x3], axis=1)
-    return CubatureRule(degree_M=M, points=points, weights=weights)
+    return CubatureRule(degree_M=M, points=ring_points(meridian, 2 * n), weights=weights)
 
 
 def gauss_legendre_rule(M: int) -> CubatureRule:
@@ -159,12 +156,10 @@ def save_rule(rule: CubatureRule, path) -> None:
 def load_rule(path, degree_M: int | None = None) -> CubatureRule:
     """Read a rule from CSV written by `save_rule`.
 
-    The file does not store the exactness degree.  If `degree_M` is omitted
-    it is inferred from the Gauss-Legendre point count N = 2(M+1)^2; other
-    point counts require an explicit degree.  Either way the rule must
-    integrate every harmonic of degree <= 2 * degree_M to within 1e-10
-    (`_check_exactness`, one analysis of the constant 1), or ValueError is
-    raised.
+    An omitted `degree_M` is inferred from the Gauss-Legendre point count
+    N = 2(M+1)^2; other counts need it.  The rule must integrate every
+    harmonic of degree <= 2 * degree_M to within 1e-10 (`_check_exactness`),
+    or ValueError is raised.
     """
     data = read_csv(path, "x1,x2,x3,w")
     if degree_M is None:

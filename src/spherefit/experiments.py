@@ -1,10 +1,9 @@
 """Synthetic studies: data generation, noise, error metrics, and the three
 reference experiments (exponentially damped recovery with a priori weights,
 Franke-plus-cap denoising with a balanced parameter, and a posteriori kernel
-selection), all reproducible bit-for-bit from (config, seed).
-
-Randomness comes from numpy's PCG64 generator; independent streams are
-derived from (seed, tag, index) entropy so simulations can run in any order.
+selection), reproducible bit for bit from (config, seed): numpy's PCG64
+draws independent streams from (seed, tag, index) entropy, so simulations
+can run in any order.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_csv, write_json
+from ._rings import synthesis
 from .approx import (
     HarmonicCoefficients,
     SampleSet,
@@ -373,11 +373,12 @@ def run_experiment_2(seed: int = 0):
     bp_cfg = _bp_config(config, eps_sup)
     plan = _Plan(rule, M, bp_cfg.resolution(M))
     bres = balancing_principle(samples, M, beta, bp_cfg, plan=plan)
-    gamma = regularized_fit(samples, M, bres.alpha_star, beta)
+    gamma = regularized_fit(samples, M, bres.alpha_star, beta, plan=plan)
 
-    probe_rule = gauss_legendre_rule(2 * M)
+    # the rule at the walk's probe resolution 2M lies on the plan's probe rings
+    probe_rule = gauss_legendre_rule(plan.resolution)
     truth_probe = franke_cap_eval(probe_rule.points)
-    rec_probe = _Plan(probe_rule, M).synthesize(gamma.values)
+    rec_probe = synthesis(plan.ring_table(probe_rule.rings), gamma.values)
     sup_error = float(np.abs(rec_probe - truth_probe).max())
     rel_error = _weighted_l2_rel_error(probe_rule, rec_probe, truth_probe)
     rec_nodes = plan.synthesize(gamma.values)
@@ -450,9 +451,9 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
     beta_sel = weights_from_kernel_params(M, selection.best)
     beta_lb = weights_laplace_beltrami(M)
 
-    probe_rule = gauss_legendre_rule(2 * M)
+    probe_rule = gauss_legendre_rule(plan.resolution)
     truth_probe = franke_cap_eval(probe_rule.points)
-    synthesize_probes = _Plan(probe_rule, M).synthesize
+    probe_table = plan.ring_table(probe_rule.rings)
 
     methods = {"laplace-beltrami+bp": beta_lb, "selected-kernel+bp": beta_sel}
     errors = {m: np.empty(simulations) for m in methods}
@@ -464,8 +465,8 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
         samples = SampleSet(rule, noisy)
         for method, beta in methods.items():
             bres = balancing_principle(samples, M, beta, _bp_config(config, eps_sup), plan=plan)
-            gamma = regularized_fit(samples, M, bres.alpha_star, beta)
-            rec_probe = synthesize_probes(gamma.values)
+            gamma = regularized_fit(samples, M, bres.alpha_star, beta, plan=plan)
+            rec_probe = synthesis(probe_table, gamma.values)
             err = _weighted_l2_rel_error(probe_rule, rec_probe, truth_probe)
             errors[method][sim] = err
             is_sel = method == "selected-kernel+bp"

@@ -9,12 +9,8 @@ The basis used throughout the package is
 with Nbar_{k,m} = sqrt((2k+1)/(4 pi) * (k-m)!/(k+m)!) and no Condon-Shortley
 phase.  Degrees k and order indices j (1 <= j <= 2k+1, m = j - k - 1) are laid
 out flat as n = k^2 + j - 1, i.e. degree-major with orders ascending.
-
-All evaluation goes through normalized recurrences, so degrees of several
-hundred are safe from overflow.  `_associated_legendre`, the recurrence of
-the normalized P_k^m behind `sph_harm_matrix` and the ring transform's
-tables, runs over the degree only, every order of a degree in one vectorized
-step, so degree M takes O(M) numpy steps however few the points are.
+All evaluation goes through normalized recurrences (`_associated_legendre`),
+so degrees of several hundred are safe from overflow.
 """
 
 from __future__ import annotations

@@ -1,10 +1,6 @@
-"""Parameter choice strategies for the regularized fit.
-
-Three penalization-weight families (a flat default, the a priori recipe for
-exponentially damped data, and a Laplace-Beltrami ladder), the balancing
-principle for picking the regularization parameter from a geometric grid,
-and an a posteriori kernel search over a two-parameter weight family driven
-by repeated Random Search.
+"""Parameter choice for the regularized fit: penalization-weight families,
+the balancing principle on a geometric alpha grid, and an a posteriori
+kernel search over a two-parameter weight family by repeated Random Search.
 """
 
 from __future__ import annotations
@@ -36,13 +32,10 @@ class BalancingConfig:
 
     The candidate grid is alpha_i = alpha0 * q**i for i = 1..L (strictly
     decreasing).  `omega` scales the noise-propagation threshold, `delta` is
-    the assumed sup-norm of the data noise.  `probe_resolution` sets the
-    walk's one probe layout (twice the fit degree when omitted): the rings
-    of probe_grid(probe_resolution) at a multiple of the rule's azimuth
-    count (`approx._probe_rings`).  The step differences are sup norms on
-    it, each on half of every ring's azimuths (`_rings.degree_weighted_sup`),
-    and the operator norm a maximum on it.  `norm_bound` picks how that
-    norm is computed:
+    the assumed sup-norm of the data noise.  `probe_resolution` (twice the
+    fit degree when omitted) sets the walk's probe layout
+    (`approx._probe_rings`), on which the step differences and the operator
+    norm are maxima.  `norm_bound` picks how that norm is computed:
 
       * ``grid``     -- probe maximum of the exact kernel sum (default);
       * ``grid-abs`` -- probe maximum with the absolute values pulled
@@ -172,9 +165,8 @@ def weights_ones(M: int) -> PenalizationWeights:
 def weights_sgg_apriori(M: int, a) -> PenalizationWeights:
     """A priori weights beta_k = a_k^{-1/2} (k+1/2)^{3/4}.
 
-    `a` holds the per-degree damping factors of the observation operator
-    (strictly positive, typically decaying); decaying factors make the
-    result non-decreasing, which the weight type enforces.
+    `a` holds the positive per-degree damping factors of the observation
+    operator; the weight type refuses factors that make beta decrease.
     """
     a = np.asarray(a, dtype=float).ravel()
     if a.size != M + 1:
@@ -212,16 +204,12 @@ def balancing_principle(
     comparison is recorded in the trace; if the threshold is never exceeded
     the largest grid value is returned with `triggered=False`.
 
-    The two fits differ by the degree filter alone, so a step's difference
-    is the sup of the analysis coefficients weighted by
-    f(alpha_z) - f(alpha_{z+1}), f(alpha)_k = 1/(1 + alpha beta_k^2), built
-    for the whole grid once.  `_rings.degree_weighted_sup` takes it from
-    the cosine and sine halves of each probe ring on half its azimuths; no
-    fit is synthesized.  The analysis is the one `analyze` keeps on the
-    sample set, so the fit that follows reuses it.  The threshold's norm
-    is the `cfg.norm_bound` oracle at f(alpha_{z+1}), on the same rings.
-    `plan`, an `approx._Plan`, lends the probe rings, their table and the
-    oracle.
+    The two fits differ by the degree filter f(alpha)_k = 1/(1 + alpha beta_k^2)
+    alone, so a step's difference is the sup (`_rings.degree_weighted_sup`)
+    of the kept analysis coefficients weighted by f(alpha_z) - f(alpha_{z+1});
+    no fit is synthesized.  The threshold's norm is the `cfg.norm_bound`
+    oracle at f(alpha_{z+1}).  `plan`, an `approx._Plan`, lends the probe
+    rings' table and the oracle.
     """
     filter_factors(M, 0.0, beta)  # checks the weights' degree
     alphas = cfg.grid()

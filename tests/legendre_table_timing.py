@@ -1,17 +1,21 @@
 """Cost of the harmonic recurrence: ring-transform tables and dense matrices.
 
 Prints two tables.  The first gives, for M = 30, 60 and 120, the wall time
-and the tracemalloc peak of one build of the ring transform's tables
-(`_rings.ring_table`: the Legendre table and the cos / sin table of the
-azimuths) on the rings of `gauss_legendre_rule(M)` and on those of the
-default probe grid `probe_grid(2M)`: the two tables a balanced fit at degree
-M builds, in its plan, before its first analysis and walk step.  Beside
-each it gives the Legendre table's bytes and the
-(M+1)^2 R 8 bytes of a zero-padded (M+1, M+1, R) table on the same R rings.  The second gives the same for the dense
-`sph_harm_matrix` on a randomly rotated `gauss_legendre_rule(M)`, which has
-no ring layout, at the degrees up to 60, with the matrix's own size.  Wall times
-are the minimum of REPEATS builds without tracemalloc; the peak, which
-counts every numpy array, comes from one more build.
+of one build of each part of a ring table (`_rings.degree_layout`, which
+depends on M alone; `_rings.legendre_part`, on M and the ring heights;
+`_rings.trig_table`, on M and the azimuth count) and of a whole one-shot
+`_rings.ring_table`, with the tracemalloc peak of the whole build, on the
+rings of `gauss_legendre_rule(M)` and on those of the probe grid
+`probe_grid(2M)`, the probe rings of a balanced fit at degree M.  Beside
+each it gives the Legendre part's bytes and the (M+1)^2 R 8 bytes of a
+zero-padded (M+1, M+1, R) table on the same R rings.  A plan
+(`approx._Plan`) builds the layout once and the Legendre part once per ring
+set, and a trig table per azimuth count it is asked for.  The second table
+gives the same for the dense `sph_harm_matrix` on a randomly rotated
+`gauss_legendre_rule(M)`, which has no ring layout, at the degrees up to 60,
+with the matrix's own size.  Wall times are the minimum of REPEATS builds
+without tracemalloc; the peak, which counts every numpy array, comes from
+one more build.
 
 Not collected by pytest (the name does not start with `test_`).  Run from the
 repository root (about 10 s; pass degrees to run fewer, e.g. `30 60`):
@@ -54,10 +58,6 @@ def measure(build) -> tuple[float, float]:
     return best, peak / 1e6
 
 
-def table_build(M: int, rings: _rings.RingLayout):
-    return lambda: _rings.ring_table(M, rings)
-
-
 def rotated_rule_points(M: int) -> np.ndarray:
     """Nodes of gauss_legendre_rule(M) under a fixed random rotation."""
     q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))
@@ -65,18 +65,26 @@ def rotated_rule_points(M: int) -> np.ndarray:
 
 
 def main(degrees) -> None:
-    print("| degree M | rings | table build | tracemalloc peak | table | zero-padded table |")
-    print("|---|---|---|---|---|---|")
+    print(
+        "| degree M | rings | layout | Legendre part | trig table | whole table "
+        "| tracemalloc peak | Legendre values | zero-padded table |"
+    )
+    print("|---|---|---|---|---|---|---|---|---|")
     for M in degrees:
+        layout = _rings.degree_layout(M)
         for label, res in (("rule", M), ("probe", 2 * M)):
             rings = gauss_legendre_rule(res).rings
-            seconds, peak = measure(table_build(M, rings))
+            layout_s = measure(lambda: _rings.degree_layout(M))[0]
+            legendre_s = measure(lambda: _rings.legendre_part(layout, rings.meridian))[0]
+            trig_s = measure(lambda: _rings.trig_table(M, rings.azimuths))[0]
+            whole_s, peak = measure(lambda: _rings.ring_table(M, rings))
             R = rings.meridian.shape[0]
-            table = table_build(M, rings)().P.nbytes / 1e6
+            values = _rings.legendre_part(layout, rings.meridian).P.nbytes / 1e6
             padded = (M + 1) ** 2 * R * 8 / 1e6
             print(
-                f"| {M} | {label} ({R}) | {1e3 * seconds:.2f} ms | {peak:.2f} MB "
-                f"| {table:.2f} MB | {padded:.2f} MB |",
+                f"| {M} | {label} ({R} x {rings.azimuths}) | {1e3 * layout_s:.2f} ms "
+                f"| {1e3 * legendre_s:.2f} ms | {1e3 * trig_s:.2f} ms | {1e3 * whole_s:.2f} ms "
+                f"| {peak:.2f} MB | {values:.2f} MB | {padded:.2f} MB |",
                 flush=True,
             )
     print()

@@ -1035,6 +1035,44 @@ class TestAdditionTheoremSupNorm:
             assert rel_err(fast.ravel(), kernel_blocks_sums(rule, probes[sample], c)) <= 1e-12
 
 
+class TestPlanTables:
+    """A plan assembles ring tables from its degree layout and the Legendre
+    parts of the rule's rings and of the probe rings."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        M=st.integers(0, 12),
+        kind=st.sampled_from(["gl", "mirror", "weights", "heights"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_assembled_table_is_the_one_shot_table_property(self, M, kind, seed, data):
+        resolution = data.draw(st.integers(1, max(1, 3 * M)), label="resolution")
+        azimuths = data.draw(st.integers(1, 2 * M + 2), label="azimuths")
+        rule = random_product_rule(kind, M, np.random.default_rng(seed))
+        plan = approx._Plan(rule, M, resolution)
+        for rings in (rule.rings, plan.probe_rings):
+            rings = rings._replace(azimuths=azimuths)
+            assembled, fresh = plan.ring_table(rings), _rings.ring_table(M, rings)
+            for name, a, b in zip(fresh._fields, assembled, fresh):
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), name
+                else:
+                    assert a == b if isinstance(b, slice) else a is b, name
+        # one ring off every height the plan holds, and a part of the rule's rings
+        off = np.array([[np.sqrt(1.0 - 0.3**2), 0.0, 0.3]])
+        for meridian in (off, rule.rings.meridian[:-1]):
+            with pytest.raises(ValueError, match="no Legendre values at these ring heights"):
+                plan.ring_table(_rings.RingLayout(meridian, None, azimuths))
+
+    def test_probe_rings_of_the_rule_share_its_legendre_part(self):
+        # at resolution M the walk's probe rings are the rings of gauss_legendre_rule(M)
+        plan = approx._Plan(gauss_legendre_rule(6), 6, 6)
+        assert plan.probe_table.P is plan.table.P
+        assert plan.probe_table.rows is plan.table.rows
+
+
 def kernel_blocks_table(rule, probes, M):
     """S[p, k] = sum_i w_i |P_k(x_p . x_i)| over every node."""
     S = np.empty((probes.shape[0], M + 1))

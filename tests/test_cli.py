@@ -8,7 +8,7 @@ from spherefit import (
     gauss_legendre_rule, load_coefficients, params, regularized_fit, save_rule,
 )
 from spherefit.cli import main
-from spherefit.experiments import franke_cap_eval, run_experiment_3, sgg_generate
+from spherefit.experiments import franke_cap_eval, run_experiment_2, run_experiment_3, sgg_generate
 
 
 def write_samples(path, values):
@@ -644,25 +644,37 @@ class TestParserHygiene:
 
 class TestOnePlanPerRun:
     """`fit` and an experiment driver share one plan across their walks,
-    fits and norm estimates: each ring table is built at most once per
-    (degree, rings, azimuth count), and the probes classified once per bound."""
+    fits and norm estimates: the degree layout is built once per degree,
+    the Legendre part once per (degree, rings), the trig table once per
+    (degree, azimuth count), and the probes classified once per bound."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        tables, classified = [], []
-        ring_table, probe_classes = _rings.ring_table, _rings.probe_classes
+        layouts, legendre, trig, classified = [], [], [], []
+        degree_layout, legendre_part = _rings.degree_layout, _rings.legendre_part
+        trig_table, probe_classes = _rings.trig_table, _rings.probe_classes
 
-        def building(M, rings):
-            tables.append((M, rings.meridian.tobytes(), rings.azimuths))
-            return ring_table(M, rings)
+        def laying_out(M):
+            layouts.append(M)
+            return degree_layout(M)
+
+        def tabulating(layout, meridian):
+            legendre.append((layout.rows.shape, meridian.tobytes()))
+            return legendre_part(layout, meridian)
+
+        def trig_building(M, azimuths):
+            trig.append((M, azimuths))
+            return trig_table(M, azimuths)
 
         def classifying(*args):
             classified.append(args)
             return probe_classes(*args)
 
-        monkeypatch.setattr(_rings, "ring_table", building)
+        monkeypatch.setattr(_rings, "degree_layout", laying_out)
+        monkeypatch.setattr(_rings, "legendre_part", tabulating)
+        monkeypatch.setattr(_rings, "trig_table", trig_building)
         monkeypatch.setattr(_rings, "probe_classes", classifying)
-        return tables, classified
+        return layouts, legendre, trig, classified
 
     @pytest.mark.parametrize(
         "mode, bounds",
@@ -673,9 +685,9 @@ class TestOnePlanPerRun:
         ],
     )
     def test_fit(self, tmp_path, builds, mode, bounds):
-        # the rule's table and the probe rings' table; the `grid` estimate
-        # reuses a `grid` walk's oracle, and builds its own after a
-        # `grid-abs` walk or at a fixed alpha
+        # the rule's rings on 2(M+1) azimuths and the probe rings on 4(M+1);
+        # the `grid` estimate reuses a `grid` walk's oracle, and builds its
+        # own after a `grid-abs` walk or at a fixed alpha
         M = 30
         samples = tmp_path / "samples.csv"
         write_samples(samples, franke_cap_eval(gauss_legendre_rule(M).points))
@@ -685,16 +697,29 @@ class TestOnePlanPerRun:
                 "--beta", "laplace-beltrami", *mode, "--out", str(tmp_path / "fit"),
             ]
         )
-        tables, classified = builds
+        layouts, legendre, trig, classified = builds
         assert rc == 0
-        assert len(tables) == len(set(tables)) == 2
+        assert layouts == [M]
+        assert len(legendre) == len(set(legendre)) == 2
+        assert sorted(trig) == [(M, 62), (M, 124)]
         assert len(classified) == bounds
 
     def test_experiment_3(self, builds):
-        # the rule's table, the walks' probe table on 4(M+1) azimuths and
-        # the probe rule's on 2(2M+1), over 105 walks and 101 scores
+        # over 105 walks and 101 scores: the rule's rings on 62 azimuths, and
+        # the probe rings, which the probe rule gauss_legendre_rule(2M) shares,
+        # on the walks' 4(M+1) and the probe rule's 2(2M+1)
         run_experiment_3(0, 2)
-        tables, classified = builds
-        assert len(tables) == len(set(tables)) == 3
-        assert sorted(azimuths for _, _, azimuths in tables) == [62, 122, 124]
+        layouts, legendre, trig, classified = builds
+        assert layouts == [30]
+        assert len(legendre) == len(set(legendre)) == 2
+        assert sorted(trig) == [(30, 62), (30, 122), (30, 124)]
+        assert len(classified) == 1
+
+    def test_experiment_2(self, builds):
+        # the same three tables for one walk and one score
+        run_experiment_2(0)
+        layouts, legendre, trig, classified = builds
+        assert layouts == [30]
+        assert len(legendre) == len(set(legendre)) == 2
+        assert sorted(trig) == [(30, 62), (30, 122), (30, 124)]
         assert len(classified) == 1
