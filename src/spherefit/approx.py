@@ -480,7 +480,9 @@ class _Plan:
 
     def norm(self, bound: str):
         if bound not in self._norms:
-            tables = (self.table, self.probe_table) if bound == "grid" else None
+            # only the `grid` oracle of a product rule reads the ring tables
+            ring_grid = bound == "grid" and self.rule.rings is not None
+            tables = (self.table, self.probe_table) if ring_grid else None
             oracle = _norm_oracle(self.rule, self.M, self.probe_rings, bound, tables=tables)
             self._norms[bound] = oracle
         return self._norms[bound]

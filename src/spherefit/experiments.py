@@ -16,20 +16,15 @@ import numpy as np
 
 from ._files import write_csv, write_json
 from ._rings import synthesis
-from .approx import (
-    HarmonicCoefficients,
-    SampleSet,
-    _Plan,
-    analyze,
-    expand_by_degree,
-    regularized_fit,
-)
-from .cubature import gauss_legendre_rule, probe_grid
+from .approx import HarmonicCoefficients, SampleSet, _Plan, analyze, expand_by_degree
+from .cubature import CubatureRule, gauss_legendre_rule
 from .harmonics import _whole_number, as_unit_vectors
 from .params import (
     BalancingConfig,
+    BalancingResult,
+    KernelSelectResult,
     RandomSearchConfig,
-    balancing_principle,
+    _balanced_fit,
     kernel_select,
     weights_from_kernel_params,
     weights_laplace_beltrami,
@@ -247,11 +242,44 @@ def _bp_config(config: dict, delta: float) -> BalancingConfig:
     )
 
 
+def _study(config: dict) -> tuple[int, CubatureRule, _Plan]:
+    """The degree M of a config echo, its rule gauss_legendre_rule(M) and the
+    one plan every walk, fit and score of the run shares."""
+    M = config["degree"]
+    rule = gauss_legendre_rule(M)
+    return M, rule, _Plan(rule, M, _bp_config(config, 0.0).resolution(M))
+
+
+def _franke_scorer(plan: _Plan):
+    """The Franke-plus-cap function on gauss_legendre_rule(plan.resolution),
+    whose rings are the plan's probe rings: returns its points, its values
+    there and a scorer of degree-M coefficients, which gives the fit's values
+    there, its `_weighted_l2_rel_error` and its sup error."""
+    rule = gauss_legendre_rule(plan.resolution)
+    truth, table = franke_cap_eval(rule.points), plan.ring_table(rule.rings)
+
+    def score(coeffs: HarmonicCoefficients) -> tuple[np.ndarray, float, float]:
+        values = synthesis(table, coeffs.values)
+        rel_error = _weighted_l2_rel_error(rule, values, truth)
+        return values, rel_error, float(np.abs(values - truth).max())
+
+    return rule.points, truth, score
+
+
 def _weighted_l2_rel_error(rule, values, truth_values) -> float:
     """Quadrature estimate of ||f - g||_L2 / ||g||_L2 from node values."""
     num = float(np.sqrt(rule.weights @ (values - truth_values) ** 2))
     den = float(np.sqrt(rule.weights @ truth_values**2))
     return num / den
+
+
+def _report(config, run_id, method, alpha, rel_error, sup_error=None, kernel=None):
+    """One method's `ExperimentReport`, with the rates of a `KernelParams` `kernel`."""
+    lambda1, lambda2 = (None, None) if kernel is None else (kernel.lambda1, kernel.lambda2)
+    return ExperimentReport(
+        run_id=run_id, seed=config["seed"], method=method, alpha_star=alpha, lambda1=lambda1,
+        lambda2=lambda2, rel_error=rel_error, sup_error=sup_error, config=config,
+    )
 
 
 def _sorted_curve(errors) -> list[tuple[int, float]]:
@@ -260,16 +288,29 @@ def _sorted_curve(errors) -> list[tuple[int, float]]:
     return [(int(i), float(errors[i])) for i in order]
 
 
-def _best_alpha_on_grid(grid, gamma_hat, b2_flat, a_flat, g_true_values):
-    """Oracle: the grid value minimizing the true relative coefficient error."""
+def _best_alpha_on_grid(grid, gamma_hat, beta, model):
+    """Oracle: the grid value at which the `beta` fit of the analysis
+    coefficients `gamma_hat` recovers `model`'s target best."""
+    b2_flat, a_flat = expand_by_degree(beta.beta**2), expand_by_degree(model.a)
+    g_true_values = model.g_true.values
     best_alpha, best_err = None, np.inf
     norm_g = np.linalg.norm(g_true_values)
     for alpha in grid:
-        rec = gamma_hat / (1.0 + alpha * b2_flat) / a_flat
+        rec = gamma_hat.values / (1.0 + alpha * b2_flat) / a_flat
         err = np.linalg.norm(rec - g_true_values) / norm_g
         if err < best_err:
             best_alpha, best_err = float(alpha), float(err)
     return best_alpha, best_err
+
+
+@dataclass
+class _StudyResult:
+    """Experiment 1's or 3's reports and error curves; experiment 3's kernel search."""
+
+    reports: list
+    curves: dict
+    config: dict
+    selection: KernelSelectResult | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +327,10 @@ def run_experiment_1(seed: int = 0, simulations: int | None = None):
     errors of the recovered target.  `simulations` defaults to DEFAULTS'.
     """
     config = _config(1, seed, simulations)
-    seed, M, simulations = config["seed"], config["degree"], config["simulations"]
-    rule = gauss_legendre_rule(M)
+    seed, simulations = config["seed"], config["simulations"]
+    M, rule, plan = _study(config)
     bp_cfg = _bp_config(config, config["noise_level"])
-    plan = _Plan(rule, M, bp_cfg.resolution(M))
-    grid = bp_cfg.grid()
-    beta_one = weights_ones(M)
-    b2_one = expand_by_degree(beta_one.beta**2)
+    grid, beta_one = bp_cfg.grid(), weights_ones(M)
 
     methods = ("plain-ls", "apriori-bp", "ones-best", "apriori-best")
     errors = {m: np.empty(simulations) for m in methods}
@@ -300,118 +338,71 @@ def run_experiment_1(seed: int = 0, simulations: int | None = None):
     for sim in range(simulations):
         model, y_coeffs = sgg_generate(M, config["decay"], [seed, sim, 0])
         clean = plan.synthesize(y_coeffs.values)
-        noisy, eps_sup = add_noise(
+        noisy, _ = add_noise(
             clean, NoiseSpec("uniform_supnorm", config["noise_level"], [seed, sim, 1])
         )
         samples = SampleSet(rule, noisy)
-        gamma_hat = analyze(samples, M, plan=plan)
-        a_flat = expand_by_degree(model.a)
-        g_true = model.g_true
-
+        gamma_hat, g_true = analyze(samples, M, plan=plan), model.g_true
         beta_sgg = weights_sgg_apriori(M, model.a)
-        b2_sgg = expand_by_degree(beta_sgg.beta**2)
-
-        err_a = relative_error_l2(sgg_recover(gamma_hat, model), g_true)
-
-        bres = balancing_principle(samples, M, beta_sgg, bp_cfg, plan=plan)
-        rec_b = sgg_recover(regularized_fit(samples, M, bres.alpha_star, beta_sgg), model)
-        err_b = relative_error_l2(rec_b, g_true)
-
-        alpha_c, err_c = _best_alpha_on_grid(grid, gamma_hat.values, b2_one, a_flat, g_true.values)
-        alpha_d, err_d = _best_alpha_on_grid(grid, gamma_hat.values, b2_sgg, a_flat, g_true.values)
-
+        bres, gamma = _balanced_fit(samples, M, beta_sgg, bp_cfg, plan)
         per_method = {
-            "plain-ls": (0.0, err_a),
-            "apriori-bp": (bres.alpha_star, err_b),
-            "ones-best": (alpha_c, err_c),
-            "apriori-best": (alpha_d, err_d),
+            "plain-ls": (0.0, relative_error_l2(sgg_recover(gamma_hat, model), g_true)),
+            "apriori-bp": (bres.alpha_star, relative_error_l2(sgg_recover(gamma, model), g_true)),
+            "ones-best": _best_alpha_on_grid(grid, gamma_hat, beta_one, model),
+            "apriori-best": _best_alpha_on_grid(grid, gamma_hat, beta_sgg, model),
         }
-        for method, (alpha_used, err) in per_method.items():
+        for method, (alpha, err) in per_method.items():
             errors[method][sim] = err
-            reports.append(
-                ExperimentReport(
-                    run_id=f"exp1-sim{sim:03d}-{method}",
-                    seed=seed,
-                    method=method,
-                    alpha_star=alpha_used,
-                    lambda1=None,
-                    lambda2=None,
-                    rel_error=err,
-                    sup_error=None,
-                    config=config,
-                )
-            )
+            reports.append(_report(config, f"exp1-sim{sim:03d}-{method}", method, alpha, err))
     curves = {m: _sorted_curve(errors[m]) for m in methods}
-    return Experiment1Result(reports=reports, curves=curves, config=config)
-
-
-@dataclass
-class Experiment1Result:
-    reports: list
-    curves: dict
-    config: dict
+    return _StudyResult(reports, curves, config)
 
 
 # ---------------------------------------------------------------------------
 # experiment 2: Franke-plus-cap denoising with a balanced parameter
 
 
-def run_experiment_2(seed: int = 0):
+@dataclass
+class Experiment2Result:
+    """The run's report and walk, and the CSV columns it writes: x1, x2, x3
+    of the rule's nodes or of the scoring rule's points, then the values."""
+
+    report: ExperimentReport
+    bp_result: BalancingResult
+    noisy_sup_error: float
+    node_columns: tuple
+    probe_columns: tuple
+    config: dict
+
+
+def run_experiment_2(seed: int = 0) -> Experiment2Result:
     """Denoise the Franke-plus-cap function with degree-ladder weights.
 
     Gaussian noise of sigma 0.5 at the rule nodes; the balancing principle
-    picks alpha; reported errors are the probe-grid sup error and a
-    quadrature estimate of the relative L2 error of the reconstruction.
+    picks alpha; reported errors are the sup error and a quadrature estimate
+    of the relative L2 error of the reconstruction on the scoring rule.
     """
     config = _config(2, seed)
-    seed, M = config["seed"], config["degree"]
-    rule = gauss_legendre_rule(M)
+    M, rule, plan = _study(config)
     clean = franke_cap_eval(rule.points)
-    noisy, eps_sup = add_noise(clean, NoiseSpec("gaussian", config["noise_level"], [seed, 0]))
-    samples = SampleSet(rule, noisy)
-    beta = weights_laplace_beltrami(M)
-    bp_cfg = _bp_config(config, eps_sup)
-    plan = _Plan(rule, M, bp_cfg.resolution(M))
-    bres = balancing_principle(samples, M, beta, bp_cfg, plan=plan)
-    gamma = regularized_fit(samples, M, bres.alpha_star, beta, plan=plan)
-
-    # the rule at the walk's probe resolution 2M lies on the plan's probe rings
-    probe_rule = gauss_legendre_rule(plan.resolution)
-    truth_probe = franke_cap_eval(probe_rule.points)
-    rec_probe = synthesis(plan.ring_table(probe_rule.rings), gamma.values)
-    sup_error = float(np.abs(rec_probe - truth_probe).max())
-    rel_error = _weighted_l2_rel_error(probe_rule, rec_probe, truth_probe)
-    rec_nodes = plan.synthesize(gamma.values)
-
-    report = ExperimentReport(
-        run_id="exp2",
-        seed=seed,
-        method="laplace-beltrami+bp",
-        alpha_star=bres.alpha_star,
-        lambda1=None,
-        lambda2=None,
-        rel_error=rel_error,
-        sup_error=sup_error,
-        config=config,
+    noisy, eps_sup = add_noise(
+        clean, NoiseSpec("gaussian", config["noise_level"], [config["seed"], 0])
     )
+    samples = SampleSet(rule, noisy)
+    bres, gamma = _balanced_fit(
+        samples, M, weights_laplace_beltrami(M), _bp_config(config, eps_sup), plan
+    )
+    probe_points, truth, score = _franke_scorer(plan)
+    rec_probe, rel_error, sup_error = score(gamma)
     return Experiment2Result(
-        report=report,
+        report=_report(config, "exp2", "laplace-beltrami+bp", bres.alpha_star, rel_error,
+                       sup_error),
         bp_result=bres,
         noisy_sup_error=eps_sup,
-        node_values=(clean, noisy, rec_nodes),
-        probe_values=(truth_probe, rec_probe),
+        node_columns=(*rule.points.T, clean, noisy, plan.synthesize(gamma.values)),
+        probe_columns=(*probe_points.T, truth, rec_probe),
         config=config,
     )
-
-
-@dataclass
-class Experiment2Result:
-    report: ExperimentReport
-    bp_result: object
-    noisy_sup_error: float
-    node_values: tuple
-    probe_values: tuple
-    config: dict
 
 
 # ---------------------------------------------------------------------------
@@ -428,34 +419,29 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
     `simulations` defaults to DEFAULTS'.
     """
     config = _config(3, seed, simulations)
-    seed, M, simulations = config["seed"], config["degree"], config["simulations"]
-    rule = gauss_legendre_rule(M)
+    seed, simulations = config["seed"], config["simulations"]
+    M, rule, plan = _study(config)
     clean = franke_cap_eval(rule.points)
 
     # one blurred realization drives the selection
     sel_noisy, sel_eps = add_noise(
         clean, NoiseSpec("gaussian", config["noise_level"], [seed, 0])
     )
-    sel_samples = SampleSet(rule, sel_noisy)
-    search_seed = int(np.random.SeedSequence([seed, 2]).generate_state(1)[0])
     search = RandomSearchConfig(
         runs=config["search_runs"],
         steps_per_run=config["search_steps"],
         box=tuple(tuple(b) for b in config["search_box"]),
-        seed=search_seed,
+        seed=int(np.random.SeedSequence([seed, 2]).generate_state(1)[0]),
     )
-    sel_cfg = _bp_config(config, sel_eps)
-    # the search and every walk and fit below share one plan of the rule
-    plan = _Plan(rule, M, sel_cfg.resolution(M))
-    selection = kernel_select(sel_samples, M, search, sel_cfg, plan=plan)
-    beta_sel = weights_from_kernel_params(M, selection.best)
-    beta_lb = weights_laplace_beltrami(M)
+    selection = kernel_select(
+        SampleSet(rule, sel_noisy), M, search, _bp_config(config, sel_eps), plan=plan
+    )
+    *_, score = _franke_scorer(plan)
 
-    probe_rule = gauss_legendre_rule(plan.resolution)
-    truth_probe = franke_cap_eval(probe_rule.points)
-    probe_table = plan.ring_table(probe_rule.rings)
-
-    methods = {"laplace-beltrami+bp": beta_lb, "selected-kernel+bp": beta_sel}
+    methods = {
+        "laplace-beltrami+bp": (weights_laplace_beltrami(M), None),
+        "selected-kernel+bp": (weights_from_kernel_params(M, selection.best), selection.best),
+    }
     errors = {m: np.empty(simulations) for m in methods}
     reports = []
     for sim in range(simulations):
@@ -463,38 +449,14 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
             clean, NoiseSpec("gaussian", config["noise_level"], [seed, 1, sim])
         )
         samples = SampleSet(rule, noisy)
-        for method, beta in methods.items():
-            bres = balancing_principle(samples, M, beta, _bp_config(config, eps_sup), plan=plan)
-            gamma = regularized_fit(samples, M, bres.alpha_star, beta, plan=plan)
-            rec_probe = synthesis(probe_table, gamma.values)
-            err = _weighted_l2_rel_error(probe_rule, rec_probe, truth_probe)
+        for method, (beta, kernel) in methods.items():
+            bres, gamma = _balanced_fit(samples, M, beta, _bp_config(config, eps_sup), plan)
+            _, err, sup_error = score(gamma)
             errors[method][sim] = err
-            is_sel = method == "selected-kernel+bp"
-            reports.append(
-                ExperimentReport(
-                    run_id=f"exp3-sim{sim:03d}-{method}",
-                    seed=seed,
-                    method=method,
-                    alpha_star=bres.alpha_star,
-                    lambda1=selection.best.lambda1 if is_sel else None,
-                    lambda2=selection.best.lambda2 if is_sel else None,
-                    rel_error=float(err),
-                    sup_error=float(np.abs(rec_probe - truth_probe).max()),
-                    config=config,
-                )
-            )
+            reports.append(_report(config, f"exp3-sim{sim:03d}-{method}", method,
+                                   bres.alpha_star, err, sup_error, kernel))
     curves = {m: _sorted_curve(errors[m]) for m in methods}
-    return Experiment3Result(
-        selection=selection, reports=reports, curves=curves, config=config
-    )
-
-
-@dataclass
-class Experiment3Result:
-    selection: object
-    reports: list
-    curves: dict
-    config: dict
+    return _StudyResult(reports, curves, config, selection)
 
 
 def rerun_from_config(config: dict):
@@ -521,54 +483,47 @@ def rerun_from_config(config: dict):
 # persisted outputs (deterministic byte-for-byte for a fixed result)
 
 
-def _write_curves(curves: dict, path) -> None:
-    rows = [(i, method, err) for method in sorted(curves) for i, err in curves[method]]
-    write_csv(path, "sim_index,method,rel_error", zip(*rows))
-
-
-def write_experiment_1(result: Experiment1Result, out_dir) -> list[Path]:
+def _paths(out_dir, *names) -> list[Path]:
+    """`out_dir`, made if absent, joined with each file name."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reports_path = out / "exp1_reports.json"
-    curves_path = out / "exp1_curves.csv"
-    write_json([r.to_dict() for r in result.reports], reports_path)
-    _write_curves(result.curves, curves_path)
-    return [reports_path, curves_path]
+    return [out / name for name in names]
+
+
+def _write_study(result: _StudyResult, out_dir, report_name: str, payload) -> list[Path]:
+    """The report file `report_name` holding `payload`, and the curves CSV."""
+    n = result.config["experiment"]
+    report_path, curves_path = _paths(out_dir, report_name, f"exp{n}_curves.csv")
+    write_json(payload, report_path)
+    rows = [(i, method, err) for method in sorted(result.curves)
+            for i, err in result.curves[method]]
+    write_csv(curves_path, "sim_index,method,rel_error", zip(*rows))
+    return [report_path, curves_path]
+
+
+def write_experiment_1(result: _StudyResult, out_dir) -> list[Path]:
+    return _write_study(result, out_dir, "exp1_reports.json",
+                        [r.to_dict() for r in result.reports])
 
 
 def write_experiment_2(result: Experiment2Result, out_dir) -> list[Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "exp2_report.json"
-    payload = result.report.to_dict()
-    payload["noisy_sup_error"] = result.noisy_sup_error
-    payload["bp_triggered"] = result.bp_result.triggered
-    write_json(payload, report_path)
-
-    rule = gauss_legendre_rule(result.config["degree"])
-    nodes_path = out / "exp2_surface_nodes.csv"
-    write_csv(
-        nodes_path, "x1,x2,x3,y,y_noisy,reconstruction", [*rule.points.T, *result.node_values]
-    )
-    probe_path = out / "exp2_reconstruction.csv"
-    probes = probe_grid(2 * result.config["degree"])
-    write_csv(probe_path, "x1,x2,x3,y,reconstruction", [*probes.T, *result.probe_values])
-    return [report_path, nodes_path, probe_path]
+    paths = _paths(out_dir, "exp2_report.json", "exp2_surface_nodes.csv",
+                   "exp2_reconstruction.csv")
+    payload = {**result.report.to_dict(), "noisy_sup_error": result.noisy_sup_error,
+               "bp_triggered": result.bp_result.triggered}
+    write_json(payload, paths[0])
+    write_csv(paths[1], "x1,x2,x3,y,y_noisy,reconstruction", result.node_columns)
+    write_csv(paths[2], "x1,x2,x3,y,reconstruction", result.probe_columns)
+    return paths
 
 
-def write_experiment_3(result: Experiment3Result, out_dir) -> list[Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "exp3_report.json"
+def write_experiment_3(result: _StudyResult, out_dir) -> list[Path]:
     payload = {
         "config": result.config,
         "kernel_search": asdict(result.selection),
         "reports": [r.to_dict() for r in result.reports],
     }
-    write_json(payload, report_path)
-    curves_path = out / "exp3_curves.csv"
-    _write_curves(result.curves, curves_path)
-    return [report_path, curves_path]
+    return _write_study(result, out_dir, "exp3_report.json", payload)
 
 
 # experiment number -> (driver, writer of its files)

@@ -240,6 +240,12 @@ def balancing_principle(
     )
 
 
+def _balanced_fit(samples: SampleSet, M: int, beta: PenalizationWeights, cfg, plan):
+    """(`BalancingResult`, fit): the walk, then the fit at its alpha, both on `plan`."""
+    bres = balancing_principle(samples, M, beta, cfg, plan=plan)
+    return bres, regularized_fit(samples, M, bres.alpha_star, beta, plan=plan)
+
+
 def save_bp_trace(result: BalancingResult, path) -> None:
     """Write the comparison trace as CSV `alpha,difference,threshold,triggered`."""
     rows = [(*step[:3], "true" if step.triggered else "false") for step in result.trace]
@@ -270,8 +276,7 @@ def kernel_select(
         key = (p.lambda1, p.lambda2)
         if key not in scores:
             beta = weights_from_kernel_params(M, p)
-            bres = balancing_principle(samples, M, beta, bp, plan=plan)
-            gamma = regularized_fit(samples, M, bres.alpha_star, beta)
+            bres, gamma = _balanced_fit(samples, M, beta, bp, plan)
             scores[key] = penalized_functional(samples, gamma, bres.alpha_star, beta, plan=plan)
         return scores[key]
 

@@ -1,0 +1,64 @@
+"""Size of the package: per module of src/spherefit, its total lines and its
+code lines (no blank, comment or docstring lines), then the totals and the
+count of public names in the `spherefit` namespace.
+
+Not collected by pytest (the name does not start with `test_`).  Run from
+the repository root; ROOT (default: this file's repository) selects another
+checkout:
+
+    python tests/src_size.py [ROOT]
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+
+def docstring_lines(tree: ast.Module) -> set[int]:
+    """Line numbers spanned by the module, class and function docstrings."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def sizes(path: Path) -> tuple[int, int]:
+    """(total lines, code lines) of one module."""
+    text = path.read_text()
+    lines = text.splitlines()
+    skip = docstring_lines(ast.parse(text))
+    code = [
+        line for n, line in enumerate(lines, start=1)
+        if n not in skip and line.strip() and not line.strip().startswith("#")
+    ]
+    return len(lines), len(code)
+
+
+def main() -> None:
+    root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
+    src = root.resolve() / "src"
+    total = code = 0
+    print(f"{'module':<16}{'lines':>7}{'code':>7}")
+    for path in sorted((src / "spherefit").glob("*.py")):
+        n, c = sizes(path)
+        total, code = total + n, code + c
+        print(f"{path.name:<16}{n:>7}{c:>7}")
+    print(f"{'src/':<16}{total:>7}{code:>7}")
+    sys.path.insert(0, str(src))
+    import spherefit
+
+    public = [n for n in vars(spherefit) if not n.startswith("_")]
+    print(f"public names in spherefit: {len(public)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1066,6 +1066,24 @@ class TestPlanTables:
             with pytest.raises(ValueError, match="no Legendre values at these ring heights"):
                 plan.ring_table(_rings.RingLayout(meridian, None, azimuths))
 
+    @pytest.mark.parametrize("product, builds", [(False, 0), (True, 2)])
+    def test_grid_oracle_reads_ring_tables_only_on_a_product_rule(
+        self, monkeypatch, product, builds
+    ):
+        # a rotated rule's `grid` oracle sums over every probe and node, so
+        # the plan lends it no tables: the rule's rings and the probe rings'
+        # Legendre parts are built only for a product rule
+        M = 10
+        rule = gauss_legendre_rule(M) if product else rotated_rule(M)
+        calls, legendre_part = [], _rings.legendre_part
+        monkeypatch.setattr(_rings, "legendre_part", lambda *a: calls.append(a) or legendre_part(*a))
+        plan = approx._Plan(rule, M, 2 * M)
+        k = np.arange(M + 1)
+        f = approx.filter_factors(M, 1e-3, PenalizationWeights(M, k * (k + 1.0)))
+        value = plan.norm("grid")(f)
+        assert len(calls) == builds
+        assert value == approx._norm_oracle(rule, M, plan.probe_rings, "grid")(f)
+
     def test_probe_rings_of_the_rule_share_its_legendre_part(self):
         # at resolution M the walk's probe rings are the rings of gauss_legendre_rule(M)
         plan = approx._Plan(gauss_legendre_rule(6), 6, 6)

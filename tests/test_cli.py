@@ -8,7 +8,9 @@ from spherefit import (
     gauss_legendre_rule, load_coefficients, params, regularized_fit, save_rule,
 )
 from spherefit.cli import main
-from spherefit.experiments import franke_cap_eval, run_experiment_2, run_experiment_3, sgg_generate
+from spherefit.experiments import (
+    franke_cap_eval, run_experiment_1, run_experiment_2, run_experiment_3, sgg_generate,
+)
 
 
 def write_samples(path, values):
@@ -703,6 +705,16 @@ class TestOnePlanPerRun:
         assert len(legendre) == len(set(legendre)) == 2
         assert sorted(trig) == [(M, 62), (M, 124)]
         assert len(classified) == bounds
+
+    def test_experiment_1(self, builds):
+        # the rule's rings for the data and the fits, the probe rings for the
+        # walks' step differences; the `crude` bound classifies no probes
+        run_experiment_1(0, 2)
+        layouts, legendre, trig, classified = builds
+        assert layouts == [30]
+        assert len(legendre) == len(set(legendre)) == 2
+        assert sorted(trig) == [(30, 62), (30, 124)]
+        assert classified == []
 
     def test_experiment_3(self, builds):
         # over 105 walks and 101 scores: the rule's rings on 62 azimuths, and

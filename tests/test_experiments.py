@@ -273,6 +273,13 @@ class TestReportsRoundTrip:
         for p1, p2 in zip(paths1, paths2):
             assert p1.read_bytes() == p2.read_bytes()
 
+    def test_experiment_2_writes_the_points_it_scored_at_degree_0(self, tmp_path, monkeypatch):
+        # at degree 0 the scoring rule is gauss_legendre_rule(max(1, 2 * 0))
+        monkeypatch.setitem(experiments.DEFAULTS, "degree", 0)
+        write_experiment_2(run_experiment_2(seed=0), tmp_path)
+        written = np.loadtxt(tmp_path / "exp2_reconstruction.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(written[:, :3], gauss_legendre_rule(1).points)
+
     def test_curve_csv_schema(self, tmp_path):
         res = run_experiment_1(simulations=2, seed=4)
         write_experiment_1(res, tmp_path)
