@@ -15,14 +15,12 @@ from .approx import (
     analyze,
     evaluate,
     evaluate_grid,
-    evaluate_kernel_form,
     filtered_approx,
     kernel_section,
     load_coefficients,
     operator_norm_bound,
     penalized_functional,
     regularized_fit,
-    regularized_fit_via_solver,
     rkhs_norm_sq,
     save_coefficients,
 )

@@ -1,8 +1,8 @@
 """Approximation operators on the sphere: harmonic analysis on an exact
 rule, the regularized least-squares fit with its closed-form degree filter
-1/(1 + alpha*beta_k^2) and a dense-solver cross-check, filtered
-approximation, sup-norm bounds for the fit operator, the weighted-coefficient
-(RKHS) norms, and the transform plans many fits on one rule share.
+1/(1 + alpha*beta_k^2), filtered approximation, sup-norm bounds for the fit
+operator, the weighted-coefficient (RKHS) norms, and the transform plans many
+fits on one rule share.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .cubature import CubatureRule, _gl_meridian
 from .harmonics import (
     FOUR_PI, _degree, _one_point, as_unit_vectors, basis_size, sph_harm_matrix,
 )
-
-_SOLVER_DEGREE_CAP = 40
 
 
 def expand_by_degree(per_degree: np.ndarray) -> np.ndarray:
@@ -209,39 +207,6 @@ def regularized_fit(
     return HarmonicCoefficients(M, factors * plain.values)
 
 
-def regularized_fit_via_solver(
-    samples: SampleSet,
-    M: int,
-    alpha: float,
-    beta: PenalizationWeights,
-) -> HarmonicCoefficients:
-    """Solve the normal equations explicitly with a dense SPD solver.
-
-    Assembles (G + alpha * B G B) gamma = Y W y with G = Y W Y^T and solves by
-    Cholesky factorization.  This is a deliberately independent cross-check of
-    the closed form in `regularized_fit`; the matrix is materialized, so the
-    degree is capped at 40 to bound memory.
-    """
-    _require_exactness(samples.rule, M)
-    filter_factors(M, alpha, beta)  # checks the weights' degree and alpha
-    if M > _SOLVER_DEGREE_CAP:
-        raise ValueError(f"dense solver capped at degree {_SOLVER_DEGREE_CAP}, got {M}")
-    Y = sph_harm_matrix(M, samples.rule.points)
-    w = samples.rule.weights
-    G = (Y * w) @ Y.T
-    b = expand_by_degree(beta.beta)
-    A = G + alpha * (b[:, None] * G * b[None, :])
-    rhs = Y @ (w * samples.values)
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - signals a rule bug
-        raise np.linalg.LinAlgError(
-            "normal-equation matrix is not positive definite; "
-            "the rule is likely not exact to the required degree"
-        ) from exc
-    return HarmonicCoefficients(M, np.linalg.solve(L.T, np.linalg.solve(L, rhs)))
-
-
 def evaluate(coeffs: HarmonicCoefficients, x) -> float:
     """Value of the polynomial sum_{k,j} gamma_{k,j} Y_{k,j} at one point."""
     return float(evaluate_grid(coeffs, _one_point(x))[0])
@@ -262,7 +227,8 @@ def evaluate_kernel_form(
 
     sum_k (2k+1)/(4 pi (1+alpha*beta_k^2)) sum_i w_i P_k(x . x_i) y_i, which
     agrees with evaluating `regularized_fit` coefficients in the harmonic
-    basis.  Kept as an independent evaluation path for cross-checks.
+    basis.  No package code calls it: it is kept here, out of the package
+    namespace, as the independent path the benchmark checks each fit against.
     """
     _require_exactness(samples.rule, M)
     pts = as_unit_vectors(points)

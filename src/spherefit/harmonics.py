@@ -124,9 +124,9 @@ def sph_harm_matrix(degree: int, points) -> np.ndarray:
     m != 0 harmonics vanish anyway.
 
     `_associated_legendre` writes degree k's values Nbar P_k^m into rows
-    k^2+k+m, m >= 0.  Once no step reads them, its -m rows get the products
-    with sqrt(2) sin(m phi) and its +m rows those with sqrt(2) cos(m phi),
-    m > 0.
+    k^2+k+m, m >= 0, and uses the -m rows as scratch.  Once it ends, the -m
+    rows get the products with sqrt(2) sin(m phi) and the +m rows those with
+    sqrt(2) cos(m phi), m > 0, in one pass over the degrees.
     """
     degree = _degree(degree)
     pts = as_unit_vectors(points)
@@ -136,17 +136,20 @@ def sph_harm_matrix(degree: int, points) -> np.ndarray:
     phi = np.arctan2(pts[:, 1], pts[:, 0])
 
     Y = np.empty((basis_size(M), n))
-    # cos_m[m-1] holds sqrt(2) cos(m phi); sqrt(2) sin(m phi) waits in row
-    # M^2+M-m, the -m row of degree M, which is the last one written
-    cos_m = np.empty((M, n))
-    for m in range(1, M + 1):
-        cos_m[m - 1] = _SQRT2 * np.cos(m * phi)
-        Y[M * M + M - m] = _SQRT2 * np.sin(m * phi)
-    for k, _ in enumerate(_associated_legendre(M, t, u, Y)):
-        if k >= 3:
-            _apply_azimuth(Y, k - 2, cos_m)
-    for k in range(max(1, M - 1), M + 1):
-        _apply_azimuth(Y, k, cos_m)
+    for _ in _associated_legendre(M, t, u, Y):
+        pass
+    # row m-1 of each table: sqrt(2) cos(m phi) and sqrt(2) sin(m phi), the
+    # sines computed in place over m phi
+    sin_m = np.arange(1, M + 1)[:, None] * phi
+    cos_m = np.cos(sin_m)
+    cos_m *= _SQRT2
+    np.sin(sin_m, out=sin_m)
+    sin_m *= _SQRT2
+    for k in range(1, M + 1):
+        row = k * k + k
+        # orders k, k-1, ..., 1 into the -m rows, then the +m rows in place
+        np.multiply(Y[row + k : row : -1], sin_m[k - 1 :: -1], out=Y[k * k : row])
+        Y[row + 1 : row + k + 1] *= cos_m[:k]
     return Y
 
 
@@ -207,18 +210,3 @@ def _recurrence_coefficients(M: int) -> tuple[np.ndarray, np.ndarray]:
         (2.0 * k + 1.0) * (k + m - 1.0) * (k - m - 1.0) / ((2.0 * k - 3.0) * (k - m) * (k + m))
     )
     return a, b
-
-
-def _apply_azimuth(Y: np.ndarray, k: int, cos_m: np.ndarray) -> None:
-    """Turn degree k's values Nbar P_k^m in rows k^2+k+m into its harmonics:
-    row k^2+k-m gets them times sqrt(2) sin(m phi), read from row M^2+M-m
-    (the same row when k = M), and row k^2+k+m times sqrt(2) cos(m phi)."""
-    M = cos_m.shape[0]
-    row = k * k + k
-    values = Y[row + k : row : -1]  # orders k, k-1, ..., 1
-    sin = Y[M * M + M - k : M * M + M]
-    if k < M:
-        np.multiply(values, sin, out=Y[k * k : row])
-    else:
-        sin *= values
-    Y[row + 1 : row + k + 1] *= cos_m[:k]

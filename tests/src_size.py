@@ -1,6 +1,8 @@
 """Size of the package: per module of src/spherefit, its total lines and its
-code lines (no blank, comment or docstring lines), then the totals and the
-count of public names in the `spherefit` namespace.
+code lines (no blank, comment or docstring lines), then the totals, the
+count of public names in the `spherefit` namespace, and the module-level
+functions that `spherefit` does not re-export and no code in src/ names:
+the test oracles still in the package.
 
 Not collected by pytest (the name does not start with `test_`).  Run from
 the repository root; ROOT (default: this file's repository) selects another
@@ -43,12 +45,32 @@ def sizes(path: Path) -> tuple[int, int]:
     return len(lines), len(code)
 
 
+def unreferenced_functions(modules: list[Path], exported: set[str]) -> list[str]:
+    """`module.function` for each module-level function of `modules` that is
+    not in `exported` and whose name no module uses (as a name or an
+    attribute)."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in modules}
+    known = exported | {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name not in known
+    ]
+
+
 def main() -> None:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
     src = root.resolve() / "src"
     total = code = 0
     print(f"{'module':<16}{'lines':>7}{'code':>7}")
-    for path in sorted((src / "spherefit").glob("*.py")):
+    modules = sorted((src / "spherefit").glob("*.py"))
+    for path in modules:
         n, c = sizes(path)
         total, code = total + n, code + c
         print(f"{path.name:<16}{n:>7}{c:>7}")
@@ -58,6 +80,8 @@ def main() -> None:
 
     public = [n for n in vars(spherefit) if not n.startswith("_")]
     print(f"public names in spherefit: {len(public)}")
+    oracles = unreferenced_functions(modules, set(public))
+    print("functions neither re-exported nor named in src/:", *oracles)
 
 
 if __name__ == "__main__":

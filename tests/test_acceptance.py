@@ -25,7 +25,6 @@ from spherefit import (
     penalized_functional,
     probe_grid,
     regularized_fit,
-    regularized_fit_via_solver,
     rerun_from_config,
     rkhs_norm_sq,
     run_experiment_1,
@@ -36,6 +35,7 @@ from spherefit import (
 from spherefit.experiments import write_experiment_1, write_experiment_2
 
 from _criterion6 import predicted_ratio, simulated_ratio
+from _dense_solver import regularized_fit_via_solver
 from _scalar import unit
 
 FOUR_PI = 4 * np.pi

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _dense_solver import regularized_fit_via_solver
 from _scalar import sph_harm_matrix_loop, unit
 
 from spherefit import (
@@ -16,7 +17,6 @@ from spherefit import (
     analyze,
     evaluate,
     evaluate_grid,
-    evaluate_kernel_form,
     filtered_approx,
     gauss_legendre_nodes,
     gauss_legendre_rule,
@@ -26,13 +26,12 @@ from spherefit import (
     penalized_functional,
     probe_grid,
     regularized_fit,
-    regularized_fit_via_solver,
     rkhs_norm_sq,
     save_coefficients,
     sph_harm_matrix,
 )
 from spherefit import _rings, approx, harmonics, params
-from spherefit.approx import expand_by_degree
+from spherefit.approx import evaluate_kernel_form, expand_by_degree
 
 FOUR_PI = 4 * np.pi
 
@@ -249,6 +248,23 @@ class TestEvaluate:
         v /= np.linalg.norm(v)
         vals = evaluate_grid(cf, np.stack([v, -v]))
         assert vals[0] == pytest.approx(-vals[1], abs=1e-14)
+
+    @pytest.mark.parametrize("fault", ["point-count", "turned-node"])
+    def test_near_product_sets_take_the_harmonic_matrix(self, fault):
+        # the nodes of gauss_legendre_rule(1), rings of 4, spoilt: two nodes
+        # repeated (10 points, no multiple of 4), or node 5 turned 1e-9 rad
+        # off its azimuth; ring_layout finds no rings in either
+        pts = gauss_legendre_rule(1).points
+        if fault == "point-count":
+            pts = np.vstack([pts, pts[:2]])
+        else:
+            pts = pts.copy()
+            u, phi = np.hypot(pts[5, 0], pts[5, 1]), np.arctan2(pts[5, 1], pts[5, 0]) + 1e-9
+            pts[5, :2] = u * np.cos(phi), u * np.sin(phi)
+        assert _rings.ring_layout(pts) is None
+        coeffs = random_coeffs(6, np.random.default_rng(9))
+        dense = sph_harm_matrix(6, pts).T @ coeffs.values
+        assert np.abs(evaluate_grid(coeffs, pts) - dense).max() <= 1e-12
 
 
 def rel_err(fast, dense):

@@ -293,6 +293,18 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak <= 30e6
 
+    def test_exactness_check_memory_at_degree_250(self):
+        # the same analysis of degree 500 on 126 ring heights: 158 MB
+        # measured, nearly all of it the Legendre table
+        rule = gauss_legendre_rule(250)
+        tracemalloc.start()
+        try:
+            cubature._check_exactness(rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 175e6
+
     def test_swapped_columns_rejected(self, tmp_path):
         # read by position, this file loaded as the mirrored rule
         rule = gauss_legendre_rule(4)

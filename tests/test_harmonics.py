@@ -9,9 +9,10 @@ from _scalar import (
 )
 
 from spherefit import (
-    CubatureRule, HarmonicCoefficients, PenalizationWeights, evaluate, evaluate_grid,
+    CubatureRule, HarmonicCoefficients, PenalizationWeights, SampleSet, evaluate, evaluate_grid,
     franke_cap_eval, gauss_legendre_rule, kernel_section, operator_norm_bound, sph_harm_matrix,
 )
+from spherefit.approx import evaluate_kernel_form, weighted_abs_legendre_sums
 from spherefit.harmonics import legendre_matrix
 
 FOUR_PI = 4 * np.pi
@@ -79,6 +80,7 @@ class TestLegendre:
 # Every entry point that takes points refuses, rather than rescales, input
 # off the sphere.  The one-point entries get the last row only.
 _RULE, _BETA = gauss_legendre_rule(2), PenalizationWeights(2, [1.0, 2.0, 3.0])
+_SAMPLES = SampleSet(_RULE, np.ones(_RULE.n_points))
 _POINT_ENTRIES = {
     "evaluate_grid": lambda pts: evaluate_grid(HarmonicCoefficients.zeros(2), pts),
     "evaluate": lambda pts: evaluate(HarmonicCoefficients.zeros(2), pts[-1]),
@@ -87,6 +89,8 @@ _POINT_ENTRIES = {
     "franke_cap_eval": franke_cap_eval,
     "sph_harm_matrix": lambda pts: sph_harm_matrix(2, pts),
     "CubatureRule": lambda pts: CubatureRule(0, pts, np.full(len(pts), FOUR_PI / len(pts))),
+    "evaluate_kernel_form": lambda pts: evaluate_kernel_form(_SAMPLES, 2, 0.1, _BETA, pts),
+    "weighted_abs_legendre_sums": lambda pts: weighted_abs_legendre_sums(_RULE, 2, pts),
 }
 
 
@@ -188,9 +192,9 @@ class TestSphHarm:
         assert_same_bits(sph_harm_matrix(500, pts), sph_harm_matrix_loop(500, pts))
 
     def test_dense_matrix_memory(self):
-        # beside the matrix the recurrence keeps one (M x n) table of
-        # sqrt(2) cos(m phi), 3% of it at M = 30, and writes every other
-        # intermediate into rows of the matrix that are not final yet
+        # the recurrence writes its intermediates into rows of the matrix
+        # that are not final yet; the azimuth pass after it keeps two (M x n)
+        # tables, sqrt(2) cos(m phi) and sqrt(2) sin(m phi), 6% of it at M = 30
         q, _ = np.linalg.qr(np.random.default_rng(30).normal(size=(3, 3)))
         pts = gauss_legendre_rule(30).points @ q.T
         tracemalloc.start()

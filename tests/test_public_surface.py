@@ -11,9 +11,9 @@ PUBLIC_NAMES = {
     "approx", "cubature", "experiments", "harmonics", "params",
     # approx
     "FilterSpec", "HarmonicCoefficients", "NormBound", "PenalizationWeights", "SampleSet",
-    "analyze", "evaluate", "evaluate_grid", "evaluate_kernel_form", "filtered_approx",
-    "kernel_section", "load_coefficients", "operator_norm_bound", "penalized_functional",
-    "regularized_fit", "regularized_fit_via_solver", "rkhs_norm_sq", "save_coefficients",
+    "analyze", "evaluate", "evaluate_grid", "filtered_approx", "kernel_section",
+    "load_coefficients", "operator_norm_bound", "penalized_functional", "regularized_fit",
+    "rkhs_norm_sq", "save_coefficients",
     # cubature
     "CubatureRule", "gauss_legendre_nodes", "gauss_legendre_rule", "load_rule",
     "probe_grid", "save_rule",
@@ -47,7 +47,7 @@ def test_public_names_are_pinned():
     out = run_fresh(
         "import spherefit; print(*(n for n in dir(spherefit) if not n.startswith('_')))"
     )
-    assert len(PUBLIC_NAMES) == 54
+    assert len(PUBLIC_NAMES) == 52
     assert set(out.split()) == PUBLIC_NAMES
 
 
@@ -67,7 +67,7 @@ def test_no_memo_but_the_rule_cache():
 
 
 # numpy is the only dependency: scipy cannot be imported, yet the package,
-# the CLI and the dense-solver cross-check all run
+# a fit and the CLI all run
 NO_SCIPY = """
 import sys
 
@@ -82,7 +82,7 @@ import spherefit, spherefit.cli
 rule = spherefit.gauss_legendre_rule(2)
 samples = spherefit.SampleSet(rule, np.ones(rule.n_points))
 beta = spherefit.PenalizationWeights(2, np.ones(3))
-spherefit.regularized_fit_via_solver(samples, 2, 0.1, beta)
+spherefit.regularized_fit(samples, 2, 0.1, beta)
 assert spherefit.cli.main(["gen-rule", "--degree", "2", "--out", sys.argv[1]]) == 0
 print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
