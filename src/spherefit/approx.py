@@ -189,11 +189,6 @@ def filter_factors(M: int, alpha: float, beta: PenalizationWeights) -> np.ndarra
     return 1.0 / (1.0 + alpha * beta.beta**2)
 
 
-def _kernel_coefficients(M: int, alpha: float, beta: PenalizationWeights) -> np.ndarray:
-    """Zonal-kernel coefficients (2k+1)/(4 pi (1 + alpha*beta_k^2)) of the fit."""
-    return (2 * np.arange(M + 1) + 1) / FOUR_PI * filter_factors(M, alpha, beta)
-
-
 def regularized_fit(
     samples: SampleSet, M: int, alpha: float, beta: PenalizationWeights, *, plan=None
 ) -> HarmonicCoefficients:
@@ -232,7 +227,7 @@ def evaluate_kernel_form(
     """
     _require_exactness(samples.rule, M)
     pts = as_unit_vectors(points)
-    c = _kernel_coefficients(M, alpha, beta)
+    c = (2 * np.arange(M + 1) + 1) / FOUR_PI * filter_factors(M, alpha, beta)
     wy = samples.rule.weights * samples.values
     out = np.empty(pts.shape[0])
     for lo, nb, K in _kernel_sums(samples.rule.points, c, pts):
@@ -341,16 +336,12 @@ def _crude(f: np.ndarray) -> float:
     return float(np.sum((2 * np.arange(f.size) + 1) * f))
 
 
-def crude_norm_upper(M: int, alpha: float, beta: PenalizationWeights) -> float:
-    """Analytic upper bound sum_k (2k+1)/(1 + alpha*beta_k^2) for the operator norm."""
-    return _crude(filter_factors(M, alpha, beta))
-
-
 def _norm_bound(sup, M: int, alpha: float, beta: PenalizationWeights) -> NormBound:
     """The `NormBound` of the `grid` oracle `sup` at (alpha, beta)."""
-    crude = crude_norm_upper(M, alpha, beta)
+    f = filter_factors(M, alpha, beta)
+    crude = _crude(f)
     # the weight sum carries ~1e-12 roundoff; the true norm never exceeds crude
-    return NormBound(estimate=min(sup(filter_factors(M, alpha, beta)), crude), crude_upper=crude)
+    return NormBound(estimate=min(sup(f), crude), crude_upper=crude)
 
 
 def operator_norm_bound(
@@ -436,10 +427,6 @@ class _Plan:
             return _rings.transform(self.M, self.rule.points, None, self.rule.weights)
         return self.ring_table(self.rule.rings)
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Values at the rule's nodes of the degree-M flat coefficients."""
-        return _rings.synthesis(self.table, coeffs)
-
     @functools.cached_property
     def probe_table(self):
         return self.ring_table(self.probe_rings)
@@ -519,7 +506,7 @@ def penalized_functional(
     from the coefficients at the rule nodes, by `plan` (a `_Plan`) if given.
     """
     rule = samples.rule
-    p_at_nodes = _plan_for(plan, rule, coeffs.degree_M).synthesize(coeffs.values)
+    p_at_nodes = _rings.synthesis(_plan_for(plan, rule, coeffs.degree_M).table, coeffs.values)
     resid = p_at_nodes - samples.values
     return float(rule.weights @ (resid * resid)) + alpha * rkhs_norm_sq(coeffs, beta)
 

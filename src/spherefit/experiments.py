@@ -337,7 +337,7 @@ def run_experiment_1(seed: int = 0, simulations: int | None = None):
     reports = []
     for sim in range(simulations):
         model, y_coeffs = sgg_generate(M, config["decay"], [seed, sim, 0])
-        clean = plan.synthesize(y_coeffs.values)
+        clean = synthesis(plan.table, y_coeffs.values)
         noisy, _ = add_noise(
             clean, NoiseSpec("uniform_supnorm", config["noise_level"], [seed, sim, 1])
         )
@@ -399,7 +399,7 @@ def run_experiment_2(seed: int = 0) -> Experiment2Result:
                        sup_error),
         bp_result=bres,
         noisy_sup_error=eps_sup,
-        node_columns=(*rule.points.T, clean, noisy, plan.synthesize(gamma.values)),
+        node_columns=(*rule.points.T, clean, noisy, synthesis(plan.table, gamma.values)),
         probe_columns=(*probe_points.T, truth, rec_probe),
         config=config,
     )

@@ -1,7 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+
+from _support import traced
 
 from spherefit import (
     CubatureRule,
@@ -285,25 +285,13 @@ class TestSerialization:
         # one ring analysis of degree 240 on the rule's rings, whose
         # Legendre table holds 14 MB on the 61 ring heights: 21 MB measured
         rule = gauss_legendre_rule(120)
-        tracemalloc.start()
-        try:
-            cubature._check_exactness(rule)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 30e6
+        assert traced(lambda: cubature._check_exactness(rule)).peak <= 30e6
 
     def test_exactness_check_memory_at_degree_250(self):
         # the same analysis of degree 500 on 126 ring heights: 158 MB
         # measured, nearly all of it the Legendre table
         rule = gauss_legendre_rule(250)
-        tracemalloc.start()
-        try:
-            cubature._check_exactness(rule)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 175e6
+        assert traced(lambda: cubature._check_exactness(rule)).peak <= 175e6
 
     def test_swapped_columns_rejected(self, tmp_path):
         # read by position, this file loaded as the mirrored rule

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from _scalar import (
     HarmonicIndex, addition_kernel, legendre_batch, legendre_eval, sph_harm_eval,
     sph_harm_matrix_loop, unit,
 )
+from _support import random_unit, rotated_rule, traced
 
 from spherefit import (
     CubatureRule, HarmonicCoefficients, PenalizationWeights, SampleSet, evaluate, evaluate_grid,
@@ -16,11 +15,6 @@ from spherefit.approx import evaluate_kernel_form, weighted_abs_legendre_sums
 from spherefit.harmonics import legendre_matrix
 
 FOUR_PI = 4 * np.pi
-
-
-def random_unit(rng, n):
-    v = rng.normal(size=(n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def assert_same_bits(a, b):
@@ -195,14 +189,8 @@ class TestSphHarm:
         # the recurrence writes its intermediates into rows of the matrix
         # that are not final yet; the azimuth pass after it keeps two (M x n)
         # tables, sqrt(2) cos(m phi) and sqrt(2) sin(m phi), 6% of it at M = 30
-        q, _ = np.linalg.qr(np.random.default_rng(30).normal(size=(3, 3)))
-        pts = gauss_legendre_rule(30).points @ q.T
-        tracemalloc.start()
-        try:
-            Y = sph_harm_matrix(30, pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        pts = rotated_rule(30, 30).points
+        Y, peak, _ = traced(lambda: sph_harm_matrix(30, pts))
         assert peak <= 1.1 * Y.nbytes
 
     def test_matrix_matches_scalar_eval(self):

@@ -1,8 +1,9 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
+
+from _support import norm_probe_points, traced
 
 from spherefit import (
     BalancingConfig,
@@ -27,12 +28,6 @@ from spherefit import (
 )
 from spherefit import _rings, approx, params
 from spherefit.approx import expand_by_degree, filter_factors, weighted_abs_legendre_sums
-
-
-def walk_probe_points(rule, resolution):
-    """Every point of the walk's probe layout, `approx._probe_rings`."""
-    rings = approx._probe_rings(rule, resolution)
-    return _rings.ring_points(rings.meridian, rings.azimuths)
 
 
 def noisy_samples(M, seed=0, scale=1.0):
@@ -203,7 +198,7 @@ class TestBalancingPrinciple:
             alpha0=1.0, q=0.5, L=5, omega=1e9, delta=1.0, probe_resolution=6
         )
         res = balancing_principle(s, 3, beta, cfg)
-        probes = walk_probe_points(s.rule, 6)
+        probes = norm_probe_points(s.rule, 6)
         grid = cfg.grid()
         omega_delta = cfg.omega * cfg.delta
         for step, z in zip(res.trace, range(cfg.L - 2, -1, -1)):
@@ -236,7 +231,7 @@ class TestBalancingPrinciple:
         assert calls == {"ring_layout": 0, "probe_classes": 1}
         balancing_principle(s, 6, beta, cfg)
         assert calls == {"ring_layout": 0, "probe_classes": 2}
-        operator_norm_bound(s.rule, 6, 1e-3, beta, walk_probe_points(s.rule, 12))
+        operator_norm_bound(s.rule, 6, 1e-3, beta, norm_probe_points(s.rule, 12))
         assert calls == {"ring_layout": 1, "probe_classes": 3}
 
     def test_norm_bound_variants_order(self):
@@ -270,7 +265,7 @@ class TestBalancingPrinciple:
         y = np.random.default_rng(9).normal(size=rule.n_points)
         balancing_principle(SampleSet(rule, y), 4, beta, cfg)
         res = balancing_principle(SampleSet(other, y), 4, beta, cfg)
-        table = weighted_abs_legendre_sums(other, 4, walk_probe_points(other, 8))
+        table = weighted_abs_legendre_sums(other, 4, norm_probe_points(other, 8))
         k = np.arange(5)
         grid = cfg.grid()
         for step, z in zip(res.trace, range(cfg.L - 2, -1, -1)):
@@ -344,7 +339,7 @@ class TestBalancingPrinciple:
         rings, azimuths = _rings.probe_classes(rule.rings, approx._probe_rings(rule, resolution))
         assert azimuths.size == 1 and shapes == [(rings.size, M + 1)]
         c = (2 * np.arange(M + 1) + 1) / (4 * np.pi)
-        full = weighted_abs_legendre_sums(rule, M, walk_probe_points(rule, resolution)) @ c
+        full = weighted_abs_legendre_sums(rule, M, norm_probe_points(rule, resolution)) @ c
         assert sup(np.ones(M + 1)) == pytest.approx(full.max(), rel=1e-12)
 
     def test_grid_abs_table_memory_at_degree_60(self, monkeypatch):
@@ -353,12 +348,7 @@ class TestBalancingPrinciple:
         # peak stays under 25 MB; the next test bounds the same build at 4 MB
         shapes = self.record_table_shapes(monkeypatch)
         rule = gauss_legendre_rule(60)
-        tracemalloc.start()
-        try:
-            approx._Plan(rule, 60, 120).norm("grid-abs")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced(lambda: approx._Plan(rule, 60, 120).norm("grid-abs")).peak
         assert shapes == [(122, 61)]
         assert peak < 25 * 2**20
 
@@ -367,26 +357,14 @@ class TestBalancingPrinciple:
         # each): a cold build, probe set and classes included, stays under
         # 4 MB, where a (pairs, M+1) Legendre array per block peaks at 16.8 MB
         rule = gauss_legendre_rule(60)
-        tracemalloc.start()
-        try:
-            approx._Plan(rule, 60, 120).norm("grid-abs")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert traced(lambda: approx._Plan(rule, 60, 120).norm("grid-abs")).peak < 4 * 2**20
 
     def test_grid_abs_oracle_forms_no_probe_set_at_degree_120(self):
         # a cold M = 120 build forms its 242 class representatives from the
         # probe layout and peaks at 2.9 MB; forming the layout's 116 644
         # points as well (2.8 MB) takes the peak to 5.6 MB
         rule = gauss_legendre_rule(120)
-        tracemalloc.start()
-        try:
-            approx._Plan(rule, 120, 240).norm("grid-abs")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert traced(lambda: approx._Plan(rule, 120, 240).norm("grid-abs")).peak < 4 * 2**20
 
     def test_walk_refuses_weights_of_another_degree(self):
         s = noisy_samples(4, seed=19)
@@ -405,7 +383,7 @@ class TestBalancingPrinciple:
         )
         res = balancing_principle(samples, M, beta, cfg)
         assert len(res.trace) == cfg.L - 1
-        probes = walk_probe_points(samples.rule, 2 * M)
+        probes = norm_probe_points(samples.rule, 2 * M)
         table = weighted_abs_legendre_sums(samples.rule, M, probes)
         k = np.arange(M + 1)
         grid = cfg.grid()
@@ -450,7 +428,7 @@ class TestWalkAgainstFullSynthesis:
         gamma = analyze(samples, M).values
         b2 = expand_by_degree(beta.beta**2)
         if cfg.norm_bound == "crude":
-            norm = lambda alpha: approx.crude_norm_upper(M, alpha, beta)
+            norm = lambda alpha: approx._crude(filter_factors(M, alpha, beta))
         else:
             sup = approx._norm_oracle(samples.rule, M, rings, cfg.norm_bound)
             norm = lambda alpha: sup(filter_factors(M, alpha, beta))
@@ -704,12 +682,9 @@ class TestPlan:
         s = noisy_samples(M, seed=23)
         cfg = BalancingConfig(alpha0=8.0, q=0.8, L=60, omega=0.002, delta=0.5, norm_bound=bound)
         beta = weights_laplace_beltrami(M)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+
+        def walk():
             balancing_principle(s, M, beta, cfg)
             s._analyses.clear()
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert held < 0.5e6
+
+        assert traced(walk).held < 0.5e6
