@@ -5,10 +5,14 @@ Subcommands:
   fit         fit noisy samples on a rule, fixed alpha or balanced alpha
   experiment  run reference experiment 1, 2 or 3 and persist its reports
 
-Each setting is declared once, in its subcommand's table, and resolves as:
-command-line flag, then config-file entry (--config, JSON), then default
-(`experiments.DEFAULTS` for the reference-study settings).  A config key that
-is no setting of the subcommand is an error.
+Every setting is declared once, in the one table `experiments.SETTINGS` (key,
+reader, default, help), which also spells the keys of `experiments.DEFAULTS`
+and of the experiments' config echoes.  A subcommand lists its keys; a
+config-file key is the key itself and a flag is `--` and the key with `_` as
+`-`.  A setting resolves as command-line flag, then config-file entry
+(--config, JSON), then default (`experiments.DEFAULTS` for the
+reference-study settings).  A config key that is no setting of the
+subcommand is an error.
 """
 
 from __future__ import annotations
@@ -25,71 +29,13 @@ from ._files import read_csv, write_json
 from .harmonics import _whole_number
 
 
-def _real(value, key: str) -> float:
-    """A real number; rejects true and "1.5" rather than coercing them."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _text(value, key: str) -> str:
-    """A string such as a path or a name."""
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _switch(value, key: str) -> bool:
-    """An on/off switch; only true or false is accepted."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
 # how each reader's flag is parsed; a switch flag can only turn it on
 _FLAG_KWARGS = {
     _whole_number: {"type": int},
-    _real: {"type": float},
-    _text: {},
-    _switch: {"action": "store_const", "const": True},
+    experiments._real: {"type": float},
+    experiments._text: {},
+    experiments._switch: {"action": "store_const", "const": True},
 }
-
-
-# One table per subcommand, one row per setting: (key, reader, default, help).
-# A setting is given as flag `--<key>` or config key `<key>`.  A default of
-# _PRESET is read from `experiments.DEFAULTS` (`_` for `-`) when the command runs.
-_PRESET = object()
-_DEGREE = ("degree", _whole_number, _PRESET, "reconstruction degree M")
-_OUT_DIR = ("out", _text, ".", "output directory")
-
-_GEN_RULE = (_DEGREE, ("out", _text, None, "output CSV path"))
-
-_FIT = (
-    _DEGREE,
-    ("rule", _text, None, "rule CSV, exact to degree 2*--degree (default: generate one)"),
-    ("samples", _text, None,
-     "CSV with a `value` column (and optionally x1,x2,x3), one row per node"),
-    ("beta", _text, "ones", "weight family: ones|sgg|laplace-beltrami|kernel:l1,l2"),
-    ("sgg-decay", _real, _PRESET, "decay base for --beta sgg"),
-    ("alpha", _real, None, "fixed regularization parameter"),
-    ("bp", _switch, False, "pick alpha by the balancing principle"),
-    ("omega", _real, _PRESET, "balancing design parameter"),
-    ("grid-anchor", _real, _PRESET, "alpha grid anchor"),
-    ("grid-ratio", _real, _PRESET, "alpha grid ratio in (0,1)"),
-    ("grid-len", _whole_number, _PRESET, "alpha grid length"),
-    ("noise-level", _real, None, "assumed sup-norm of the noise"),
-    ("probe-resolution", _whole_number, None, "sup-norm probe grid degree"),
-    ("norm-bound", _text, "grid",
-     "operator-norm bound in BP: " + "|".join(params.NORM_BOUND_KINDS)),
-    _OUT_DIR,
-)
-
-_EXPERIMENT = (
-    ("which", _whole_number, None, "experiment number: 1, 2 or 3"),
-    ("seed", _whole_number, 0, "base RNG seed"),
-    ("simulations", _whole_number, None, "simulation count for experiments 1 and 3"),
-    _OUT_DIR,
-)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -102,22 +48,19 @@ def _resolve(args: argparse.Namespace) -> dict:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-    keys = [row[0] for row in args.settings]
-    unknown = sorted(set(config) - set(keys))
+    unknown = sorted(set(config) - set(args.keys))
     if unknown:
         raise ValueError(
             f"config file {args.config}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"{args.command} takes {', '.join(keys)}"
+            f"{args.command} takes {', '.join(args.keys)}"
         )
     values = {}
-    for key, read, default, _ in args.settings:
-        flag = getattr(args, key.replace("-", "_"))
+    for key in args.keys:
+        default, flag = experiments.SETTINGS[key][1], getattr(args, key)
         if flag is not None or key in config:
-            values[key] = read(config[key] if flag is None else flag, key)
-        elif default is _PRESET:
-            values[key] = experiments.DEFAULTS[key.replace("-", "_")]
+            values[key] = experiments._read(key, config[key] if flag is None else flag)
         else:
-            values[key] = default
+            values[key] = experiments.DEFAULTS[key] if default is experiments._PRESET else default
     return values
 
 
@@ -181,8 +124,8 @@ def cmd_gen_rule(settings: dict) -> int:
 
 def cmd_fit(settings: dict) -> int:
     M, alpha, use_bp = settings["degree"], settings["alpha"], settings["bp"]
-    noise_level = settings["noise-level"]
-    out_dir = Path(settings["out"])
+    noise_level = settings["noise_level"]
+    out_dir = Path(settings["out"] or ".")
     if settings["samples"] is None:
         raise ValueError("fit needs a samples file (--samples)")
     if alpha is not None and use_bp:
@@ -192,20 +135,16 @@ def cmd_fit(settings: dict) -> int:
     if alpha is not None and not (np.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if use_bp and noise_level is None:
-        raise ValueError("fit --bp needs the noise level (--noise-level or config key noise-level)")
+        raise ValueError("fit --bp needs the noise level (--noise-level or config key noise_level)")
     rule_path = settings["rule"]
     # a rule file may hold any rule exact to 2M; load_rule checks that
     rule = cubature.load_rule(rule_path, M) if rule_path else cubature.gauss_legendre_rule(M)
     samples = _load_samples(settings["samples"], rule)
-    beta = _parse_beta(settings["beta"], M, settings["sgg-decay"])
+    beta = _parse_beta(settings["beta"], M, settings["sgg_decay"])
 
     # built in both modes, so a fixed-alpha fit rejects the same bad --bp
     # values a balanced one does; only a balanced fit needs the noise level
-    bp_cfg = params.BalancingConfig(
-        alpha0=settings["grid-anchor"], q=settings["grid-ratio"], L=settings["grid-len"],
-        omega=settings["omega"], delta=0.0 if noise_level is None else noise_level,
-        probe_resolution=settings["probe-resolution"], norm_bound=settings["norm-bound"],
-    )
+    bp_cfg = experiments._bp_config(settings, 0.0 if noise_level is None else noise_level)
     # the walk, the norm estimate and the functional share one plan of the rule
     plan = approx._Plan(rule, M, bp_cfg.resolution(M))
 
@@ -247,16 +186,21 @@ def cmd_fit(settings: dict) -> int:
 def cmd_experiment(settings: dict) -> int:
     config = experiments._config(settings["which"], settings["seed"], settings["simulations"])
     result = experiments.rerun_from_config(config)
-    write = experiments._EXPERIMENTS[config["experiment"]][1]
-    for p in write(result, Path(settings["out"])):
+    write = experiments._EXPERIMENTS[config["which"]][1]
+    for p in write(result, Path(settings["out"] or ".")):
         print(f"wrote {p}")
     return 0
 
 
+# each subcommand's settings, keys of `experiments.SETTINGS`
 _COMMANDS = {
-    "gen-rule": (cmd_gen_rule, "write a Gauss-Legendre rule as CSV", _GEN_RULE),
-    "fit": (cmd_fit, "fit sampled values on a rule", _FIT),
-    "experiment": (cmd_experiment, "run a reference experiment", _EXPERIMENT),
+    "gen-rule": (cmd_gen_rule, "write a Gauss-Legendre rule as CSV", ("degree", "out")),
+    "fit": (cmd_fit, "fit sampled values on a rule", (
+        "degree", "rule", "samples", "beta", "sgg_decay", "alpha", "bp", "omega", "grid_anchor",
+        "grid_ratio", "grid_len", "noise_level", "bp_probe_resolution", "bp_norm_bound", "out",
+    )),
+    "experiment": (cmd_experiment, "run a reference experiment",
+                   ("which", "seed", "simulations", "out")),
 }
 
 
@@ -266,12 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regularized least-squares approximation on the unit sphere.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, settings) in _COMMANDS.items():
+    for name, (func, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for key, read, _, help_flag in settings:
-            p.add_argument("--" + key, help=help_flag, **_FLAG_KWARGS[read])
+        for key in keys:
+            read, _, help_flag = experiments.SETTINGS[key]
+            # argparse stores --grid-len as grid_len: the key again
+            p.add_argument("--" + key.replace("_", "-"), help=help_flag, **_FLAG_KWARGS[read])
         p.add_argument("--config", help="JSON config file")
-        p.set_defaults(func=func, settings=settings)
+        p.set_defaults(func=func, keys=keys)
     return parser
 
 

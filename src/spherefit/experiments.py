@@ -20,6 +20,7 @@ from .approx import HarmonicCoefficients, SampleSet, _Plan, analyze, expand_by_d
 from .cubature import CubatureRule, gauss_legendre_rule
 from .harmonics import _whole_number, as_unit_vectors
 from .params import (
+    NORM_BOUND_KINDS,
     BalancingConfig,
     BalancingResult,
     KernelSelectResult,
@@ -32,17 +33,17 @@ from .params import (
     weights_sgg_apriori,
 )
 
-# Reference-study constants; the CLI and the experiment drivers read these and
-# nothing hard-codes them at call sites.
+# Reference-study constants; the experiment drivers and the CLI read them when
+# they run, and nothing hard-codes them at call sites.  SETTINGS says what each is.
 DEFAULTS = {
-    "degree": 30,             # reconstruction degree M
-    "grid_anchor": 8.0,       # alpha_i = grid_anchor * grid_ratio**i
+    "degree": 30,
+    "grid_anchor": 8.0,
     "grid_ratio": 0.8,
     "grid_len": 60,
-    "omega": 0.002,           # balancing-principle design parameter
-    "sgg_decay": 1.2,         # a_k = sgg_decay**(-k)
-    "uniform_noise": 0.05,    # sup-norm of the uniform noise vector
-    "gaussian_sigma": 0.5,    # std dev of the Gaussian noise
+    "omega": 0.002,
+    "sgg_decay": 1.2,
+    "uniform_noise": 0.05,
+    "gaussian_sigma": 0.5,
     "simulations": 50,
     "search_box": ((0.0, 5.0), (0.0, 5.0)),
     "search_runs": 10,
@@ -53,13 +54,73 @@ DEFAULTS = {
 NOISE_KINDS = ("uniform_supnorm", "gaussian")
 
 
+def _real(value, key: str) -> float:
+    """A real number; rejects true and "1.5" rather than coercing them."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _text(value, key: str) -> str:
+    """A string such as a path or a name."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _switch(value, key: str) -> bool:
+    """An on/off switch; only true or false is accepted."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+_PRESET = object()
+
+# Every setting, spelled once: its key in DEFAULTS, in a config echo and in a
+# `--config` file, and with `_` as `-` its flag.  key -> (reader, default,
+# help).  A default of _PRESET is DEFAULTS[key] as it stands when a command
+# runs; a reader of None marks a key that only an echo holds.
+SETTINGS = {
+    "which": (_whole_number, None, "experiment number: 1, 2 or 3"),
+    "seed": (_whole_number, 0, "base RNG seed"),
+    "simulations": (_whole_number, None, "simulations of experiment 1 or 3 (default: DEFAULTS')"),
+    "degree": (_whole_number, _PRESET, "reconstruction degree M"),
+    "rule": (_text, None, "rule CSV, exact to degree 2*--degree (default: generate one)"),
+    "samples": (_text, None, "CSV with a `value` column (x1,x2,x3 optional), one row per node"),
+    "beta": (_text, "ones", "weight family: ones|sgg|laplace-beltrami|kernel:l1,l2"),
+    "sgg_decay": (_real, _PRESET, "decay base of --beta sgg and experiment 1: a_k = base**-k"),
+    "alpha": (_real, None, "fixed regularization parameter"),
+    "bp": (_switch, False, "pick alpha by the balancing principle"),
+    "omega": (_real, _PRESET, "balancing design parameter"),
+    "grid_anchor": (_real, _PRESET, "alpha grid anchor: alpha_i = anchor * ratio**i"),
+    "grid_ratio": (_real, _PRESET, "alpha grid ratio in (0,1)"),
+    "grid_len": (_whole_number, _PRESET, "alpha grid length"),
+    "noise_level": (_real, None, "delta, the sup norm of the data noise, which --bp needs"),
+    "bp_probe_resolution": (_whole_number, None, "sup-norm probe grid degree of --bp"),
+    "bp_norm_bound": (_text, "grid", "operator-norm bound of --bp: " + "|".join(NORM_BOUND_KINDS)),
+    "out": (_text, None, "output path: gen-rule's CSV file, else a directory (default: .)"),
+    "uniform_noise": (None, _PRESET, "sup norm of experiment 1's uniform noise"),
+    "gaussian_sigma": (None, _PRESET, "standard deviation of experiments 2 and 3's Gaussian noise"),
+    "noise_kind": (None, None, "how an experiment draws its noise: " + "|".join(NOISE_KINDS)),
+    "search_box": (None, _PRESET, "experiment 3's (lambda1, lambda2) search box"),
+    "search_runs": (None, _PRESET, "experiment 3's random-search runs"),
+    "search_steps": (None, _PRESET, "experiment 3's steps per random-search run"),
+    "rng": (None, _PRESET, "the bit generator of every draw"),
+}
+
+
+def _read(key: str, value):
+    """`value` checked by the reader of setting `key`."""
+    return SETTINGS[key][0](value, key)
+
+
 @dataclass(frozen=True)
 class SggModel:
     """Downward-continuation model: observed coefficients are a_k * g_{k,j}."""
 
     M: int
     a: np.ndarray
-    rho: float
     g_true: HarmonicCoefficients
 
     def __post_init__(self):
@@ -68,8 +129,6 @@ class SggModel:
             raise ValueError(f"need {self.M + 1} damping factors, got {a.size}")
         if np.any(~np.isfinite(a)) or np.any(a <= 0.0):
             raise ValueError("damping factors must be positive and finite")
-        if not self.rho > 0.0:
-            raise ValueError(f"radius scale must be positive, got {self.rho}")
         if self.g_true.degree_M != self.M:
             raise ValueError("ground-truth coefficients must match the model degree")
         a.setflags(write=False)
@@ -118,8 +177,7 @@ def sgg_generate(M: int, decay_base: float, seed) -> tuple[SggModel, HarmonicCoe
 
     a_k = decay_base**(-k); g_{k,j} = (k+1/2)^(-3/2) * x_{k,j} with x uniform
     on [0, 1].  Returns the model and the exact coefficients of the observed
-    function y = sum_k a_k sum_j g_{k,j} (1/rho) Y_{k,j} with rho = 1 (any
-    rho cancels from the recovered coefficients, see `sgg_recover`).
+    function y = sum_k a_k sum_j g_{k,j} Y_{k,j}.
     """
     if not decay_base > 1.0:
         raise ValueError(f"decay base must exceed 1, got {decay_base}")
@@ -128,9 +186,8 @@ def sgg_generate(M: int, decay_base: float, seed) -> tuple[SggModel, HarmonicCoe
     a = decay_base**-k
     x = rng.uniform(0.0, 1.0, (M + 1) ** 2)
     g = expand_by_degree((k + 0.5) ** -1.5) * x
-    model = SggModel(M=M, a=a, rho=1.0, g_true=HarmonicCoefficients(M, g))
-    y_coeffs = HarmonicCoefficients(M, expand_by_degree(a) * g / model.rho)
-    return model, y_coeffs
+    model = SggModel(M=M, a=a, g_true=HarmonicCoefficients(M, g))
+    return model, HarmonicCoefficients(M, expand_by_degree(a) * g)
 
 
 def add_noise(clean_values, spec: NoiseSpec) -> tuple[np.ndarray, float]:
@@ -152,14 +209,12 @@ def add_noise(clean_values, spec: NoiseSpec) -> tuple[np.ndarray, float]:
 
 
 def sgg_recover(gamma: HarmonicCoefficients, model: SggModel) -> HarmonicCoefficients:
-    """Undo the per-degree damping: g_{k,j} = rho * gamma_{k,j} / a_k."""
+    """Undo the per-degree damping: g_{k,j} = gamma_{k,j} / a_k."""
     if gamma.degree_M != model.M:
         raise ValueError(
             f"coefficients of degree {gamma.degree_M} do not match model degree {model.M}"
         )
-    return HarmonicCoefficients(
-        model.M, model.rho * gamma.values / expand_by_degree(model.a)
-    )
+    return HarmonicCoefficients(model.M, gamma.values / expand_by_degree(model.a))
 
 
 def relative_error_l2(estimate: HarmonicCoefficients, truth: HarmonicCoefficients) -> float:
@@ -198,46 +253,46 @@ def franke_cap_eval(points):
 # shared experiment plumbing
 
 
-def _config(experiment, seed, simulations=None) -> dict:
-    """The config echo of experiment 1, 2 or 3 at a whole-number `seed`, from
-    `DEFAULTS` as it stands.  Experiments 1 and 3 take a whole `simulations`
-    of at least 1 (None reads `DEFAULTS`); experiment 2 runs once, so none."""
-    if isinstance(experiment, bool) or experiment not in (1, 2, 3):
-        raise ValueError(f"experiment must be 1, 2 or 3, got {experiment!r}")
-    seed = _whole_number(seed, "seed")
+# each experiment's echo: the keys it takes from DEFAULTS, its noise kind and
+# its operator-norm bound
+_SHARED = ("degree", "grid_anchor", "grid_ratio", "grid_len", "omega", "rng")
+_ECHOES = {
+    1: ((*_SHARED, "uniform_noise", "sgg_decay", "simulations"), "uniform_supnorm", "crude"),
+    2: ((*_SHARED, "gaussian_sigma"), "gaussian", "grid-abs"),
+    3: ((*_SHARED, "gaussian_sigma", "search_box", "search_runs", "search_steps", "simulations"),
+        "gaussian", "grid-abs"),
+}
+
+
+def _config(which, seed, simulations=None) -> dict:
+    """The config echo of experiment `which` (1, 2 or 3) at a whole-number
+    `seed`, from `DEFAULTS` as it stands.  Experiments 1 and 3 take a whole
+    `simulations` of at least 1 (None reads `DEFAULTS`); experiment 2 runs
+    once, so none."""
+    which, seed = _read("which", which), _read("seed", seed)
+    if which not in _ECHOES:
+        raise ValueError(f"which must be 1, 2 or 3, got {which}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    config = {"experiment": int(experiment), "seed": seed}
-    shared = ("degree", "grid_anchor", "grid_ratio", "grid_len", "omega", "rng")
-    config.update((key, DEFAULTS[key]) for key in shared)
-    if experiment == 1:
-        config.update(noise_kind="uniform_supnorm", noise_level=DEFAULTS["uniform_noise"],
-                      bp_norm_bound="crude", decay=DEFAULTS["sgg_decay"])
-    else:
-        config.update(noise_kind="gaussian", noise_level=DEFAULTS["gaussian_sigma"],
-                      bp_norm_bound="grid-abs")
-    if experiment == 3:
-        config.update(search_box=[list(b) for b in DEFAULTS["search_box"]],
-                      search_runs=DEFAULTS["search_runs"], search_steps=DEFAULTS["search_steps"])
-    if experiment == 2:
-        if simulations is not None:
-            raise ValueError(f"experiment 2 runs once: no simulations, got {simulations!r}")
-        return config
-    n = DEFAULTS["simulations"] if simulations is None else simulations
-    n = _whole_number(n, "simulations")
-    if n < 1:
-        raise ValueError(f"simulations must be at least 1, got {n}")
-    return {**config, "simulations": n}
+    keys, noise_kind, bound = _ECHOES[which]
+    config = {key: DEFAULTS[key] for key in keys}
+    config.update(which=which, seed=seed, noise_kind=noise_kind, bp_norm_bound=bound)
+    if "simulations" in config:
+        n = _read("simulations", config["simulations"] if simulations is None else simulations)
+        if n < 1:
+            raise ValueError(f"simulations must be at least 1, got {n}")
+        config["simulations"] = n
+    elif simulations is not None:
+        raise ValueError(f"experiment 2 runs once: no simulations, got {simulations!r}")
+    return config
 
 
 def _bp_config(config: dict, delta: float) -> BalancingConfig:
-    """The balancing set-up a config echo describes, at noise level `delta`."""
+    """The balancing set-up that a config echo or `fit`'s settings describe,
+    at noise level `delta`; an echo holds no probe resolution."""
     return BalancingConfig(
-        alpha0=config["grid_anchor"],
-        q=config["grid_ratio"],
-        L=config["grid_len"],
-        omega=config["omega"],
-        delta=delta,
+        alpha0=config["grid_anchor"], q=config["grid_ratio"], L=config["grid_len"],
+        omega=config["omega"], delta=delta, probe_resolution=config.get("bp_probe_resolution"),
         norm_bound=config["bp_norm_bound"],
     )
 
@@ -327,20 +382,18 @@ def run_experiment_1(seed: int = 0, simulations: int | None = None):
     errors of the recovered target.  `simulations` defaults to DEFAULTS'.
     """
     config = _config(1, seed, simulations)
-    seed, simulations = config["seed"], config["simulations"]
+    seed, simulations, noise_kind = config["seed"], config["simulations"], config["noise_kind"]
     M, rule, plan = _study(config)
-    bp_cfg = _bp_config(config, config["noise_level"])
+    bp_cfg = _bp_config(config, config["uniform_noise"])
     grid, beta_one = bp_cfg.grid(), weights_ones(M)
 
     methods = ("plain-ls", "apriori-bp", "ones-best", "apriori-best")
     errors = {m: np.empty(simulations) for m in methods}
     reports = []
     for sim in range(simulations):
-        model, y_coeffs = sgg_generate(M, config["decay"], [seed, sim, 0])
+        model, y_coeffs = sgg_generate(M, config["sgg_decay"], [seed, sim, 0])
         clean = synthesis(plan.table, y_coeffs.values)
-        noisy, _ = add_noise(
-            clean, NoiseSpec("uniform_supnorm", config["noise_level"], [seed, sim, 1])
-        )
+        noisy, _ = add_noise(clean, NoiseSpec(noise_kind, config["uniform_noise"], [seed, sim, 1]))
         samples = SampleSet(rule, noisy)
         gamma_hat, g_true = analyze(samples, M, plan=plan), model.g_true
         beta_sgg = weights_sgg_apriori(M, model.a)
@@ -385,9 +438,8 @@ def run_experiment_2(seed: int = 0) -> Experiment2Result:
     config = _config(2, seed)
     M, rule, plan = _study(config)
     clean = franke_cap_eval(rule.points)
-    noisy, eps_sup = add_noise(
-        clean, NoiseSpec("gaussian", config["noise_level"], [config["seed"], 0])
-    )
+    noise = NoiseSpec(config["noise_kind"], config["gaussian_sigma"], [config["seed"], 0])
+    noisy, eps_sup = add_noise(clean, noise)
     samples = SampleSet(rule, noisy)
     bres, gamma = _balanced_fit(
         samples, M, weights_laplace_beltrami(M), _bp_config(config, eps_sup), plan
@@ -419,14 +471,13 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
     `simulations` defaults to DEFAULTS'.
     """
     config = _config(3, seed, simulations)
-    seed, simulations = config["seed"], config["simulations"]
+    seed, simulations, noise_kind = config["seed"], config["simulations"], config["noise_kind"]
     M, rule, plan = _study(config)
     clean = franke_cap_eval(rule.points)
 
     # one blurred realization drives the selection
-    sel_noisy, sel_eps = add_noise(
-        clean, NoiseSpec("gaussian", config["noise_level"], [seed, 0])
-    )
+    noise = NoiseSpec(noise_kind, config["gaussian_sigma"], [seed, 0])
+    sel_noisy, sel_eps = add_noise(clean, noise)
     search = RandomSearchConfig(
         runs=config["search_runs"],
         steps_per_run=config["search_steps"],
@@ -446,7 +497,7 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
     reports = []
     for sim in range(simulations):
         noisy, eps_sup = add_noise(
-            clean, NoiseSpec("gaussian", config["noise_level"], [seed, 1, sim])
+            clean, NoiseSpec(noise_kind, config["gaussian_sigma"], [seed, 1, sim])
         )
         samples = SampleSet(rule, noisy)
         for method, (beta, kernel) in methods.items():
@@ -463,7 +514,7 @@ def rerun_from_config(config: dict):
     """Re-run an experiment from a report's config echo.  An echo key that is
     edited, unknown or missing, or whose value has another JSON type (`true`
     is not `1`), raises ValueError naming it."""
-    expected = _config(config.get("experiment"), config.get("seed", 0), config.get("simulations"))
+    expected = _config(config.get("which"), config.get("seed", 0), config.get("simulations"))
 
     def shown(echo, key):
         return json.dumps(echo[key], sort_keys=True, default=repr) if key in echo else "absent"
@@ -475,7 +526,7 @@ def rerun_from_config(config: dict):
     ]
     if differ:
         raise ValueError(f"config echo differs from the one its run writes: {', '.join(differ)}")
-    run = _EXPERIMENTS[expected["experiment"]][0]
+    run = _EXPERIMENTS[expected["which"]][0]
     return run(**{key: expected[key] for key in ("seed", "simulations") if key in expected})
 
 
@@ -492,7 +543,7 @@ def _paths(out_dir, *names) -> list[Path]:
 
 def _write_study(result: _StudyResult, out_dir, report_name: str, payload) -> list[Path]:
     """The report file `report_name` holding `payload`, and the curves CSV."""
-    n = result.config["experiment"]
+    n = result.config["which"]
     report_path, curves_path = _paths(out_dir, report_name, f"exp{n}_curves.csv")
     write_json(payload, report_path)
     rows = [(i, method, err) for method in sorted(result.curves)

@@ -1,4 +1,4 @@
-"""Rules, point sets, measurements and the zonal-sum oracle that the tests and
+"""Rules, point sets, measurements and the oracles that the tests and
 `layer_timing.py` share.
 
 `rotated_rule` is a Gauss-Legendre rule with no product layout, so it takes
@@ -6,8 +6,11 @@ the scattered-point paths.  `ring_grid` forms the points of a product grid
 ring-major, the layout `spherefit` scans for, with no use of the package's
 own ring code.  `zonal_sums` evaluates sum_i w_i |sum_k c_k P_k(x_p . x_i)|
 from `harmonics.legendre_matrix`, independently of the degree-streaming loop
-of `approx._kernel_blocks` and of the ring tables.  `traced` and `timed`
-measure one call's tracemalloc peak and its best wall time.
+of `approx._kernel_blocks` and of the ring tables.
+`longdouble_gauss_legendre` recomputes Gauss-Legendre nodes and weights in
+long double.  `record_table_probes` records the probes of each `grid-abs`
+table built.  `traced` and `timed` measure one call's tracemalloc peak and
+its best wall time.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from spherefit import harmonics
+from spherefit import approx, harmonics
 from spherefit.cubature import CubatureRule, gauss_legendre_rule
 
 
@@ -83,6 +86,42 @@ def zonal_sums(rule: CubatureRule, probes: np.ndarray, coefs: np.ndarray) -> np.
     for rows, L in legendre_blocks(rule, probes, coefs.shape[0] - 1):
         out[rows] = np.einsum("pi...,i->p...", np.abs(L @ coefs), rule.weights)
     return out
+
+
+def longdouble_gauss_legendre(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n = t.size Gauss-Legendre nodes x, two Newton steps from the nodes
+    `t`, and the weights w = 2 / ((1 - x^2) P_n'(x)^2), all in long double:
+    an oracle to about 1e-18 where long double has a 64-bit mantissa, which
+    numpy's leggauss (off by 1.1e-10 at n = 251) is not."""
+    n = t.size
+
+    def p_and_derivative(x):
+        p_prev, p = np.ones_like(x), x.copy()
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        return p, n * (x * p - p_prev) / (x * x - 1)
+
+    x = t.astype(np.longdouble)
+    for _ in range(2):
+        p, dp = p_and_derivative(x)
+        x = x - p / dp
+    dp = p_and_derivative(x)[1]
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def record_table_probes(monkeypatch) -> list:
+    """The probes of each table `approx.weighted_abs_legendre_sums` builds
+    from now on, through the module global the `grid-abs` oracle calls; the
+    table has a row per probe and a column per degree."""
+    calls = []
+    table = approx.weighted_abs_legendre_sums
+
+    def recording(rule, M, probes):
+        calls.append(probes)
+        return table(rule, M, probes)
+
+    monkeypatch.setattr(approx, "weighted_abs_legendre_sums", recording)
+    return calls
 
 
 class Traced(NamedTuple):

@@ -39,6 +39,12 @@ Each section prints one table (`rotated-pass` one line):
   exp3          one `run_experiment_3(seed, 50)` at seeds 0 and 1, the bench's
                 reference size, with its walks and steps and its walks' wall
                 time per step, the `grid-abs` threshold included.
+  accuracy      no timing: the largest error of the ring round trip
+                `_rings.analysis(synthesis(c))` on gauss_legendre_rule(M),
+                for normal coefficients c (seed M), and the largest relative
+                error of the rule's M + 1 Gauss-Legendre weights against
+                their long-double recomputation (`_support`), which needs an
+                80-bit long double.
 
 Rules and data are made before the clock starts.  Wall times are the minimum
 of REPEATS calls without tracemalloc (the walk's of at least REPEATS walks
@@ -64,12 +70,12 @@ from unittest import mock
 
 import numpy as np
 
-from _support import fibonacci_points, rotated_rule, timed, traced
+from _support import fibonacci_points, longdouble_gauss_legendre, rotated_rule, timed, traced
 
 from spherefit import (
     BalancingConfig, HarmonicCoefficients, SampleSet, _rings, analyze, approx, balancing_principle,
-    evaluate_grid, experiments, gauss_legendre_rule, params, sph_harm_matrix,
-    weights_laplace_beltrami,
+    evaluate_grid, experiments, gauss_legendre_nodes, gauss_legendre_rule, params,
+    sph_harm_matrix, weights_laplace_beltrami,
 )
 from spherefit.cubature import _check_exactness
 
@@ -240,6 +246,19 @@ def exp3() -> None:
             )
 
 
+def accuracy(degrees) -> None:
+    header("degree M", "ring round trip, max error", "nodes n", "weights, max relative error")
+    longdouble = np.finfo(np.longdouble).nmant >= 63
+    for M in degrees:
+        table = _rings.ring_table(M, gauss_legendre_rule(M).rings)
+        c = np.random.default_rng(M).normal(size=(M + 1) ** 2)
+        trip = np.abs(_rings.analysis(table, _rings.synthesis(table, c)) - c).max()
+        t, v = gauss_legendre_nodes(M + 1)
+        w = longdouble_gauss_legendre(t)[1]
+        error = f"{np.abs((v - w) / w).max():.2e}" if longdouble else "no 80-bit long double"
+        row(M, f"{trip:.2e}", M + 1, error)
+
+
 # each section and its default degrees (None: a fixed size)
 SECTIONS = {
     "tables": (tables, DEGREES),
@@ -250,6 +269,7 @@ SECTIONS = {
     "rotated-pass": (rotated_pass, None),
     "walk": (walk, DEGREES),
     "exp3": (exp3, None),
+    "accuracy": (accuracy, EXACTNESS_DEGREES),
 }
 
 

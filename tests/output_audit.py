@@ -5,7 +5,7 @@ Into OUT_DIR it writes, through `spherefit.cli.main`:
   exp<N>_seed<S>/  experiments 1-3 for each seed (default simulation counts)
   rule.csv         gen-rule at the reference degree
   fit-<bound>/     fit --bp with each operator-norm bound (grid, grid-abs, crude)
-  fit-grid-abs-r30/  fit --bp --norm-bound grid-abs at probe resolution 30, where
+  fit-grid-abs-r30/  fit --bp --bp-norm-bound grid-abs at probe resolution 30, where
                    a single azimuth class remains
   fit-fixed/       fit at a fixed alpha
 The fits use the reference data: the Franke-plus-cap function at the degree-30
@@ -59,8 +59,8 @@ def write_outputs(out: Path, seeds) -> None:
     fit = ["fit", "--degree", str(DEGREE), "--samples", str(samples), "--beta", "laplace-beltrami"]
     bp = fit + ["--bp", "--noise-level", repr(delta)]
     for bound in BOUNDS:
-        run(bp + ["--norm-bound", bound, "--out", str(out / f"fit-{bound}")])
-    run(bp + ["--norm-bound", "grid-abs", "--probe-resolution", str(DEGREE),
+        run(bp + ["--bp-norm-bound", bound, "--out", str(out / f"fit-{bound}")])
+    run(bp + ["--bp-norm-bound", "grid-abs", "--bp-probe-resolution", str(DEGREE),
               "--out", str(out / "fit-grid-abs-r30")])
     run(fit + ["--alpha", repr(FIXED_ALPHA), "--out", str(out / "fit-fixed")])
 

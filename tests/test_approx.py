@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from _dense_solver import regularized_fit_via_solver
 from _scalar import sph_harm_matrix_loop, unit
 from _support import (
-    fibonacci_points, legendre_blocks, norm_probe_points, random_unit, ring_grid, rotated_rule,
-    traced, zonal_sums,
+    fibonacci_points, legendre_blocks, norm_probe_points, random_unit, record_table_probes,
+    ring_grid, rotated_rule, traced, zonal_sums,
 )
 
 from spherefit import (
@@ -693,6 +693,18 @@ class TestOperatorNormBound:
             assert nb.estimate == pytest.approx(expected, abs=1e-10)
             assert nb.crude_upper == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("M", [3, 12])
+    def test_crude_closed_form_at_positive_degree(self, M):
+        # crude_upper and the walk's `crude` oracle are both
+        # sum_k (2k+1) / (1 + alpha beta_k^2), here written out
+        rule, beta = gauss_legendre_rule(M), params.weights_laplace_beltrami(M)
+        oracle = approx._norm_oracle(rule, M, approx._probe_rings(rule, 2 * M), "crude")
+        for alpha in (0.0, 1e-3, 0.5):
+            crude = sum((2 * k + 1) / (1 + alpha * b**2) for k, b in enumerate(beta.beta))
+            nb = operator_norm_bound(rule, M, alpha, beta, probe_grid(2 * M))
+            assert nb.crude_upper == pytest.approx(crude, rel=1e-14)
+            assert oracle(approx.filter_factors(M, alpha, beta)) == pytest.approx(crude, rel=1e-14)
+
     def test_alpha_zero_at_least_one(self):
         M = 8
         rule = gauss_legendre_rule(M)
@@ -1127,19 +1139,6 @@ class TestStreamedKernelSums:
         assert traced(lambda: evaluate_kernel_form(samples, M, 1e-4, beta, points)).peak < 4 * 2**20
 
 
-def record_table_points(monkeypatch):
-    """The probes of each `grid-abs` table the norm oracle builds."""
-    calls = []
-    table = approx.weighted_abs_legendre_sums
-
-    def recording(rule, M, probes):
-        calls.append(probes)
-        return table(rule, M, probes)
-
-    monkeypatch.setattr(approx, "weighted_abs_legendre_sums", recording)
-    return calls
-
-
 class TestInvariantProbeSet:
     """The one probe layout of a balancing walk, `approx._probe_rings`, and
     the norm oracle on it, against the full probe set the layout stands for."""
@@ -1181,13 +1180,16 @@ class TestInvariantProbeSet:
             assert abs(oracle["grid"](f) - reference.max()) <= 1e-12 * reference.max()
             upper = (table @ c).max()
             assert abs(oracle["grid-abs"](f) - upper) <= 1e-12 * upper
-            assert oracle["crude"](f) == approx._crude(approx.filter_factors(M, alpha, beta))
+            # the closed form sum_k (2k+1) / (1 + alpha beta_k^2), written out
+            crude = sum((2 * k + 1) / (1 + alpha * b**2) for k, b in enumerate(beta.beta))
+            assert oracle["crude"](f) == pytest.approx(crude, rel=1e-14)
+            assert approx._crude(f) == pytest.approx(crude, rel=1e-14)
 
     @pytest.mark.parametrize("M, resolution", [(6, 12), (5, 3), (9, 30)])
     def test_grid_abs_table_at_the_sets_representatives(self, monkeypatch, M, resolution):
         # the table's probes are those the full set held at the class
         # representatives, so the table is the one built from the full set
-        calls = record_table_points(monkeypatch)
+        calls = record_table_probes(monkeypatch)
         rule = gauss_legendre_rule(M)
         probe_rings = approx._probe_rings(rule, resolution)
         approx._norm_oracle(rule, M, probe_rings, "grid-abs")
@@ -1199,7 +1201,7 @@ class TestInvariantProbeSet:
     def test_rule_without_rings_takes_the_probe_grid(self, monkeypatch):
         # no product rule, no classes: the full set is probe_grid(r) itself
         M, resolution = 5, 10
-        calls = record_table_points(monkeypatch)
+        calls = record_table_probes(monkeypatch)
         rotated = rotated_rule(M, 302)
         assert rotated.rings is None
         probe_rings = approx._probe_rings(rotated, resolution)

@@ -1,15 +1,18 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from spherefit import (
-    CubatureRule, SampleSet, _rings, approx, cubature, evaluate_grid, gauss_legendre_nodes,
-    gauss_legendre_rule, load_coefficients, params, regularized_fit, save_rule,
+    CubatureRule, SampleSet, _rings, approx, cubature, evaluate_grid, experiments,
+    gauss_legendre_nodes, gauss_legendre_rule, load_coefficients, params, regularized_fit,
+    save_rule,
 )
-from spherefit.cli import main
+from spherefit.cli import build_parser, main
 from spherefit.experiments import (
-    franke_cap_eval, run_experiment_1, run_experiment_2, run_experiment_3, sgg_generate,
+    NoiseSpec, add_noise, franke_cap_eval, run_experiment_1, run_experiment_2, run_experiment_3,
+    sgg_generate,
 )
 
 
@@ -18,6 +21,11 @@ def write_samples(path, values):
         fh.write("value\n")
         for v in values:
             fh.write(f"{float(v):.17g}\n")
+
+
+def flag_ids(entries):
+    """A test id for config entries, each key spelled as its flag."""
+    return "-".join(f"{k.replace('_', '-')}={v!r}" for k, v in entries.items())
 
 
 class TestGenRule:
@@ -105,7 +113,7 @@ class TestFit:
             [
                 "fit", "--degree", str(M), "--samples", str(samples),
                 "--beta", "laplace-beltrami", "--bp", "--noise-level", "0.5",
-                "--norm-bound", "grid", "--out", str(tmp_path / "fit"),
+                "--bp-norm-bound", "grid", "--out", str(tmp_path / "fit"),
             ]
         )
         assert rc == 0
@@ -128,7 +136,7 @@ class TestFit:
             [
                 "fit", "--degree", "30", "--samples", str(samples),
                 "--beta", "laplace-beltrami", "--bp", "--noise-level", "0.5",
-                "--norm-bound", "grid-abs", "--out", str(tmp_path / "fit"),
+                "--bp-norm-bound", "grid-abs", "--out", str(tmp_path / "fit"),
             ]
         )
         assert rc == 0 and made == [30]
@@ -144,7 +152,7 @@ class TestFit:
             [
                 "fit", "--degree", str(M), "--samples", str(samples),
                 "--beta", "ones", "--bp", "--noise-level", "0.05",
-                "--grid-len", "10", "--probe-resolution", "6",
+                "--grid-len", "10", "--bp-probe-resolution", "6",
                 "--out", str(out),
             ]
         )
@@ -248,20 +256,20 @@ class TestFit:
         assert not out.exists()
         # the config key is accepted in place of the flag
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"noise-level": 0.05, "grid-len": 5}))
+        config.write_text(json.dumps({"noise_level": 0.05, "grid_len": 5}))
         assert main(argv + ["--config", str(config)]) == 0
         assert (out / "bp_trace.csv").exists()
 
     @pytest.mark.parametrize(
         "entries",
-        [{"probe-resolution": 10.5}, {"degree": 4.9}, {"grid-len": 5.7}, {"degree": "3"}],
+        [{"bp_probe_resolution": 10.5}, {"degree": 4.9}, {"grid_len": 5.7}, {"degree": "3"}],
         ids=["probe-resolution", "degree", "grid-len", "string"],
     )
     def test_non_integral_config_value_rejected(self, tmp_path, capsys, entries):
         samples = tmp_path / "samples.csv"
         write_samples(samples, np.zeros(gauss_legendre_rule(3).n_points))
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"degree": 3, "noise-level": 0.05, **entries}))
+        config.write_text(json.dumps({"degree": 3, "noise_level": 0.05, **entries}))
         out = tmp_path / "fit"
         argv = ["fit", "--samples", str(samples), "--bp", "--config", str(config), "--out", str(out)]
         assert main(argv) == 2
@@ -273,11 +281,11 @@ class TestFit:
         "entries",
         [
             {"alpha": True, "bp": False}, {"alpha": "0.1", "bp": False}, {"omega": True},
-            {"noise-level": True}, {"grid-anchor": "8"}, {"grid-ratio": False},
-            {"sgg-decay": True}, {"bp": "false"}, {"bp": 1}, {"beta": 5}, {"out": 5},
-            {"samples": 5}, {"rule": 5}, {"norm-bound": 5},
+            {"noise_level": True}, {"grid_anchor": "8"}, {"grid_ratio": False},
+            {"sgg_decay": True}, {"bp": "false"}, {"bp": 1}, {"beta": 5}, {"out": 5},
+            {"samples": 5}, {"rule": 5}, {"bp_norm_bound": 5},
         ],
-        ids=lambda entries: "-".join(f"{k}={v!r}" for k, v in entries.items()),
+        ids=flag_ids,
     )
     def test_mistyped_config_value_rejected(self, tmp_path, capsys, monkeypatch, entries):
         # a JSON boolean is no number and a string no switch: neither is coerced
@@ -285,7 +293,7 @@ class TestFit:
         samples = tmp_path / "samples.csv"
         write_samples(samples, np.zeros(gauss_legendre_rule(3).n_points))
         config = tmp_path / "config.json"
-        base = {"degree": 3, "samples": str(samples), "bp": True, "noise-level": 0.05, "out": "fit"}
+        base = {"degree": 3, "samples": str(samples), "bp": True, "noise_level": 0.05, "out": "fit"}
         config.write_text(json.dumps({**base, **entries}))
         assert main(["fit", "--config", str(config)]) == 2
         err = capsys.readouterr().err
@@ -296,7 +304,7 @@ class TestFit:
         samples = tmp_path / "samples.csv"
         write_samples(samples, np.zeros(gauss_legendre_rule(2).n_points))
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"degree": 2, "alpha": 0, "bp": False, "sgg-decay": 2}))
+        config.write_text(json.dumps({"degree": 2, "alpha": 0, "bp": False, "sgg_decay": 2}))
         out = tmp_path / "fit"
         assert main(["fit", "--samples", str(samples), "--config", str(config),
                      "--out", str(out)]) == 0
@@ -306,7 +314,7 @@ class TestFit:
         samples = tmp_path / "samples.csv"
         write_samples(samples, np.zeros(gauss_legendre_rule(2).n_points))
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"probe-resolution": 6.5}))
+        config.write_text(json.dumps({"bp_probe_resolution": 6.5}))
         out = tmp_path / "fit"
         argv = ["fit", "--degree", "2", "--samples", str(samples), "--alpha", "0.1",
                 "--config", str(config), "--out", str(out)]
@@ -317,11 +325,11 @@ class TestFit:
     @pytest.mark.parametrize(
         "entries",
         [
-            {"omega": True, "grid-len": 2.5}, {"grid-len": 2.5}, {"grid-len": 1},
-            {"omega": 0}, {"omega": True}, {"grid-anchor": -1}, {"grid-ratio": 1.5},
-            {"norm-bound": "sup"}, {"noise-level": -0.1},
+            {"omega": True, "grid_len": 2.5}, {"grid_len": 2.5}, {"grid_len": 1},
+            {"omega": 0}, {"omega": True}, {"grid_anchor": -1}, {"grid_ratio": 1.5},
+            {"bp_norm_bound": "sup"}, {"noise_level": -0.1},
         ],
-        ids=lambda entries: "-".join(f"{k}={v!r}" for k, v in entries.items()),
+        ids=flag_ids,
     )
     def test_bad_balancing_value_rejected_with_fixed_alpha(self, tmp_path, capsys, entries):
         # the --bp keys are checked as in a balanced fit, though a fixed-alpha
@@ -540,8 +548,8 @@ class TestExperimentCommand:
         assert (summary["alpha"], summary["beta"]) == (0.25, "laplace-beltrami")
         assert not (tmp_path / "unused").exists()
         fit_cfg.write_text(json.dumps({
-            "degree": 2, "samples": str(samples), "bp": False, "noise-level": 0.05,
-            "grid-len": 5,
+            "degree": 2, "samples": str(samples), "bp": False, "noise_level": 0.05,
+            "grid_len": 5,
         }))
         assert main(["fit", "--config", str(fit_cfg), "--bp", "--out", str(fit_out)]) == 0
         assert json.loads((fit_out / "fit_summary.json").read_text())["alpha_source"] == "bp"
@@ -600,7 +608,7 @@ class TestConfigKeys:
         assert err.startswith("error:") and f"'{unknown}'" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "samples.csv"]
 
-    @pytest.mark.parametrize("key", ["degree", "alpha", "probe-resolution", "rule"])
+    @pytest.mark.parametrize("key", ["degree", "alpha", "bp_probe_resolution", "rule"])
     def test_null_entry_rejected(self, tmp_path, capsys, key):
         samples = tmp_path / "samples.csv"
         write_samples(samples, np.zeros(gauss_legendre_rule(1).n_points))
@@ -618,6 +626,68 @@ class TestConfigKeys:
         cfg.write_text("[1, 2]")
         assert main(["gen-rule", "--config", str(cfg)]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+
+class TestOneVocabulary:
+    """Every setting is spelled once, as a key of `experiments.SETTINGS`: a
+    config-file, echo and `DEFAULTS` key is the key, a flag `--` and the key
+    with `_` as `-`."""
+
+    def test_every_flag_config_and_echo_key_is_a_table_key(self):
+        table = experiments.SETTINGS
+        (subcommands,) = (
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        taken, echoed = set(), set()
+        for name, sub in subcommands.choices.items():
+            keys = sub.get_default("keys")  # what --config accepts
+            flags = {s for a in sub._actions for s in a.option_strings}
+            flags -= {"-h", "--help", "--config"}
+            assert flags == {"--" + key.replace("_", "-") for key in keys}, name
+            assert set(keys) <= set(table), name
+            taken.update(keys)
+        for n in (1, 2, 3):
+            echo = experiments._config(n, 0)
+            assert set(echo) <= set(table) and "noise_level" not in echo
+            echoed.update(echo)
+        assert set(experiments.DEFAULTS) <= set(table)
+        assert not [key for key in table if "-" in key]
+        # no row is dead, and exactly the keys no subcommand takes lack a reader
+        assert taken | echoed | set(experiments.DEFAULTS) == set(table)
+        assert {key for key, (read, _, _) in table.items() if read is None} == set(table) - taken
+
+    def test_fit_from_an_echo_balances_as_the_experiment(self, tmp_path, monkeypatch):
+        # experiment 2's fit keys, copied from its echo into a `fit --config`
+        # file, give the walk the experiment's balancing set-up
+        echo = experiments._config(2, 0)
+        keys = ("degree", "grid_anchor", "grid_ratio", "grid_len", "omega", "bp_norm_bound")
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({key: echo[key] for key in keys}))
+        rule = gauss_legendre_rule(echo["degree"])
+        spec = NoiseSpec(echo["noise_kind"], echo["gaussian_sigma"], 1)
+        noisy, delta = add_noise(franke_cap_eval(rule.points), spec)
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, noisy)
+        walks, walk = [], params.balancing_principle
+
+        def recording(samples, M, beta, cfg, **kwargs):
+            walks.append(cfg)
+            return walk(samples, M, beta, cfg, **kwargs)
+
+        monkeypatch.setattr(params, "balancing_principle", recording)
+        argv = ["fit", "--config", str(config), "--samples", str(samples), "--bp",
+                "--noise-level", repr(delta), "--beta", "laplace-beltrami",
+                "--out", str(tmp_path / "fit")]
+        assert main(argv) == 0
+        assert walks == [experiments._bp_config(echo, delta)]
+
+    @pytest.mark.parametrize("entry", [{"grid-len": 5}, {"norm-bound": "grid"}], ids=flag_ids)
+    def test_old_spelling_rejected(self, tmp_path, capsys, entry):
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps(entry))
+        assert main(["fit", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"unknown key(s) '{next(iter(entry))}'" in err
 
 
 class TestParserHygiene:
@@ -681,8 +751,8 @@ class TestOnePlanPerRun:
     @pytest.mark.parametrize(
         "mode, bounds",
         [
-            (["--bp", "--noise-level", "0.5", "--norm-bound", "grid"], 1),
-            (["--bp", "--noise-level", "0.5", "--norm-bound", "grid-abs"], 2),
+            (["--bp", "--noise-level", "0.5", "--bp-norm-bound", "grid"], 1),
+            (["--bp", "--noise-level", "0.5", "--bp-norm-bound", "grid-abs"], 2),
             (["--alpha", "1e-4"], 1),
         ],
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _support import traced
+from _support import longdouble_gauss_legendre, traced
 
 from spherefit import (
     CubatureRule,
@@ -45,25 +45,10 @@ class TestGaussLegendreNodes:
         np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double"
     )
     def test_weights_against_longdouble_recomputation(self):
-        # two Newton steps from the nodes and w = 2 / ((1 - x^2) P_n'(x)^2),
-        # all in long double; numpy's leggauss is off by 1.1e-10 here, so it
-        # is no oracle at this size.  The weights' relative error grows about
-        # as n^2: 1.011e-12 measured at n = 251, pinned as the bound
-        n = 251
-        t, v = gauss_legendre_nodes(n)
-
-        def p_and_derivative(x):
-            p_prev, p = np.ones_like(x), x.copy()
-            for k in range(2, n + 1):
-                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-            return p, n * (x * p - p_prev) / (x * x - 1)
-
-        x = t.astype(np.longdouble)
-        for _ in range(2):
-            p, dp = p_and_derivative(x)
-            x = x - p / dp
-        dp = p_and_derivative(x)[1]
-        w = 2 / ((1 - x * x) * dp * dp)
+        # the weights' relative error grows about as n^2: 1.011e-12 measured
+        # at n = 251, pinned as the bound
+        t, v = gauss_legendre_nodes(251)
+        x, w = longdouble_gauss_legendre(t)
         assert np.abs(t - x).max() <= 1e-16
         assert np.abs((v - w) / w).max() <= 1.02e-12
 

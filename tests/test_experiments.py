@@ -125,7 +125,7 @@ class TestSggRecover:
 
     def test_identity_when_flat(self):
         g = HarmonicCoefficients(2, np.arange(9.0))
-        model = SggModel(M=2, a=np.ones(3), rho=1.0, g_true=g)
+        model = SggModel(M=2, a=np.ones(3), g_true=g)
         out = sgg_recover(g, model)
         assert np.array_equal(out.values, g.values)
 
@@ -289,7 +289,7 @@ class TestReportsRoundTrip:
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            rerun_from_config({"experiment": 9})
+            rerun_from_config({"which": 9})
 
 
 class TestConfigEcho:
@@ -312,7 +312,7 @@ class TestConfigEcho:
         with pytest.raises(ValueError, match=key):
             rerun_from_config(echo)
 
-    @pytest.mark.parametrize("key", ["seed", "simulations", "rng", "noise_level"])
+    @pytest.mark.parametrize("key", ["seed", "simulations", "rng", "uniform_noise"])
     def test_missing_key_rejected(self, key):
         echo = experiments._config(1, 3, 2)
         del echo[key]
@@ -320,8 +320,8 @@ class TestConfigEcho:
             rerun_from_config(echo)
 
     def test_boolean_experiment_rejected(self):
-        echo = {**experiments._config(1, 0, 2), "experiment": True}
-        with pytest.raises(ValueError, match="experiment"):
+        echo = {**experiments._config(1, 0, 2), "which": True}
+        with pytest.raises(ValueError, match="which"):
             rerun_from_config(echo)
 
     def test_simulations_in_experiment_2_echo_rejected(self):

@@ -2,8 +2,11 @@ import layer_timing
 
 # rows per degree of each section whose rows follow --degrees: the rule's and
 # the probe rings' tables, one dense matrix, `analyze` and `evaluate_grid`,
-# the product and the rotated exactness check, one norms row, one walk
-ROWS = {"tables": 2, "dense": 1, "transforms": 2, "exactness": 2, "norms": 1, "walk": 1}
+# the product and the rotated exactness check, one norms row, one walk, one
+# accuracy row
+ROWS = {
+    "tables": 2, "dense": 1, "transforms": 2, "exactness": 2, "norms": 1, "walk": 1, "accuracy": 1,
+}
 
 
 def test_each_section_prints_its_table_at_degree_2(capsys):

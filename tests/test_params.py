@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from _support import norm_probe_points, traced
+from _support import norm_probe_points, record_table_probes, traced
 
 from spherefit import (
     BalancingConfig,
@@ -273,35 +273,20 @@ class TestBalancingPrinciple:
             expected = cfg.omega * cfg.delta * (table @ c).max()
             assert step.threshold == pytest.approx(expected, rel=1e-12)
 
-    @staticmethod
-    def record_table_shapes(monkeypatch):
-        """Shapes of the tables the `grid-abs` oracle builds, through the
-        module global the builder calls."""
-        shapes = []
-        table = approx.weighted_abs_legendre_sums
-
-        def recording(rule, M, probes):
-            S = table(rule, M, probes)
-            shapes.append(S.shape)
-            return S
-
-        monkeypatch.setattr(approx, "weighted_abs_legendre_sums", recording)
-        return shapes
-
     def test_grid_abs_table_keeps_one_row_per_probe_class(self, monkeypatch):
         # probes of one class share a table row, so max(table @ c) needs one
         # row per class: 31 ring classes x 2 azimuth offsets on the invariant
         # set of M = 30.  A rule in another node order is no product grid,
         # so it takes probe_grid(10) and keeps every probe
-        shapes = self.record_table_shapes(monkeypatch)
+        tables = record_table_probes(monkeypatch)
         rule = gauss_legendre_rule(30)
         approx._Plan(rule, 30, 60).norm("grid-abs")
-        assert shapes == [(62, 31)]
+        assert [len(probes) for probes in tables] == [62]
         rule = gauss_legendre_rule(5)
         perm = np.random.default_rng(10).permutation(rule.n_points)
         shuffled = CubatureRule(5, rule.points[perm], rule.weights[perm])
         approx._Plan(shuffled, 5, 10).norm("grid-abs")
-        assert shapes[1:] == [(probe_grid(10).shape[0], 6)]
+        assert [len(probes) for probes in tables[1:]] == [probe_grid(10).shape[0]]
 
     @staticmethod
     def count_probe_classes(monkeypatch):
@@ -332,12 +317,12 @@ class TestBalancingPrinciple:
         # one-azimuth product grid; the build still classifies the probes
         # once and keeps one row per ring class
         calls = self.count_probe_classes(monkeypatch)
-        shapes = self.record_table_shapes(monkeypatch)
+        tables = record_table_probes(monkeypatch)
         rule = gauss_legendre_rule(M)
         sup = approx._Plan(rule, M, resolution).norm("grid-abs")
         assert len(calls) == 1
         rings, azimuths = _rings.probe_classes(rule.rings, approx._probe_rings(rule, resolution))
-        assert azimuths.size == 1 and shapes == [(rings.size, M + 1)]
+        assert azimuths.size == 1 and [len(probes) for probes in tables] == [rings.size]
         c = (2 * np.arange(M + 1) + 1) / (4 * np.pi)
         full = weighted_abs_legendre_sums(rule, M, norm_probe_points(rule, resolution)) @ c
         assert sup(np.ones(M + 1)) == pytest.approx(full.max(), rel=1e-12)
@@ -346,10 +331,10 @@ class TestBalancingPrinciple:
         # a fresh M = 60 build (the rule made beforehand) makes one table, a row
         # per probe class (122) and a column per degree (61), and its traced
         # peak stays under 25 MB; the next test bounds the same build at 4 MB
-        shapes = self.record_table_shapes(monkeypatch)
+        tables = record_table_probes(monkeypatch)
         rule = gauss_legendre_rule(60)
         peak = traced(lambda: approx._Plan(rule, 60, 120).norm("grid-abs")).peak
-        assert shapes == [(122, 61)]
+        assert [len(probes) for probes in tables] == [122]
         assert peak < 25 * 2**20
 
     def test_grid_abs_oracle_streams_the_degree_at_degree_60(self):

@@ -13,7 +13,7 @@ from spherefit import cli
 from spherefit.approx import filter_factors, weighted_abs_legendre_sums
 
 _RULE, _BETA = gauss_legendre_rule(2), PenalizationWeights(2, [1.0, 2.0, 3.0])
-_MODEL = SggModel(2, [1.0, 0.5, 0.25], 1.0, HarmonicCoefficients.zeros(2))
+_MODEL = SggModel(2, [1.0, 0.5, 0.25], HarmonicCoefficients.zeros(2))
 _POINTS = _RULE.points[:2]
 
 
@@ -82,19 +82,15 @@ _REFUSALS = {
     ),
     "gauss-legendre-no-nodes": (lambda: gauss_legendre_nodes(0), "need at least one node"),
     "sgg-damping-length": (
-        lambda: SggModel(2, [1.0, 0.5], 1.0, HarmonicCoefficients.zeros(2)),
+        lambda: SggModel(2, [1.0, 0.5], HarmonicCoefficients.zeros(2)),
         "need 3 damping factors, got 2",
     ),
     "sgg-damping-zero": (
-        lambda: SggModel(2, [1.0, 0.5, 0.0], 1.0, HarmonicCoefficients.zeros(2)),
+        lambda: SggModel(2, [1.0, 0.5, 0.0], HarmonicCoefficients.zeros(2)),
         "damping factors must be positive and finite",
     ),
-    "sgg-radius": (
-        lambda: SggModel(2, [1.0, 0.5, 0.25], 0.0, HarmonicCoefficients.zeros(2)),
-        "radius scale must be positive",
-    ),
     "sgg-truth-degree": (
-        lambda: SggModel(2, [1.0, 0.5, 0.25], 1.0, HarmonicCoefficients.zeros(3)),
+        lambda: SggModel(2, [1.0, 0.5, 0.25], HarmonicCoefficients.zeros(3)),
         "ground-truth coefficients must match the model degree",
     ),
     "noise-kind": (lambda: NoiseSpec("laplace", 0.1), "unknown noise kind 'laplace'"),
