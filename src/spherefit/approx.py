@@ -385,16 +385,20 @@ def _probe_rings(rule: CubatureRule, resolution: int) -> _rings.RingLayout:
 
 class _Plan:
     """What the analyses, walks, fits and norm oracles on one rule share at
-    degree M and one probe resolution, each part built on first use: the
-    `_rings.degree_layout` of M, the `_rings.legendre_part` of the rule's
-    rings and of the walk's `_probe_rings`, the tables on them and each
-    bound's `_norm_oracle`.  Like the plans of SHTns and FFTW, one per
-    (degree, grid), made and dropped by the caller that runs many fits."""
+    degree M, each part built on first use: the `_rings.degree_layout` of M,
+    the walk's probe rings (`_probe_rings` at resolution max(1, 2M)), the
+    `_rings.legendre_part` of the rule's rings and of the probe rings, the
+    tables on them and each bound's `_norm_oracle`.  Like the plans of SHTns
+    and FFTW, one per (degree, grid), made and dropped by the caller that
+    runs many fits."""
 
-    def __init__(self, rule: CubatureRule, M: int, resolution: int | None = None):
-        self.rule, self.M, self.resolution = rule, M, resolution
-        self.probe_rings = None if resolution is None else _probe_rings(rule, resolution)
+    def __init__(self, rule: CubatureRule, M: int):
+        self.rule, self.M, self.resolution = rule, M, max(1, 2 * M)
         self._norms = {}
+
+    @functools.cached_property
+    def probe_rings(self):
+        return _probe_rings(self.rule, self.resolution)
 
     @functools.cached_property
     def layout(self):
@@ -411,10 +415,10 @@ class _Plan:
     def ring_table(self, rings: _rings.RingLayout) -> _rings._RingTable:
         """The ring table of degree M on `rings`, which lie where the rule's
         rings or the probe rings lie, bit for bit; ValueError otherwise."""
-        rule, probe = self.rule.rings, self.probe_rings
+        rule = self.rule.rings
         if rule is not None and np.array_equal(rings.meridian, rule.meridian):
             legendre = self.rule_legendre
-        elif probe is not None and np.array_equal(rings.meridian, probe.meridian):
+        elif np.array_equal(rings.meridian, self.probe_rings.meridian):
             legendre = self.probe_legendre
         else:
             raise ValueError("the plan holds no Legendre values at these ring heights")
@@ -441,14 +445,13 @@ class _Plan:
         return self._norms[bound]
 
 
-def _plan_for(plan: _Plan | None, rule: CubatureRule, M: int, resolution: int | None = None):
-    """`plan`, refused unless made for this rule object, degree and (when
-    given) probe resolution; else a new plan, so no result depends on it."""
+def _plan_for(plan: _Plan | None, rule: CubatureRule, M: int):
+    """`plan`, refused unless made for this rule object and degree; else a
+    new plan, so no result depends on it."""
     if plan is None:
-        return _Plan(rule, M, resolution)
-    made = {"rule": plan.rule, "degree": plan.M, "probe resolution": plan.resolution}
-    for (name, built), wanted in zip(made.items(), (rule, M, resolution)):
-        if wanted is not None and built != wanted:
+        return _Plan(rule, M)
+    for name, built, wanted in (("rule", plan.rule, rule), ("degree", plan.M, M)):
+        if built != wanted:
             raise ValueError(f"the plan was made for another {name}")
     return plan
 

@@ -146,7 +146,7 @@ def cmd_fit(settings: dict) -> int:
     # values a balanced one does; only a balanced fit needs the noise level
     bp_cfg = experiments._bp_config(settings, 0.0 if noise_level is None else noise_level)
     # the walk, the norm estimate and the functional share one plan of the rule
-    plan = approx._Plan(rule, M, bp_cfg.resolution(M))
+    plan = approx._Plan(rule, M)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {"degree": M, "beta": settings["beta"]}
@@ -197,7 +197,7 @@ _COMMANDS = {
     "gen-rule": (cmd_gen_rule, "write a Gauss-Legendre rule as CSV", ("degree", "out")),
     "fit": (cmd_fit, "fit sampled values on a rule", (
         "degree", "rule", "samples", "beta", "sgg_decay", "alpha", "bp", "omega", "grid_anchor",
-        "grid_ratio", "grid_len", "noise_level", "bp_probe_resolution", "bp_norm_bound", "out",
+        "grid_ratio", "grid_len", "noise_level", "bp_norm_bound", "out",
     )),
     "experiment": (cmd_experiment, "run a reference experiment",
                    ("which", "seed", "simulations", "out")),

@@ -97,8 +97,8 @@ SETTINGS = {
     "grid_ratio": (_real, _PRESET, "alpha grid ratio in (0,1)"),
     "grid_len": (_whole_number, _PRESET, "alpha grid length"),
     "noise_level": (_real, None, "delta, the sup norm of the data noise, which --bp needs"),
-    "bp_probe_resolution": (_whole_number, None, "sup-norm probe grid degree of --bp"),
-    "bp_norm_bound": (_text, "grid", "operator-norm bound of --bp: " + "|".join(NORM_BOUND_KINDS)),
+    "bp_norm_bound": (_text, BalancingConfig.norm_bound,
+                      "operator-norm bound of --bp: " + "|".join(NORM_BOUND_KINDS)),
     "out": (_text, None, "output path: gen-rule's CSV file, else a directory (default: .)"),
     "uniform_noise": (None, _PRESET, "sup norm of experiment 1's uniform noise"),
     "gaussian_sigma": (None, _PRESET, "standard deviation of experiments 2 and 3's Gaussian noise"),
@@ -289,11 +289,10 @@ def _config(which, seed, simulations=None) -> dict:
 
 def _bp_config(config: dict, delta: float) -> BalancingConfig:
     """The balancing set-up that a config echo or `fit`'s settings describe,
-    at noise level `delta`; an echo holds no probe resolution."""
+    at noise level `delta`."""
     return BalancingConfig(
         alpha0=config["grid_anchor"], q=config["grid_ratio"], L=config["grid_len"],
-        omega=config["omega"], delta=delta, probe_resolution=config.get("bp_probe_resolution"),
-        norm_bound=config["bp_norm_bound"],
+        omega=config["omega"], delta=delta, norm_bound=config["bp_norm_bound"],
     )
 
 
@@ -302,7 +301,7 @@ def _study(config: dict) -> tuple[int, CubatureRule, _Plan]:
     one plan every walk, fit and score of the run shares."""
     M = config["degree"]
     rule = gauss_legendre_rule(M)
-    return M, rule, _Plan(rule, M, _bp_config(config, 0.0).resolution(M))
+    return M, rule, _Plan(rule, M)
 
 
 def _franke_scorer(plan: _Plan):

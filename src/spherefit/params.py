@@ -32,10 +32,10 @@ class BalancingConfig:
 
     The candidate grid is alpha_i = alpha0 * q**i for i = 1..L (strictly
     decreasing).  `omega` scales the noise-propagation threshold, `delta` is
-    the assumed sup-norm of the data noise.  `probe_resolution` (twice the
-    fit degree when omitted) sets the walk's probe layout
-    (`approx._probe_rings`), on which the step differences and the operator
-    norm are maxima.  `norm_bound` picks how that norm is computed:
+    the assumed sup-norm of the data noise.  The step differences and the
+    operator norm are maxima over the walk's probe layout, which the rule and
+    the fit degree fix (`approx._Plan`).  `norm_bound` picks how that norm is
+    computed:
 
       * ``grid``     -- probe maximum of the exact kernel sum (default);
       * ``grid-abs`` -- probe maximum with the absolute values pulled
@@ -49,17 +49,10 @@ class BalancingConfig:
     L: int
     omega: float
     delta: float
-    probe_resolution: int | None = None
     norm_bound: str = "grid"
 
     def __post_init__(self):
         object.__setattr__(self, "L", _whole_number(self.L, "grid length"))
-        if self.probe_resolution is not None:
-            object.__setattr__(
-                self,
-                "probe_resolution",
-                _whole_number(self.probe_resolution, "probe resolution"),
-            )
         if not (self.alpha0 > 0.0 and np.isfinite(self.alpha0)):
             raise ValueError(f"grid anchor must be positive, got {self.alpha0}")
         if not 0.0 < self.q < 1.0:
@@ -70,8 +63,6 @@ class BalancingConfig:
             raise ValueError(f"design parameter omega must be positive, got {self.omega}")
         if not (self.delta >= 0.0 and np.isfinite(self.delta)):
             raise ValueError(f"noise level must be non-negative, got {self.delta}")
-        if self.probe_resolution is not None and self.probe_resolution < 1:
-            raise ValueError("probe resolution must be >= 1")
         if self.norm_bound not in NORM_BOUND_KINDS:
             raise ValueError(
                 f"unknown norm bound {self.norm_bound!r}; expected one of {NORM_BOUND_KINDS}"
@@ -80,11 +71,6 @@ class BalancingConfig:
     def grid(self) -> np.ndarray:
         """Candidate values alpha_1 > alpha_2 > ... > alpha_L."""
         return self.alpha0 * self.q ** np.arange(1, self.L + 1, dtype=float)
-
-    def resolution(self, M: int) -> int:
-        """The probe resolution of a walk at fit degree M: 2M unless given
-        (1 at M = 0)."""
-        return self.probe_resolution or max(1, 2 * M)
 
 
 @dataclass(frozen=True)
@@ -213,8 +199,7 @@ def balancing_principle(
     """
     filter_factors(M, 0.0, beta)  # checks the weights' degree
     alphas = cfg.grid()
-    resolution = cfg.resolution(M)
-    plan = _plan_for(plan, samples.rule, M, resolution)
+    plan = _plan_for(plan, samples.rule, M)
     step_sup = _rings.degree_weighted_sup(plan.probe_table, analyze(samples, M, plan=plan).values)
     norm = plan.norm(cfg.norm_bound)
     factors = 1.0 / (1.0 + np.multiply.outer(alphas, beta.beta**2))
@@ -235,7 +220,7 @@ def balancing_principle(
         triggered=triggered,
         trace=tuple(trace),
         grid=alphas,
-        probe_resolution=resolution,
+        probe_resolution=plan.resolution,
         norm_bound=cfg.norm_bound,
     )
 
@@ -268,7 +253,7 @@ def kernel_select(
     coordinate-wise mean of the per-run winners, scored once more at the end.
     Every walk and score shares one `approx._Plan`, `plan` when given.
     """
-    plan = _plan_for(plan, samples.rule, M, bp.resolution(M))
+    plan = _plan_for(plan, samples.rule, M)
     (l1lo, l1hi), (l2lo, l2hi) = search.box
     scores: dict[tuple, float] = {}
 

@@ -6,7 +6,7 @@ The data are the reference fit's: the Franke-plus-cap function at the nodes
 of gauss_legendre_rule(30), Gaussian noise of standard deviation sigma
 (seed 1), delta the realized sup norm of that noise, Laplace-Beltrami
 weights, and the default grid alpha_i = 8 * 0.8^i, i = 1..60, of
-`experiments.DEFAULTS`, at the default probe resolution.  For each bound
+`experiments.DEFAULTS`, on the walk's probe rings (resolution 60).  For each bound
 (`grid`, `grid-abs`, `crude`), omega (0.002, 0.02, 0.2) and sigma (0.005,
 0.05, 0.5) one row gives the steps the walk took, whether a threshold was
 met, alpha_star, and the relative L2 error of the fit at alpha_star by

@@ -20,9 +20,9 @@ Each section prints one table (`rotated-pass` one line):
                 analysis of the constant 1 at degree 2M) on
                 gauss_legendre_rule(M), through the ring transform, and on the
                 rotated rule up to ROTATED_MAX_DEGREE.
-  norms         on gauss_legendre_rule(M) at probe resolution 2M: one cold
-                build of the `grid-abs` oracle on a fresh plan
-                (`approx._Plan.norm`: the probe classes of
+  norms         on gauss_legendre_rule(M) and the walk's probe rings
+                (resolution 2M): one cold build of the `grid-abs` oracle on a
+                fresh plan (`approx._Plan.norm`: the probe classes of
                 `approx._probe_rings`, one table row per class) and the
                 table's shape; one warm `grid` pass, the cost of a `grid` walk
                 step; `evaluate_kernel_form` at 256 Fibonacci points.
@@ -46,6 +46,12 @@ Each section prints one table (`rotated-pass` one line):
                 their long-double recomputation (`_support`), which needs an
                 80-bit long double.
 
+Before the tables one line names the BLAS thread setting
+(`OPENBLAS_NUM_THREADS`, or `unset`) and `os.cpu_count()`: with OpenBLAS's
+default threading on a 2-core machine one large matrix product sometimes
+stalls for about 16 ms, so compare timings, and the last bits of a synthesis
+at M >= 60, only between runs under one setting.
+
 Rules and data are made before the clock starts.  Wall times are the minimum
 of REPEATS calls without tracemalloc (the walk's of at least REPEATS walks
 and MIN_SECONDS); a cold build, the kernel form, the rotated pass and
@@ -65,6 +71,7 @@ has them:
 from __future__ import annotations
 
 import argparse
+import os
 import time
 from unittest import mock
 
@@ -92,6 +99,11 @@ DATA_SEED = 1
 EXP3_SEEDS = (0, 1)
 EXP3_SIMULATIONS = 50
 MB = 1e6
+
+
+def blas_setting() -> str:
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"OPENBLAS_NUM_THREADS {threads}, os.cpu_count() {os.cpu_count()}"
 
 
 def row(*cells) -> None:
@@ -168,10 +180,10 @@ def norms(degrees) -> None:
         "warm `grid` pass", "kernel form, 256 points", "tracemalloc peak",
     )
     for M in degrees:
-        rule, resolution = gauss_legendre_rule(M), 2 * M
-        build_s, build_peak = timed(lambda: approx._Plan(rule, M, resolution).norm("grid-abs"))
-        rings, azimuths = _rings.probe_classes(rule.rings, approx._probe_rings(rule, resolution))
-        sup, factors = approx._Plan(rule, M, resolution).norm("grid"), np.ones(M + 1)
+        rule = gauss_legendre_rule(M)
+        build_s, build_peak = timed(lambda: approx._Plan(rule, M).norm("grid-abs"))
+        rings, azimuths = _rings.probe_classes(rule.rings, approx._Plan(rule, M).probe_rings)
+        sup, factors = approx._Plan(rule, M).norm("grid"), np.ones(M + 1)
         sup(factors)
         pass_s = timed(lambda: sup(factors), REPEATS)[0]
         samples = SampleSet(rule, np.sin(rule.points @ np.array([1.0, 2.0, 3.0])))
@@ -189,7 +201,7 @@ def rotated_pass() -> None:
     M = ROTATED_PASS_DEGREE
     rule = rotated_rule(M, 0)
     assert rule.rings is None
-    sup = approx._Plan(rule, M, 2 * M).norm("grid")
+    sup = approx._Plan(rule, M).norm("grid")
     seconds, peak = timed(lambda: sup(np.ones(M + 1)))
     print(
         f"rotated gauss_legendre_rule({M}), one `grid` pass on probe_grid({2 * M}): "
@@ -211,7 +223,7 @@ def walk(degrees) -> None:
             alpha0=d["grid_anchor"], q=d["grid_ratio"], L=d["grid_len"], omega=1e12,
             delta=delta, norm_bound="crude",
         )
-        plan = approx._Plan(rule, M, cfg.resolution(M))
+        plan = approx._Plan(rule, M)
         run = lambda: balancing_principle(SampleSet(rule, noisy), M, beta, cfg, plan=plan)
         steps = len(run().trace)
         best, peak = timed(run, REPEATS, MIN_SECONDS)
@@ -281,10 +293,10 @@ def main(argv=None) -> None:
     unknown = set(args.sections) - set(SECTIONS)
     if unknown:
         parser.error(f"unknown sections {sorted(unknown)}; choose from {', '.join(SECTIONS)}")
-    for i, name in enumerate(args.sections or SECTIONS):
+    print(blas_setting())
+    for name in args.sections or SECTIONS:
         section, defaults = SECTIONS[name]
-        if i:
-            print()
+        print()
         section() if defaults is None else section(args.degrees or defaults)
 
 

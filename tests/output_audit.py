@@ -5,8 +5,6 @@ Into OUT_DIR it writes, through `spherefit.cli.main`:
   exp<N>_seed<S>/  experiments 1-3 for each seed (default simulation counts)
   rule.csv         gen-rule at the reference degree
   fit-<bound>/     fit --bp with each operator-norm bound (grid, grid-abs, crude)
-  fit-grid-abs-r30/  fit --bp --bp-norm-bound grid-abs at probe resolution 30, where
-                   a single azimuth class remains
   fit-fixed/       fit at a fixed alpha
 The fits use the reference data: the Franke-plus-cap function at the degree-30
 rule's nodes, Gaussian noise of sigma 0.5 (seed 1), Laplace-Beltrami weights.
@@ -14,7 +12,8 @@ Every file is then hashed and printed as `<sha256>  <path>`; no output
 records OUT_DIR, so two runs into different directories list the same hashes.
 
 Not collected by pytest (the name does not start with `test_`).  Run from the
-repository root, once per tree, and diff the two listings:
+repository root, once per tree under one BLAS thread setting
+(`OPENBLAS_NUM_THREADS`), and diff the two listings:
 
     PYTHONPATH=src python tests/output_audit.py /tmp/audit-a --seeds 0 1 2 3 4
 """
@@ -60,8 +59,6 @@ def write_outputs(out: Path, seeds) -> None:
     bp = fit + ["--bp", "--noise-level", repr(delta)]
     for bound in BOUNDS:
         run(bp + ["--bp-norm-bound", bound, "--out", str(out / f"fit-{bound}")])
-    run(bp + ["--bp-norm-bound", "grid-abs", "--bp-probe-resolution", str(DEGREE),
-              "--out", str(out / "fit-grid-abs-r30")])
     run(fit + ["--alpha", repr(FIXED_ALPHA), "--out", str(out / "fit-fixed")])
 
 

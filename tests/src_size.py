@@ -1,8 +1,9 @@
 """Size of the package: per module of src/spherefit, its total lines and its
 code lines (no blank, comment or docstring lines), then the totals, the
-count of public names in the `spherefit` namespace, and the module-level
-functions that `spherefit` does not re-export and no code in src/ names:
-the test oracles still in the package.
+count of public names in the `spherefit` namespace, the module-level
+functions that `spherefit` does not re-export and no code in src/ names
+(the test oracles still in the package), and the settings: the keys of each
+CLI subcommand (`cli._COMMANDS`) and the fields of each search config.
 
 Not collected by pytest (the name does not start with `test_`).  Run from
 the repository root; ROOT (default: this file's repository) selects another
@@ -14,6 +15,7 @@ checkout:
 from __future__ import annotations
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -82,6 +84,12 @@ def main() -> None:
     print(f"public names in spherefit: {len(public)}")
     oracles = unreferenced_functions(modules, set(public))
     print("functions neither re-exported nor named in src/:", *oracles)
+    from spherefit import cli, params
+
+    keys = (f"{name} {len(keys)}" for name, (_, _, keys) in cli._COMMANDS.items())
+    configs = (params.BalancingConfig, params.RandomSearchConfig)
+    fields = (f"{c.__name__} {len(dataclasses.fields(c))}" for c in configs)
+    print(f"settings: keys {', '.join(keys)}; fields {', '.join(fields)}")
 
 
 if __name__ == "__main__":

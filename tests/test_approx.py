@@ -303,6 +303,15 @@ def dense_calls(monkeypatch):
     return calls
 
 
+def plan_probing(rule, M, resolution):
+    """An `approx._Plan` of `rule` and M whose probe rings are
+    `approx._probe_rings(rule, resolution)`, a layout that a walk, which
+    probes at resolution 2M, never takes on its own."""
+    plan = approx._Plan(rule, M)
+    plan.probe_rings = approx._probe_rings(rule, resolution)
+    return plan
+
+
 class TestRingTransform:
     @pytest.mark.parametrize("M", [0, 1, 2, 7, 30, 60])
     def test_matches_dense(self, M, dense_calls):
@@ -511,8 +520,9 @@ class TestRingTransform:
 
     @pytest.mark.parametrize("bound", params.NORM_BOUND_KINDS)
     def test_coarse_probe_walk_takes_ring_path(self, bound, dense_calls):
-        # on a rule that is no product grid the walk probes probe_grid(3):
-        # 8 azimuths, fewer than 2M + 1 at M = 10, yet the step differences
+        # on a rule that is no product grid, given a plan that probes
+        # probe_grid(3), the walk probes its 8 azimuths, fewer than 2M + 1 at
+        # M = 10, yet the step differences
         # still come from the ring synthesis; the one dense matrix is the
         # rule's analysis.  With omega = 1 no threshold is met, so every
         # grid value is synthesized.
@@ -523,10 +533,10 @@ class TestRingTransform:
         samples = SampleSet(rotated, rng.normal(size=rotated.n_points))
         beta = params.weights_laplace_beltrami(M)
         cfg = params.BalancingConfig(
-            alpha0=8.0, q=0.5, L=12, omega=1.0, delta=0.5,
-            probe_resolution=resolution, norm_bound=bound,
+            alpha0=8.0, q=0.5, L=12, omega=1.0, delta=0.5, norm_bound=bound
         )
-        result = params.balancing_principle(samples, M, beta, cfg)
+        plan = plan_probing(rotated, M, resolution)
+        result = params.balancing_principle(samples, M, beta, cfg, plan=plan)
         assert dense_calls == [M]
         assert len(result.trace) == cfg.L - 1 and not result.triggered
         pts = probe_grid(resolution)
@@ -667,7 +677,7 @@ class TestRingTablesAgainstDenseOracles:
     def test_walk_probe_table_at_degree_120(self):
         # the probe rings of a degree-120 walk, 241 rings at 121 heights:
         # 7.2 MB, a quarter of (M+1)^2 values per ring
-        plan = approx._Plan(gauss_legendre_rule(120), 120, 240)
+        plan = approx._Plan(gauss_legendre_rule(120), 120)
         assert plan.probe_table.P.nbytes <= 8e6
 
     def test_grid_pass_memory_at_degree_120(self):
@@ -1001,7 +1011,7 @@ class TestPlanTables:
         resolution = data.draw(st.integers(1, max(1, 3 * M)), label="resolution")
         azimuths = data.draw(st.integers(1, 2 * M + 2), label="azimuths")
         rule = random_product_rule(kind, M, np.random.default_rng(seed))
-        plan = approx._Plan(rule, M, resolution)
+        plan = plan_probing(rule, M, resolution)
         for rings in (rule.rings, plan.probe_rings):
             rings = rings._replace(azimuths=azimuths)
             assembled, fresh = plan.ring_table(rings), _rings.ring_table(M, rings)
@@ -1028,7 +1038,7 @@ class TestPlanTables:
         rule = gauss_legendre_rule(M) if product else rotated_rule(M, 7)
         calls, legendre_part = [], _rings.legendre_part
         monkeypatch.setattr(_rings, "legendre_part", lambda *a: calls.append(a) or legendre_part(*a))
-        plan = approx._Plan(rule, M, 2 * M)
+        plan = approx._Plan(rule, M)
         k = np.arange(M + 1)
         f = approx.filter_factors(M, 1e-3, PenalizationWeights(M, k * (k + 1.0)))
         value = plan.norm("grid")(f)
@@ -1037,7 +1047,7 @@ class TestPlanTables:
 
     def test_probe_rings_of_the_rule_share_its_legendre_part(self):
         # at resolution M the walk's probe rings are the rings of gauss_legendre_rule(M)
-        plan = approx._Plan(gauss_legendre_rule(6), 6, 6)
+        plan = plan_probing(gauss_legendre_rule(6), 6, 6)
         assert plan.probe_table.P is plan.table.P
         assert plan.probe_table.rows is plan.table.rows
 

@@ -92,7 +92,7 @@ class TestFit:
         assert rc == 0
         summary = json.loads((out / "fit_summary.json").read_text())
         f = approx.filter_factors(M, alpha, params.weights_laplace_beltrami(M))
-        assert summary["norm_estimate"] == approx._Plan(rule, M, 2 * M).norm("grid")(f)
+        assert summary["norm_estimate"] == approx._Plan(rule, M).norm("grid")(f)
 
     def test_grid_fit_classifies_its_probes_once(self, tmp_path, monkeypatch):
         # the walk and the norm estimate share one plan's `grid` oracle on
@@ -152,8 +152,7 @@ class TestFit:
             [
                 "fit", "--degree", str(M), "--samples", str(samples),
                 "--beta", "ones", "--bp", "--noise-level", "0.05",
-                "--grid-len", "10", "--bp-probe-resolution", "6",
-                "--out", str(out),
+                "--grid-len", "10", "--out", str(out),
             ]
         )
         assert rc == 0
@@ -262,8 +261,8 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "entries",
-        [{"bp_probe_resolution": 10.5}, {"degree": 4.9}, {"grid_len": 5.7}, {"degree": "3"}],
-        ids=["probe-resolution", "degree", "grid-len", "string"],
+        [{"degree": 4.9}, {"grid_len": 5.7}, {"degree": "3"}],
+        ids=["degree", "grid-len", "string"],
     )
     def test_non_integral_config_value_rejected(self, tmp_path, capsys, entries):
         samples = tmp_path / "samples.csv"
@@ -309,18 +308,6 @@ class TestFit:
         assert main(["fit", "--samples", str(samples), "--config", str(config),
                      "--out", str(out)]) == 0
         assert json.loads((out / "fit_summary.json").read_text())["alpha"] == 0.0
-
-    def test_non_integral_probe_resolution_rejected_with_fixed_alpha(self, tmp_path, capsys):
-        samples = tmp_path / "samples.csv"
-        write_samples(samples, np.zeros(gauss_legendre_rule(2).n_points))
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"bp_probe_resolution": 6.5}))
-        out = tmp_path / "fit"
-        argv = ["fit", "--degree", "2", "--samples", str(samples), "--alpha", "0.1",
-                "--config", str(config), "--out", str(out)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert not out.exists()
 
     @pytest.mark.parametrize(
         "entries",
@@ -608,7 +595,7 @@ class TestConfigKeys:
         assert err.startswith("error:") and f"'{unknown}'" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "samples.csv"]
 
-    @pytest.mark.parametrize("key", ["degree", "alpha", "bp_probe_resolution", "rule"])
+    @pytest.mark.parametrize("key", ["degree", "alpha", "rule"])
     def test_null_entry_rejected(self, tmp_path, capsys, key):
         samples = tmp_path / "samples.csv"
         write_samples(samples, np.zeros(gauss_legendre_rule(1).n_points))
@@ -681,7 +668,9 @@ class TestOneVocabulary:
         assert main(argv) == 0
         assert walks == [experiments._bp_config(echo, delta)]
 
-    @pytest.mark.parametrize("entry", [{"grid-len": 5}, {"norm-bound": "grid"}], ids=flag_ids)
+    @pytest.mark.parametrize(
+        "entry", [{"grid-len": 5}, {"norm-bound": "grid"}, {"bp_probe_resolution": 6}], ids=flag_ids
+    )
     def test_old_spelling_rejected(self, tmp_path, capsys, entry):
         config = tmp_path / "fit.json"
         config.write_text(json.dumps(entry))
@@ -692,9 +681,13 @@ class TestOneVocabulary:
 
 class TestParserHygiene:
     def test_unknown_flag_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen-rule", "--degree", "1", "--out", "x.csv", "--bogus"])
-        assert exc.value.code != 0
+        for argv in (
+            ["gen-rule", "--degree", "1", "--out", "x.csv", "--bogus"],
+            ["fit", "--degree", "1", "--alpha", "0.1", "--bp-probe-resolution", "6"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code != 0
 
     def test_help_lists_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

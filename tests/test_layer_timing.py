@@ -1,3 +1,5 @@
+import os
+
 import layer_timing
 
 # rows per degree of each section whose rows follow --degrees: the rule's and
@@ -11,7 +13,9 @@ ROWS = {
 
 def test_each_section_prints_its_table_at_degree_2(capsys):
     layer_timing.main([*ROWS, "--degrees", "2"])
-    tables = capsys.readouterr().out.strip().split("\n\n")
+    blas, *tables = capsys.readouterr().out.strip().split("\n\n")
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    assert blas == f"OPENBLAS_NUM_THREADS {threads}, os.cpu_count() {os.cpu_count()}"
     assert len(tables) == len(ROWS)
     for (name, rows), table in zip(ROWS.items(), tables):
         header, rule, *body = table.splitlines()

@@ -127,17 +127,14 @@ class TestBalancingConfig:
         base = dict(alpha0=1.0, q=0.5, omega=0.002, delta=0.05)
         with pytest.raises(ValueError, match="grid length"):
             BalancingConfig(L=10.5, **base)
-        with pytest.raises(ValueError, match="probe resolution"):
-            BalancingConfig(L=10, probe_resolution=10.5, **base)
         with pytest.raises(ValueError, match="grid length"):
             BalancingConfig(L=True, **base)
-        cfg = BalancingConfig(L=10.0, probe_resolution=np.int64(6), **base)
+        cfg = BalancingConfig(L=10.0, **base)
         assert type(cfg.L) is int and cfg.L == 10
-        assert type(cfg.probe_resolution) is int and cfg.probe_resolution == 6
 
 
 class TestBalancingPrinciple:
-    CFG = dict(alpha0=8.0, q=0.8, L=20, omega=0.002, probe_resolution=8)
+    CFG = dict(alpha0=8.0, q=0.8, L=20, omega=0.002)
 
     def test_zero_delta_triggers_immediately(self):
         s = noisy_samples(4, seed=3)
@@ -152,9 +149,7 @@ class TestBalancingPrinciple:
     def test_huge_omega_never_triggers(self):
         s = noisy_samples(4, seed=3)
         beta = PenalizationWeights(4, np.arange(5.0) + 1)
-        cfg = BalancingConfig(
-            alpha0=8.0, q=0.8, L=20, omega=1e12, delta=1.0, probe_resolution=8
-        )
+        cfg = BalancingConfig(alpha0=8.0, q=0.8, L=20, omega=1e12, delta=1.0)
         res = balancing_principle(s, 4, beta, cfg)
         assert not res.triggered
         assert res.alpha_star == pytest.approx(8.0 * 0.8)  # largest grid value
@@ -194,9 +189,7 @@ class TestBalancingPrinciple:
     def test_grid_norm_matches_operator_norm_bound(self):
         s = noisy_samples(3, seed=7)
         beta = PenalizationWeights(3, np.arange(4.0) + 1)
-        cfg = BalancingConfig(
-            alpha0=1.0, q=0.5, L=5, omega=1e9, delta=1.0, probe_resolution=6
-        )
+        cfg = BalancingConfig(alpha0=1.0, q=0.5, L=5, omega=1e9, delta=1.0)
         res = balancing_principle(s, 3, beta, cfg)
         probes = norm_probe_points(s.rule, 6)
         grid = cfg.grid()
@@ -223,7 +216,7 @@ class TestBalancingPrinciple:
         s = noisy_samples(6, seed=12)
         beta = PenalizationWeights(6, np.arange(7.0) + 1)
         cfg = BalancingConfig(alpha0=2.0, q=0.5, L=6, omega=1e9, delta=1.0)
-        plan = approx._Plan(s.rule, 6, 12)
+        plan = approx._Plan(s.rule, 6)
         res = balancing_principle(s, 6, beta, cfg, plan=plan)
         assert len(res.trace) == cfg.L - 1
         assert calls == {"ring_layout": 0, "probe_classes": 1}
@@ -240,10 +233,7 @@ class TestBalancingPrinciple:
         beta = PenalizationWeights(4, np.arange(5.0) + 1)
         results = {}
         for kind in ("grid", "grid-abs", "crude"):
-            cfg = BalancingConfig(
-                alpha0=2.0, q=0.5, L=6, omega=1e9, delta=1.0,
-                probe_resolution=8, norm_bound=kind,
-            )
+            cfg = BalancingConfig(alpha0=2.0, q=0.5, L=6, omega=1e9, delta=1.0, norm_bound=kind)
             results[kind] = balancing_principle(s, 4, beta, cfg)
         for a, b, c in zip(
             results["grid"].trace, results["grid-abs"].trace, results["crude"].trace
@@ -259,8 +249,7 @@ class TestBalancingPrinciple:
         other = CubatureRule(4, rule.points, rule.weights * (1.0 + 0.3 * (t * t - 1.0 / 3.0)))
         beta = PenalizationWeights(4, np.arange(5.0) + 1)
         cfg = BalancingConfig(
-            alpha0=2.0, q=0.5, L=6, omega=1e9, delta=1.0,
-            probe_resolution=8, norm_bound="grid-abs",
+            alpha0=2.0, q=0.5, L=6, omega=1e9, delta=1.0, norm_bound="grid-abs"
         )
         y = np.random.default_rng(9).normal(size=rule.n_points)
         balancing_principle(SampleSet(rule, y), 4, beta, cfg)
@@ -280,12 +269,12 @@ class TestBalancingPrinciple:
         # so it takes probe_grid(10) and keeps every probe
         tables = record_table_probes(monkeypatch)
         rule = gauss_legendre_rule(30)
-        approx._Plan(rule, 30, 60).norm("grid-abs")
+        approx._Plan(rule, 30).norm("grid-abs")
         assert [len(probes) for probes in tables] == [62]
         rule = gauss_legendre_rule(5)
         perm = np.random.default_rng(10).permutation(rule.n_points)
         shuffled = CubatureRule(5, rule.points[perm], rule.weights[perm])
-        approx._Plan(shuffled, 5, 10).norm("grid-abs")
+        approx._Plan(shuffled, 5).norm("grid-abs")
         assert [len(probes) for probes in tables[1:]] == [probe_grid(10).shape[0]]
 
     @staticmethod
@@ -305,7 +294,7 @@ class TestBalancingPrinciple:
         # probes as given and does not classify them
         calls = self.count_probe_classes(monkeypatch)
         rule = gauss_legendre_rule(10)
-        approx._Plan(rule, 10, 20).norm("grid-abs")
+        approx._Plan(rule, 10).norm("grid-abs")
         assert len(calls) == 1
         assert weighted_abs_legendre_sums(rule, 10, probe_grid(20)).shape == (882, 11)
         assert len(calls) == 1
@@ -319,9 +308,10 @@ class TestBalancingPrinciple:
         calls = self.count_probe_classes(monkeypatch)
         tables = record_table_probes(monkeypatch)
         rule = gauss_legendre_rule(M)
-        sup = approx._Plan(rule, M, resolution).norm("grid-abs")
+        probe_rings = approx._probe_rings(rule, resolution)
+        sup = approx._norm_oracle(rule, M, probe_rings, "grid-abs")
         assert len(calls) == 1
-        rings, azimuths = _rings.probe_classes(rule.rings, approx._probe_rings(rule, resolution))
+        rings, azimuths = _rings.probe_classes(rule.rings, probe_rings)
         assert azimuths.size == 1 and [len(probes) for probes in tables] == [rings.size]
         c = (2 * np.arange(M + 1) + 1) / (4 * np.pi)
         full = weighted_abs_legendre_sums(rule, M, norm_probe_points(rule, resolution)) @ c
@@ -333,7 +323,7 @@ class TestBalancingPrinciple:
         # peak stays under 25 MB; the next test bounds the same build at 4 MB
         tables = record_table_probes(monkeypatch)
         rule = gauss_legendre_rule(60)
-        peak = traced(lambda: approx._Plan(rule, 60, 120).norm("grid-abs")).peak
+        peak = traced(lambda: approx._Plan(rule, 60).norm("grid-abs")).peak
         assert [len(probes) for probes in tables] == [122]
         assert peak < 25 * 2**20
 
@@ -342,14 +332,14 @@ class TestBalancingPrinciple:
         # each): a cold build, probe set and classes included, stays under
         # 4 MB, where a (pairs, M+1) Legendre array per block peaks at 16.8 MB
         rule = gauss_legendre_rule(60)
-        assert traced(lambda: approx._Plan(rule, 60, 120).norm("grid-abs")).peak < 4 * 2**20
+        assert traced(lambda: approx._Plan(rule, 60).norm("grid-abs")).peak < 4 * 2**20
 
     def test_grid_abs_oracle_forms_no_probe_set_at_degree_120(self):
         # a cold M = 120 build forms its 242 class representatives from the
         # probe layout and peaks at 2.9 MB; forming the layout's 116 644
         # points as well (2.8 MB) takes the peak to 5.6 MB
         rule = gauss_legendre_rule(120)
-        assert traced(lambda: approx._Plan(rule, 120, 240).norm("grid-abs")).peak < 4 * 2**20
+        assert traced(lambda: approx._Plan(rule, 120).norm("grid-abs")).peak < 4 * 2**20
 
     def test_walk_refuses_weights_of_another_degree(self):
         s = noisy_samples(4, seed=19)
@@ -384,9 +374,7 @@ class TestBalancingPrinciple:
     def test_trace_csv(self, tmp_path):
         s = noisy_samples(3, seed=9)
         beta = PenalizationWeights(3, np.ones(4))
-        cfg = BalancingConfig(
-            alpha0=1.0, q=0.5, L=4, omega=0.1, delta=0.1, probe_resolution=6
-        )
+        cfg = BalancingConfig(alpha0=1.0, q=0.5, L=4, omega=0.1, delta=0.1)
         res = balancing_principle(s, 3, beta, cfg)
         path = tmp_path / "trace.csv"
         save_bp_trace(res, path)
@@ -407,8 +395,7 @@ class TestWalkAgainstFullSynthesis:
         """(alpha_star, triggered, steps, largest |fit value|), each step an
         (alpha, difference, threshold, triggered) tuple."""
         alphas = cfg.grid()
-        resolution = cfg.probe_resolution or 2 * M
-        rings = approx._probe_rings(samples.rule, resolution)
+        rings = approx._probe_rings(samples.rule, 2 * M)
         table = _rings.ring_table(M, rings)
         gamma = analyze(samples, M).values
         b2 = expand_by_degree(beta.beta**2)
@@ -516,7 +503,7 @@ class TestOneAnalysisPerSampleSet:
 
 
 class TestKernelSelect:
-    BP = dict(alpha0=2.0, q=0.5, L=8, omega=0.002, delta=0.05, probe_resolution=6)
+    BP = dict(alpha0=2.0, q=0.5, L=8, omega=0.002, delta=0.05)
 
     def test_collapsed_box(self):
         s = noisy_samples(3, seed=10)
@@ -594,7 +581,7 @@ class TestKernelSelect:
 
 
 class TestPlan:
-    """One `approx._Plan` per (rule, degree, probe resolution): the tables
+    """One `approx._Plan` per (rule, degree): the tables
     and oracles the walks and fits on one rule share, made by the caller,
     passed on as `plan=`, and dropped when the caller returns."""
 
@@ -612,26 +599,23 @@ class TestPlan:
             assert np.array_equal(rings.meridian.view(np.int64), meridian.view(np.int64))
             assert rings.weights is None and rings.azimuths == azimuths
 
-    @pytest.mark.parametrize("field", ["rule", "degree", "probe resolution"])
+    @pytest.mark.parametrize("field", ["rule", "degree"])
     def test_refuses_a_plan_made_for_another(self, field):
         s = noisy_samples(4, seed=20)
         twin = CubatureRule(4, s.rule.points, s.rule.weights)  # equal arrays, another rule
-        made_for = {"rule": (twin, 4, 8), "degree": (s.rule, 3, 8), "probe resolution": (s.rule, 4, 9)}
+        made_for = {"rule": (twin, 4), "degree": (s.rule, 3)}
         plan = approx._Plan(*made_for[field])
         beta = weights_laplace_beltrami(4)
         cfg = BalancingConfig(alpha0=2.0, q=0.5, L=4, omega=1.0, delta=0.1)
         search = RandomSearchConfig(runs=1, steps_per_run=1)
+        gamma = regularized_fit(s, 4, 0.1, beta)
         calls = [
             lambda: balancing_principle(s, 4, beta, cfg, plan=plan),
             lambda: kernel_select(s, 4, search, cfg, plan=plan),
+            lambda: analyze(s, 4, plan=plan),
+            lambda: regularized_fit(s, 4, 0.1, beta, plan=plan),
+            lambda: approx.penalized_functional(s, gamma, 0.1, beta, plan=plan),
         ]
-        if field != "probe resolution":
-            gamma = regularized_fit(s, 4, 0.1, beta)
-            calls += [
-                lambda: analyze(s, 4, plan=plan),
-                lambda: regularized_fit(s, 4, 0.1, beta, plan=plan),
-                lambda: approx.penalized_functional(s, gamma, 0.1, beta, plan=plan),
-            ]
         for call in calls:
             with pytest.raises(ValueError, match=f"plan was made for another {field}"):
                 call()
@@ -645,11 +629,12 @@ class TestPlan:
         search = RandomSearchConfig(runs=2, steps_per_run=2, box=((0, 3), (0, 3)), seed=5)
         beta = weights_laplace_beltrami(M)
         s = noisy_samples(M, seed=22)
-        plan = approx._Plan(s.rule, M, 2 * M)
+        plan = approx._Plan(s.rule, M)
         alone = noisy_samples(M, seed=22)
         shared = balancing_principle(s, M, beta, cfg, plan=plan)
         own = balancing_principle(alone, M, beta, cfg)
         assert shared.trace == own.trace and shared.alpha_star == own.alpha_star
+        assert shared.probe_resolution == own.probe_resolution == 2 * M
         gamma = regularized_fit(s, M, shared.alpha_star, beta)
         assert approx.penalized_functional(s, gamma, 0.1, beta, plan=plan) == (
             approx.penalized_functional(alone, gamma, 0.1, beta)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spherefit import (
-    BalancingConfig, CubatureRule, HarmonicCoefficients, NoiseSpec, PenalizationWeights,
+    CubatureRule, HarmonicCoefficients, NoiseSpec, PenalizationWeights,
     SampleSet, SggModel, gauss_legendre_nodes, gauss_legendre_rule, load_coefficients,
     relative_error_l2, rkhs_norm_sq, sgg_recover, weights_sgg_apriori,
 )
@@ -102,10 +102,6 @@ _REFUSALS = {
     "relative-error-degree": (
         lambda: relative_error_l2(HarmonicCoefficients.zeros(3), HarmonicCoefficients.zeros(2)),
         "coefficient vectors must have the same degree",
-    ),
-    "balancing-probe-resolution": (
-        lambda: BalancingConfig(1.0, 0.5, 4, 1.0, 0.1, probe_resolution=0),
-        "probe resolution must be >= 1",
     ),
     "sgg-weights-length": (
         lambda: weights_sgg_apriori(2, [1.0, 0.5]), "need 3 damping factors for degree 2, got 2"
