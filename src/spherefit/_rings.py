@@ -16,7 +16,9 @@ apart: the `degree_layout` of M, the `legendre_part` of M and the ring
 heights, and the `trig_table` of M and the azimuth count.  `ring_table`
 builds all three; a plan (`approx._Plan`) builds the layout once and the
 Legendre part once per ring set, as SHTns keeps one configuration per
-(degree, grid).  The walk's step (`degree_weighted_sup`) and the `grid` sums
+(degree, grid), with one row per ring: a point set that repeats a ring
+height is no product grid to `ring_layout`, so it takes the block path.  The
+walk's step (`degree_weighted_sup`) and the `grid` sums
 (`weighted_abs_kernel_sums`) read ring tables only.
 """
 
@@ -46,18 +48,18 @@ class RingLayout(NamedTuple):
 
 
 def ring_layout(points: np.ndarray, weights: np.ndarray | None = None) -> RingLayout | None:
-    """Ring structure of (n, 3) unit vectors, or None if they are no product grid."""
+    """Ring structure of (n, 3) unit vectors, or None if they are no product
+    grid of rings at distinct heights t (rings at one t share their radius)."""
     n = points.shape[0]
     if n == 0:
         return None
-    t = points[:, 2]
-    off_ring = np.flatnonzero(t != t[0])
+    off_ring = np.flatnonzero(points[:, 2] != points[0, 2])
     A = int(off_ring[0]) if off_ring.size else n
     if n % A:
         return None
     grid = points.reshape(n // A, A, 3)
-    meridian = grid[:, 0]
-    if np.any(meridian[:, 1] != 0.0) or np.any(meridian[:, 0] < 0.0):
+    meridian, t = grid[:, 0], np.sort(grid[:, 0, 2])
+    if np.any(meridian[:, 1] != 0.0) or np.any(meridian[:, 0] < 0.0) or np.any(t[1:] == t[:-1]):
         return None
     phi = 2.0 * np.pi * np.arange(A) / A
     u = meridian[:, 0:1]
@@ -101,13 +103,12 @@ class _LegendrePart(NamedTuple):
     P_k^m(-t) = (-1)^(k+m) P_k^m(t).  P[q, i, j, h] is sqrt(2) Nbar P_k^m(|t|)
     (Nbar P_k^0(|t|) for m = 0) of position j of parity q in slot i
     (`_DegreeLayout`) at height h, 0 at empty positions.  Ring s lies at row
-    ring[s] = side * H + height of the (side, height) axis: side 0 (t >= 0)
-    reads E + O from the sums E, O over the even and odd positions, side 1
-    reads E - O.  The rows rings lie at form the block `reached`."""
+    ring[s] = side * H + height of the (side, height) axis, its own: side 0
+    (t >= 0) reads E + O from the sums E, O over the even and odd positions,
+    side 1 reads E - O, and a row without a ring the mirror of its height's."""
 
     P: np.ndarray
     ring: np.ndarray
-    reached: slice
 
 
 class _RingTable(NamedTuple):
@@ -120,7 +121,6 @@ class _RingTable(NamedTuple):
     degree: np.ndarray
     P: np.ndarray
     ring: np.ndarray
-    reached: slice
     trig: np.ndarray
     weights: np.ndarray | None
 
@@ -130,34 +130,15 @@ class _RingTable(NamedTuple):
 _SIDES = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _heights(meridian: np.ndarray) -> tuple[np.ndarray, np.ndarray, slice]:
-    """Ring heights (u, |t|) of the rings with these phi = 0 points.
-
-    The n-th ring at (u, t) and the n-th at (u, -t) share a height.  Heights
-    with rings below the equator only come first, then those with rings on
-    both sides (a ring at t = 0 counts for both), then those above only.
-    Returns the (H, 2) heights, each ring's row side * H + height, and the
-    block of rows that rings reach.
-    """
+def _heights(meridian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (H, 2) heights (u, |t|) of the rings with these phi = 0 points,
+    which repeat none (`ring_layout`), and each ring's row side * H + height,
+    side 1 for t < 0: the rings at (u, t) and (u, -t) share a height."""
     u, t = meridian[:, 0], meridian[:, 2]
     side = np.signbit(t).astype(np.intp)
-    _, twin = np.unique(meridian[:, [0, 2]], axis=0, return_inverse=True)
-    twin = twin.ravel()
-    order = np.argsort(twin, kind="stable")
-    copy = np.empty(twin.size, dtype=np.intp)
-    copy[order] = np.arange(twin.size) - np.searchsorted(twin[order], twin[order])
-    key = np.column_stack([u, np.minimum(np.abs(t), 1.0), copy])
-    unique, height = np.unique(key, axis=0, return_inverse=True)
-    height = height.ravel()
-    sides = np.zeros((unique.shape[0], 2), dtype=bool)
-    sides[height, side] = True
-    sides[unique[:, 1] == 0.0] = True
-    rank = np.argsort(sides[:, 0].astype(int) - sides[:, 1], kind="stable")
-    new = np.empty_like(rank)
-    new[rank] = np.arange(rank.size)
-    H, above = rank.size, int(np.count_nonzero(sides[:, 0]))
-    reached = slice(H - above, H + int(np.count_nonzero(sides[:, 1])))
-    return unique[rank, :2], side * H + new[height], reached
+    key = np.column_stack([u, np.minimum(np.abs(t), 1.0)])
+    heights, height = np.unique(key, axis=0, return_inverse=True)
+    return heights, side * heights.shape[0] + height.ravel()
 
 
 def degree_layout(M: int) -> _DegreeLayout:
@@ -188,7 +169,7 @@ def legendre_part(layout: _DegreeLayout, meridian: np.ndarray) -> _LegendrePart:
     """The `_LegendrePart` of the degree of `layout` on the rings at
     `meridian`: bit for bit the values of `sph_harm_matrix`, up to the sign
     (-1)^(k+m) below the equator."""
-    heights, ring, reached = _heights(meridian)
+    heights, ring = _heights(meridian)
     _, S, _, _, K = layout.rows.shape
     M = int(layout.degree.max())
     # the position of each order's cos harmonic, m = 0..k, degree by degree
@@ -202,7 +183,7 @@ def legendre_part(layout: _DegreeLayout, meridian: np.ndarray) -> _LegendrePart:
         target[at[deg * deg + deg : (deg + 1) ** 2]] = values * scale[: deg + 1]
     for a in (P, ring):
         a.setflags(write=False)
-    return _LegendrePart(P, ring, reached)
+    return _LegendrePart(P, ring)
 
 
 def trig_table(M: int, azimuths: int) -> np.ndarray:
@@ -302,8 +283,12 @@ def degree_weighted_sup(table: _RingTable, coeffs: np.ndarray):
     half C(phi) = sum_m a_m cos(m phi) and the sine half
     S(phi) = sum_m b_m sin(m phi) at phi_j, j = 0..A/2, only: the expansion
     is C + S at phi_j and C - S at phi_(A-j) = -phi_j, so the largest
-    |C| + |S| where a ring lies is the maximum over the grid.  Every array
-    is allocated once.
+    |C| + |S| over the table's rows is the maximum over the grid.  Every
+    array is allocated once.
+
+    The rings must come in exact +-t pairs, as the walk's probe rings
+    (`approx._probe_rings`) do: then the one row without a ring, the far side
+    of a ring at t = 0, equals that ring's row, whose odd-parity values are 0.
     """
     (_, S, _, _, K), H = table.rows.shape, table.P.shape[-1]
     half = table.trig.shape[-1] // 2 + 1
@@ -315,7 +300,6 @@ def degree_weighted_sup(table: _RingTable, coeffs: np.ndarray):
     # per (cosine or sine half, side): C (or S) at each height and azimuth;
     # |C| + |S| goes to the cosine half
     halves = np.empty((2, 2, H, half))
-    reached = halves[0].reshape(2 * H, half)[table.reached]
     lhs4, EO4 = lhs.reshape(2, S, 4, K), _by_order(EO)
     EO2, sides2 = EO.reshape(2, -1), sides.reshape(2, -1)
     orders = sides.reshape(2, 2, 2 * S, H).transpose(1, 0, 3, 2)
@@ -327,7 +311,7 @@ def degree_weighted_sup(table: _RingTable, coeffs: np.ndarray):
         np.matmul(orders, trig, out=halves)
         np.abs(halves, out=halves)
         np.add(halves[0], halves[1], out=halves[0])
-        return float(reached.max())
+        return float(halves[0].max())
 
     return sup
 

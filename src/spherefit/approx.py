@@ -290,7 +290,10 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
     return S
 
 
-def _norm_oracle(rule: CubatureRule, M: int, probe_rings, bound: str, probes=None, tables=None):
+NORM_BOUND_KINDS = ("grid", "grid-abs", "crude")
+
+
+def _norm_oracle(rule: CubatureRule, M: int, probe_rings, bound: str, probes=None, plan=None):
     """Map from filter factors f_0..f_M (f >= 0 for ``grid-abs``) to the
     `bound` on the sup norm of the fit operator over the rule: `_crude` for
     ``crude``; else, with c_k = (2k+1) f_k / (4 pi), the maximum over the
@@ -300,10 +303,10 @@ def _norm_oracle(rule: CubatureRule, M: int, probe_rings, bound: str, probes=Non
     The probes are those of the ring layout `probe_rings`, else the points
     `probes`.  They are classified here only (`_rings.probe_classes`): on
     product grids one probe per class is evaluated, ``grid`` by the addition
-    theorem on the ring `tables` of the rule and the probes (lent by a
-    `_Plan`, else built here), ``grid-abs`` as one
-    `weighted_abs_legendre_sums` row per class.  Other rules keep every
-    probe, through `_kernel_blocks`.
+    theorem on the ring tables of the rule and the probes (those of `plan`,
+    a `_Plan` of rule, M and `probe_rings`, else built here; no other branch
+    reads tables), ``grid-abs`` as one `weighted_abs_legendre_sums`
+    row per class.  Other rules keep every probe, through `_kernel_blocks`.
     """
     if bound == "crude":
         return _crude
@@ -312,7 +315,10 @@ def _norm_oracle(rule: CubatureRule, M: int, probe_rings, bound: str, probes=Non
     if classes is not None:
         rings, azimuths = classes
         if bound == "grid":
-            tables = tables or (_rings.ring_table(M, rule.rings), _rings.ring_table(M, probe_rings))
+            if plan is None:
+                tables = _rings.ring_table(M, rule.rings), _rings.ring_table(M, probe_rings)
+            else:
+                tables = plan.table, plan.probe_table
             block = (*tables, rings, azimuths)
             return lambda f: float(_rings.weighted_abs_kernel_sums(*block, scale * f).max())
         probes = _rings.ring_points(probe_rings.meridian[rings], probe_rings.azimuths, azimuths)
@@ -388,9 +394,9 @@ class _Plan:
     degree M, each part built on first use: the `_rings.degree_layout` of M,
     the walk's probe rings (`_probe_rings` at resolution max(1, 2M)), the
     `_rings.legendre_part` of the rule's rings and of the probe rings, the
-    tables on them and each bound's `_norm_oracle`.  Like the plans of SHTns
-    and FFTW, one per (degree, grid), made and dropped by the caller that
-    runs many fits."""
+    tables on them and each bound's `_norm_oracle`, lent the plan.  Like the
+    plans of SHTns and FFTW, one per (degree, grid), made and dropped by the
+    caller that runs many fits, not memoized."""
 
     def __init__(self, rule: CubatureRule, M: int):
         self.rule, self.M, self.resolution = rule, M, max(1, 2 * M)
@@ -437,11 +443,7 @@ class _Plan:
 
     def norm(self, bound: str):
         if bound not in self._norms:
-            # only the `grid` oracle of a product rule reads the ring tables
-            ring_grid = bound == "grid" and self.rule.rings is not None
-            tables = (self.table, self.probe_table) if ring_grid else None
-            oracle = _norm_oracle(self.rule, self.M, self.probe_rings, bound, tables=tables)
-            self._norms[bound] = oracle
+            self._norms[bound] = _norm_oracle(self.rule, self.M, self.probe_rings, bound, plan=self)
         return self._norms[bound]
 
 

@@ -8,7 +8,6 @@ the colatitude sum is an n-point Gauss rule, exact to degree 2n-1.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,22 +118,18 @@ def _gl_meridian(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([np.sqrt(1.0 - t * t), np.zeros_like(t), t]), v
 
 
-@functools.lru_cache(maxsize=16)
-def _gl_rule_cached(M: int) -> CubatureRule:
-    n = M + 1
-    meridian, v = _gl_meridian(n)
-    # colatitude-major layout: node (s, r) sits at index s*2n + r
-    weights = np.repeat(v * (np.pi / n), 2 * n)
-    return CubatureRule(degree_M=M, points=ring_points(meridian, 2 * n), weights=weights)
-
-
 def gauss_legendre_rule(M: int) -> CubatureRule:
     """Product Gauss-Legendre rule with 2(M+1)^2 points, exact on degree 2M+1.
 
     Colatitudes are the M+1 roots of P_{M+1}; azimuths are the 2(M+1) angles
-    pi*r/(M+1); the weight at (t_s, phi_r) is (pi/(M+1)) * v_s.
+    pi*r/(M+1); the weight at (t_s, phi_r) is (pi/(M+1)) * v_s.  Built anew
+    by each call: a caller that needs the rule again keeps it.
     """
-    return _gl_rule_cached(_degree(M))
+    n = _degree(M) + 1
+    meridian, v = _gl_meridian(n)
+    # colatitude-major layout: node (s, r) sits at index s*2n + r
+    weights = np.repeat(v * (np.pi / n), 2 * n)
+    return CubatureRule(degree_M=n - 1, points=ring_points(meridian, 2 * n), weights=weights)
 
 
 def probe_grid(resolution_degree: int) -> np.ndarray:

@@ -16,11 +16,12 @@ import numpy as np
 
 from ._files import write_csv, write_json
 from ._rings import synthesis
-from .approx import HarmonicCoefficients, SampleSet, _Plan, analyze, expand_by_degree
+from .approx import (
+    NORM_BOUND_KINDS, HarmonicCoefficients, SampleSet, _Plan, analyze, expand_by_degree,
+)
 from .cubature import CubatureRule, gauss_legendre_rule
 from .harmonics import _whole_number, as_unit_vectors
 from .params import (
-    NORM_BOUND_KINDS,
     BalancingConfig,
     BalancingResult,
     KernelSelectResult,

@@ -13,6 +13,7 @@ import numpy as np
 from . import _rings
 from ._files import write_csv
 from .approx import (
+    NORM_BOUND_KINDS,
     PenalizationWeights,
     SampleSet,
     _plan_for,
@@ -22,8 +23,6 @@ from .approx import (
     regularized_fit,
 )
 from .harmonics import _whole_number
-
-NORM_BOUND_KINDS = ("grid", "grid-abs", "crude")
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,6 @@ class BalancingResult:
     alpha_star: float
     triggered: bool
     trace: tuple
-    grid: np.ndarray
-    probe_resolution: int
-    norm_bound: str
 
 
 @dataclass(frozen=True)
@@ -215,14 +211,7 @@ def balancing_principle(
         if hit:
             alpha_star, triggered = float(alphas[z]), True
             break
-    return BalancingResult(
-        alpha_star=alpha_star,
-        triggered=triggered,
-        trace=tuple(trace),
-        grid=alphas,
-        probe_resolution=plan.resolution,
-        norm_bound=cfg.norm_bound,
-    )
+    return BalancingResult(alpha_star, triggered, tuple(trace))
 
 
 def _balanced_fit(samples: SampleSet, M: int, beta: PenalizationWeights, cfg, plan):

@@ -10,11 +10,13 @@ of `approx._kernel_blocks` and of the ring tables.
 `longdouble_gauss_legendre` recomputes Gauss-Legendre nodes and weights in
 long double.  `record_table_probes` records the probes of each `grid-abs`
 table built.  `traced` and `timed` measure one call's tracemalloc peak and
-its best wall time.
+its best wall time, and `blas_setting` names the BLAS thread setting that
+timings and output listings hold for.
 """
 
 from __future__ import annotations
 
+import os
 import time
 import tracemalloc
 from typing import Any, NamedTuple
@@ -153,3 +155,9 @@ def timed(fn, repeats: int = 1, min_seconds: float = 0.0) -> tuple[float, int]:
         took = time.perf_counter() - t0
         best, spent, runs = min(best, took), spent + took, runs + 1
     return best, traced(fn).peak
+
+
+def blas_setting() -> str:
+    """One line: `OPENBLAS_NUM_THREADS` (or unset) and `os.cpu_count()`."""
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"OPENBLAS_NUM_THREADS {threads}, os.cpu_count() {os.cpu_count()}"

@@ -71,13 +71,14 @@ has them:
 from __future__ import annotations
 
 import argparse
-import os
 import time
 from unittest import mock
 
 import numpy as np
 
-from _support import fibonacci_points, longdouble_gauss_legendre, rotated_rule, timed, traced
+from _support import (
+    blas_setting, fibonacci_points, longdouble_gauss_legendre, rotated_rule, timed, traced,
+)
 
 from spherefit import (
     BalancingConfig, HarmonicCoefficients, SampleSet, _rings, analyze, approx, balancing_principle,
@@ -99,11 +100,6 @@ DATA_SEED = 1
 EXP3_SEEDS = (0, 1)
 EXP3_SIMULATIONS = 50
 MB = 1e6
-
-
-def blas_setting() -> str:
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    return f"OPENBLAS_NUM_THREADS {threads}, os.cpu_count() {os.cpu_count()}"
 
 
 def row(*cells) -> None:

@@ -8,8 +8,10 @@ Into OUT_DIR it writes, through `spherefit.cli.main`:
   fit-fixed/       fit at a fixed alpha
 The fits use the reference data: the Franke-plus-cap function at the degree-30
 rule's nodes, Gaussian noise of sigma 0.5 (seed 1), Laplace-Beltrami weights.
-Every file is then hashed and printed as `<sha256>  <path>`; no output
-records OUT_DIR, so two runs into different directories list the same hashes.
+Every file is then hashed and printed as `<sha256>  <path>`, after one line
+naming the BLAS thread setting (`_support.blas_setting`); no output records
+OUT_DIR, so two runs into different directories list the same hashes, and a
+diff of two listings shows a thread-setting mismatch.
 
 Not collected by pytest (the name does not start with `test_`).  Run from the
 repository root, once per tree under one BLAS thread setting
@@ -25,6 +27,8 @@ import contextlib
 import hashlib
 import io
 from pathlib import Path
+
+from _support import blas_setting
 
 from spherefit import cli, experiments, gauss_legendre_rule
 
@@ -68,6 +72,7 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1], help="experiment seeds")
     args = parser.parse_args()
     out = args.out.resolve()
+    print(blas_setting())
     write_outputs(out, args.seeds)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")

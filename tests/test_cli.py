@@ -123,15 +123,15 @@ class TestFit:
         # the walk forms its probe rings from the Gauss-Legendre nodes: a
         # `grid-abs` fit at M = 30 makes the rule gauss_legendre_rule(30)
         # and no probe rule gauss_legendre_rule(60)
-        made, rule_cache = [], cubature._gl_rule_cached
+        made, build = [], cubature.gauss_legendre_rule
 
         def making(M):
             made.append(M)
-            return rule_cache(M)
+            return build(M)
 
-        monkeypatch.setattr(cubature, "_gl_rule_cached", making)
+        monkeypatch.setattr(cubature, "gauss_legendre_rule", making)
         samples = tmp_path / "samples.csv"
-        write_samples(samples, franke_cap_eval(rule_cache(30).points))
+        write_samples(samples, franke_cap_eval(build(30).points))
         rc = main(
             [
                 "fit", "--degree", "30", "--samples", str(samples),

@@ -1,6 +1,7 @@
 import os
 
 import layer_timing
+from _support import blas_setting
 
 # rows per degree of each section whose rows follow --degrees: the rule's and
 # the probe rings' tables, one dense matrix, `analyze` and `evaluate_grid`,
@@ -15,7 +16,7 @@ def test_each_section_prints_its_table_at_degree_2(capsys):
     layer_timing.main([*ROWS, "--degrees", "2"])
     blas, *tables = capsys.readouterr().out.strip().split("\n\n")
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    assert blas == f"OPENBLAS_NUM_THREADS {threads}, os.cpu_count() {os.cpu_count()}"
+    assert blas == blas_setting() == f"OPENBLAS_NUM_THREADS {threads}, os.cpu_count() {os.cpu_count()}"
     assert len(tables) == len(ROWS)
     for (name, rows), table in zip(ROWS.items(), tables):
         header, rule, *body = table.splitlines()

@@ -633,8 +633,7 @@ class TestPlan:
         alone = noisy_samples(M, seed=22)
         shared = balancing_principle(s, M, beta, cfg, plan=plan)
         own = balancing_principle(alone, M, beta, cfg)
-        assert shared.trace == own.trace and shared.alpha_star == own.alpha_star
-        assert shared.probe_resolution == own.probe_resolution == 2 * M
+        assert shared == own
         gamma = regularized_fit(s, M, shared.alpha_star, beta)
         assert approx.penalized_functional(s, gamma, 0.1, beta, plan=plan) == (
             approx.penalized_functional(alone, gamma, 0.1, beta)

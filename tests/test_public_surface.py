@@ -51,9 +51,9 @@ def test_public_names_are_pinned():
     assert set(out.split()) == PUBLIC_NAMES
 
 
-def test_no_memo_but_the_rule_cache():
+def test_no_memo():
     # ring tables and norm oracles live in explicit plans, made and dropped
-    # by their callers; the one memo left holds Gauss-Legendre rules by degree
+    # by their callers, and each call of gauss_legendre_rule builds its rule
     import spherefit.cli  # noqa: F401  (loads the one submodule the package leaves out)
 
     memos = {
@@ -63,7 +63,8 @@ def test_no_memo_but_the_rule_cache():
         for attr, value in vars(module).items()
         if hasattr(value, "cache_info")
     }
-    assert memos == {"cubature._gl_rule_cached"}
+    assert memos == set()
+    assert spherefit.gauss_legendre_rule(3) is not spherefit.gauss_legendre_rule(3)
 
 
 # numpy is the only dependency: scipy cannot be imported, yet the package,
