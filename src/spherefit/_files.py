@@ -1,6 +1,6 @@
 """The package's file formats.  CSV: one header line, then one row per record,
 floats as %.17g, ints and strings as they are; each reader names the headers it
-accepts.  JSON: sorted keys, indent 2 and a final newline."""
+accepts.  JSON: finite numbers only, sorted keys, indent 2 and a final newline."""
 
 import itertools
 import json
@@ -34,6 +34,7 @@ def read_csv(path, *headers: str) -> np.ndarray:
 
 
 def write_json(payload, path) -> None:
+    """ValueError on a NaN or infinite float, before `path` is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

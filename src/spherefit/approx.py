@@ -181,12 +181,14 @@ def analyze(samples: SampleSet, M: int, *, plan=None) -> HarmonicCoefficients:
 
 
 def filter_factors(M: int, alpha: float, beta: PenalizationWeights) -> np.ndarray:
-    """Per-degree damping factors 1/(1 + alpha*beta_k^2)."""
+    """Per-degree damping factors 1/(1 + alpha*beta_k^2): all 1 at alpha = 0,
+    and 0, the exact limit, where alpha*beta_k^2 exceeds the float range."""
     if beta.degree_M != M:
         raise ValueError(f"weights are for degree {beta.degree_M}, expected {M}")
     if not np.isfinite(alpha) or alpha < 0.0:
         raise ValueError(f"regularization parameter must be >= 0, got {alpha}")
-    return 1.0 / (1.0 + alpha * beta.beta**2)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + alpha * beta.beta**2) if alpha else np.ones(M + 1)
 
 
 def regularized_fit(
@@ -471,13 +473,15 @@ def filtered_approx(coeffs: HarmonicCoefficients, filt: FilterSpec) -> HarmonicC
 
 
 def rkhs_norm_sq(coeffs: HarmonicCoefficients, beta: PenalizationWeights) -> float:
-    """Weighted coefficient norm sum_k beta_k^2 sum_j gamma_{k,j}^2."""
+    """Weighted coefficient norm sum_k beta_k^2 sum_j gamma_{k,j}^2.  A zero
+    coefficient adds 0, also where beta_k^2 exceeds the float range (inf)."""
     if beta.degree_M != coeffs.degree_M:
         raise ValueError(
             f"weights degree {beta.degree_M} does not match coefficients degree {coeffs.degree_M}"
         )
-    b2 = expand_by_degree(beta.beta**2)
-    return float(np.sum(b2 * coeffs.values**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = expand_by_degree(beta.beta**2) * coeffs.values**2
+    return float(np.sum(np.where(coeffs.values == 0.0, 0.0, terms)))
 
 
 def kernel_section(beta: PenalizationWeights, x) -> HarmonicCoefficients:
@@ -509,11 +513,13 @@ def penalized_functional(
 
     sum_i w_i (p(x_i) - y_i)^2 + alpha * rkhs_norm_sq(p), with p evaluated
     from the coefficients at the rule nodes, by `plan` (a `_Plan`) if given.
+    At alpha = 0 it is the misfit alone, even where the norm is infinite.
     """
     rule = samples.rule
     p_at_nodes = _rings.synthesis(_plan_for(plan, rule, coeffs.degree_M).table, coeffs.values)
     resid = p_at_nodes - samples.values
-    return float(rule.weights @ (resid * resid)) + alpha * rkhs_norm_sq(coeffs, beta)
+    penalty = rkhs_norm_sq(coeffs, beta)  # checks the weights' degree at alpha = 0 too
+    return float(rule.weights @ (resid * resid)) + (alpha * penalty if alpha else 0.0)
 
 
 # ---------------------------------------------------------------------------

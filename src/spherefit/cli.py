@@ -161,7 +161,6 @@ def cmd_fit(settings: dict) -> int:
             bp_triggered=bres.triggered,
             bp_trace=trace_path.name,
             bp_norm_bound=bp_cfg.norm_bound,
-            bp_probe_resolution=plan.resolution,
         )
     else:
         summary.update(alpha_source="fixed", alpha=alpha)

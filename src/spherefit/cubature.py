@@ -95,20 +95,16 @@ def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     dpk = p_and_derivative(x)[1]
     w = 2.0 / ((1.0 - x * x) * dpk * dpk)
 
+    mid_x, mid_w = [], []
     if n % 2:
         # the middle root of an odd-degree P_n is exactly 0
         pk_prev = 1.0  # builds up P_{n-1}(0) through even degrees
         for k in range(2, n + 1, 2):
             pk_prev *= -(k - 1.0) / k
         dp0 = n * (0.0 - pk_prev) / (0.0 - 1.0)
-        w0 = 2.0 / (dp0 * dp0)
-        nodes = np.concatenate([-x[::-1], [0.0], x])
-        weights = np.concatenate([w[::-1], [w0], w])
-    else:
-        nodes = np.concatenate([-x[::-1], x])
-        weights = np.concatenate([w[::-1], w])
-    order = np.argsort(nodes)
-    return nodes[order], weights[order]
+        mid_x, mid_w = [0.0], [2.0 / (dp0 * dp0)]
+    # x descends, so -x, the middle root and x reversed ascend
+    return np.concatenate([-x, mid_x, x[::-1]]), np.concatenate([w, mid_w, w[::-1]])
 
 
 def _gl_meridian(n: int) -> tuple[np.ndarray, np.ndarray]:

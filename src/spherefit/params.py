@@ -166,9 +166,15 @@ def weights_laplace_beltrami(M: int) -> PenalizationWeights:
 
 
 def weights_from_kernel_params(M: int, p: KernelParams) -> PenalizationWeights:
-    """Weights beta_k = exp(lambda1*(k+1)/2) * (k+1)^(lambda2/2)."""
+    """Weights beta_k = exp(lambda1*(k+1)/2) * (k+1)^(lambda2/2).  ValueError
+    where beta_M exceeds the float range (at (5, 5) from degree 278)."""
     k = np.arange(M + 1, dtype=float)
-    return PenalizationWeights(M, np.exp(p.lambda1 * (k + 1.0) / 2.0) * (k + 1.0) ** (p.lambda2 / 2.0))
+    with np.errstate(over="ignore"):
+        beta = np.exp(p.lambda1 * (k + 1.0) / 2.0) * (k + 1.0) ** (p.lambda2 / 2.0)
+    if not np.isfinite(beta).all():
+        raise ValueError(f"kernel weights of (lambda1, lambda2) = ({p.lambda1!r}, {p.lambda2!r}) "
+                         f"overflow from degree {np.argmin(np.isfinite(beta))} (fit degree {M})")
+    return PenalizationWeights(M, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,8 @@ def balancing_principle(
     plan = _plan_for(plan, samples.rule, M)
     step_sup = _rings.degree_weighted_sup(plan.probe_table, analyze(samples, M, plan=plan).values)
     norm = plan.norm(cfg.norm_bound)
-    factors = 1.0 / (1.0 + np.multiply.outer(alphas, beta.beta**2))
+    with np.errstate(over="ignore"):  # f = 0, the exact limit, where alpha*beta_k^2 overflows
+        factors = 1.0 / (1.0 + np.multiply.outer(alphas, beta.beta**2))
     omega_delta = cfg.omega * cfg.delta
 
     trace = []
@@ -241,30 +248,28 @@ def kernel_select(
     Each run keeps the best of its uniform draws; the reported optimum is the
     coordinate-wise mean of the per-run winners, scored once more at the end.
     Every walk and score shares one `approx._Plan`, `plan` when given.
+
+    The weights grow with both rates, so a box whose upper corner gives
+    weights beyond the float range is refused (ValueError) before the first
+    walk.  Where only beta_k^2 overflows, the fits take its exact limit
+    (`filter_factors`, `rkhs_norm_sq`).
     """
-    plan = _plan_for(plan, samples.rule, M)
     (l1lo, l1hi), (l2lo, l2hi) = search.box
-    scores: dict[tuple, float] = {}
+    weights_from_kernel_params(M, KernelParams(l1hi, l2hi))
+    plan = _plan_for(plan, samples.rule, M)
 
     def objective(p: KernelParams) -> float:
-        key = (p.lambda1, p.lambda2)
-        if key not in scores:
-            beta = weights_from_kernel_params(M, p)
-            bres, gamma = _balanced_fit(samples, M, beta, bp, plan)
-            scores[key] = penalized_functional(samples, gamma, bres.alpha_star, beta, plan=plan)
-        return scores[key]
-
-    def draw(rng, lo, hi):
-        u = float(rng.uniform(lo, hi))
-        # uniform(a, a) is not exactly a; snap collapsed axes to the endpoint
-        return lo if lo == hi else u
+        beta = weights_from_kernel_params(M, p)
+        bres, gamma = _balanced_fit(samples, M, beta, bp, plan)
+        return penalized_functional(samples, gamma, bres.alpha_star, beta, plan=plan)
 
     per_run, values = [], []
     for run in range(search.runs):
         rng = np.random.default_rng([search.seed, run])
         best_p, best_v = None, np.inf
         for _ in range(search.steps_per_run):
-            p = KernelParams(draw(rng, l1lo, l1hi), draw(rng, l2lo, l2hi))
+            # Generator.uniform(a, a) is exactly a, so a collapsed axis draws its endpoint
+            p = KernelParams(float(rng.uniform(l1lo, l1hi)), float(rng.uniform(l2lo, l2hi)))
             v = objective(p)
             if v < best_v:
                 best_p, best_v = p, v

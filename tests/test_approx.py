@@ -1431,6 +1431,48 @@ class TestPenalizedFunctional:
             assert penalized_functional(s, perturbed, alpha, beta) >= base - 1e-12
 
 
+class TestWeightsBeyondTheFloatRange:
+    """At (lambda1, lambda2) = (5, 5) the kernel weights stay finite to degree
+    277, but beta_k^2 overflows from degree 137.  At M = 140 the fits take the
+    exact limit: f_k = 0 there for alpha > 0; at alpha = 0, f_k = 1 and the
+    functional is the misfit alone."""
+
+    M = 140
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rule = gauss_legendre_rule(self.M)
+        s = SampleSet(rule, np.random.default_rng(31).normal(size=rule.n_points))
+        return s, params.weights_from_kernel_params(self.M, params.KernelParams(5, 5))
+
+    def test_positive_alpha_drops_the_overflowing_degrees(self, case):
+        s, beta = case
+        alpha = 1e-3
+        with np.errstate(over="ignore"):
+            b2 = beta.beta**2
+        finite = np.isfinite(b2)
+        assert np.array_equal(np.flatnonzero(~finite), np.arange(137, self.M + 1))
+        b2 = np.where(finite, b2, 0.0)
+        gamma = regularized_fit(s, self.M, alpha, beta)
+        f = np.where(finite, 1.0 / (1.0 + alpha * b2), 0.0)
+        assert np.array_equal(gamma.values, expand_by_degree(f) * analyze(s, self.M).values)
+        # the reference sums the degrees whose beta_k^2 is finite, and only those
+        resid = evaluate_grid(gamma, s.rule.points) - s.values
+        penalty = np.sum((expand_by_degree(b2) * gamma.values**2)[expand_by_degree(finite)])
+        value = penalized_functional(s, gamma, alpha, beta)
+        assert np.isfinite(value)
+        assert value == pytest.approx(s.rule.weights @ resid**2 + alpha * penalty, rel=1e-12)
+        assert rkhs_norm_sq(HarmonicCoefficients.zeros(self.M), beta) == 0.0
+
+    def test_zero_alpha_is_the_plain_fit(self, case):
+        s, beta = case
+        gamma = regularized_fit(s, self.M, 0.0, beta)
+        plain = analyze(s, self.M)
+        assert np.array_equal(gamma.values, plain.values)
+        value = penalized_functional(s, gamma, 0.0, beta)
+        assert value == penalized_functional(s, plain, 0.0, params.weights_ones(self.M))
+
+
 class TestTypesAndSerialization:
     def test_weights_validation(self):
         with pytest.raises(ValueError):

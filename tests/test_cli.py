@@ -207,6 +207,22 @@ class TestFit:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("alpha", ["0.001", "0"])
+    def test_kernel_weights_whose_square_overflows(self, tmp_path, alpha):
+        # at (5, 5), beta_k^2 exceeds the float range from degree 137
+        M = 140
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, franke_cap_eval(gauss_legendre_rule(M).points))
+        out = tmp_path / "fit"
+        rc = main(
+            [
+                "fit", "--degree", str(M), "--samples", str(samples),
+                "--beta", "kernel:5,5", "--alpha", alpha, "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        assert np.isfinite(json.loads((out / "fit_summary.json").read_text())["functional"])
+
     def test_bad_beta_rejected(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"
         write_samples(samples, np.zeros(8))

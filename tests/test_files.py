@@ -99,3 +99,11 @@ def test_write_json_layout(tmp_path):
     path = tmp_path / "a.json"
     write_json({"b": 1, "a": [0.1, True]}, path)
     assert path.read_text() == '{\n  "a": [\n    0.1,\n    true\n  ],\n  "b": 1\n}\n'
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_json_refuses_non_finite_floats(tmp_path, bad):
+    path = tmp_path / "a.json"
+    with pytest.raises(ValueError):
+        write_json({"functional": bad}, path)
+    assert not path.exists()

@@ -541,6 +541,28 @@ class TestKernelSelect:
             assert 0 <= p.lambda1 <= 4 and 1 <= p.lambda2 <= 5
         assert 0 <= res.best.lambda1 <= 4 and 1 <= res.best.lambda2 <= 5
 
+    def test_weights_whose_square_overflows(self):
+        # at (5, 5), beta_k^2 exceeds the float range from degree 137
+        s = noisy_samples(140, seed=19)
+        search = RandomSearchConfig(runs=1, steps_per_run=1, box=((5, 5), (5, 5)))
+        res = kernel_select(s, 140, search, BalancingConfig(**self.BP, norm_bound="crude"))
+        assert np.isfinite(res.objective_values).all() and np.isfinite(res.best_objective)
+
+    @pytest.mark.parametrize("box", [((5, 5), (5, 5)), ((0, 5), (0, 5))])
+    def test_box_whose_weights_overflow_refused_before_any_walk(self, monkeypatch, box):
+        # at (5, 5) the weights themselves exceed the float range from degree 278
+        walks = []
+
+        def walk(*args):
+            walks.append(args)
+            raise AssertionError("walked before the box was checked")
+
+        monkeypatch.setattr(params, "_balanced_fit", walk)
+        search = RandomSearchConfig(runs=2, steps_per_run=3, box=box)
+        with pytest.raises(ValueError, match=r"\(5, 5\).*fit degree 300"):
+            kernel_select(noisy_samples(300, seed=20), 300, search, BalancingConfig(**self.BP))
+        assert walks == []
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RandomSearchConfig(runs=0, steps_per_run=1)
