@@ -33,8 +33,13 @@ def read_csv(path, *headers: str) -> np.ndarray:
     return data
 
 
+def json_text(payload) -> str:
+    """The text `write_json` writes; ValueError on a NaN or infinite float."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_json(payload, path) -> None:
     """ValueError on a NaN or infinite float, before `path` is opened."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    text = json_text(payload)
     with open(path, "w", newline="") as fh:
-        fh.write(text + "\n")
+        fh.write(text)

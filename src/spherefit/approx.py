@@ -502,24 +502,29 @@ def kernel_section(beta: PenalizationWeights, x) -> HarmonicCoefficients:
 
 
 def penalized_functional(
-    samples: SampleSet,
-    coeffs: HarmonicCoefficients,
-    alpha: float,
-    beta: PenalizationWeights,
-    *,
-    plan=None,
+    samples: SampleSet, coeffs: HarmonicCoefficients, alpha: float, beta: PenalizationWeights
 ) -> float:
-    """Weighted data misfit plus alpha times the weighted coefficient norm.
+    """Weighted data misfit plus alpha times the weighted coefficient norm,
+    sum_i w_i (p(x_i) - y_i)^2 + alpha * rkhs_norm_sq(p), for the degree-M
+    polynomial p of `coeffs`, from the analysis alone (no synthesis).
 
-    sum_i w_i (p(x_i) - y_i)^2 + alpha * rkhs_norm_sq(p), with p evaluated
-    from the coefficients at the rule nodes, by `plan` (a `_Plan`) if given.
-    At alpha = 0 it is the misfit alone, even where the norm is infinite.
+    On a rule exact to degree 2M the discrete inner product is exact on
+    degree-M polynomials (Sloan, J. Approx. Theory 83, 1995), so with
+    gamma = `analyze`(samples, M) the misfit is
+    (sum_i w_i y_i^2 - gamma . gamma) + |c - gamma|^2.  The residual energy
+    in parentheses is >= 0 by Bessel's inequality; on data that is itself a
+    degree-M polynomial it is rounding noise of either sign, of order
+    1e-16 sum_i w_i y_i^2.  Coefficients above the rule's degree get
+    `analyze`'s ValueError.  Where the energies exceed the float range the
+    misfit is NaN.  At alpha = 0 it is the misfit alone, even where the norm
+    is infinite.
     """
-    rule = samples.rule
-    p_at_nodes = _rings.synthesis(_plan_for(plan, rule, coeffs.degree_M).table, coeffs.values)
-    resid = p_at_nodes - samples.values
+    gamma = analyze(samples, coeffs.degree_M).values
+    y, d = samples.values, coeffs.values - gamma
+    with np.errstate(over="ignore"):  # an energy beyond the float range is inf
+        misfit = (float(y @ (samples.rule.weights * y)) - float(gamma @ gamma)) + float(d @ d)
     penalty = rkhs_norm_sq(coeffs, beta)  # checks the weights' degree at alpha = 0 too
-    return float(rule.weights @ (resid * resid)) + (alpha * penalty if alpha else 0.0)
+    return misfit + (alpha * penalty if alpha else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import approx, cubature, experiments, params
-from ._files import read_csv, write_json
+from ._files import json_text, read_csv, write_json
 from .harmonics import _whole_number
 
 
@@ -145,38 +145,37 @@ def cmd_fit(settings: dict) -> int:
     # built in both modes, so a fixed-alpha fit rejects the same bad --bp
     # values a balanced one does; only a balanced fit needs the noise level
     bp_cfg = experiments._bp_config(settings, 0.0 if noise_level is None else noise_level)
-    # the walk, the norm estimate and the functional share one plan of the rule
+    # the walk, the fit and the norm estimate share one plan of the rule
     plan = approx._Plan(rule, M)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = {"degree": M, "beta": settings["beta"]}
+    summary = {"degree": M, "beta": settings["beta"], "coefficients": "coefficients.csv"}
     if use_bp:
         bres = params.balancing_principle(samples, M, beta, bp_cfg, plan=plan)
         alpha = bres.alpha_star
-        trace_path = out_dir / "bp_trace.csv"
-        params.save_bp_trace(bres, trace_path)
         summary.update(
             alpha_source="bp",
             alpha=alpha,
             bp_triggered=bres.triggered,
-            bp_trace=trace_path.name,
+            bp_trace="bp_trace.csv",
             bp_norm_bound=bp_cfg.norm_bound,
         )
     else:
         summary.update(alpha_source="fixed", alpha=alpha)
 
     gamma = approx.regularized_fit(samples, M, alpha, beta, plan=plan)
-    coeff_path = out_dir / "coefficients.csv"
-    approx.save_coefficients(gamma, coeff_path)
-
     bound = approx._norm_bound(plan.norm("grid"), M, alpha, beta)
     summary.update(
-        coefficients=coeff_path.name,
         norm_estimate=bound.estimate,
         norm_crude_upper=bound.crude_upper,
-        functional=approx.penalized_functional(samples, gamma, alpha, beta, plan=plan),
+        functional=approx.penalized_functional(samples, gamma, alpha, beta),
     )
-    summary_path = out_dir / "fit_summary.json"
+    # all or nothing: every output is formed, and the summary checked, first
+    json_text(summary)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if use_bp:
+        params.save_bp_trace(bres, out_dir / summary["bp_trace"])
+    coeff_path, summary_path = out_dir / summary["coefficients"], out_dir / "fit_summary.json"
+    approx.save_coefficients(gamma, coeff_path)
     write_json(summary, summary_path)
     print(f"wrote {coeff_path} and {summary_path} (alpha = {alpha:.6g})")
     return 0

@@ -247,7 +247,7 @@ def kernel_select(
     balancing principle, functional evaluated at the resulting coefficients.
     Each run keeps the best of its uniform draws; the reported optimum is the
     coordinate-wise mean of the per-run winners, scored once more at the end.
-    Every walk and score shares one `approx._Plan`, `plan` when given.
+    Every walk and fit shares one `approx._Plan`, `plan` when given.
 
     The weights grow with both rates, so a box whose upper corner gives
     weights beyond the float range is refused (ValueError) before the first
@@ -261,7 +261,7 @@ def kernel_select(
     def objective(p: KernelParams) -> float:
         beta = weights_from_kernel_params(M, p)
         bres, gamma = _balanced_fit(samples, M, beta, bp, plan)
-        return penalized_functional(samples, gamma, bres.alpha_star, beta, plan=plan)
+        return penalized_functional(samples, gamma, bres.alpha_star, beta)
 
     per_run, values = [], []
     for run in range(search.runs):

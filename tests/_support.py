@@ -7,6 +7,8 @@ ring-major, the layout `spherefit` scans for, with no use of the package's
 own ring code.  `zonal_sums` evaluates sum_i w_i |sum_k c_k P_k(x_p . x_i)|
 from `harmonics.legendre_matrix`, independently of the degree-streaming loop
 of `approx._kernel_blocks` and of the ring tables.
+`synthesized_functional` is the penalized functional with the fit
+synthesized at every node, the oracle of `approx.penalized_functional`.
 `longdouble_gauss_legendre` recomputes Gauss-Legendre nodes and weights in
 long double.  `record_table_probes` records the probes of each `grid-abs`
 table built.  `traced` and `timed` measure one call's tracemalloc peak and
@@ -88,6 +90,14 @@ def zonal_sums(rule: CubatureRule, probes: np.ndarray, coefs: np.ndarray) -> np.
     for rows, L in legendre_blocks(rule, probes, coefs.shape[0] - 1):
         out[rows] = np.einsum("pi...,i->p...", np.abs(L @ coefs), rule.weights)
     return out
+
+
+def synthesized_functional(samples: approx.SampleSet, coeffs, alpha: float, beta) -> float:
+    """sum_i w_i (p(x_i) - y_i)^2 + alpha * rkhs_norm_sq(p), with p synthesized
+    at every rule node (`evaluate_grid`); alpha = 0 gives the misfit alone."""
+    resid = approx.evaluate_grid(coeffs, samples.rule.points) - samples.values
+    penalty = approx.rkhs_norm_sq(coeffs, beta) if alpha else 0.0
+    return float(samples.rule.weights @ (resid * resid)) + alpha * penalty
 
 
 def longdouble_gauss_legendre(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,10 @@ Each section prints one table (`rotated-pass` one line):
   dense         the dense `sph_harm_matrix` on a rotated gauss_legendre_rule(M),
                 which has no ring layout, and its size, up to DENSE_MAX_DEGREE.
   transforms    `analyze` of fresh samples and `evaluate_grid` at the nodes of
-                the rotated rule: the harmonic matrix in blocks of points.
+                the rotated rule: the harmonic matrix in blocks of points; and
+                `penalized_functional` at alpha 1e-3 of samples whose analysis
+                is kept, with Laplace-Beltrami weights, which makes no
+                transform.
   exactness     the check `load_rule` runs (`cubature._check_exactness`, an
                 analysis of the constant 1 at degree 2M) on
                 gauss_legendre_rule(M), through the ring transform, and on the
@@ -83,7 +86,7 @@ from _support import (
 from spherefit import (
     BalancingConfig, HarmonicCoefficients, SampleSet, _rings, analyze, approx, balancing_principle,
     evaluate_grid, experiments, gauss_legendre_nodes, gauss_legendre_rule, params,
-    sph_harm_matrix, weights_laplace_beltrami,
+    penalized_functional, sph_harm_matrix, weights_laplace_beltrami,
 )
 from spherefit.cubature import _check_exactness
 
@@ -152,13 +155,19 @@ def transforms(degrees) -> None:
         rng = np.random.default_rng(M)
         values = rng.normal(size=rule.n_points)
         coeffs = HarmonicCoefficients(M, rng.normal(size=(M + 1) ** 2))
+        kept, beta = SampleSet(rule, values), weights_laplace_beltrami(M)
+        analyze(kept, M)
         calls = {
             "analyze": lambda: analyze(SampleSet(rule, values), M),
             "evaluate_grid": lambda: evaluate_grid(coeffs, rule.points),
+            "penalized_functional": lambda: penalized_functional(kept, coeffs, 1e-3, beta),
         }
         for name, fn in calls.items():
             seconds, peak = timed(fn, REPEATS)
-            row(M, f"rotated, {rule.n_points}", name, f"{seconds:.3f} s", f"{peak / MB:.1f} MB")
+            row(
+                M, f"rotated, {rule.n_points}", name, f"{1e3 * seconds:.4g} ms",
+                f"{peak / MB:.1f} MB",
+            )
 
 
 def exactness(degrees) -> None:

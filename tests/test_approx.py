@@ -7,7 +7,7 @@ from _dense_solver import regularized_fit_via_solver
 from _scalar import sph_harm_matrix_loop, unit
 from _support import (
     fibonacci_points, legendre_blocks, norm_probe_points, random_unit, record_table_probes,
-    ring_grid, rotated_rule, traced, zonal_sums,
+    ring_grid, rotated_rule, synthesized_functional, traced, zonal_sums,
 )
 
 from spherefit import (
@@ -1429,6 +1429,55 @@ class TestPenalizedFunctional:
             bump = rng.normal(scale=1e-3, size=star.values.size)
             perturbed = HarmonicCoefficients(M, star.values + bump)
             assert penalized_functional(s, perturbed, alpha, beta) >= base - 1e-12
+
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        """Normal values (seed M) on gauss_legendre_rule(M) or its rotation
+        (seed 7), which has no ring layout, one sample set per (M, kind)."""
+        made = {}
+
+        def samples(M, kind):
+            if (M, kind) not in made:
+                rule = gauss_legendre_rule(M) if kind == "product" else rotated_rule(M, 7)
+                made[M, kind] = SampleSet(rule, np.random.default_rng(M).normal(size=rule.n_points))
+            return made[M, kind]
+
+        return samples
+
+    @pytest.mark.parametrize("coefficients", ["filtered", "arbitrary"])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-5, 1e-3])
+    @pytest.mark.parametrize("kind", ["product", "rotated"])
+    @pytest.mark.parametrize("M", [1, 7, 30])
+    def test_matches_the_synthesis_form(self, noisy, M, kind, alpha, coefficients):
+        # from the analysis alone, the functional of any degree-M coefficients
+        # equals the misfit summed over the synthesized fit at every node
+        s, beta = noisy(M, kind), params.weights_laplace_beltrami(M)
+        if coefficients == "filtered":
+            c = regularized_fit(s, M, alpha, beta)
+        else:
+            c = random_coeffs(M, np.random.default_rng([M, int(1e6 * alpha)]))
+        expected = synthesized_functional(s, c, alpha, beta)
+        assert penalized_functional(s, c, alpha, beta) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", ["product", "rotated"])
+    def test_makes_no_synthesis(self, monkeypatch, kind):
+        M = 6
+        rule = gauss_legendre_rule(M) if kind == "product" else rotated_rule(M, 7)
+        s = SampleSet(rule, np.random.default_rng(16).normal(size=rule.n_points))
+        c = random_coeffs(M, np.random.default_rng(17))
+
+        def refused(*args):
+            raise AssertionError("penalized_functional synthesized its fit")
+
+        monkeypatch.setattr(_rings, "synthesis", refused)
+        assert np.isfinite(penalized_functional(s, c, 1e-3, params.weights_laplace_beltrami(M)))
+
+    def test_coefficients_above_the_rules_degree_refused(self):
+        rule = gauss_legendre_rule(3)
+        s = SampleSet(rule, np.random.default_rng(18).normal(size=rule.n_points))
+        c = random_coeffs(4, np.random.default_rng(19))
+        with pytest.raises(ValueError, match="needs exactness 8"):
+            penalized_functional(s, c, 0.1, params.weights_ones(4))
 
 
 class TestWeightsBeyondTheFloatRange:

@@ -260,6 +260,18 @@ class TestFit:
         assert err.startswith("error:") and "alpha" in err
         assert not out.exists()
 
+    def test_fit_refused_late_creates_nothing(self, tmp_path, capsys):
+        # samples of 1e200 fit, but their functional leaves the float range:
+        # the summary is refused before the output directory is made
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, np.full(gauss_legendre_rule(2).n_points, 1e200))
+        out = tmp_path / "fit"
+        argv = ["fit", "--degree", "2", "--samples", str(samples), "--alpha", "0.1",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bp_needs_noise_level(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"
         write_samples(samples, np.zeros(gauss_legendre_rule(2).n_points))

@@ -4,11 +4,11 @@ import layer_timing
 from _support import blas_setting
 
 # rows per degree of each section whose rows follow --degrees: the rule's and
-# the probe rings' tables, one dense matrix, `analyze` and `evaluate_grid`,
-# the product and the rotated exactness check, one norms row, one walk, one
-# accuracy row
+# the probe rings' tables, one dense matrix, `analyze`, `evaluate_grid` and
+# `penalized_functional`, the product and the rotated exactness check, one
+# norms row, one walk, one accuracy row
 ROWS = {
-    "tables": 2, "dense": 1, "transforms": 2, "exactness": 2, "norms": 1, "walk": 1, "accuracy": 1,
+    "tables": 2, "dense": 1, "transforms": 3, "exactness": 2, "norms": 1, "walk": 1, "accuracy": 1,
 }
 
 
