@@ -11,12 +11,13 @@ order's normalized Legendre values at the ring colatitudes (Driscoll & Healy
 1994; Schaeffer, arXiv:1202.6522), for any A: two matrix products, O(M^3)
 time and memory where the dense matrix costs O(M^4).
 
-A `_RingTable` is laid out as SHTns lays it out, from three parts built
-apart: the `degree_layout` of M, the `legendre_part` of M and the ring
-heights, and the `trig_table` of M and the azimuth count.  `ring_table`
-builds all three; a plan (`approx._Plan`) builds the layout once and the
-Legendre part once per ring set, as SHTns keeps one configuration per
-(degree, grid), with one row per ring: a point set that repeats a ring
+A `_RingTable` is laid out as SHTns lays it out, from three parts: the
+`degree_layout` of M, the `legendre_part` of M and the ring heights, and the
+`trig_table` of M and the azimuth count.  `ring_table` is the one place a
+table is assembled, from a layout it is given; a plan (`approx._Plan`)
+builds the layout once and lends two whole tables, on the rule's rings and
+on the walk's probe rings, as SHTns keeps one configuration per (degree,
+grid).  A table has one row per ring: a point set that repeats a ring
 height is no product grid to `ring_layout`, so it takes the block path.  The
 walk's step (`degree_weighted_sup`) and the `grid` sums
 (`weighted_abs_kernel_sums`) read ring tables only.
@@ -200,10 +201,10 @@ def trig_table(M: int, azimuths: int) -> np.ndarray:
     return trig
 
 
-def ring_table(M: int, rings: RingLayout) -> _RingTable:
-    """The operators of the ring transform at degree M on these rings, every
-    part built anew (a plan, `approx._Plan`, builds each part once)."""
-    layout = degree_layout(M)
+def ring_table(layout: _DegreeLayout, rings: RingLayout) -> _RingTable:
+    """The operators of the ring transform at the degree M of `layout` on
+    these rings: their Legendre part and trig table, built anew."""
+    M = int(layout.degree.max())
     legendre = legendre_part(layout, rings.meridian)
     return _RingTable(*layout, *legendre, trig_table(M, rings.azimuths), rings.weights)
 
@@ -236,7 +237,7 @@ def transform(M: int, points: np.ndarray, rings: RingLayout | None, weights=None
     """The transform at degree M on these points: the `ring_table` of their
     `rings` (`ring_layout`), else `_HarmonicBlocks` with these `weights`."""
     if rings is not None:
-        return ring_table(M, rings)
+        return ring_table(degree_layout(M), rings)
     return _HarmonicBlocks(M, points, weights, max(1, _BLOCK_BYTES // (8 * basis_size(M))))
 
 

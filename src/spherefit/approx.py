@@ -318,7 +318,8 @@ def _norm_oracle(rule: CubatureRule, M: int, probe_rings, bound: str, probes=Non
         rings, azimuths = classes
         if bound == "grid":
             if plan is None:
-                tables = _rings.ring_table(M, rule.rings), _rings.ring_table(M, probe_rings)
+                layout = _rings.degree_layout(M)
+                tables = [_rings.ring_table(layout, r) for r in (rule.rings, probe_rings)]
             else:
                 tables = plan.table, plan.probe_table
             block = (*tables, rings, azimuths)
@@ -393,10 +394,11 @@ def _probe_rings(rule: CubatureRule, resolution: int) -> _rings.RingLayout:
 
 class _Plan:
     """What the analyses, walks, fits and norm oracles on one rule share at
-    degree M, each part built on first use: the `_rings.degree_layout` of M,
-    the walk's probe rings (`_probe_rings` at resolution max(1, 2M)), the
-    `_rings.legendre_part` of the rule's rings and of the probe rings, the
-    tables on them and each bound's `_norm_oracle`, lent the plan.  Like the
+    degree M, each part built on first use: the walk's probe rings
+    (`_probe_rings` at resolution max(1, 2M)), the `_rings.degree_layout` of
+    M, two whole ring tables built on it, `table` on the rule's rings (the
+    rule's `_rings.transform` on a scattered rule) and `probe_table` on the
+    probe rings, and each bound's `_norm_oracle`, lent the plan.  Like the
     plans of SHTns and FFTW, one per (degree, grid), made and dropped by the
     caller that runs many fits, not memoized."""
 
@@ -413,35 +415,14 @@ class _Plan:
         return _rings.degree_layout(self.M)
 
     @functools.cached_property
-    def rule_legendre(self):
-        return _rings.legendre_part(self.layout, self.rule.rings.meridian)
-
-    @functools.cached_property
-    def probe_legendre(self):
-        return _rings.legendre_part(self.layout, self.probe_rings.meridian)
-
-    def ring_table(self, rings: _rings.RingLayout) -> _rings._RingTable:
-        """The ring table of degree M on `rings`, which lie where the rule's
-        rings or the probe rings lie, bit for bit; ValueError otherwise."""
-        rule = self.rule.rings
-        if rule is not None and np.array_equal(rings.meridian, rule.meridian):
-            legendre = self.rule_legendre
-        elif np.array_equal(rings.meridian, self.probe_rings.meridian):
-            legendre = self.probe_legendre
-        else:
-            raise ValueError("the plan holds no Legendre values at these ring heights")
-        trig = _rings.trig_table(self.M, rings.azimuths)
-        return _rings._RingTable(*self.layout, *legendre, trig, rings.weights)
-
-    @functools.cached_property
     def table(self):
         if self.rule.rings is None:
             return _rings.transform(self.M, self.rule.points, None, self.rule.weights)
-        return self.ring_table(self.rule.rings)
+        return _rings.ring_table(self.layout, self.rule.rings)
 
     @functools.cached_property
     def probe_table(self):
-        return self.ring_table(self.probe_rings)
+        return _rings.ring_table(self.layout, self.probe_rings)
 
     def norm(self, bound: str):
         if bound not in self._norms:

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _rings
 from ._files import write_csv, write_json
-from ._rings import synthesis
 from .approx import (
     NORM_BOUND_KINDS, HarmonicCoefficients, SampleSet, _Plan, analyze, expand_by_degree,
 )
@@ -307,14 +307,18 @@ def _study(config: dict) -> tuple[int, CubatureRule, _Plan]:
 
 def _franke_scorer(plan: _Plan):
     """The Franke-plus-cap function on gauss_legendre_rule(plan.resolution),
-    whose rings are the plan's probe rings: returns its points, its values
-    there and a scorer of degree-M coefficients, which gives the fit's values
-    there, its `_weighted_l2_rel_error` and its sup error."""
+    whose rings are the plan's probe rings bit for bit: returns its points,
+    its values there and a scorer of degree-M coefficients, which gives the
+    fit's values there, its `_weighted_l2_rel_error` and its sup error.  The
+    scorer synthesizes on `plan.probe_table` with the trig table of the
+    rule's azimuths swapped in, so it shares the probe rings' layout and
+    Legendre part."""
     rule = gauss_legendre_rule(plan.resolution)
-    truth, table = franke_cap_eval(rule.points), plan.ring_table(rule.rings)
+    table = plan.probe_table._replace(trig=_rings.trig_table(plan.M, rule.rings.azimuths))
+    truth = franke_cap_eval(rule.points)
 
     def score(coeffs: HarmonicCoefficients) -> tuple[np.ndarray, float, float]:
-        values = synthesis(table, coeffs.values)
+        values = _rings.synthesis(table, coeffs.values)
         rel_error = _weighted_l2_rel_error(rule, values, truth)
         return values, rel_error, float(np.abs(values - truth).max())
 
@@ -375,11 +379,12 @@ class _StudyResult:
 def run_experiment_1(seed: int = 0, simulations: int | None = None):
     """Compare plain projection, balanced and oracle regularization.
 
-    Per simulation: random damped target on the degree-30 rule, uniform noise
-    of sup-norm 0.05, then four recoveries -- plain (alpha = 0), a priori
-    weights with a balanced alpha, flat weights with the oracle alpha, and a
-    priori weights with the oracle alpha.  Errors are relative coefficient
-    errors of the recovered target.  `simulations` defaults to DEFAULTS'.
+    Per simulation: random damped target on the rule of degree
+    DEFAULTS["degree"], uniform noise of sup-norm DEFAULTS["uniform_noise"],
+    then four recoveries -- plain (alpha = 0), a priori weights with a
+    balanced alpha, flat weights with the oracle alpha, and a priori weights
+    with the oracle alpha.  Errors are relative coefficient errors of the
+    recovered target.  `simulations` defaults to DEFAULTS'.
     """
     config = _config(1, seed, simulations)
     seed, simulations, noise_kind = config["seed"], config["simulations"], config["noise_kind"]
@@ -392,7 +397,7 @@ def run_experiment_1(seed: int = 0, simulations: int | None = None):
     reports = []
     for sim in range(simulations):
         model, y_coeffs = sgg_generate(M, config["sgg_decay"], [seed, sim, 0])
-        clean = synthesis(plan.table, y_coeffs.values)
+        clean = _rings.synthesis(plan.table, y_coeffs.values)
         noisy, _ = add_noise(clean, NoiseSpec(noise_kind, config["uniform_noise"], [seed, sim, 1]))
         samples = SampleSet(rule, noisy)
         gamma_hat, g_true = analyze(samples, M, plan=plan), model.g_true
@@ -431,9 +436,10 @@ class Experiment2Result:
 def run_experiment_2(seed: int = 0) -> Experiment2Result:
     """Denoise the Franke-plus-cap function with degree-ladder weights.
 
-    Gaussian noise of sigma 0.5 at the rule nodes; the balancing principle
-    picks alpha; reported errors are the sup error and a quadrature estimate
-    of the relative L2 error of the reconstruction on the scoring rule.
+    Gaussian noise of sigma DEFAULTS["gaussian_sigma"] at the rule nodes; the
+    balancing principle picks alpha; reported errors are the sup error and a
+    quadrature estimate of the relative L2 error of the reconstruction on the
+    scoring rule.
     """
     config = _config(2, seed)
     M, rule, plan = _study(config)
@@ -451,7 +457,7 @@ def run_experiment_2(seed: int = 0) -> Experiment2Result:
                        sup_error),
         bp_result=bres,
         noisy_sup_error=eps_sup,
-        node_columns=(*rule.points.T, clean, noisy, synthesis(plan.table, gamma.values)),
+        node_columns=(*rule.points.T, clean, noisy, _rings.synthesis(plan.table, gamma.values)),
         probe_columns=(*probe_points.T, truth, rec_probe),
         config=config,
     )

@@ -5,13 +5,14 @@ Each section prints one table (`rotated-pass` one line):
   tables        one build of each part of a ring table (`_rings.degree_layout`,
                 on M alone; `_rings.legendre_part`, on M and the ring heights;
                 `_rings.trig_table`, on M and the azimuth count) and of a whole
-                one-shot `_rings.ring_table`, with its peak, on the rings of
+                `_rings.ring_table` on a layout built beforehand (so the
+                "whole table" column is the Legendre part and the trig table,
+                not the layout), with its peak, on the rings of
                 gauss_legendre_rule(M) and of probe_grid(2M), the probe rings
                 of a balanced fit; beside them the Legendre part's bytes and
                 the (M+1)^2 R 8 bytes of a zero-padded table on the same R
-                rings.  A plan (`approx._Plan`) builds the layout once, the
-                Legendre part once per ring set and a trig table per azimuth
-                count.
+                rings.  A plan (`approx._Plan`) builds the layout once and a
+                whole table on the rule's rings and on the probe rings.
   dense         the dense `sph_harm_matrix` on a rotated gauss_legendre_rule(M),
                 which has no ring layout, and its size, up to DENSE_MAX_DEGREE.
   transforms    `analyze` of fresh samples and `evaluate_grid` at the nodes of
@@ -127,7 +128,7 @@ def tables(degrees) -> None:
                 lambda: _rings.degree_layout(M),
                 lambda: _rings.legendre_part(layout, rings.meridian),
                 lambda: _rings.trig_table(M, rings.azimuths),
-                lambda: _rings.ring_table(M, rings),
+                lambda: _rings.ring_table(layout, rings),
             )
             times = [timed(build, REPEATS) for build in builds]
             R = rings.meridian.shape[0]
@@ -267,7 +268,7 @@ def accuracy(degrees) -> None:
     header("degree M", "ring round trip, max error", "nodes n", "weights, max relative error")
     longdouble = np.finfo(np.longdouble).nmant >= 63
     for M in degrees:
-        table = _rings.ring_table(M, gauss_legendre_rule(M).rings)
+        table = _rings.ring_table(_rings.degree_layout(M), gauss_legendre_rule(M).rings)
         c = np.random.default_rng(M).normal(size=(M + 1) ** 2)
         trip = np.abs(_rings.analysis(table, _rings.synthesis(table, c)) - c).max()
         t, v = gauss_legendre_nodes(M + 1)

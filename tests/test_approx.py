@@ -32,7 +32,7 @@ from spherefit import (
     save_coefficients,
     sph_harm_matrix,
 )
-from spherefit import _rings, approx, harmonics, params
+from spherefit import _rings, approx, experiments, harmonics, params
 from spherefit.approx import evaluate_kernel_form, expand_by_degree
 
 FOUR_PI = 4 * np.pi
@@ -398,7 +398,8 @@ class TestRingTransform:
         ):
             Y = sph_harm_matrix(M, meridian)
             assert np.array_equal(Y.view(np.int64), sph_harm_matrix_loop(M, meridian).view(np.int64))
-            table = _rings.ring_table(M, _rings.RingLayout(meridian, None, 1))
+            rings = _rings.RingLayout(meridian, None, 1)
+            table = _rings.ring_table(_rings.degree_layout(M), rings)
             below, height = np.divmod(table.ring, table.P.shape[-1])
             # rows[q, i, 0, p, j]: the harmonic with cos(m phi) of order m
             # (slot i's own for p = 0, its partner's for p = 1) at position j
@@ -418,7 +419,7 @@ class TestRingTransform:
         # table of the 242 azimuths, the index tables and a few vectors of
         # the 61 ring heights
         rings = gauss_legendre_rule(120).rings
-        assert traced(lambda: _rings.ring_table(60, rings)).peak <= 4.24e6
+        assert traced(lambda: _rings.ring_table(_rings.degree_layout(60), rings)).peak <= 4.24e6
 
     def test_scattered_points_take_dense_path(self, dense_calls):
         rng = np.random.default_rng(101)
@@ -579,7 +580,7 @@ class TestDegreeWeightedSup:
         assert _rings.mirrored(rings)
         c = rng.normal(size=(M + 1) ** 2)
         w = rng.normal(size=M + 1) * (rng.uniform(size=M + 1) < 0.7)
-        table = _rings.ring_table(M, rings)
+        table = _rings.ring_table(_rings.degree_layout(M), rings)
         sup = _rings.degree_weighted_sup(table, c)
         # one helper serves any number of weight vectors
         for weights in (w, np.zeros(M + 1), w[::-1]):
@@ -594,7 +595,7 @@ class TestDegreeWeightedSup:
         c = rng.normal(size=(M + 1) ** 2)
         w = rng.uniform(size=M + 1)
         w[::7] = 0.0
-        table = _rings.ring_table(M, rings)
+        table = _rings.ring_table(_rings.degree_layout(M), rings)
         expected = np.abs(_rings.synthesis(table, c * expand_by_degree(w))).max()
         assert abs(_rings.degree_weighted_sup(table, c)(w) - expected) <= 1e-12 * expected
 
@@ -624,7 +625,8 @@ def ring_set_layout(t, ring_weights, azimuths):
 
 def ring_tables(rule, probe_rings, M):
     """The degree-M `ring_table`s of a product rule's rings and of probe rings."""
-    return _rings.ring_table(M, rule.rings), _rings.ring_table(M, probe_rings)
+    layout = _rings.degree_layout(M)
+    return _rings.ring_table(layout, rule.rings), _rings.ring_table(layout, probe_rings)
 
 
 class TestRingTablesAgainstDenseOracles:
@@ -655,7 +657,7 @@ class TestRingTablesAgainstDenseOracles:
         rings, points = ring_set_layout(*random_ring_set(kind, rng), azimuths)
         Y = sph_harm_matrix(M, points)
         c = rng.normal(size=(M + 1) ** 2)
-        table = _rings.ring_table(M, rings)
+        table = _rings.ring_table(_rings.degree_layout(M), rings)
         assert rel_err(_rings.synthesis(table, c), Y.T @ c) <= 1e-12
         y = rng.normal(size=points.shape[0])
         weights = np.repeat(rings.weights, azimuths)
@@ -671,7 +673,8 @@ class TestRingTablesAgainstDenseOracles:
         L = harmonics.legendre_matrix(M, np.clip(probes @ points.T, -1.0, 1.0))
         expected = np.abs(L @ coefs).reshape(probes.shape[0], -1) @ weights
         every = np.arange(probe_rings.meridian.shape[0]), np.arange(probe_azimuths)
-        fast = _rings.weighted_abs_kernel_sums(table, _rings.ring_table(M, probe_rings), *every, coefs)
+        probe = _rings.ring_table(_rings.degree_layout(M), probe_rings)
+        fast = _rings.weighted_abs_kernel_sums(table, probe, *every, coefs)
         assert rel_err(fast.ravel(), expected) <= 1e-12
 
     def test_walk_probe_table_at_degree_120(self):
@@ -997,35 +1000,28 @@ class TestAdditionTheoremSupNorm:
 
 
 class TestPlanTables:
-    """A plan assembles ring tables from its degree layout and the Legendre
-    parts of the rule's rings and of the probe rings."""
+    """A plan lends two whole ring tables on one degree layout: the rule's
+    and the walk's probe rings'.  The scorer of experiments 2 and 3 takes
+    the probe table with its own trig table."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        M=st.integers(0, 12),
-        kind=st.sampled_from(["gl", "mirror", "weights", "heights"]),
-        seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
-    )
-    def test_assembled_table_is_the_one_shot_table_property(self, M, kind, seed, data):
-        resolution = data.draw(st.integers(1, max(1, 3 * M)), label="resolution")
-        azimuths = data.draw(st.integers(1, 2 * M + 2), label="azimuths")
-        rule = random_product_rule(kind, M, np.random.default_rng(seed))
-        plan = plan_probing(rule, M, resolution)
-        for rings in (rule.rings, plan.probe_rings):
-            rings = rings._replace(azimuths=azimuths)
-            assembled, fresh = plan.ring_table(rings), _rings.ring_table(M, rings)
-            for name, a, b in zip(fresh._fields, assembled, fresh):
-                if isinstance(b, np.ndarray):
-                    assert a.dtype == b.dtype and a.shape == b.shape, name
-                    assert a.tobytes() == b.tobytes(), name
-                else:
-                    assert a is b, name
-        # one ring off every height the plan holds, and a part of the rule's rings
-        off = np.array([[np.sqrt(1.0 - 0.3**2), 0.0, 0.3]])
-        for meridian in (off, rule.rings.meridian[:-1]):
-            with pytest.raises(ValueError, match="no Legendre values at these ring heights"):
-                plan.ring_table(_rings.RingLayout(meridian, None, azimuths))
+    @pytest.mark.parametrize("M", [0, 1, 2, 7, 30])
+    def test_scorer_table_is_the_scoring_rules_table(self, monkeypatch, M):
+        # the scoring rule gauss_legendre_rule(max(1, 2M)) lies on the walk's
+        # probe rings bit for bit, so the probe table with the rule's trig
+        # table swapped in is the rule's own table
+        tables, synthesis = [], _rings.synthesis
+        monkeypatch.setattr(_rings, "synthesis", lambda t, c: tables.append(t) or synthesis(t, c))
+        plan = approx._Plan(gauss_legendre_rule(M), M)
+        score = experiments._franke_scorer(plan)[2]
+        score(HarmonicCoefficients.zeros(M))
+        (table,) = tables
+        rings = gauss_legendre_rule(max(1, 2 * M)).rings
+        fresh = _rings.ring_table(_rings.degree_layout(M), rings)
+        for name, a, b in zip(fresh._fields, table, fresh):
+            if name != "weights":
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+        assert table.P is plan.probe_table.P
 
     @pytest.mark.parametrize("product, builds", [(False, 0), (True, 2)])
     def test_grid_oracle_reads_ring_tables_only_on_a_product_rule(
@@ -1045,23 +1041,32 @@ class TestPlanTables:
         assert len(calls) == builds
         assert value == approx._norm_oracle(rule, M, plan.probe_rings, "grid")(f)
 
+    def test_norm_bound_builds_one_layout_and_two_legendre_parts(self, monkeypatch):
+        # with no plan, the `grid` oracle of a product rule on product probes
+        # builds the tables of the rule's rings and of the probe rings on one
+        # degree layout
+        M = 10
+        layouts, legendre = [], []
+        degree_layout, legendre_part = _rings.degree_layout, _rings.legendre_part
+        monkeypatch.setattr(_rings, "degree_layout", lambda M: layouts.append(M) or degree_layout(M))
+        monkeypatch.setattr(_rings, "legendre_part", lambda *a: legendre.append(a) or legendre_part(*a))
+        k = np.arange(M + 1)
+        beta = PenalizationWeights(M, k * (k + 1.0))
+        approx.operator_norm_bound(gauss_legendre_rule(M), M, 1e-3, beta, probe_grid(2 * M))
+        assert layouts == [M]
+        assert len(legendre) == 2
+
     @pytest.mark.parametrize("M", [1, 2, 5, 30])
     def test_every_empty_probe_row_is_the_far_side_of_the_equator(self, M):
         # the walk's step takes the maximum over every row of the probe
         # table: its one row without a ring, at t = 0, reads E - O with O = 0
         plan = approx._Plan(gauss_legendre_rule(M), M)
-        legendre, t = plan.probe_legendre, plan.probe_rings.meridian[:, 2]
-        H = legendre.P.shape[-1]
-        empty = np.setdiff1d(np.arange(2 * H), legendre.ring)
-        (equator,) = legendre.ring[t == 0.0]
+        table, t = plan.probe_table, plan.probe_rings.meridian[:, 2]
+        H = table.P.shape[-1]
+        empty = np.setdiff1d(np.arange(2 * H), table.ring)
+        (equator,) = table.ring[t == 0.0]
         assert empty.tolist() == [H + equator]
-        assert not legendre.P[1, :, :, equator].any()
-
-    def test_probe_rings_of_the_rule_share_its_legendre_part(self):
-        # at resolution M the walk's probe rings are the rings of gauss_legendre_rule(M)
-        plan = plan_probing(gauss_legendre_rule(6), 6, 6)
-        assert plan.probe_table.P is plan.table.P
-        assert plan.probe_table.rows is plan.table.rows
+        assert not table.P[1, :, :, equator].any()
 
 
 def assert_table_matches_all_nodes(rule, M, probes):
@@ -1306,6 +1311,9 @@ class TestFilters:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FilterSpec("boxcar")
+
+    def test_repr_names_the_kind(self):
+        assert repr(FilterSpec.spline_c1()) == "FilterSpec('spline_c1')"
 
     @pytest.mark.parametrize("kind", FilterSpec.KINDS)
     def test_nan_rejected_inf_is_zero(self, kind):

@@ -396,7 +396,7 @@ class TestWalkAgainstFullSynthesis:
         (alpha, difference, threshold, triggered) tuple."""
         alphas = cfg.grid()
         rings = approx._probe_rings(samples.rule, 2 * M)
-        table = _rings.ring_table(M, rings)
+        table = _rings.ring_table(_rings.degree_layout(M), rings)
         gamma = analyze(samples, M).values
         b2 = expand_by_degree(beta.beta**2)
         if cfg.norm_bound == "crude":
