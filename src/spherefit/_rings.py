@@ -16,8 +16,9 @@ A `_RingTable` is laid out as SHTns lays it out, from three parts: the
 `trig_table` of M and the azimuth count.  `ring_table` is the one place a
 table is assembled, from a layout it is given; a plan (`approx._Plan`)
 builds the layout once and lends two whole tables, on the rule's rings and
-on the walk's probe rings, as SHTns keeps one configuration per (degree,
-grid).  A table has one row per ring: a point set that repeats a ring
+on the walk's probe rings, which share the rule's Legendre part where the
+two ring sets lie at the same heights, as SHTns keeps one configuration per
+(degree, grid).  A table has one row per ring: a point set that repeats a ring
 height is no product grid to `ring_layout`, so it takes the block path.  The
 walk's step (`degree_weighted_sup`) and the `grid` sums
 (`weighted_abs_kernel_sums`) read ring tables only.

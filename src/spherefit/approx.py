@@ -398,9 +398,11 @@ class _Plan:
     (`_probe_rings` at resolution max(1, 2M)), the `_rings.degree_layout` of
     M, two whole ring tables built on it, `table` on the rule's rings (the
     rule's `_rings.transform` on a scattered rule) and `probe_table` on the
-    probe rings, and each bound's `_norm_oracle`, lent the plan.  Like the
-    plans of SHTns and FFTW, one per (degree, grid), made and dropped by the
-    caller that runs many fits, not memoized."""
+    probe rings, which takes the rule table's Legendre part where the two
+    ring sets lie at the same heights bit for bit, and each bound's
+    `_norm_oracle`, lent the plan.  Like the plans of SHTns and FFTW, one
+    per (degree, grid), made and dropped by the caller that runs many fits,
+    not memoized."""
 
     def __init__(self, rule: CubatureRule, M: int):
         self.rule, self.M, self.resolution = rule, M, max(1, 2 * M)
@@ -422,7 +424,12 @@ class _Plan:
 
     @functools.cached_property
     def probe_table(self):
-        return _rings.ring_table(self.layout, self.probe_rings)
+        rings, probe = self.rule.rings, self.probe_rings
+        if rings is None or not np.array_equal(rings.meridian, probe.meridian):
+            return _rings.ring_table(self.layout, probe)
+        same = rings.azimuths == probe.azimuths
+        trig = self.table.trig if same else _rings.trig_table(self.M, probe.azimuths)
+        return self.table._replace(trig=trig, weights=None)
 
     def norm(self, bound: str):
         if bound not in self._norms:

@@ -311,10 +311,11 @@ def _franke_scorer(plan: _Plan):
     its values there and a scorer of degree-M coefficients, which gives the
     fit's values there, its `_weighted_l2_rel_error` and its sup error.  The
     scorer synthesizes on `plan.probe_table` with the trig table of the
-    rule's azimuths swapped in, so it shares the probe rings' layout and
-    Legendre part."""
+    rule's azimuths and its ring weights swapped in: the rule's own table,
+    sharing the probe rings' layout and Legendre part."""
     rule = gauss_legendre_rule(plan.resolution)
-    table = plan.probe_table._replace(trig=_rings.trig_table(plan.M, rule.rings.azimuths))
+    trig = _rings.trig_table(plan.M, rule.rings.azimuths)
+    table = plan.probe_table._replace(trig=trig, weights=rule.rings.weights)
     truth = franke_cap_eval(rule.points)
 
     def score(coeffs: HarmonicCoefficients) -> tuple[np.ndarray, float, float]:

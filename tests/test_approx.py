@@ -1001,8 +1001,9 @@ class TestAdditionTheoremSupNorm:
 
 class TestPlanTables:
     """A plan lends two whole ring tables on one degree layout: the rule's
-    and the walk's probe rings'.  The scorer of experiments 2 and 3 takes
-    the probe table with its own trig table."""
+    and the walk's probe rings', which share the rule's Legendre part where
+    the two ring sets lie at the same heights.  The scorer of experiments 2
+    and 3 takes the probe table with its own trig table and ring weights."""
 
     @pytest.mark.parametrize("M", [0, 1, 2, 7, 30])
     def test_scorer_table_is_the_scoring_rules_table(self, monkeypatch, M):
@@ -1018,9 +1019,8 @@ class TestPlanTables:
         rings = gauss_legendre_rule(max(1, 2 * M)).rings
         fresh = _rings.ring_table(_rings.degree_layout(M), rings)
         for name, a, b in zip(fresh._fields, table, fresh):
-            if name != "weights":
-                assert a.dtype == b.dtype and a.shape == b.shape, name
-                assert a.tobytes() == b.tobytes(), name
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
         assert table.P is plan.probe_table.P
 
     @pytest.mark.parametrize("product, builds", [(False, 0), (True, 2)])
@@ -1067,6 +1067,12 @@ class TestPlanTables:
         (equator,) = table.ring[t == 0.0]
         assert empty.tolist() == [H + equator]
         assert not table.P[1, :, :, equator].any()
+
+    def test_probe_rings_of_the_rule_share_its_legendre_part(self):
+        # at resolution M the walk's probe rings are the rings of gauss_legendre_rule(M)
+        plan = plan_probing(gauss_legendre_rule(6), 6, 6)
+        assert plan.probe_table.P is plan.table.P
+        assert plan.probe_table.rows is plan.table.rows
 
 
 def assert_table_matches_all_nodes(rule, M, probes):

@@ -797,6 +797,29 @@ class TestOnePlanPerRun:
         assert sorted(trig) == [(M, 62), (M, 124)]
         assert len(classified) == bounds
 
+    def test_fit_on_a_rule_file_at_the_probe_rings(self, tmp_path, builds):
+        # gauss_legendre_rule(2M) lies on the walk's probe rings and their
+        # azimuths: the plan builds one Legendre part and one trig table at
+        # M, after the rule file's exactness check builds its own at 2M
+        M = 30
+        rule, samples = tmp_path / "rule.csv", tmp_path / "samples.csv"
+        assert main(["gen-rule", "--degree", str(2 * M), "--out", str(rule)]) == 0
+        write_samples(samples, franke_cap_eval(gauss_legendre_rule(2 * M).points))
+        layouts, legendre, trig, classified = builds
+        assert layouts == legendre == trig == []
+        rc = main(
+            [
+                "fit", "--degree", str(M), "--rule", str(rule), "--samples", str(samples),
+                "--beta", "laplace-beltrami", "--bp", "--noise-level", "0.5",
+                "--bp-norm-bound", "grid", "--out", str(tmp_path / "fit"),
+            ]
+        )
+        assert rc == 0
+        assert layouts == [2 * M, M]
+        assert len(legendre) == len(set(legendre)) == 2
+        assert sorted(trig) == [(M, 122), (2 * M, 122)]
+        assert len(classified) == 1
+
     def test_experiment_1(self, builds):
         # the rule's rings for the data and the fits, the probe rings for the
         # walks' step differences; the `crude` bound classifies no probes
