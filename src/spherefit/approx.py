@@ -292,7 +292,7 @@ def weighted_abs_legendre_sums(rule: CubatureRule, M: int, probes) -> np.ndarray
     return S
 
 
-NORM_BOUND_KINDS = ("grid", "grid-abs", "crude")
+NORM_BOUND_KINDS = ("grid", "grid-abs", "crude", "l2")
 
 
 def _norm_oracle(rule: CubatureRule, M: int, probe_rings, bound: str, probes=None, plan=None):

@@ -156,6 +156,7 @@ def cmd_fit(settings: dict) -> int:
             alpha_source="bp",
             alpha=alpha,
             bp_triggered=bres.triggered,
+            bp_stop=bres.stop,
             bp_trace="bp_trace.csv",
             bp_norm_bound=bp_cfg.norm_bound,
         )

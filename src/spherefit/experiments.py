@@ -42,6 +42,7 @@ DEFAULTS = {
     "grid_ratio": 0.8,
     "grid_len": 60,
     "omega": 0.002,
+    "l2_omega": 0.03,
     "sgg_decay": 1.2,
     "uniform_noise": 0.05,
     "gaussian_sigma": 0.5,
@@ -81,7 +82,7 @@ _PRESET = object()
 # Every setting, spelled once: its key in DEFAULTS, in a config echo and in a
 # `--config` file, and with `_` as `-` its flag.  key -> (reader, default,
 # help).  A default of _PRESET is DEFAULTS[key] as it stands when a command
-# runs; a reader of None marks a key that only an echo holds.
+# runs; a reader of None marks a key that no command takes.
 SETTINGS = {
     "which": (_whole_number, None, "experiment number: 1, 2 or 3"),
     "seed": (_whole_number, 0, "base RNG seed"),
@@ -94,6 +95,7 @@ SETTINGS = {
     "alpha": (_real, None, "fixed regularization parameter"),
     "bp": (_switch, False, "pick alpha by the balancing principle"),
     "omega": (_real, _PRESET, "balancing design parameter"),
+    "l2_omega": (None, _PRESET, "omega of experiments 2 and 3, whose walks balance in L2"),
     "grid_anchor": (_real, _PRESET, "alpha grid anchor: alpha_i = anchor * ratio**i"),
     "grid_ratio": (_real, _PRESET, "alpha grid ratio in (0,1)"),
     "grid_len": (_whole_number, _PRESET, "alpha grid length"),
@@ -254,14 +256,17 @@ def franke_cap_eval(points):
 # shared experiment plumbing
 
 
-# each experiment's echo: the keys it takes from DEFAULTS, its noise kind and
-# its operator-norm bound
-_SHARED = ("degree", "grid_anchor", "grid_ratio", "grid_len", "omega", "rng")
+# each experiment's echo: the keys it takes from DEFAULTS, its noise kind,
+# its walk's norm bound and the DEFAULTS key of the walk's omega.  Experiment
+# 1 recovers damped coefficients, so its walk balances sup norms; experiments
+# 2 and 3 report L2 errors and balance in L2
+_SHARED = ("degree", "grid_anchor", "grid_ratio", "grid_len", "rng")
 _ECHOES = {
-    1: ((*_SHARED, "uniform_noise", "sgg_decay", "simulations"), "uniform_supnorm", "crude"),
-    2: ((*_SHARED, "gaussian_sigma"), "gaussian", "grid-abs"),
+    1: ((*_SHARED, "uniform_noise", "sgg_decay", "simulations"), "uniform_supnorm", "crude",
+        "omega"),
+    2: ((*_SHARED, "gaussian_sigma"), "gaussian", "l2", "l2_omega"),
     3: ((*_SHARED, "gaussian_sigma", "search_box", "search_runs", "search_steps", "simulations"),
-        "gaussian", "grid-abs"),
+        "gaussian", "l2", "l2_omega"),
 }
 
 
@@ -275,9 +280,10 @@ def _config(which, seed, simulations=None) -> dict:
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    keys, noise_kind, bound = _ECHOES[which]
+    keys, noise_kind, bound, omega = _ECHOES[which]
     config = {key: DEFAULTS[key] for key in keys}
-    config.update(which=which, seed=seed, noise_kind=noise_kind, bp_norm_bound=bound)
+    config.update(which=which, seed=seed, noise_kind=noise_kind, bp_norm_bound=bound,
+                  omega=DEFAULTS[omega])
     if "simulations" in config:
         n = _read("simulations", config["simulations"] if simulations is None else simulations)
         if n < 1:
@@ -306,16 +312,13 @@ def _study(config: dict) -> tuple[int, CubatureRule, _Plan]:
 
 
 def _franke_scorer(plan: _Plan):
-    """The Franke-plus-cap function on gauss_legendre_rule(plan.resolution),
-    whose rings are the plan's probe rings bit for bit: returns its points,
-    its values there and a scorer of degree-M coefficients, which gives the
-    fit's values there, its `_weighted_l2_rel_error` and its sup error.  The
-    scorer synthesizes on `plan.probe_table` with the trig table of the
-    rule's azimuths and its ring weights swapped in: the rule's own table,
-    sharing the probe rings' layout and Legendre part."""
+    """The Franke-plus-cap function on gauss_legendre_rule(plan.resolution):
+    returns its points, its values there and a scorer of degree-M
+    coefficients, which gives the fit's values there, its
+    `_weighted_l2_rel_error` and its sup error.  The scorer synthesizes on
+    the rule's ring table, built once on the plan's degree layout."""
     rule = gauss_legendre_rule(plan.resolution)
-    trig = _rings.trig_table(plan.M, rule.rings.azimuths)
-    table = plan.probe_table._replace(trig=trig, weights=rule.rings.weights)
+    table = _rings.ring_table(plan.layout, rule.rings)
     truth = franke_cap_eval(rule.points)
 
     def score(coeffs: HarmonicCoefficients) -> tuple[np.ndarray, float, float]:
@@ -438,9 +441,10 @@ def run_experiment_2(seed: int = 0) -> Experiment2Result:
     """Denoise the Franke-plus-cap function with degree-ladder weights.
 
     Gaussian noise of sigma DEFAULTS["gaussian_sigma"] at the rule nodes; the
-    balancing principle picks alpha; reported errors are the sup error and a
-    quadrature estimate of the relative L2 error of the reconstruction on the
-    scoring rule.
+    balancing principle picks alpha, balancing L2 norms (the ``l2`` bound at
+    DEFAULTS["l2_omega"]), the norm the run is scored in; reported errors are
+    the sup error and a quadrature estimate of the relative L2 error of the
+    reconstruction on the scoring rule.
     """
     config = _config(2, seed)
     M, rule, plan = _study(config)
@@ -475,7 +479,8 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
     rate box, balanced alpha per candidate); the winner is then pitted
     against the Laplace-Beltrami weights on fresh noisy realizations, both
     with balanced alphas, in relative L2 error against the clean function.
-    `simulations` defaults to DEFAULTS'.
+    Every walk balances L2 norms (the ``l2`` bound at DEFAULTS["l2_omega"]),
+    O(M) per step with no probe layout.  `simulations` defaults to DEFAULTS'.
     """
     config = _config(3, seed, simulations)
     seed, simulations, noise_kind = config["seed"], config["simulations"], config["noise_kind"]

@@ -22,7 +22,7 @@ from .approx import (
     penalized_functional,
     regularized_fit,
 )
-from .harmonics import _whole_number
+from .harmonics import FOUR_PI, _whole_number
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,23 @@ class BalancingConfig:
 
     The candidate grid is alpha_i = alpha0 * q**i for i = 1..L (strictly
     decreasing).  `omega` scales the noise-propagation threshold, `delta` is
-    the assumed sup-norm of the data noise.  The step differences and the
-    operator norm are maxima over the walk's probe layout, which the rule and
-    the fit degree fix (`approx._Plan`).  `norm_bound` picks how that norm is
-    computed:
+    the assumed sup-norm of the data noise.  `norm_bound` picks the norm the
+    walk balances and how the noise propagation is computed:
 
-      * ``grid``     -- probe maximum of the exact kernel sum (default);
-      * ``grid-abs`` -- probe maximum with the absolute values pulled
-                        inside the degree sum, an upper envelope that is much
-                        cheaper when many fits share one rule;
-      * ``crude``    -- the analytic bound sum_k (2k+1)/(1+alpha*beta_k^2).
+      * ``grid``     -- the sup norm over the walk's probe layout, which the
+                        rule and the fit degree fix (`approx._Plan`); the
+                        operator norm is the probe maximum of the exact
+                        kernel sum (default);
+      * ``grid-abs`` -- the same sup norm, with the operator norm's absolute
+                        values pulled inside the degree sum, an upper
+                        envelope that is much cheaper when many fits share
+                        one rule;
+      * ``crude``    -- the same sup norm, with the analytic operator-norm
+                        bound sum_k (2k+1)/(1+alpha*beta_k^2);
+      * ``l2``       -- the L2 norm on the sphere, by Parseval, with no probe
+                        layout; the noise propagation is the root-mean-square
+                        L2 norm of the fit of unit white noise at the nodes,
+                        sqrt(sum_i w_i^2/(4 pi)) sqrt(sum_k (2k+1) f_k^2).
     """
 
     alpha0: float
@@ -125,6 +132,15 @@ class BalancingResult:
     triggered: bool
     trace: tuple
 
+    @property
+    def stop(self) -> str:
+        """Where the walk stopped: ``first-step`` when its first comparison
+        met the threshold, ``interior`` when a later one did, ``grid-end``
+        when none did and alpha_star is the grid's largest value."""
+        if not self.triggered:
+            return "grid-end"
+        return "first-step" if len(self.trace) == 1 else "interior"
+
 
 @dataclass(frozen=True)
 class KernelSelectResult:
@@ -188,22 +204,37 @@ def balancing_principle(
 
     Walks the grid from the smallest candidate upward and stops at the first
     alpha_z whose fit differs from the previous one by more than
-    omega * delta * ||T_{alpha_{z+1}}|| in the probe-grid sup norm.  Every
-    comparison is recorded in the trace; if the threshold is never exceeded
-    the largest grid value is returned with `triggered=False`.
+    omega * delta * ||T_{alpha_{z+1}}|| in the norm `cfg.norm_bound` names.
+    Every comparison is recorded in the trace; if the threshold is never
+    exceeded the largest grid value is returned with `triggered=False`.
 
     The two fits differ by the degree filter f(alpha)_k = 1/(1 + alpha beta_k^2)
-    alone, so a step's difference is the sup (`_rings.degree_weighted_sup`)
-    of the kept analysis coefficients weighted by f(alpha_z) - f(alpha_{z+1});
-    no fit is synthesized.  The threshold's norm is the `cfg.norm_bound`
-    oracle at f(alpha_{z+1}).  `plan`, an `approx._Plan`, lends the probe
+    alone, so a step's difference comes from the kept analysis coefficients
+    gamma weighted by d = f(alpha_z) - f(alpha_{z+1}); no fit is synthesized.
+    In the sup norm it is the probe maximum `_rings.degree_weighted_sup`, and
+    the threshold's norm is the `cfg.norm_bound` oracle at f = f(alpha_{z+1}).
+    In L2 (``l2``) both are closed forms, O(M) per step with no probe: the
+    difference is sqrt(sum_k d_k^2 E_k) by Parseval, with the per-degree
+    energies E_k = sum_j gamma_kj^2, and the norm is the root-mean-square L2
+    norm of the fit of unit white noise at the nodes, sqrt(sum_i w_i^2 /
+    (4 pi)) sqrt(sum_k (2k+1) f_k^2), exact on any rule exact to degree 2M
+    by the addition theorem.  `plan`, an `approx._Plan`, lends the probe
     rings' table and the oracle.
     """
     filter_factors(M, 0.0, beta)  # checks the weights' degree
     alphas = cfg.grid()
     plan = _plan_for(plan, samples.rule, M)
-    step_sup = _rings.degree_weighted_sup(plan.probe_table, analyze(samples, M, plan=plan).values)
-    norm = plan.norm(cfg.norm_bound)
+    gamma = analyze(samples, M, plan=plan).values
+    if cfg.norm_bound == "l2":
+        energies = np.add.reduceat(gamma * gamma, np.arange(M + 1) ** 2)
+        odd = 2 * np.arange(M + 1) + 1.0
+        w = samples.rule.weights
+        noise = np.sqrt(w @ w / FOUR_PI)
+        step = lambda d: float(np.sqrt((d * d) @ energies))
+        norm = lambda f: float(noise * np.sqrt(odd @ (f * f)))
+    else:
+        step = _rings.degree_weighted_sup(plan.probe_table, gamma)
+        norm = plan.norm(cfg.norm_bound)
     with np.errstate(over="ignore"):  # f = 0, the exact limit, where alpha*beta_k^2 overflows
         factors = 1.0 / (1.0 + np.multiply.outer(alphas, beta.beta**2))
     omega_delta = cfg.omega * cfg.delta
@@ -211,7 +242,7 @@ def balancing_principle(
     trace = []
     alpha_star, triggered = alphas[0], False
     for z in range(cfg.L - 2, -1, -1):
-        difference = step_sup(factors[z] - factors[z + 1])
+        difference = step(factors[z] - factors[z + 1])
         threshold = omega_delta * norm(factors[z + 1])
         hit = difference > threshold
         trace.append(TraceStep(float(alphas[z]), difference, float(threshold), hit))

@@ -11,7 +11,8 @@ of `approx._kernel_blocks` and of the ring tables.
 synthesized at every node, the oracle of `approx.penalized_functional`.
 `longdouble_gauss_legendre` recomputes Gauss-Legendre nodes and weights in
 long double.  `record_table_probes` records the probes of each `grid-abs`
-table built.  `traced` and `timed` measure one call's tracemalloc peak and
+table built.  `SUP_NORM_KINDS` are the walk bounds that balance sup norms
+over a probe layout.  `traced` and `timed` measure one call's tracemalloc peak and
 its best wall time, and `blas_setting` names the BLAS thread setting that
 timings and output listings hold for.
 """
@@ -27,6 +28,10 @@ import numpy as np
 
 from spherefit import approx, harmonics
 from spherefit.cubature import CubatureRule, gauss_legendre_rule
+
+# the `approx.NORM_BOUND_KINDS` whose walks take sup-norm steps on the probe
+# layout; ``l2`` takes its steps by Parseval
+SUP_NORM_KINDS = ("grid", "grid-abs", "crude")
 
 
 def rotated_rule(M: int, seed) -> CubatureRule:

@@ -33,16 +33,22 @@ Each section prints one table (`rotated-pass` one line):
   rotated-pass  one `grid` pass at M = 30 on the rotated rule: the kernel sums
                 over every node at each of the 7442 points of probe_grid(60),
                 in the degree loop of `approx._kernel_blocks`.
-  walk          per step, a `crude` walk over the whole default grid (omega so
-                high that all 59 steps run), so a step is the sup of two
-                successive fits' difference and nothing else, on the reference
-                fit's data: the Franke-plus-cap function at the nodes of
-                gauss_legendre_rule(M), Gaussian noise of sigma 0.5 (seed 1),
-                Laplace-Beltrami weights.  Each walk analyses a fresh
-                `SampleSet` on one shared plan.
+  walk          per step, a `crude` walk and an `l2` walk over the whole
+                default grid (omega so high that all 59 steps run), on the
+                reference fit's data: the Franke-plus-cap function at the
+                nodes of gauss_legendre_rule(M), Gaussian noise of sigma 0.5
+                (seed 1), Laplace-Beltrami weights.  A `crude` step is the
+                probe sup of two successive fits' difference and nothing else;
+                an `l2` step is that difference's L2 norm by Parseval and the
+                threshold's closed form, O(M).  Both walk one `SampleSet` whose
+                analysis is kept, on one plan per kind, so neither includes
+                the analysis; the `crude` walk's plan builds its probe table
+                first, outside the clock.  The `crude` walk runs up to
+                CRUDE_WALK_MAX_DEGREE (its probe table takes 505 MB at
+                M = 500), the `l2` walk at every degree.
   exp3          one `run_experiment_3(seed, 50)` at seeds 0 and 1, the bench's
                 reference size, with its walks and steps and its walks' wall
-                time per step, the `grid-abs` threshold included.
+                time per step.
   accuracy      no timing: the largest error of the ring round trip
                 `_rings.analysis(synthesis(c))` on gauss_legendre_rule(M),
                 for normal coefficients c (seed M), and the largest relative
@@ -93,6 +99,7 @@ from spherefit.cubature import _check_exactness
 
 DEGREES = (30, 60, 120)
 EXACTNESS_DEGREES = (30, 60, 120, 250, 500)
+CRUDE_WALK_MAX_DEGREE = 250
 # the dense matrix takes 222 MB at M = 60 and about 3.4 GB at M = 120
 DENSE_MAX_DEGREE = 60
 # the rotated exactness check costs O(M^4)
@@ -218,22 +225,28 @@ def rotated_pass() -> None:
 
 def walk(degrees) -> None:
     d = experiments.DEFAULTS
-    header("degree M", "steps", "wall per step", "tracemalloc peak")
+    header("degree M", "steps", "`crude` per step", "`crude` peak", "`l2` per step", "`l2` peak")
     for M in degrees:
         rule = gauss_legendre_rule(M)
         clean = experiments.franke_cap_eval(rule.points)
         spec = experiments.NoiseSpec("gaussian", d["gaussian_sigma"], DATA_SEED)
         noisy, delta = experiments.add_noise(clean, spec)
         beta = weights_laplace_beltrami(M)
-        cfg = BalancingConfig(
-            alpha0=d["grid_anchor"], q=d["grid_ratio"], L=d["grid_len"], omega=1e12,
-            delta=delta, norm_bound="crude",
-        )
-        plan = approx._Plan(rule, M)
-        run = lambda: balancing_principle(SampleSet(rule, noisy), M, beta, cfg, plan=plan)
-        steps = len(run().trace)
-        best, peak = timed(run, REPEATS, MIN_SECONDS)
-        row(M, steps, f"{1e6 * best / steps:.1f} us", f"{peak / MB:.2f} MB")
+        cells = []
+        for bound in ("crude", "l2"):
+            if bound == "crude" and M > CRUDE_WALK_MAX_DEGREE:
+                cells += ["—", "—"]
+                continue
+            cfg = BalancingConfig(
+                alpha0=d["grid_anchor"], q=d["grid_ratio"], L=d["grid_len"], omega=1e12,
+                delta=delta, norm_bound=bound,
+            )
+            plan, samples = approx._Plan(rule, M), SampleSet(rule, noisy)
+            run = lambda: balancing_principle(samples, M, beta, cfg, plan=plan)
+            steps = len(run().trace)
+            best, peak = timed(run, REPEATS, MIN_SECONDS)
+            cells += [f"{1e6 * best / steps:.2f} us", f"{peak / MB:.3f} MB"]
+        row(M, steps, *cells)
 
 
 def exp3() -> None:
@@ -285,7 +298,7 @@ SECTIONS = {
     "exactness": (exactness, EXACTNESS_DEGREES),
     "norms": (norms, DEGREES),
     "rotated-pass": (rotated_pass, None),
-    "walk": (walk, DEGREES),
+    "walk": (walk, EXACTNESS_DEGREES),
     "exp3": (exp3, None),
     "accuracy": (accuracy, EXACTNESS_DEGREES),
 }

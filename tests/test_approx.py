@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from _dense_solver import regularized_fit_via_solver
 from _scalar import sph_harm_matrix_loop, unit
 from _support import (
-    fibonacci_points, legendre_blocks, norm_probe_points, random_unit, record_table_probes,
-    ring_grid, rotated_rule, synthesized_functional, traced, zonal_sums,
+    SUP_NORM_KINDS, fibonacci_points, legendre_blocks, norm_probe_points, random_unit,
+    record_table_probes, ring_grid, rotated_rule, synthesized_functional, traced, zonal_sums,
 )
 
 from spherefit import (
@@ -522,7 +522,7 @@ class TestRingTransform:
         assert rel_err(evaluate_grid(c, rule.points), dense_values(M, rule.points, c.values)) <= 1e-12
         assert dense_calls == []
 
-    @pytest.mark.parametrize("bound", params.NORM_BOUND_KINDS)
+    @pytest.mark.parametrize("bound", SUP_NORM_KINDS)
     def test_coarse_probe_walk_takes_ring_path(self, bound, dense_calls):
         # on a rule that is no product grid, given a plan that probes
         # probe_grid(3), the walk probes its 8 azimuths, fewer than 2M + 1 at
@@ -1003,13 +1003,12 @@ class TestPlanTables:
     """A plan lends two whole ring tables on one degree layout: the rule's
     and the walk's probe rings', which share the rule's Legendre part where
     the two ring sets lie at the same heights.  The scorer of experiments 2
-    and 3 takes the probe table with its own trig table and ring weights."""
+    and 3 builds the scoring rule's table on the plan's layout."""
 
     @pytest.mark.parametrize("M", [0, 1, 2, 7, 30])
     def test_scorer_table_is_the_scoring_rules_table(self, monkeypatch, M):
-        # the scoring rule gauss_legendre_rule(max(1, 2M)) lies on the walk's
-        # probe rings bit for bit, so the probe table with the rule's trig
-        # table swapped in is the rule's own table
+        # the table of the scoring rule gauss_legendre_rule(max(1, 2M)), on
+        # the plan's degree layout; the plan builds no probe table for it
         tables, synthesis = [], _rings.synthesis
         monkeypatch.setattr(_rings, "synthesis", lambda t, c: tables.append(t) or synthesis(t, c))
         plan = approx._Plan(gauss_legendre_rule(M), M)
@@ -1021,7 +1020,8 @@ class TestPlanTables:
         for name, a, b in zip(fresh._fields, table, fresh):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
-        assert table.P is plan.probe_table.P
+        assert table.position is plan.layout.position
+        assert "probe_table" not in vars(plan)
 
     @pytest.mark.parametrize("product, builds", [(False, 0), (True, 2)])
     def test_grid_oracle_reads_ring_tables_only_on_a_product_rule(
@@ -1203,7 +1203,7 @@ class TestInvariantProbeSet:
         # representatives formed from the layout are the set's points, bit for bit
         reps = _rings.ring_points(probe_rings.meridian[rings], Ap, azimuths)
         assert np.array_equal(reps, probes[block_indices(probe_rings, rings, azimuths)])
-        oracle = {b: approx._norm_oracle(rule, M, probe_rings, b) for b in params.NORM_BOUND_KINDS}
+        oracle = {b: approx._norm_oracle(rule, M, probe_rings, b) for b in SUP_NORM_KINDS}
         table = zonal_sums(rule, probes, np.eye(M + 1))
         beta = params.weights_laplace_beltrami(M)
         for alpha in rng.uniform(0.0, 1.0, 2):

@@ -162,6 +162,28 @@ class TestFit:
         assert trace[0] == "alpha,difference,threshold,triggered"
         assert len(trace) >= 2
 
+    @pytest.mark.parametrize("omega, stop, steps", [(None, "first-step", 1), ("1e12", "grid-end", 59)])
+    def test_bp_records_where_the_walk_stopped(self, tmp_path, capsys, omega, stop, steps):
+        # the reference data at M = 30: the default `grid` walk at omega
+        # 0.002 stops at its first step, and says so without a warning
+        M = 30
+        rule = gauss_legendre_rule(M)
+        spec = NoiseSpec("gaussian", 0.5, 1)
+        noisy, delta = add_noise(franke_cap_eval(rule.points), spec)
+        samples = tmp_path / "samples.csv"
+        write_samples(samples, noisy)
+        out = tmp_path / "fit"
+        argv = ["fit", "--degree", str(M), "--samples", str(samples), "--beta",
+                "laplace-beltrami", "--bp", "--noise-level", repr(delta), "--out", str(out)]
+        assert main(argv + ([] if omega is None else ["--omega", omega])) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "fit_summary.json").read_text())
+        assert summary["bp_stop"] == stop
+        assert len((out / "bp_trace.csv").read_text().splitlines()) == 1 + steps
+        fixed = tmp_path / "fixed"
+        assert main(argv[:7] + ["--alpha", "1e-4", "--out", str(fixed)]) == 0
+        assert "bp_stop" not in json.loads((fixed / "fit_summary.json").read_text())
+
     def test_summary_does_not_depend_on_the_output_directory(self, tmp_path):
         # the summary names its sibling files relative to the output
         # directory, so the same fit written twice gives the same bytes
@@ -832,20 +854,20 @@ class TestOnePlanPerRun:
 
     def test_experiment_3(self, builds):
         # over 105 walks and 101 scores: the rule's rings on 62 azimuths, and
-        # the probe rings, which the probe rule gauss_legendre_rule(2M) shares,
-        # on the walks' 4(M+1) and the probe rule's 2(2M+1)
+        # the scoring rule gauss_legendre_rule(2M)'s on 2(2M+1); the `l2`
+        # walks build no probe table and classify no probes
         run_experiment_3(0, 2)
         layouts, legendre, trig, classified = builds
         assert layouts == [30]
         assert len(legendre) == len(set(legendre)) == 2
-        assert sorted(trig) == [(30, 62), (30, 122), (30, 124)]
-        assert len(classified) == 1
+        assert sorted(trig) == [(30, 62), (30, 122)]
+        assert classified == []
 
     def test_experiment_2(self, builds):
-        # the same three tables for one walk and one score
+        # the same two tables for one walk and one score
         run_experiment_2(0)
         layouts, legendre, trig, classified = builds
         assert layouts == [30]
         assert len(legendre) == len(set(legendre)) == 2
-        assert sorted(trig) == [(30, 62), (30, 122), (30, 124)]
-        assert len(classified) == 1
+        assert sorted(trig) == [(30, 62), (30, 122)]
+        assert classified == []

@@ -21,7 +21,7 @@ from spherefit import (
     sgg_generate,
     sgg_recover,
 )
-from spherefit import experiments
+from spherefit import _rings, approx, experiments
 from spherefit.experiments import (
     SggModel,
     write_experiment_1,
@@ -251,6 +251,43 @@ class TestExperimentRuns:
         assert set(res.curves) == {"laplace-beltrami+bp", "selected-kernel+bp"}
         sel_reports = [r for r in res.reports if r.method == "selected-kernel+bp"]
         assert all(r.lambda1 == b.lambda1 for r in sel_reports)
+
+
+class TestWalkNorms:
+    """Experiment 1 balances sup norms with the `crude` bound; experiments 2
+    and 3, scored in relative L2 error, balance in L2 at their own omega."""
+
+    def test_echoes_name_the_bound_and_its_omega(self):
+        d = experiments.DEFAULTS
+        one, two, three = (experiments._config(n, 0, None if n == 2 else 1) for n in (1, 2, 3))
+        assert (one["bp_norm_bound"], one["omega"]) == ("crude", d["omega"])
+        for echo in (two, three):
+            assert (echo["bp_norm_bound"], echo["omega"]) == ("l2", d["l2_omega"])
+            assert "l2_omega" not in echo
+        # `bench/ops.py` rebuilds experiment 3's alpha grid from these keys
+        for key in ("omega", "grid_anchor", "grid_ratio", "grid_len", "bp_norm_bound",
+                    "search_box", "simulations"):
+            assert key in three
+
+    @pytest.fixture
+    def probe_passes(self, monkeypatch):
+        calls = []
+        for module, name in (
+            (approx, "_probe_rings"), (_rings, "degree_weighted_sup"),
+            (approx, "weighted_abs_legendre_sums"), (_rings, "weighted_abs_kernel_sums"),
+        ):
+            def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_experiments_2_and_3_make_no_probe_pass(self, probe_passes):
+        # no probe rings (so no probe table), no sup step, no probe sums
+        run_experiment_2(0)
+        run_experiment_3(0, 2)
+        assert probe_passes == []
 
 
 class TestReportsRoundTrip:

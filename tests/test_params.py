@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _support import norm_probe_points, record_table_probes, traced
+from _support import SUP_NORM_KINDS, norm_probe_points, record_table_probes, rotated_rule, traced
 
 from spherefit import (
     BalancingConfig,
@@ -21,6 +23,7 @@ from spherefit import (
     probe_grid,
     regularized_fit,
     save_bp_trace,
+    sph_harm_matrix,
     weights_from_kernel_params,
     weights_laplace_beltrami,
     weights_ones,
@@ -418,7 +421,7 @@ class TestWalkAgainstFullSynthesis:
         return alpha_star, triggered, steps, max(np.abs(f).max() for f in fits)
 
     @pytest.mark.parametrize("sigma", [0.005, 0.05, 0.5])
-    @pytest.mark.parametrize("bound", params.NORM_BOUND_KINDS)
+    @pytest.mark.parametrize("bound", SUP_NORM_KINDS)
     def test_same_walk_as_full_synthesis(self, bound, sigma):
         # the reference fit's data.  Both walks compute the thresholds by
         # the same expression, so they agree bit for bit.  The differences
@@ -442,6 +445,111 @@ class TestWalkAgainstFullSynthesis:
             assert step.alpha == alpha and step.threshold == threshold
             assert step.triggered == hit
             assert abs(step.difference - difference) <= 1e-12 * scale
+
+
+class TestL2Walk:
+    """The ``l2`` walk balances L2 norms on the sphere in closed form: a
+    step's difference by Parseval from the kept analysis, the threshold's
+    norm by the addition theorem from the rule's weights."""
+
+    RULES = ("product", "product-finer", "rotated")
+
+    @staticmethod
+    def rule_of(kind, M, rng):
+        if kind == "product":
+            return gauss_legendre_rule(M)
+        if kind == "product-finer":
+            return gauss_legendre_rule(M + 3)
+        return rotated_rule(M, rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.integers(0, 12), kind=st.sampled_from(RULES), seed=st.integers(0, 2**32 - 1))
+    @example(M=0, kind="rotated", seed=0)
+    @example(M=12, kind="product", seed=1)
+    def test_difference_is_the_cubature_l2_norm_property(self, M, kind, seed):
+        # each step's difference against the L2 norm, by cubature on the
+        # rule (exact for the square of a degree-M polynomial), of the
+        # difference of the two fits synthesized at the nodes; omega so high
+        # that every step is taken
+        rng = np.random.default_rng(seed)
+        rule = self.rule_of(kind, M, rng)
+        samples = SampleSet(rule, rng.normal(size=rule.n_points))
+        k = np.arange(M + 1.0)
+        beta = PenalizationWeights(M, 1.0 + k * (k + 1.0))
+        cfg = BalancingConfig(alpha0=4.0, q=0.5, L=10, omega=1e12, delta=1.0, norm_bound="l2")
+        res = balancing_principle(samples, M, beta, cfg)
+        assert len(res.trace) == cfg.L - 1 and res.stop == "grid-end"
+        alphas = cfg.grid()
+        for z, step in zip(range(cfg.L - 2, -1, -1), res.trace):
+            near, far = (
+                approx.evaluate_grid(regularized_fit(samples, M, alphas[i], beta), rule.points)
+                for i in (z, z + 1)
+            )
+            expected = float(np.sqrt(rule.weights @ (near - far) ** 2))
+            assert step.alpha == alphas[z]
+            assert abs(step.difference - expected) <= 1e-12 * expected
+
+    def test_threshold_norm_is_the_rms_l2_norm_of_the_fit_of_white_noise(self):
+        # on a rule with no ring layout: E ||T_f eps||^2 = sigma^2 tr(A) for
+        # A = W Y^T F^2 Y W, and tr(A) is sum_i w_i^2 / (4 pi) sum_k (2k+1)
+        # f_k^2 by the addition theorem, the square of the norm in the
+        # threshold of a one-step walk (omega = delta = 1) at alpha = alpha_2,
+        # to rounding.  The mean over N draws of ||T_f eps||^2 (by Parseval,
+        # the fit's squared coefficient norm) has standard deviation
+        # sigma^2 sqrt(2 tr(A^2) / N); it must lie within 5 of them
+        M, sigma, N = 8, 0.7, 1000
+        rng = np.random.default_rng(31)
+        rule = rotated_rule(M, rng)
+        assert rule.rings is None
+        beta = weights_laplace_beltrami(M)
+        cfg = BalancingConfig(alpha0=1.2e-2, q=0.5, L=2, omega=1.0, delta=1.0, norm_bound="l2")
+        alpha = cfg.grid()[1]
+        f = filter_factors(M, alpha, beta)
+        (step,) = balancing_principle(SampleSet(rule, rng.normal(size=rule.n_points)), M, beta, cfg).trace
+        expected = (sigma * step.threshold) ** 2
+        B = expand_by_degree(f)[:, None] * sph_harm_matrix(M, rule.points) * rule.weights
+        A = B.T @ B
+        assert sigma**2 * np.trace(A) == pytest.approx(expected, rel=1e-12)
+        squares = [
+            regularized_fit(SampleSet(rule, rng.normal(0.0, sigma, rule.n_points)), M, alpha, beta)
+            .norm() ** 2
+            for _ in range(N)
+        ]
+        spread = sigma**2 * np.sqrt(2.0 * np.sum(A * A) / N)
+        assert abs(np.mean(squares) - expected) <= 5.0 * spread
+        assert spread <= 0.05 * expected  # the check is not vacuous
+
+
+class TestStopReason:
+    """`BalancingResult.stop` says where the walk stopped, from `triggered`
+    and the trace length; it adds no field."""
+
+    def test_derived_from_triggered_and_trace_length(self):
+        step = params.TraceStep(0.1, 1.0, 0.5, True)
+        assert params.BalancingResult(0.1, True, (step,)).stop == "first-step"
+        assert params.BalancingResult(0.1, True, (step, step)).stop == "interior"
+        assert params.BalancingResult(0.1, False, (step, step)).stop == "grid-end"
+        assert params.BalancingResult(0.1, False, (step,)).stop == "grid-end"
+
+    def test_no_field_added(self):
+        names = [f.name for f in dataclasses.fields(params.BalancingResult)]
+        assert names == ["alpha_star", "triggered", "trace"]
+        assert params.BalancingResult(0.1, False, ()) == params.BalancingResult(0.1, False, ())
+
+    @pytest.mark.parametrize(
+        "omega, stop", [(1e-12, "first-step"), (0.03, "interior"), (1e12, "grid-end")]
+    )
+    def test_each_stop_of_an_l2_walk(self, omega, stop):
+        # the reference fit's data: Franke-plus-cap at the nodes, sigma 0.5
+        M = 30
+        rule = gauss_legendre_rule(M)
+        spec = experiments.NoiseSpec("gaussian", 0.5, 1)
+        noisy, delta = experiments.add_noise(experiments.franke_cap_eval(rule.points), spec)
+        cfg = BalancingConfig(alpha0=8.0, q=0.8, L=60, omega=omega, delta=delta, norm_bound="l2")
+        res = balancing_principle(SampleSet(rule, noisy), M, weights_laplace_beltrami(M), cfg)
+        assert res.stop == stop
+        assert res.triggered == (stop != "grid-end")
+        assert (len(res.trace) == 1) == (stop == "first-step")
 
 
 class TestOneAnalysisPerSampleSet:
