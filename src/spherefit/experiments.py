@@ -18,6 +18,7 @@ from . import _rings
 from ._files import write_csv, write_json
 from .approx import (
     NORM_BOUND_KINDS, HarmonicCoefficients, SampleSet, _Plan, analyze, expand_by_degree,
+    filter_factors,
 )
 from .cubature import CubatureRule, gauss_legendre_rule
 from .harmonics import _whole_number, as_unit_vectors
@@ -27,6 +28,7 @@ from .params import (
     KernelSelectResult,
     RandomSearchConfig,
     _balanced_fit,
+    _l2_alphas,
     kernel_select,
     weights_from_kernel_params,
     weights_laplace_beltrami,
@@ -314,26 +316,26 @@ def _study(config: dict) -> tuple[int, CubatureRule, _Plan]:
 def _franke_scorer(plan: _Plan):
     """The Franke-plus-cap function on gauss_legendre_rule(plan.resolution):
     returns its points, its values there and a scorer of degree-M
-    coefficients, which gives the fit's values there, its
-    `_weighted_l2_rel_error` and its sup error.  The scorer synthesizes on
-    the rule's ring table, built once on the plan's degree layout."""
+    coefficients, which gives the fit's values there, its relative error
+    in `_weighted_l2_norm` and its sup error.  The scorer synthesizes on
+    the rule's ring table, built once on the plan's degree layout; the
+    truth's norm is taken once, with the scorer."""
     rule = gauss_legendre_rule(plan.resolution)
     table = _rings.ring_table(plan.layout, rule.rings)
     truth = franke_cap_eval(rule.points)
+    truth_norm = _weighted_l2_norm(rule, truth)
 
     def score(coeffs: HarmonicCoefficients) -> tuple[np.ndarray, float, float]:
         values = _rings.synthesis(table, coeffs.values)
-        rel_error = _weighted_l2_rel_error(rule, values, truth)
-        return values, rel_error, float(np.abs(values - truth).max())
+        error = values - truth
+        return values, _weighted_l2_norm(rule, error) / truth_norm, float(np.abs(error).max())
 
     return rule.points, truth, score
 
 
-def _weighted_l2_rel_error(rule, values, truth_values) -> float:
-    """Quadrature estimate of ||f - g||_L2 / ||g||_L2 from node values."""
-    num = float(np.sqrt(rule.weights @ (values - truth_values) ** 2))
-    den = float(np.sqrt(rule.weights @ truth_values**2))
-    return num / den
+def _weighted_l2_norm(rule, values) -> float:
+    """Quadrature estimate of ||f||_L2 from the values of f at the nodes."""
+    return float(np.sqrt(rule.weights @ values**2))
 
 
 def _report(config, run_id, method, alpha, rel_error, sup_error=None, kernel=None):
@@ -480,7 +482,12 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
     against the Laplace-Beltrami weights on fresh noisy realizations, both
     with balanced alphas, in relative L2 error against the clean function.
     Every walk balances L2 norms (the ``l2`` bound at DEFAULTS["l2_omega"]),
-    O(M) per step with no probe layout.  `simulations` defaults to DEFAULTS'.
+    O(M) per step with no probe layout.  The simulations are analyzed first,
+    keeping each analysis and, as its walk's delta, its realized sup norm;
+    then each method walks them all in one batch (`params._l2_walks`), each
+    walk equal to its `balancing_principle`, and the fits, each equal to its
+    `regularized_fit`, are scored and reported by simulation.  `simulations`
+    defaults to DEFAULTS'.
     """
     config = _config(3, seed, simulations)
     seed, simulations, noise_kind = config["seed"], config["simulations"], config["noise_kind"]
@@ -505,19 +512,29 @@ def run_experiment_3(seed: int = 0, simulations: int | None = None):
         "laplace-beltrami+bp": (weights_laplace_beltrami(M), None),
         "selected-kernel+bp": (weights_from_kernel_params(M, selection.best), selection.best),
     }
+    # keep each simulation's analysis and realized sup norm, its walk's delta
+    gammas, deltas = np.empty((simulations, (M + 1) ** 2)), np.empty(simulations)
+    for sim in range(simulations):
+        noisy, deltas[sim] = add_noise(
+            clean, NoiseSpec(noise_kind, config["gaussian_sigma"], [seed, 1, sim])
+        )
+        gammas[sim] = analyze(SampleSet(rule, noisy), M, plan=plan).values
+    grid = _bp_config(config, 0.0).grid()  # each walk's delta is its simulation's
+    alphas = {
+        method: _l2_alphas(rule.weights, gammas, beta.beta, grid, config["omega"] * deltas)
+        for method, (beta, _) in methods.items()
+    }
     errors = {m: np.empty(simulations) for m in methods}
     reports = []
     for sim in range(simulations):
-        noisy, eps_sup = add_noise(
-            clean, NoiseSpec(noise_kind, config["gaussian_sigma"], [seed, 1, sim])
-        )
-        samples = SampleSet(rule, noisy)
         for method, (beta, kernel) in methods.items():
-            bres, gamma = _balanced_fit(samples, M, beta, _bp_config(config, eps_sup), plan)
-            _, err, sup_error = score(gamma)
+            alpha = alphas[method][sim]
+            # `regularized_fit` of the simulation's samples, from the kept analysis
+            fit = expand_by_degree(filter_factors(M, alpha, beta)) * gammas[sim]
+            _, err, sup_error = score(HarmonicCoefficients(M, fit))
             errors[method][sim] = err
-            reports.append(_report(config, f"exp3-sim{sim:03d}-{method}", method,
-                                   bres.alpha_star, err, sup_error, kernel))
+            reports.append(_report(config, f"exp3-sim{sim:03d}-{method}", method, alpha, err,
+                                   sup_error, kernel))
     curves = {m: _sorted_curve(errors[m]) for m in methods}
     return _StudyResult(reports, curves, config, selection)
 

@@ -207,49 +207,109 @@ def balancing_principle(
     omega * delta * ||T_{alpha_{z+1}}|| in the norm `cfg.norm_bound` names.
     Every comparison is recorded in the trace; if the threshold is never
     exceeded the largest grid value is returned with `triggered=False`.
+    `alpha_star` is a Python float.
 
     The two fits differ by the degree filter f(alpha)_k = 1/(1 + alpha beta_k^2)
     alone, so a step's difference comes from the kept analysis coefficients
     gamma weighted by d = f(alpha_z) - f(alpha_{z+1}); no fit is synthesized.
     In the sup norm it is the probe maximum `_rings.degree_weighted_sup`, and
-    the threshold's norm is the `cfg.norm_bound` oracle at f = f(alpha_{z+1}).
-    In L2 (``l2``) both are closed forms, O(M) per step with no probe: the
+    the threshold's norm is the `cfg.norm_bound` oracle at f = f(alpha_{z+1});
+    each step is a probe pass, taken only until the walk stops.  In L2
+    (``l2``) both are closed forms, O(M) per step with no probe: the
     difference is sqrt(sum_k d_k^2 E_k) by Parseval, with the per-degree
     energies E_k = sum_j gamma_kj^2, and the norm is the root-mean-square L2
     norm of the fit of unit white noise at the nodes, sqrt(sum_i w_i^2 /
     (4 pi)) sqrt(sum_k (2k+1) f_k^2), exact on any rule exact to degree 2M
-    by the addition theorem.  `plan`, an `approx._Plan`, lends the probe
-    rings' table and the oracle.
+    by the addition theorem.  Its steps are one row of `_l2_walks`, which
+    `kernel_select` and experiment 3 run for many rows at once; an energy
+    beyond the float range is refused (ValueError).  `plan`, an
+    `approx._Plan`, lends the probe rings' table and the oracle.
     """
     filter_factors(M, 0.0, beta)  # checks the weights' degree
     alphas = cfg.grid()
     plan = _plan_for(plan, samples.rule, M)
     gamma = analyze(samples, M, plan=plan).values
+    omega_delta = cfg.omega * cfg.delta
     if cfg.norm_bound == "l2":
-        energies = np.add.reduceat(gamma * gamma, np.arange(M + 1) ** 2)
-        odd = 2 * np.arange(M + 1) + 1.0
-        w = samples.rule.weights
-        noise = np.sqrt(w @ w / FOUR_PI)
-        step = lambda d: float(np.sqrt((d * d) @ energies))
-        norm = lambda f: float(noise * np.sqrt(odd @ (f * f)))
+        [(_, (differences,), (thresholds,))] = _l2_walks(
+            samples.rule.weights, gamma, beta.beta, alphas, omega_delta
+        )
+        steps = zip(alphas[-2::-1], differences, thresholds)
     else:
         step = _rings.degree_weighted_sup(plan.probe_table, gamma)
         norm = plan.norm(cfg.norm_bound)
-    with np.errstate(over="ignore"):  # f = 0, the exact limit, where alpha*beta_k^2 overflows
-        factors = 1.0 / (1.0 + np.multiply.outer(alphas, beta.beta**2))
-    omega_delta = cfg.omega * cfg.delta
+        with np.errstate(over="ignore"):  # f = 0, the exact limit, where alpha*beta_k^2 overflows
+            factors = 1.0 / (1.0 + np.multiply.outer(alphas, beta.beta**2))
+        steps = (
+            (alphas[z], step(factors[z] - factors[z + 1]), omega_delta * norm(factors[z + 1]))
+            for z in range(cfg.L - 2, -1, -1)
+        )
 
     trace = []
-    alpha_star, triggered = alphas[0], False
-    for z in range(cfg.L - 2, -1, -1):
-        difference = step(factors[z] - factors[z + 1])
-        threshold = omega_delta * norm(factors[z + 1])
-        hit = difference > threshold
-        trace.append(TraceStep(float(alphas[z]), difference, float(threshold), hit))
-        if hit:
-            alpha_star, triggered = float(alphas[z]), True
+    for alpha, difference, threshold in steps:
+        trace.append(TraceStep(float(alpha), float(difference), float(threshold),
+                               bool(difference > threshold)))
+        if trace[-1].triggered:
             break
-    return BalancingResult(alpha_star, triggered, tuple(trace))
+    triggered = trace[-1].triggered
+    return BalancingResult(trace[-1].alpha if triggered else float(alphas[0]), triggered,
+                           tuple(trace))
+
+
+# entries of each (rows, grid, degrees) array of one block of `_l2_walks`,
+# 256 KB: a search over thousands of candidates stays within a few MB, as
+# `approx._BLOCK_PAIRS` bounds the kernel sums
+_WALK_BLOCK = 32_768
+
+
+def _l2_walks(weights, gamma, beta, alphas, omega_delta):
+    """The ``l2`` walk of `balancing_principle` for many rows at once, on
+    the rule of node weights `weights` and the decreasing grid `alphas`.
+
+    Row r walks the analysis coefficients gamma[r] with the penalization
+    weights beta[r] and the threshold factor omega_delta[r] = omega * delta;
+    an argument with one row (or a 1-D one) serves every row.  Yields, per
+    block of rows, (stops, differences, thresholds): differences[r, s] and
+    thresholds[r, s] belong to step s, which compares alpha_z with
+    alpha_{z+1} at z = L - 2 - s, and stops[r] indexes the row's alpha_star
+    in `alphas`: the first step from the small end whose difference exceeds
+    its threshold, else 0.  Each row's values are those of the row walked
+    alone, bit for bit.  ValueError where an energy sum_j gamma_kj^2 is not
+    finite.
+    """
+    gamma, beta = np.atleast_2d(gamma, beta)
+    omega_delta = np.atleast_1d(omega_delta)
+    M = beta.shape[1] - 1
+    with np.errstate(over="ignore"):  # inf, refused below, or f = 0, the exact limit
+        energies = np.add.reduceat(gamma * gamma, np.arange(M + 1) ** 2, axis=1)
+        beta_sq = beta**2
+    if not np.isfinite(energies).all():
+        raise ValueError("the l2 walk needs finite per-degree energies sum_j gamma_kj^2; "
+                         "the samples' analysis exceeds the float range")
+    noise = np.sqrt(weights @ weights / FOUR_PI)
+    odd = 2 * np.arange(M + 1) + 1.0
+    ascending = alphas[::-1, None]
+    rows = max(len(energies), len(beta_sq), len(omega_delta))
+    chunk = max(1, _WALK_BLOCK // (alphas.size * (M + 1)))
+    for lo in range(0, rows, chunk):
+        block = lambda a: a if len(a) == 1 else a[lo : lo + chunk]
+        with np.errstate(over="ignore"):
+            f = 1.0 / (1.0 + ascending * block(beta_sq)[:, None, :])
+        d = f[:, 1:] - f[:, :-1]
+        d *= d  # squared in place, as f below: three arrays of a block at a time
+        differences = np.sqrt((d * block(energies)[:, None, :]).sum(axis=2))
+        f *= f
+        norms = noise * np.sqrt((odd * f[:, :-1]).sum(axis=2))
+        thresholds = block(omega_delta)[:, None] * norms
+        hit = differences > thresholds
+        stops = np.where(hit.any(axis=1), alphas.size - 2 - hit.argmax(axis=1), 0)
+        yield stops, differences, thresholds
+
+
+def _l2_alphas(weights, gamma, beta, alphas, omega_delta) -> list:
+    """Each row's alpha_star of `_l2_walks`, as Python floats."""
+    stops = [stops for stops, _, _ in _l2_walks(weights, gamma, beta, alphas, omega_delta)]
+    return alphas[np.concatenate(stops)].tolist()
 
 
 def _balanced_fit(samples: SampleSet, M: int, beta: PenalizationWeights, cfg, plan):
@@ -276,9 +336,14 @@ def kernel_select(
     A candidate (lambda1, lambda2) is scored by the penalized functional of
     its own balanced fit: weights from the candidate, alpha from the
     balancing principle, functional evaluated at the resulting coefficients.
-    Each run keeps the best of its uniform draws; the reported optimum is the
-    coordinate-wise mean of the per-run winners, scored once more at the end.
-    Every walk and fit shares one `approx._Plan`, `plan` when given.
+    Each run draws its candidates, walks them, then keeps the first of its
+    smallest objectives; a NaN never wins, and a run with no finite objective
+    is refused (ValueError).  The reported optimum is the coordinate-wise mean
+    of the per-run winners, scored once more at the end.  With the ``l2``
+    bound a run's walks are one batch (`_l2_walks`), each equal to its
+    `balancing_principle`; a sup-norm walk is one `balancing_principle` call
+    per candidate.  Every walk and fit shares one `approx._Plan`, `plan` when
+    given.
 
     The weights grow with both rates, so a box whose upper corner gives
     weights beyond the float range is refused (ValueError) before the first
@@ -289,21 +354,32 @@ def kernel_select(
     weights_from_kernel_params(M, KernelParams(l1hi, l2hi))
     plan = _plan_for(plan, samples.rule, M)
 
-    def objective(p: KernelParams) -> float:
-        beta = weights_from_kernel_params(M, p)
-        bres, gamma = _balanced_fit(samples, M, beta, bp, plan)
-        return penalized_functional(samples, gamma, bres.alpha_star, beta)
+    def objectives(candidates) -> list:
+        betas = [weights_from_kernel_params(M, p) for p in candidates]
+        if bp.norm_bound == "l2":
+            gamma = analyze(samples, M, plan=plan).values
+            alphas = _l2_alphas(samples.rule.weights, gamma, np.array([b.beta for b in betas]),
+                                bp.grid(), bp.omega * bp.delta)
+        else:
+            alphas = [balancing_principle(samples, M, b, bp, plan=plan).alpha_star for b in betas]
+        return [
+            penalized_functional(samples, regularized_fit(samples, M, a, b, plan=plan), a, b)
+            for a, b in zip(alphas, betas)
+        ]
 
     per_run, values = [], []
     for run in range(search.runs):
         rng = np.random.default_rng([search.seed, run])
+        # Generator.uniform(a, a) is exactly a, so a collapsed axis draws its endpoint
+        candidates = [KernelParams(float(rng.uniform(l1lo, l1hi)), float(rng.uniform(l2lo, l2hi)))
+                      for _ in range(search.steps_per_run)]
         best_p, best_v = None, np.inf
-        for _ in range(search.steps_per_run):
-            # Generator.uniform(a, a) is exactly a, so a collapsed axis draws its endpoint
-            p = KernelParams(float(rng.uniform(l1lo, l1hi)), float(rng.uniform(l2lo, l2hi)))
-            v = objective(p)
+        for p, v in zip(candidates, objectives(candidates)):
             if v < best_v:
                 best_p, best_v = p, v
+        if best_p is None:
+            raise ValueError(f"run {run} of the kernel search has no candidate with a finite "
+                             "objective")
         per_run.append(best_p)
         values.append(best_v)
 
@@ -315,10 +391,11 @@ def kernel_select(
         mean_of([p.lambda1 for p in per_run]),
         mean_of([p.lambda2 for p in per_run]),
     )
+    [best_objective] = objectives([best])
     return KernelSelectResult(
         best=best,
         per_run=tuple(per_run),
         objective_values=tuple(values),
-        best_objective=objective(best),
+        best_objective=best_objective,
         seed=search.seed,
     )

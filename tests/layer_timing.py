@@ -47,8 +47,10 @@ Each section prints one table (`rotated-pass` one line):
                 CRUDE_WALK_MAX_DEGREE (its probe table takes 505 MB at
                 M = 500), the `l2` walk at every degree.
   exp3          one `run_experiment_3(seed, 50)` at seeds 0 and 1, the bench's
-                reference size, with its walks and steps and its walks' wall
-                time per step.
+                reference size, with the wall time of its two phases: the
+                search (`kernel_select`: 101 walks, fits and functionals)
+                and the comparison that follows it (50 noise draws and
+                analyses, one batched walk per method, 100 fits and scores).
   accuracy      no timing: the largest error of the ring round trip
                 `_rings.analysis(synthesis(c))` on gauss_legendre_rule(M),
                 for normal coefficients c (seed M), and the largest relative
@@ -92,7 +94,7 @@ from _support import (
 
 from spherefit import (
     BalancingConfig, HarmonicCoefficients, SampleSet, _rings, analyze, approx, balancing_principle,
-    evaluate_grid, experiments, gauss_legendre_nodes, gauss_legendre_rule, params,
+    evaluate_grid, experiments, gauss_legendre_nodes, gauss_legendre_rule,
     penalized_functional, sph_harm_matrix, weights_laplace_beltrami,
 )
 from spherefit.cubature import _check_exactness
@@ -250,30 +252,27 @@ def walk(degrees) -> None:
 
 
 def exp3() -> None:
-    walks = {"calls": 0, "steps": 0, "seconds": 0.0}
-    inner = params.balancing_principle
+    marks = {}
+    inner = experiments.kernel_select
 
-    def counted(*args, **kwargs):
-        t0 = time.perf_counter()
+    def timed_search(*args, **kwargs):
+        marks["search"] = time.perf_counter()
         result = inner(*args, **kwargs)
-        walks["seconds"] += time.perf_counter() - t0
-        walks["calls"] += 1
-        walks["steps"] += len(result.trace)
+        marks["comparison"] = time.perf_counter()
         return result
 
-    header("seed", "op wall", "walks", "steps", "walk wall per step", "tracemalloc peak")
-    # `params._balanced_fit` and `params.kernel_select` look the walk up in params
-    with mock.patch.object(params, "balancing_principle", counted):
+    header("seed", "op wall", "search", "comparison", "tracemalloc peak")
+    # `run_experiment_3` looks the search up in experiments
+    with mock.patch.object(experiments, "kernel_select", timed_search):
         for seed in EXP3_SEEDS:
-            walks.update(calls=0, steps=0, seconds=0.0)
             t0 = time.perf_counter()
             experiments.run_experiment_3(seed, EXP3_SIMULATIONS)
-            wall = time.perf_counter() - t0
-            calls, steps, seconds = walks["calls"], walks["steps"], walks["seconds"]
+            end = time.perf_counter()
+            search, comparison = marks["comparison"] - marks["search"], end - marks["comparison"]
             peak = traced(lambda: experiments.run_experiment_3(seed, EXP3_SIMULATIONS)).peak
             row(
-                seed, f"{wall:.3f} s", calls, steps, f"{1e6 * seconds / steps:.1f} us",
-                f"{peak / MB:.2f} MB",
+                seed, f"{1e3 * (end - t0):.1f} ms", f"{1e3 * search:.1f} ms",
+                f"{1e3 * comparison:.1f} ms", f"{peak / MB:.2f} MB",
             )
 
 

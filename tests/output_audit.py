@@ -4,7 +4,7 @@ so two trees can be checked for byte-identical outputs by diffing two runs.
 Into OUT_DIR it writes, through `spherefit.cli.main`:
   exp<N>_seed<S>/  experiments 1-3 for each seed (default simulation counts)
   rule.csv         gen-rule at the reference degree
-  fit-<bound>/     fit --bp with each operator-norm bound (grid, grid-abs, crude)
+  fit-<bound>/     fit --bp with each norm bound (grid, grid-abs, crude, l2)
   fit-fixed/       fit at a fixed alpha
 The fits use the reference data: the Franke-plus-cap function at the degree-30
 rule's nodes, Gaussian noise of sigma 0.5 (seed 1), Laplace-Beltrami weights.
@@ -35,7 +35,7 @@ from spherefit import cli, experiments, gauss_legendre_rule
 DEGREE = 30
 DATA_SEED = 1
 FIXED_ALPHA = 1e-4
-BOUNDS = ("grid", "grid-abs", "crude")
+BOUNDS = ("grid", "grid-abs", "crude", "l2")
 
 
 def run(argv: list[str]) -> None:

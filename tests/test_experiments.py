@@ -10,9 +10,11 @@ from spherefit import (
     SampleSet,
     add_noise,
     analyze,
+    balancing_principle,
     evaluate_grid,
     franke_cap_eval,
     gauss_legendre_rule,
+    regularized_fit,
     relative_error_l2,
     rerun_from_config,
     run_experiment_1,
@@ -20,6 +22,8 @@ from spherefit import (
     run_experiment_3,
     sgg_generate,
     sgg_recover,
+    weights_from_kernel_params,
+    weights_laplace_beltrami,
 )
 from spherefit import _rings, approx, experiments
 from spherefit.experiments import (
@@ -251,6 +255,39 @@ class TestExperimentRuns:
         assert set(res.curves) == {"laplace-beltrami+bp", "selected-kernel+bp"}
         sel_reports = [r for r in res.reports if r.method == "selected-kernel+bp"]
         assert all(r.lambda1 == b.lambda1 for r in sel_reports)
+
+    def test_experiment_3_batches_equal_single_walks_and_fits(self, monkeypatch):
+        # at the defaults, seed 0: each method walks the 50 simulations in
+        # one batch; each report's alpha_star is the simulation's own walk,
+        # and each scored fit is `regularized_fit` at it
+        scored, scorer = [], experiments._franke_scorer
+
+        def recording(plan):
+            *rest, score = scorer(plan)
+            return (*rest, lambda coeffs: scored.append(coeffs.values) or score(coeffs))
+
+        monkeypatch.setattr(experiments, "_franke_scorer", recording)
+        res = run_experiment_3(0)
+        config, M = res.config, res.config["degree"]
+        rule = gauss_legendre_rule(M)
+        clean = franke_cap_eval(rule.points)
+        methods = {
+            "laplace-beltrami+bp": weights_laplace_beltrami(M),
+            "selected-kernel+bp": weights_from_kernel_params(M, res.selection.best),
+        }
+        reports, fits = iter(res.reports), iter(scored)
+        for sim in range(config["simulations"]):
+            spec = NoiseSpec("gaussian", config["gaussian_sigma"], [0, 1, sim])
+            noisy, eps_sup = add_noise(clean, spec)
+            samples = SampleSet(rule, noisy)
+            for method, beta in methods.items():
+                report = next(reports)
+                cfg = experiments._bp_config(config, eps_sup)
+                bres = balancing_principle(samples, M, beta, cfg)
+                assert report.method == method and report.alpha_star == bres.alpha_star
+                fit = regularized_fit(samples, M, bres.alpha_star, beta).values
+                assert np.array_equal(next(fits), fit)
+        assert next(reports, None) is None and next(fits, None) is None
 
 
 class TestWalkNorms:

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -519,6 +520,58 @@ class TestL2Walk:
         assert abs(np.mean(squares) - expected) <= 5.0 * spread
         assert spread <= 0.05 * expected  # the check is not vacuous
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        M=st.integers(0, 12), kind=st.sampled_from(("product", "rotated")),
+        by=st.sampled_from(("weights", "samples")), rows=st.integers(1, 6),
+        block=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(M=12, kind="product", by="weights", rows=6, block=1, seed=2)
+    @example(M=0, kind="rotated", by="samples", rows=5, block=1000, seed=3)
+    def test_batched_rows_equal_single_walks_property(self, M, kind, by, rows, block, seed):
+        # a row is one weight vector against one sample set's energies, or
+        # one sample set, with its own delta, against one weight vector; each
+        # row of a batch, in blocks of `block` entries, gives the alpha,
+        # differences and thresholds of `balancing_principle` on that row
+        rng = np.random.default_rng(seed)
+        rule = self.rule_of(kind, M, rng)
+        many = lambda which: rows if by == which else 1
+        samples = [SampleSet(rule, rng.lognormal() * rng.normal(size=rule.n_points))
+                   for _ in range(many("samples"))]
+        betas = [PenalizationWeights(M, np.cumsum(rng.exponential(3.0, M + 1)))
+                 for _ in range(many("weights"))]
+        deltas = rng.uniform(0.0, 2.0, many("samples"))
+        cfg = dict(alpha0=4.0, q=0.5, L=10, omega=10 ** rng.uniform(-3.0, 1.0), norm_bound="l2")
+        grid = BalancingConfig(**cfg, delta=1.0).grid()
+        with mock.patch.object(params, "_WALK_BLOCK", block):
+            blocks = list(params._l2_walks(
+                rule.weights, np.array([analyze(s, M).values for s in samples]),
+                np.array([b.beta for b in betas]), grid, cfg["omega"] * deltas,
+            ))
+        stops, differences, thresholds = (np.concatenate(parts) for parts in zip(*blocks))
+        assert stops.shape == (rows,) and differences.shape == thresholds.shape == (rows, 9)
+        for r in range(rows):
+            pick = lambda seq: seq[r if len(seq) > 1 else 0]
+            res = balancing_principle(
+                pick(samples), M, pick(betas), BalancingConfig(**cfg, delta=pick(deltas))
+            )
+            n = len(res.trace)
+            assert res.alpha_star == grid[stops[r]]
+            assert [step.difference for step in res.trace] == differences[r, :n].tolist()
+            assert [step.threshold for step in res.trace] == thresholds[r, :n].tolist()
+
+    def test_refuses_energies_beyond_the_float_range(self):
+        # 1e200 at the nodes: gamma_kj^2 overflows, so the energies are inf,
+        # in a single walk and in a kernel search's batch
+        rule = gauss_legendre_rule(3)
+        samples = SampleSet(rule, np.full(rule.n_points, 1e200))
+        cfg = BalancingConfig(alpha0=2.0, q=0.5, L=8, omega=0.03, delta=0.05, norm_bound="l2")
+        search = RandomSearchConfig(runs=2, steps_per_run=3, box=((0, 2), (0, 2)), seed=1)
+        with pytest.raises(ValueError, match="finite per-degree energies"):
+            balancing_principle(samples, 3, weights_ones(3), cfg)
+        with pytest.raises(ValueError, match="finite per-degree energies"):
+            kernel_select(samples, 3, search, cfg)
+
 
 class TestStopReason:
     """`BalancingResult.stop` says where the walk stopped, from `triggered`
@@ -548,6 +601,7 @@ class TestStopReason:
         cfg = BalancingConfig(alpha0=8.0, q=0.8, L=60, omega=omega, delta=delta, norm_bound="l2")
         res = balancing_principle(SampleSet(rule, noisy), M, weights_laplace_beltrami(M), cfg)
         assert res.stop == stop
+        assert type(res.alpha_star) is float
         assert res.triggered == (stop != "grid-end")
         assert (len(res.trace) == 1) == (stop == "first-step")
 
@@ -658,18 +712,41 @@ class TestKernelSelect:
 
     @pytest.mark.parametrize("box", [((5, 5), (5, 5)), ((0, 5), (0, 5))])
     def test_box_whose_weights_overflow_refused_before_any_walk(self, monkeypatch, box):
-        # at (5, 5) the weights themselves exceed the float range from degree 278
+        # at (5, 5) the weights themselves exceed the float range from degree 278;
+        # a sup-norm search walks by `balancing_principle`, an l2 one by `_l2_walks`
         walks = []
 
         def walk(*args):
             walks.append(args)
             raise AssertionError("walked before the box was checked")
 
-        monkeypatch.setattr(params, "_balanced_fit", walk)
+        for name in ("balancing_principle", "_l2_walks"):
+            monkeypatch.setattr(params, name, walk)
         search = RandomSearchConfig(runs=2, steps_per_run=3, box=box)
-        with pytest.raises(ValueError, match=r"\(5, 5\).*fit degree 300"):
-            kernel_select(noisy_samples(300, seed=20), 300, search, BalancingConfig(**self.BP))
+        samples = noisy_samples(300, seed=20)
+        for bound in ("grid", "l2"):
+            with pytest.raises(ValueError, match=r"\(5, 5\).*fit degree 300"):
+                kernel_select(samples, 300, search, BalancingConfig(**self.BP, norm_bound=bound))
         assert walks == []
+
+    def test_run_with_no_finite_objective_refused(self):
+        # 1e200 at the nodes: every objective of a sup-norm search is NaN
+        rule = gauss_legendre_rule(3)
+        samples = SampleSet(rule, np.full(rule.n_points, 1e200))
+        search = RandomSearchConfig(runs=2, steps_per_run=3, box=((0, 2), (0, 2)), seed=1)
+        with pytest.raises(ValueError, match="run 0 .*no candidate with a finite objective"):
+            kernel_select(samples, 3, search, BalancingConfig(**self.BP, norm_bound="crude"))
+
+    def test_a_long_l2_run_walks_in_blocks(self):
+        # one run of 2000 candidates at M = 30: the unblocked (2000, 60, 31)
+        # table of filter factors alone would take 30 MB
+        M = 30
+        samples = noisy_samples(M, seed=21)
+        plan = approx._Plan(samples.rule, M)
+        analyze(samples, M, plan=plan)
+        search = RandomSearchConfig(runs=1, steps_per_run=2000, seed=3)
+        bp = BalancingConfig(alpha0=8.0, q=0.8, L=60, omega=0.03, delta=1.5, norm_bound="l2")
+        assert traced(lambda: kernel_select(samples, M, search, bp, plan=plan)).peak < 4 * 2**20
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
